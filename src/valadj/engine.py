@@ -223,12 +223,7 @@ def _vx_pair(schedule: CashflowSchedule, collateral: TermCurve):
         return collateral_value(schedule, collateral, t)
 
     def vx_left(t):
-        arr = np.asarray(collateral_value(schedule, collateral, t), dtype=float)
-        at = np.asarray(
-            [schedule.amount_at(s) for s in np.atleast_1d(np.asarray(t, dtype=float))]
-        )
-        out = arr + at.reshape(arr.shape)
-        return float(out) if out.ndim == 0 else out
+        return collateral_value(schedule, collateral, t, left=True)
 
     return vx, vx_left
 

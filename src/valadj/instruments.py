@@ -9,7 +9,10 @@ discounts every remaining flow at the collateral rate and uses the
 ex-dividend convention: a flow paid exactly at ``t`` is no longer part
 of the value at ``t``.  Between flow dates ``v_X`` solves
 ``dv_X/dt = r_X v_X`` (plus the flow itself as a source), and it jumps
-down by ``a_i`` across each payment.
+down by ``a_i`` across each payment; ``collateral_value(..., left=True)``
+gives the left limit, which still owes the flow at ``t``.  Either side
+costs ``O(log flows)`` per point, because ``v_X`` is a single
+exponential between flow dates.
 
 On a default at time ``tau`` the surviving party settles against
 ``v_X(tau)``:
@@ -54,6 +57,8 @@ class CashflowSchedule:
         object.__setattr__(self, "maturity", float(self.maturity))
         if not times or len(times) != len(amounts):
             raise ValueError("schedule needs one amount per flow time")
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError("flow times must be finite")
         if any(a >= b for a, b in zip(times, times[1:])):
             raise ValueError("flow times must be strictly increasing")
         if times[0] <= 0.0:
@@ -77,16 +82,22 @@ class CashflowSchedule:
             t_last if maturity is None else float(maturity),
         )
 
-    def amount_at(self, t: float) -> float:
-        """Flow paid exactly at ``t`` (0.0 if none)."""
-        try:
-            return self.amounts[self.times.index(float(t))]
-        except ValueError:
-            return 0.0
 
+def collateral_value(schedule: CashflowSchedule, collateral: TermCurve, t, *, left=False):
+    """Remaining flows discounted at the collateral rate.
 
-def collateral_value(schedule: CashflowSchedule, collateral: TermCurve, t):
-    """Remaining flows discounted at the collateral rate, ex-dividend.
+    With ``left=False`` the value is ex-dividend (right-continuous): a
+    flow paid exactly at ``t`` is no longer owed.  With ``left=True`` it
+    is the left limit, which still includes that flow.
+
+    The remaining-flow values ``P_k = a_k + exp(-int_{t_k}^{t_{k+1}} r_X)
+    P_{k+1}`` at the flow dates are built once per call by backward
+    recursion in the frame of each flow date.  Each point is then
+    ``P_k exp(-int_t^{t_k} r_X)``, with ``k`` the first flow still owed,
+    located by binary search: ``O(n log flows)`` for ``n`` points
+    instead of ``O(n flows)``.  No term is scaled by
+    ``exp(int_0^t r_X)``, so long-dated or high-rate trades do not
+    overflow.
 
     Parameters
     ----------
@@ -95,6 +106,8 @@ def collateral_value(schedule: CashflowSchedule, collateral: TermCurve, t):
         The rate ``r_X`` earned on cash posted at the exchange.
     t : float or ndarray
         Valuation times in ``[0, maturity]``.
+    left : bool
+        Return the left limit instead of the ex-dividend value.
 
     Returns
     -------
@@ -103,11 +116,17 @@ def collateral_value(schedule: CashflowSchedule, collateral: TermCurve, t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > schedule.maturity):
         raise ValueError("valuation time must lie in [0, maturity]")
+    times = np.asarray(schedule.times)
+    h_flow = np.asarray(collateral.cumulative(times))
+    step = np.exp(h_flow[:-1] - h_flow[1:])  # discount from t_{i+1} to t_i
+    remaining = list(schedule.amounts) + [0.0]
+    for i in range(len(times) - 2, -1, -1):
+        remaining[i] = remaining[i] + float(step[i]) * remaining[i + 1]
+    # no flow left past the last date: exp(h_t - inf) = 0 times P = 0
+    h_next = np.append(h_flow, np.inf)
+    k = np.searchsorted(times, arr, side="left" if left else "right")
     h_t = np.asarray(collateral.cumulative(arr))
-    out = np.zeros(arr.shape)
-    for t_i, a_i in zip(schedule.times, schedule.amounts):
-        h_i = collateral.cumulative(t_i)
-        out = out + a_i * np.exp(h_t - h_i) * (arr < t_i)
+    out = np.asarray(remaining)[k] * np.exp(h_t - h_next[k])
     return float(out) if out.ndim == 0 else out
 
 

@@ -17,6 +17,14 @@ with ``k * p0`` a multiple of four.  Reductions use numpy's pairwise
 summation.  Antithetic or other variance-reduction couplings are
 deliberately not applied.
 
+Payoffs cost ``O(paths + defaults log flows)``.  A path collects the
+flows dated strictly before its first default ``tau``, read from one
+prefix sum of discounted flows; surviving paths (no default up to
+maturity) take the full sum and are not searched.  A default at
+``tau <= maturity`` also settles against the ex-dividend mark
+``v_X(tau)``, so a flow dated exactly ``tau`` is neither paid nor
+marked (a null event under continuous default laws).
+
 Default times map from uniforms through the inverse survival function;
 ``inf`` means the name never defaults on the path.  For dependent
 defaults the copula is sampled by conditional inversion:
@@ -117,6 +125,26 @@ def sample_joint_defaults(
     return tau_i, tau_c
 
 
+def _flows_paid(schedule: CashflowSchedule, weight: np.ndarray, tau: np.ndarray):
+    """Weighted flows dated strictly before each path's first default.
+
+    ``weight`` holds the flows' discount weights.  One prefix sum over
+    the flows serves every path: surviving paths collect the full sum
+    without a search, and only paths defaulting by maturity locate
+    ``tau`` among the flow dates by binary search, ``O(log flows)``
+    each.  Returns the payoffs, the indices of the defaulting paths and
+    their default times.
+    """
+    paid = np.concatenate(([0.0], np.cumsum(np.asarray(schedule.amounts) * weight)))
+    payoff = np.full(len(tau), paid[-1])
+    # integer indices: gathers and scatters through them are several
+    # times cheaper than through a boolean mask
+    hit = np.flatnonzero(tau <= schedule.maturity)
+    t_hit = tau[hit]
+    payoff[hit] = paid[np.searchsorted(schedule.times, t_hit, side="left")]
+    return payoff, hit, t_hit
+
+
 def _first_default_payoffs(
     market: MarketRates,
     r_bar,
@@ -128,14 +156,9 @@ def _first_default_payoffs(
     """Discount at the deterministic internal rate ``r_bar``; pay flows
     while both names are alive, then the closeout of whoever defaults
     first (if before maturity)."""
-    tau = np.minimum(tau_i, tau_c)
-    payoff = np.zeros(len(tau))
-    for t_k, a_k in zip(schedule.times, schedule.amounts):
-        payoff += a_k * math.exp(-r_bar.cumulative(t_k)) * (tau > t_k)
-
-    hit = tau <= schedule.maturity
-    if np.any(hit):
-        t_hit = tau[hit]
+    discount = np.exp(-np.asarray(r_bar.cumulative(schedule.times)))
+    payoff, hit, t_hit = _flows_paid(schedule, discount, np.minimum(tau_i, tau_c))
+    if hit.size:
         vx_hit = collateral_value(schedule, market.collateral, t_hit)
         k_i, k_c = closeout_values(closeout, vx_hit)
         settle = np.where(tau_i[hit] <= tau_c[hit], k_i, k_c)
@@ -221,17 +244,10 @@ def mc_value_correlated(
             + np.asarray(model.counterparty.cumulative_hazard(t_arr))
         )
 
-    payoff = np.zeros(paths)
-    for t_k, a_k in zip(schedule.times, schedule.amounts):
-        payoff += a_k * float(weight(t_k)) * (tau_c > t_k)
-
-    hit = tau_c <= schedule.maturity
-    if np.any(hit):
-        t_hit = tau_c[hit]
+    payoff, hit, t_hit = _flows_paid(schedule, weight(schedule.times), tau_c)
+    if hit.size:
         vx_hit = collateral_value(schedule, market.collateral, t_hit)
-        _, k_c = closeout_values(
-            closeout, np.atleast_1d(np.asarray(vx_hit, dtype=float))
-        )
+        _, k_c = closeout_values(closeout, vx_hit)
         payoff[hit] += k_c * weight(t_hit)
     return _estimate(payoff, seed)
 

@@ -74,5 +74,27 @@ def dense_duhamel_u0(
     return total
 
 
+def piecewise_integral(curve, a, b):
+    """Integral of a piecewise-constant curve over ``[a, b]``, segment by
+    segment from its nodes (not through ``TermCurve.cumulative``)."""
+    ends = list(curve.times[1:]) + [math.inf]
+    total = 0.0
+    for start, end, value in zip(curve.times, ends, curve.values):
+        lo, hi = max(a, start), min(b, end)
+        if hi > lo:
+            total += value * (hi - lo)
+    return total
+
+
+def naive_collateral_value(flows, curve, t, left=False):
+    """``v_X(t)`` flow by flow: every flow still owed at ``t`` (after
+    ``t``, or at ``t`` too for the left limit) discounted back to ``t``."""
+    total = 0.0
+    for t_i, amt in flows:
+        if t_i > t or (left and t_i == t):
+            total += amt * math.exp(-piecewise_integral(curve, t, t_i))
+    return total
+
+
 def central_difference(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2.0 * h)

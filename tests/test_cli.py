@@ -70,6 +70,22 @@ class TestValidate:
         assert "regime" in joined
         assert "bond_recovery" in joined
 
+    def test_rejects_nan_flow_time(self, tmp_path, capsys):
+        doc = base_config(
+            schedule={
+                "flows": [
+                    {"t": 1.0, "amount": 1.0},
+                    {"t": float("nan"), "amount": 2.0},
+                    {"t": 3.0, "amount": 5.0},
+                ]
+            }
+        )
+        path = write_config(tmp_path, doc)
+        assert "NaN" in path.read_text()
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert any(d.startswith("schedule:") and "finite" in d for d in err["diagnostics"])
+
 
 class TestConfigParsing:
     def test_round_trip_through_canonical_json(self, tmp_path):

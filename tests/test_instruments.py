@@ -13,6 +13,8 @@ from valadj import (
     collateral_value,
 )
 
+from _reference import naive_collateral_value
+
 
 class TestScheduleValidation:
     def test_needs_flows(self):
@@ -41,11 +43,12 @@ class TestScheduleValidation:
         with pytest.raises(ValueError):
             CashflowSchedule.from_flows([(1.0, math.inf)])
 
-    def test_amount_at(self):
-        s = CashflowSchedule.from_flows([(1.0, 2.5), (2.0, -1.0)])
-        assert s.amount_at(1.0) == 2.5
-        assert s.amount_at(2.0) == -1.0
-        assert s.amount_at(1.5) == 0.0
+    def test_finite_times(self):
+        # NaN compares false both ways, so ordering checks alone pass it
+        with pytest.raises(ValueError, match="finite"):
+            CashflowSchedule.from_flows([(1, 1.0), (math.nan, 2.0), (3, 5.0)])
+        with pytest.raises(ValueError, match="finite"):
+            CashflowSchedule.from_flows([(1.0, 1.0), (math.inf, 2.0)], maturity=3.0)
 
 
 class TestCollateralValue:
@@ -103,6 +106,33 @@ class TestCollateralValue:
                 0.005 * collateral_value(s, rx, t), abs=1e-8
             )
 
+    def test_left_limit_adds_flow_amount(self):
+        # with r_X = 0 and dyadic amounts every step is exact
+        s = CashflowSchedule.from_flows([(1.0, 2.5), (2.0, -1.0)])
+        flat0 = TermCurve.flat(0.0)
+        for t, amount in ((1.0, 2.5), (2.0, -1.0), (0.0, 0.0), (1.5, 0.0)):
+            gap = collateral_value(s, flat0, t, left=True) - collateral_value(s, flat0, t)
+            assert gap == amount
+        rx = TermCurve.from_nodes([(0.0, 0.005), (1.5, 0.03)])
+        ts = np.array([0.0, 0.4, 1.0, 1.5, 1.9, 2.0])
+        gap = collateral_value(s, rx, ts, left=True) - collateral_value(s, rx, ts)
+        np.testing.assert_allclose(gap, [0.0, 0.0, 2.5, 0.0, 0.0, -1.0], rtol=0, atol=1e-15)
+        assert gap[[0, 1, 3, 4]].tolist() == [0.0] * 4
+
+    def test_no_overflow_far_from_valuation_date(self):
+        # exp(int_0^t r_X) alone would overflow here (e^990)
+        s = CashflowSchedule.from_flows([(1000.0, 3.0)])
+        rx = TermCurve.flat(1.0)
+        ts = np.array([0.0, 500.0, 990.0, 999.5, 1000.0])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            left = collateral_value(s, rx, ts, left=True)
+            right = collateral_value(s, rx, ts)
+        expected = 3.0 * np.exp(-(1000.0 - ts))
+        np.testing.assert_allclose(left, expected, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(right[:-1], expected[:-1], rtol=1e-15, atol=0)
+        assert right[-1] == 0.0
+        assert collateral_value(s, rx, 990.0) == pytest.approx(3.0 * math.exp(-10.0), rel=1e-15)
+
     def test_jump_equals_amount(self):
         s = CashflowSchedule.from_flows([(2.5, 1.0), (5.0, -1.0)])
         rx = TermCurve.flat(0.005)
@@ -156,3 +186,41 @@ def test_closeout_decomposition(vx, rec_i, rec_c):
     # gap drivers: what the defaulting party withholds
     assert k_i - vx == pytest.approx((1.0 - rec_i) * max(-vx, 0.0), abs=1e-12)
     assert vx - k_c == pytest.approx((1.0 - rec_c) * max(vx, 0.0), abs=1e-12)
+
+
+@st.composite
+def schedules_and_curves(draw):
+    gaps = draw(st.lists(st.floats(0.05, 5.0), min_size=1, max_size=12))
+    times = np.cumsum(gaps).tolist()
+    amounts = draw(
+        st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=len(times), max_size=len(times))
+    )
+    maturity = times[-1] + draw(st.sampled_from([0.0, 0.5, 3.0]))
+    node_gaps = draw(st.lists(st.floats(0.1, 10.0), min_size=0, max_size=6))
+    on_flows = draw(st.lists(st.sampled_from(times), max_size=3))
+    nodes = sorted({0.0, *np.cumsum(node_gaps).tolist(), *on_flows})
+    rates = draw(
+        st.lists(st.floats(-0.05, 0.3, allow_nan=False), min_size=len(nodes), max_size=len(nodes))
+    )
+    schedule = CashflowSchedule(tuple(times), tuple(amounts), maturity)
+    return schedule, TermCurve(tuple(nodes), tuple(rates))
+
+
+@given(data=schedules_and_curves(), extra=st.lists(st.floats(0.0, 1.0), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_collateral_value_matches_naive_reference(data, extra):
+    schedule, rx = data
+    flows = list(zip(schedule.times, schedule.amounts))
+    maturity = schedule.maturity
+    ts = sorted(
+        {0.0, maturity, *schedule.times}
+        | {t for t in rx.times if t <= maturity}
+        | {x * maturity for x in extra}
+    )
+    scale = sum(abs(a) for a in schedule.amounts) * math.exp(0.05 * maturity)
+    for left in (False, True):
+        vec = collateral_value(schedule, rx, np.array(ts), left=left)
+        for t, got in zip(ts, vec):
+            want = naive_collateral_value(flows, rx, t, left=left)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-13 * scale)
+            assert collateral_value(schedule, rx, t, left=left) == got

@@ -5,18 +5,24 @@ import pytest
 
 from valadj import (
     CashflowSchedule,
+    CloseoutSpec,
     CreditCurve,
     JointDefaultModel,
+    MarketRates,
     TermCurve,
     adjustment_correlated,
     adjustment_independent,
     adjustment_riskfree_cpty,
+    closeout_values,
     mc_value_correlated,
     mc_value_independent,
     mc_value_riskfree_cpty,
     sample_joint_defaults,
     sample_path_outcomes,
 )
+from valadj.measure import internal_rate
+
+from _reference import naive_collateral_value
 
 N = 200_000
 
@@ -234,7 +240,7 @@ class TestPathOutcomes:
             flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout, 500, 33
         )
         # r_bar = 0.01 for this configuration
-        from valadj import collateral_value, closeout_values
+        from valadj import collateral_value
 
         for o in outcomes:
             assert o.tau == min(o.tau_investor, o.tau_counterparty)
@@ -260,3 +266,84 @@ class TestPathOutcomes:
         assert survivors
         for o in survivors:
             assert o.discounted_payoff == pytest.approx(math.exp(-0.01 * 5.0), rel=1e-14)
+
+
+class TestMultiFlowPayoffs:
+    """Flow payoffs on a multi-flow schedule under piecewise curves,
+    rebuilt path by path from the default times."""
+
+    market = MarketRates(
+        TermCurve.from_nodes([(0.0, 0.01), (1.25, 0.03), (3.0, 0.02)]),
+        TermCurve.from_nodes([(0.0, 0.004), (2.0, 0.015), (4.5, 0.01)]),
+    )
+    investor = CreditCurve("I", TermCurve.from_nodes([(0.0, 0.1), (2.0, 0.2)]))
+    counterparty = CreditCurve("C", TermCurve.from_nodes([(0.0, 0.15), (1.5, 0.08)]))
+    lambda_bar = TermCurve.from_nodes([(0.0, 0.05), (3.0, 0.12)])
+    closeout = CloseoutSpec(recovery_investor=0.3, recovery_counterparty=0.55)
+    # v_X changes sign; no flow between the last date and maturity
+    schedule = CashflowSchedule.from_flows(
+        [(0.5, 0.3), (1.0, -0.7), (1.5, 0.4), (2.25, 1.1), (3.0, -0.2), (4.0, -0.9)],
+        maturity=6.0,
+    )
+    flows = list(zip(schedule.times, schedule.amounts))
+
+    def test_path_outcomes_reconstruction(self):
+        outcomes = sample_path_outcomes(
+            self.market, self.investor, self.counterparty, 0.4, self.lambda_bar,
+            self.schedule, self.closeout, 3000, 41,
+        )
+        r_bar = internal_rate(self.market, self.investor, 0.4, self.lambda_bar)
+        all_flows = sum(a * math.exp(-r_bar.integrated_rate(0.0, t)) for t, a in self.flows)
+        kinds = {"survivor": 0, "before_last_flow": 0, "after_last_flow": 0}
+        for o in outcomes:
+            expected = sum(
+                a * math.exp(-r_bar.integrated_rate(0.0, t)) for t, a in self.flows if o.tau > t
+            )
+            if o.tau <= self.schedule.maturity:
+                vx = naive_collateral_value(self.flows, self.market.collateral, o.tau)
+                k_i, k_c = closeout_values(self.closeout, vx)
+                settle = k_i if o.tau_investor <= o.tau_counterparty else k_c
+                expected += settle * math.exp(-r_bar.integrated_rate(0.0, o.tau))
+            assert o.discounted_payoff == pytest.approx(expected, abs=1e-12)
+            if o.tau > self.schedule.maturity:
+                kinds["survivor"] += 1
+                assert o.discounted_payoff == pytest.approx(all_flows, abs=1e-15)
+            elif o.tau > self.schedule.times[-1]:
+                # every flow paid, nothing left to close out
+                kinds["after_last_flow"] += 1
+                assert o.discounted_payoff == pytest.approx(all_flows, abs=1e-15)
+            else:
+                kinds["before_last_flow"] += 1
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_correlated_matches_per_path_loop(self):
+        model = JointDefaultModel(self.investor, self.counterparty, 1.5)
+        paths, seed = 4000, 29
+        mc = mc_value_correlated(self.market, model, self.schedule, self.closeout, paths, seed)
+
+        w = np.random.Generator(np.random.Philox(key=seed)).random((paths, 1))[:, 0]
+        taus = model.counterparty.inverse_survival(w)
+        r = self.market.risk_free
+
+        def weight(t):
+            return math.exp(
+                -r.integrated_rate(0.0, t)
+                + model.log_joint_survival(t, t)
+                + model.counterparty.cumulative_hazard(t)
+            )
+
+        payoffs = []
+        for tau in taus:
+            p = sum(a * weight(t) for t, a in self.flows if tau > t)
+            if tau <= self.schedule.maturity:
+                vx = naive_collateral_value(self.flows, self.market.collateral, tau)
+                p += closeout_values(self.closeout, vx)[1] * weight(tau)
+            payoffs.append(p)
+        payoffs = np.array(payoffs)
+        hit = taus <= self.schedule.maturity
+        assert 0 < np.count_nonzero(hit) < paths
+        assert np.count_nonzero(hit & (taus > self.schedule.times[-1])) > 0
+        assert mc.mean == pytest.approx(float(np.mean(payoffs)), abs=1e-12)
+        assert mc.std_error == pytest.approx(
+            float(np.std(payoffs, ddof=1) / math.sqrt(paths)), abs=1e-12
+        )
