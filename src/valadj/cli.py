@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,6 +56,12 @@ PROFILE_COLUMNS = (
 SUMMARY_COLUMNS = (
     "regime,lambda_bar_I,theta,v_X0,u0,v0,mc_mean,mc_stderr,mc_paths,mc_seed"
 )
+
+
+# The simulators hold one float64 payoff per path, and the standard
+# error takes one more full-size float64 temporary (np.std's deviations);
+# everything else they allocate is bounded by their block size.
+_MC_BYTES_PER_PATH = 16
 
 
 class ConfigError(ValueError):
@@ -251,6 +258,15 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(mc_paths, int) or isinstance(mc_paths, bool) or mc_paths < 2:
         diags.append("numerics.mc_paths: must be an integer >= 2")
         mc_paths = 2
+    else:
+        need = mc_paths * _MC_BYTES_PER_PATH
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > have:
+            diags.append(
+                f"numerics.mc_paths: {mc_paths} paths need {need} bytes for their "
+                f"payoffs and standard error, more than the {have} bytes of "
+                "physical memory"
+            )
     seed = numerics.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         diags.append("numerics.seed: must be a non-negative integer")
@@ -259,6 +275,15 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
     output = doc.get("output") or {}
     profiles_out = output.get("profiles", "profiles.csv")
     summary_out = output.get("summary", "summary.csv")
+    for key, name in (("profiles", profiles_out), ("summary", summary_out)):
+        # a bare name stays inside --out; Path("..").name is ".." itself
+        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+            diags.append(
+                f"output.{key}: must be a plain file name inside --out "
+                "(non-empty, no directory part, not '.' or '..')"
+            )
+    if profiles_out == summary_out:
+        diags.append("output.summary: must differ from output.profiles")
 
     if diags or market is None or investor is None or closeout is None or schedule is None:
         raise ConfigError(diags or ["invalid config"])
@@ -276,8 +301,8 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
         panels_per_year=panels,
         mc_paths=mc_paths,
         seed=seed,
-        profiles_out=str(profiles_out),
-        summary_out=str(summary_out),
+        profiles_out=profiles_out,
+        summary_out=summary_out,
     )
 
 

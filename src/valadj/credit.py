@@ -82,34 +82,39 @@ class CreditCurve:
         Feeding uniform draws through this map samples ``tau``.  Returns
         ``inf`` where the cumulative hazard never reaches ``-log(w)``
         (e.g. a tail intensity of zero, or ``w = 0``).
+
+        Each level takes only its own branch: on a flat curve
+        ``tau = -log(w) / lam`` with no search; on a piecewise curve one
+        search over the node levels picks the segment, whose constants
+        are gathered once, and the tail past the last node is the
+        unbounded last segment.
         """
         w_arr = np.asarray(w, dtype=float)
-        if np.any(w_arr < 0.0) or np.any(w_arr > 1.0):
+        # NaN levels pass this check and map to NaN, or to inf under a
+        # zero tail
+        if w_arr.size and (w_arr.min() < 0.0 or w_arr.max() > 1.0):
             raise ValueError("survival levels must lie in [0, 1]")
         with np.errstate(divide="ignore"):
-            target = -np.log(w_arr)
+            # 0.0 - log(w) is +0.0 at w = 1, where -log(w) is -0.0
+            target = 0.0 - np.log(w_arr)
 
-        times = self.intensity._times
         lam = self.intensity._values
-        cum = self.intensity._cum
-        nseg = len(times) - 1  # bounded segments; the last value extends flat
-
-        idx = np.searchsorted(cum[1:], target, side="left") if nseg else np.zeros(
-            target.shape, dtype=int
-        )
-        in_seg = idx < nseg
-        k = np.minimum(idx, max(nseg - 1, 0))
-        lam_k = lam[k]
-        seg_tau = times[k] + np.where(lam_k > 0.0, 1.0, 0.0) * (
-            target - cum[k]
-        ) / np.where(lam_k > 0.0, lam_k, 1.0)
-
-        lam_tail = lam[-1]
-        if lam_tail > 0.0:
-            tail_tau = times[-1] + (target - cum[-1]) / lam_tail
+        nseg = len(lam) - 1  # bounded segments; the last value extends flat
+        if lam[-1] == 0.0 and nseg == 0:
+            out = np.where(target <= 0.0, 0.0, np.inf)
+        elif nseg == 0:
+            out = target / lam[0]
         else:
-            tail_tau = np.where(target <= cum[-1], times[-1], np.inf)
-        out = np.where(in_seg, seg_tau, tail_tau)
+            cum = self.intensity._cum
+            k = np.searchsorted(cum[1:], target, side="left")
+            # a zero-intensity segment spans no levels (a leading one is
+            # reached only at w = 1): it adds 0 to its start time
+            rate = np.where(lam > 0.0, lam, np.inf)
+            with np.errstate(invalid="ignore"):  # inf/inf at w = 0, zero tail
+                out = self.intensity._times[k] + (target - cum[k]) / rate[k]
+            if lam[-1] == 0.0:
+                # a zero tail never reaches the levels past the last node
+                out = np.where(k < nseg, out, np.inf)
         return float(out) if out.ndim == 0 else out
 
 

@@ -32,7 +32,9 @@ __all__ = [
 
 def _as_time_array(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+    # min/max reductions build no full-size temporaries; NaN propagates
+    # through both and fails the comparisons
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
         raise ValueError("times must be finite and non-negative")
     return arr
 
@@ -86,25 +88,38 @@ class TermCurve:
 
     # -- evaluation ----------------------------------------------------
 
+    # One-node (flat) curves skip the node search and the gathers; the
+    # results are those of the general formulas at index 0.
+
     def value(self, t):
         """Curve value at ``t`` (right-continuous). Scalar or array."""
         arr = _as_time_array(t)
-        idx = np.searchsorted(self._times, arr, side="right") - 1
-        out = self._values[idx]
+        if len(self._times) == 1:
+            out = np.full(arr.shape, self._values[0])
+        else:
+            out = self._values[np.searchsorted(self._times, arr, side="right") - 1]
         return float(out) if out.ndim == 0 else out
 
     def value_left(self, t):
         """Left limit at ``t``: the segment that ends there, if any."""
         arr = _as_time_array(t)
-        idx = np.searchsorted(self._times, arr, side="left") - 1
-        out = self._values[np.maximum(idx, 0)]
+        if len(self._times) == 1:
+            out = np.full(arr.shape, self._values[0])
+        else:
+            idx = np.searchsorted(self._times, arr, side="left") - 1
+            out = self._values[np.maximum(idx, 0)]
         return float(out) if out.ndim == 0 else out
 
     def cumulative(self, t):
         """Exact integral of the curve over ``[0, t]``."""
         arr = _as_time_array(t)
-        idx = np.searchsorted(self._times, arr, side="right") - 1
-        out = self._cum[idx] + self._values[idx] * (arr - self._times[idx])
+        if len(self._times) == 1:
+            # times[0] = cum[0] = 0; adding the 0.0 keeps the general
+            # formula's +0.0 where the product is -0.0
+            out = 0.0 + self._values[0] * arr
+        else:
+            idx = np.searchsorted(self._times, arr, side="right") - 1
+            out = self._cum[idx] + self._values[idx] * (arr - self._times[idx])
         return float(out) if out.ndim == 0 else out
 
     def integrated_rate(self, t0: float, t1: float) -> float:

@@ -8,14 +8,25 @@ two routes share no numerics beyond the curve classes.
 Randomness contract: draws come from the counter-based Philox generator
 keyed by the seed.  Draw ``j`` is a pure function of ``(seed, j)`` and
 path ``i`` consumes draws ``k*i .. k*i + k - 1`` (``k`` uniforms per
-path, fixed per simulator), so estimates do not depend on how paths
-might be partitioned across workers.  Philox emits 64-bit words four
-per counter block and ``advance`` counts blocks, so a worker owning
-paths ``[p0, p1)`` reproduces its slice exactly via
+path, fixed per simulator).  Philox emits 64-bit words four per counter
+block and ``advance`` counts blocks, so a worker owning paths
+``[p0, p1)`` could reproduce its slice exactly via
 ``Philox(key=seed).advance(k * p0 // 4)`` when partitions are chosen
-with ``k * p0`` a multiple of four.  Reductions use numpy's pairwise
-summation.  Antithetic or other variance-reduction couplings are
-deliberately not applied.
+with ``k * p0`` a multiple of four.  Antithetic or other
+variance-reduction couplings are deliberately not applied.
+
+Every simulator runs as one pipeline over fixed blocks of ``_BLOCK``
+paths, sized so that a block's draws and temporaries stay in the L2
+cache: draw the block's uniforms into one reused buffer (consecutive
+draws continue the stream, so each path sees the same uniforms for any
+block size), map them to default times, then to discounted payoffs,
+written into one ``paths``-long vector.  Memory is therefore 8 bytes per
+path plus ``O(block)``, and 8 more per path while ``np.std`` reduces
+the vector.  Each payoff comes from elementwise operations
+whose results do not depend on the length of the arrays they run over,
+and the mean and standard error are reduced once over the whole vector
+with numpy's pairwise summation, so estimates do not depend on the block
+size: they are bit-identical, and the tests check it.
 
 Payoffs cost ``O(paths + defaults log flows)``.  A path collects the
 flows dated strictly before its first default ``tau``, read from one
@@ -84,13 +95,35 @@ class PathOutcome:
         return min(self.tau_investor, self.tau_counterparty)
 
 
-def _uniforms(seed: int, paths: int, per_path: int) -> np.ndarray:
+# Paths per block: one float64 column of a block is 256 KiB, so a
+# block's draws and temporaries stay in a 2 MiB L2 cache.
+_BLOCK = 2**15
+
+
+def _generator(paths: int, seed: int) -> np.random.Generator:
     if paths < 2:
         raise ValueError("need at least two paths")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random((paths, per_path))
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _simulate(paths: int, seed: int, per_path: int, block_payoffs) -> np.ndarray:
+    """Discounted payoffs of ``paths`` paths, computed block by block.
+
+    Each block's ``(n, per_path)`` uniforms are drawn into one reused
+    buffer, continuing the Philox stream, so path ``i`` sees draws
+    ``per_path*i ..`` whatever the block size; ``block_payoffs`` maps
+    them to the block's payoffs.
+    """
+    gen = _generator(paths, seed)
+    payoffs = np.empty(paths)
+    buf = np.empty((min(_BLOCK, paths), per_path))
+    for start in range(0, paths, _BLOCK):
+        w = buf[: min(_BLOCK, paths - start)]
+        gen.random(out=w)
+        payoffs[start : start + len(w)] = block_payoffs(w)
+    return payoffs
 
 
 def _estimate(payoffs: np.ndarray, seed: int) -> McEstimate:
@@ -108,7 +141,7 @@ def sample_joint_defaults(
     Two uniforms per path; conditional inversion of the survival copula,
     then marginal inverse survival maps.
     """
-    w = _uniforms(seed, paths, 2)
+    w = _generator(paths, seed).random((paths, 2))
     u = w[:, 0]
     if model.theta <= _THETA_INDEPENDENT:
         v = w[:, 1]
@@ -125,17 +158,21 @@ def sample_joint_defaults(
     return tau_i, tau_c
 
 
-def _flows_paid(schedule: CashflowSchedule, weight: np.ndarray, tau: np.ndarray):
+def _paid_prefix(schedule: CashflowSchedule, weight: np.ndarray) -> np.ndarray:
+    """Prefix sums of the weighted flows: entry ``j`` is the sum of the
+    first ``j`` flows, times their discount ``weight``."""
+    return np.concatenate(([0.0], np.cumsum(np.asarray(schedule.amounts) * weight)))
+
+
+def _flows_paid(schedule: CashflowSchedule, paid: np.ndarray, tau: np.ndarray):
     """Weighted flows dated strictly before each path's first default.
 
-    ``weight`` holds the flows' discount weights.  One prefix sum over
-    the flows serves every path: surviving paths collect the full sum
-    without a search, and only paths defaulting by maturity locate
-    ``tau`` among the flow dates by binary search, ``O(log flows)``
-    each.  Returns the payoffs, the indices of the defaulting paths and
-    their default times.
+    ``paid`` is :func:`_paid_prefix` of the flows.  Surviving paths
+    collect the full sum without a search, and only paths defaulting by
+    maturity locate ``tau`` among the flow dates by binary search,
+    ``O(log flows)`` each.  Returns the payoffs, the indices of the
+    defaulting paths and their default times.
     """
-    paid = np.concatenate(([0.0], np.cumsum(np.asarray(schedule.amounts) * weight)))
     payoff = np.full(len(tau), paid[-1])
     # integer indices: gathers and scatters through them are several
     # times cheaper than through a boolean mask
@@ -145,25 +182,45 @@ def _flows_paid(schedule: CashflowSchedule, weight: np.ndarray, tau: np.ndarray)
     return payoff, hit, t_hit
 
 
-def _first_default_payoffs(
+def _first_default(
     market: MarketRates,
-    r_bar,
+    investor: CreditCurve,
+    counterparty: CreditCurve | None,
+    recovery_bond: float,
+    lambda_bar,
     schedule: CashflowSchedule,
     closeout: CloseoutSpec,
-    tau_i: np.ndarray,
-    tau_c: np.ndarray,
-) -> np.ndarray:
-    """Discount at the deterministic internal rate ``r_bar``; pay flows
-    while both names are alive, then the closeout of whoever defaults
-    first (if before maturity)."""
-    discount = np.exp(-np.asarray(r_bar.cumulative(schedule.times)))
-    payoff, hit, t_hit = _flows_paid(schedule, discount, np.minimum(tau_i, tau_c))
-    if hit.size:
-        vx_hit = collateral_value(schedule, market.collateral, t_hit)
-        k_i, k_c = closeout_values(closeout, vx_hit)
-        settle = np.where(tau_i[hit] <= tau_c[hit], k_i, k_c)
-        payoff[hit] += settle * np.exp(-np.asarray(r_bar.cumulative(t_hit)))
-    return payoff
+):
+    """The first-default simulator, its constants built once.
+
+    The investor defaults at its internal intensity, the counterparty
+    (if any; ``None`` never defaults) at its market intensity.  Payoffs
+    are discounted at the deterministic internal rate ``r_bar``: flows
+    are paid while both names are alive, then the closeout of whoever
+    defaults first (if before maturity).  Returns ``(per_path, block)``:
+    the uniforms each path draws, and the map from a block of them to
+    ``(tau_I, tau_C, payoffs)``.
+    """
+    lam_bar = as_curve(lambda_bar)
+    r_bar = internal_rate(market, investor, recovery_bond, lam_bar)
+    sampler = CreditCurve(name="internal:" + investor.name, intensity=lam_bar)
+    paid = _paid_prefix(schedule, np.exp(-np.asarray(r_bar.cumulative(schedule.times))))
+
+    def block(w):
+        tau_i = sampler.inverse_survival(w[:, 0])
+        if counterparty is None:
+            tau_c = np.full(len(w), np.inf)
+        else:
+            tau_c = counterparty.inverse_survival(w[:, 1])
+        payoff, hit, t_hit = _flows_paid(schedule, paid, np.minimum(tau_i, tau_c))
+        if hit.size:
+            vx_hit = collateral_value(schedule, market.collateral, t_hit)
+            k_i, k_c = closeout_values(closeout, vx_hit)
+            settle = np.where(tau_i[hit] <= tau_c[hit], k_i, k_c)
+            payoff[hit] += settle * np.exp(-np.asarray(r_bar.cumulative(t_hit)))
+        return tau_i, tau_c, payoff
+
+    return (1 if counterparty is None else 2), block
 
 
 def mc_value_riskfree_cpty(
@@ -183,13 +240,10 @@ def mc_value_riskfree_cpty(
     defaults) and the standard error collapses to zero up to summation
     rounding (below 1e-15 even at a million paths).
     """
-    lam_bar = as_curve(lambda_bar)
-    r_bar = internal_rate(market, investor, recovery_bond, lam_bar)
-    sampler = CreditCurve(name="internal:" + investor.name, intensity=lam_bar)
-    tau_i = sampler.inverse_survival(_uniforms(seed, paths, 1)[:, 0])
-    tau_c = np.full(paths, np.inf)
-    payoffs = _first_default_payoffs(market, r_bar, schedule, closeout, tau_i, tau_c)
-    return _estimate(payoffs, seed)
+    per_path, block = _first_default(
+        market, investor, None, recovery_bond, lambda_bar, schedule, closeout
+    )
+    return _estimate(_simulate(paths, seed, per_path, lambda w: block(w)[2]), seed)
 
 
 def mc_value_independent(
@@ -206,14 +260,10 @@ def mc_value_independent(
     """Simulate v(0) with both names defaulting independently: the
     investor at its internal intensity, the counterparty at its market
     intensity.  Two uniforms per path."""
-    lam_bar = as_curve(lambda_bar)
-    r_bar = internal_rate(market, investor, recovery_bond, lam_bar)
-    w = _uniforms(seed, paths, 2)
-    sampler = CreditCurve(name="internal:" + investor.name, intensity=lam_bar)
-    tau_i = sampler.inverse_survival(w[:, 0])
-    tau_c = counterparty.inverse_survival(w[:, 1])
-    payoffs = _first_default_payoffs(market, r_bar, schedule, closeout, tau_i, tau_c)
-    return _estimate(payoffs, seed)
+    per_path, block = _first_default(
+        market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
+    )
+    return _estimate(_simulate(paths, seed, per_path, lambda w: block(w)[2]), seed)
 
 
 def mc_value_correlated(
@@ -233,8 +283,6 @@ def mc_value_correlated(
     and the closeout at ``tau_C <= T`` by the same expression evaluated
     at the default time (its left limit along the path).
     """
-    w = _uniforms(seed, paths, 1)[:, 0]
-    tau_c = model.counterparty.inverse_survival(w)
 
     def weight(t):
         t_arr = np.asarray(t, dtype=float)
@@ -244,12 +292,19 @@ def mc_value_correlated(
             + np.asarray(model.counterparty.cumulative_hazard(t_arr))
         )
 
-    payoff, hit, t_hit = _flows_paid(schedule, weight(schedule.times), tau_c)
-    if hit.size:
-        vx_hit = collateral_value(schedule, market.collateral, t_hit)
-        _, k_c = closeout_values(closeout, vx_hit)
-        payoff[hit] += k_c * weight(t_hit)
-    return _estimate(payoff, seed)
+    paid = _paid_prefix(schedule, weight(schedule.times))
+
+    def block(w):
+        payoff, hit, t_hit = _flows_paid(
+            schedule, paid, model.counterparty.inverse_survival(w[:, 0])
+        )
+        if hit.size:
+            vx_hit = collateral_value(schedule, market.collateral, t_hit)
+            _, k_c = closeout_values(closeout, vx_hit)
+            payoff[hit] += k_c * weight(t_hit)
+        return payoff
+
+    return _estimate(_simulate(paths, seed, 1, block), seed)
 
 
 def sample_path_outcomes(
@@ -266,13 +321,19 @@ def sample_path_outcomes(
     """Materialized per-path view of the independent-defaults simulator,
     for diagnostics and invariant tests on small samples.  Uses the same
     payoff code as :func:`mc_value_independent`."""
-    lam_bar = as_curve(lambda_bar)
-    r_bar = internal_rate(market, investor, recovery_bond, lam_bar)
-    w = _uniforms(seed, paths, 2)
-    sampler = CreditCurve(name="internal:" + investor.name, intensity=lam_bar)
-    tau_i = sampler.inverse_survival(w[:, 0])
-    tau_c = counterparty.inverse_survival(w[:, 1])
-    payoffs = _first_default_payoffs(market, r_bar, schedule, closeout, tau_i, tau_c)
+    per_path, block = _first_default(
+        market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
+    )
+    taus = []
+
+    def keep_taus(w):
+        tau_i, tau_c, payoff = block(w)
+        taus.append((tau_i, tau_c))
+        return payoff
+
+    payoffs = _simulate(paths, seed, per_path, keep_taus)
+    tau_i = np.concatenate([ti for ti, _ in taus])
+    tau_c = np.concatenate([tc for _, tc in taus])
     return [
         PathOutcome(float(ti), float(tc), float(p))
         for ti, tc, p in zip(tau_i, tau_c, payoffs)

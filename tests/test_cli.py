@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -85,6 +86,49 @@ class TestValidate:
         assert main(["validate", str(path)]) == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)
         assert any(d.startswith("schedule:") and "finite" in d for d in err["diagnostics"])
+
+    @pytest.mark.parametrize(
+        "key, name",
+        [
+            ("profiles", "sub/p.csv"),
+            ("summary", "../s.csv"),
+            ("profiles", "/tmp/p.csv"),
+            ("summary", ""),
+            ("profiles", ".."),
+            ("summary", "."),
+            ("profiles", 5),
+        ],
+    )
+    def test_output_names_stay_inside_out_dir(self, tmp_path, capsys, key, name):
+        output = {"profiles": "p.csv", "summary": "s.csv", key: name}
+        path = write_config(tmp_path, base_config(output=output))
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert [d for d in err["diagnostics"] if d.startswith(f"output.{key}:")]
+        # run refuses the same config before writing anything
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def test_output_names_must_differ(self, tmp_path, capsys):
+        output = {"profiles": "same.csv", "summary": "same.csv"}
+        path = write_config(tmp_path, base_config(output=output))
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert any(
+            d.startswith("output.summary:") and "output.profiles" in d
+            for d in err["diagnostics"]
+        )
+
+    def test_mc_paths_beyond_physical_memory(self, tmp_path, capsys):
+        # checked by arithmetic only: nothing of this size is allocated
+        doc = base_config(numerics={"panels_per_year": 64, "mc_paths": 2**60, "seed": 7})
+        path = write_config(tmp_path, doc)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        (diag,) = [d for d in err["diagnostics"] if d.startswith("numerics.mc_paths:")]
+        assert str(2**64) in diag  # 16 bytes per path
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert str(memory) in diag
 
 
 class TestConfigParsing:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from valadj import CreditCurve, JointDefaultModel, TermCurve, clayton_survival_copula
 
+from _reference import naive_inverse_survival
+
 # frozen finite-difference oracle: theta=1, flat lam_I=lam_C=0.02, t=5
 FTD_THETA1_T5 = 0.018262128682421233
 
@@ -73,6 +75,15 @@ class TestInverseSurvival:
             c.inverse_survival(1.5)
         with pytest.raises(ValueError):
             c.inverse_survival(-0.1)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0 + 2**-52, -0.1, -5e-324])
+    @pytest.mark.parametrize("nodes", [[(0.0, 0.02)], [(0.0, 0.05), (1.0, 0.0), (2.0, 0.01)]])
+    def test_one_level_out_of_range_rejects_the_array(self, nodes, bad):
+        c = CreditCurve("I", TermCurve.from_nodes(nodes))
+        w = np.linspace(0.0, 1.0, 9)
+        w[4] = bad
+        with pytest.raises(ValueError):
+            c.inverse_survival(w)
 
     def test_vectorized_matches_scalar(self):
         c = CreditCurve("I", TermCurve.from_nodes([(0.0, 0.03), (2.0, 0.01)]))
@@ -239,3 +250,71 @@ def test_copula_bounds_and_marginals(u, v, theta):
     c = clayton_survival_copula(u, v, theta)
     assert 0.0 <= c <= min(u, v) + 1e-15
     assert clayton_survival_copula(u, 1.0, theta) == pytest.approx(u, rel=1e-10)
+
+
+@st.composite
+def intensity_nodes(draw):
+    """Flat and piecewise intensities, with zero-intensity segments and
+    zero tails."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    extra = draw(
+        st.lists(
+            st.floats(min_value=0.01, max_value=10.0, allow_nan=False),
+            min_size=n - 1,
+            max_size=n - 1,
+            unique=True,
+        )
+    )
+    values = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=3.0)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return list(zip((0.0, *sorted(extra)), values))
+
+
+def node_levels(curve):
+    """Survival levels whose ``-log`` lands exactly on a node's cumulative
+    hazard, where one exists among the neighbours of ``exp(-H)``."""
+    found = []
+    for h in curve.intensity._cum:
+        w = float(np.exp(-h))
+        for _ in range(4):
+            if -float(np.log(w)) == h:
+                found.append(w)
+                break
+            w = float(np.nextafter(w, 0.0 if -float(np.log(w)) < h else 1.0))
+    return found
+
+
+@given(
+    nodes=intensity_nodes(),
+    draws=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
+)
+@settings(max_examples=300, deadline=None)
+def test_inverse_survival_matches_naive_walk(nodes, draws):
+    curve = CreditCurve("I", TermCurve.from_nodes(nodes))
+    w = np.array([0.0, 1.0, *draws, *node_levels(curve)])
+    got = curve.inverse_survival(w)
+    expected = np.array([naive_inverse_survival(nodes, x) for x in w])
+    if len(nodes) == 1:
+        np.testing.assert_array_equal(got, expected)
+    else:
+        np.testing.assert_array_max_ulp(got, expected, maxulp=2)
+    # a scalar level takes the same route as an array of them
+    assert [curve.inverse_survival(float(x)) for x in w[:3]] == list(got[:3])
+
+
+def test_levels_on_node_hazards():
+    # survival levels whose -log is exactly the cumulative hazard at a
+    # node, with a zero-intensity span and a zero tail: each inverts to
+    # the left edge of the level's span
+    h = [-float(np.log(w)) for w in (0.8, 0.5, 0.3)]
+    nodes = [(0.0, h[0]), (1.0, 0.0), (2.0, h[1] - h[0]), (3.0, h[2] - h[1]), (4.0, 0.0)]
+    curve = CreditCurve("I", TermCurve.from_nodes(nodes))
+    assert list(curve.intensity._cum) == [0.0, h[0], h[0], h[1], h[2]]
+    assert node_levels(curve) == [1.0, 0.8, 0.8, 0.5, 0.3]
+    for w, t in [(1.0, 0.0), (0.8, 1.0), (0.5, 3.0), (0.3, 4.0), (0.2999, math.inf)]:
+        assert curve.inverse_survival(w) == naive_inverse_survival(nodes, w) == t

@@ -53,6 +53,34 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             c.integrated_rate(-1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-12])
+    @pytest.mark.parametrize("method", ["value", "value_left", "cumulative"])
+    @pytest.mark.parametrize(
+        "curve",
+        [TermCurve.flat(0.02), TermCurve.from_nodes([(0.0, 0.01), (1.0, 0.03), (4.0, 0.0)])],
+        ids=["one_node", "multi_node"],
+    )
+    def test_bad_time_inside_array_rejected(self, curve, method, bad):
+        ts = np.linspace(0.0, 6.0, 13)
+        getattr(curve, method)(ts)
+        ts[7] = bad
+        with pytest.raises(ValueError):
+            getattr(curve, method)(ts)
+
+    @pytest.mark.parametrize("rate", [0.02, 0.0, -0.015])
+    def test_one_node_curve_matches_general_formula(self, rate):
+        # below its second node, a two-node curve with equal values runs
+        # the searched formula on the same segment constants
+        flat = TermCurve.flat(rate)
+        general = TermCurve.from_nodes([(0.0, rate), (50.0, rate)])
+        ts = np.concatenate(([0.0, 1e-300, 2.5], np.linspace(0.0, 49.0, 41)))
+        for method in ("value", "value_left", "cumulative"):
+            got, expected = getattr(flat, method)(ts), getattr(general, method)(ts)
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+            assert getattr(flat, method)(0.0) == getattr(general, method)(0.0)
+            assert math.copysign(1.0, flat.cumulative(0.0)) == 1.0
+
     def test_vectorized_matches_scalar(self):
         c = TermCurve.from_nodes([(0.0, 0.01), (1.0, 0.03), (4.0, 0.0)])
         ts = np.linspace(0.0, 6.0, 37)

@@ -20,6 +20,7 @@ from valadj import (
     sample_joint_defaults,
     sample_path_outcomes,
 )
+from valadj import oracle
 from valadj.measure import internal_rate
 
 from _reference import naive_collateral_value
@@ -347,3 +348,37 @@ class TestMultiFlowPayoffs:
         assert mc.std_error == pytest.approx(
             float(np.std(payoffs, ddof=1) / math.sqrt(paths)), abs=1e-12
         )
+
+
+class TestBlockSize:
+    """Paths run in blocks sized for the cache; the block size must not
+    show in any estimate or path."""
+
+    def test_results_do_not_depend_on_block_size(self, monkeypatch):
+        m = TestMultiFlowPayoffs
+        model = JointDefaultModel(m.investor, m.counterparty, 1.5)
+        paths, seed = 5003, 19  # a multiple of neither block size below
+        args = (m.market, m.investor)
+        sims = {
+            "riskfree_cpty": lambda: mc_value_riskfree_cpty(
+                *args, 0.4, m.lambda_bar, m.schedule, m.closeout, paths, seed
+            ),
+            "independent": lambda: mc_value_independent(
+                *args, m.counterparty, 0.4, m.lambda_bar, m.schedule, m.closeout, paths, seed
+            ),
+            "correlated": lambda: mc_value_correlated(
+                m.market, model, m.schedule, m.closeout, paths, seed
+            ),
+            "path_outcomes": lambda: sample_path_outcomes(
+                *args, m.counterparty, 0.4, m.lambda_bar, m.schedule, m.closeout, paths, seed
+            ),
+        }
+        runs = {}
+        for block in (7, 4096, paths, 2**20):
+            monkeypatch.setattr(oracle, "_BLOCK", block)
+            runs[block] = {name: sim() for name, sim in sims.items()}
+        for block in (4096, paths, 2**20):
+            assert runs[block] == runs[7]
+        outcomes = runs[7]["path_outcomes"]
+        assert len(outcomes) == paths
+        assert 0 < sum(o.tau <= m.schedule.maturity for o in outcomes) < paths
