@@ -63,6 +63,32 @@ SUMMARY_COLUMNS = (
 # everything else they allocate is bounded by their block size.
 _MC_BYTES_PER_PATH = 16
 
+# Memory per panel grid point: the engine's float64 arrays and
+# temporaries for one sweep point (tracemalloc: 163 bytes at peak), and
+# for every sweep point one profile row, held three times until written
+# (the row, the joined report and its encoded copy), each copy at most
+# the row's label plus _FLOAT_CHARS per value, plus _ROW_OVERHEAD_BYTES
+# of object headers and list slots.  Measured peaks of whole runs stay
+# under 500 bytes per row.
+_ENGINE_BYTES_PER_POINT = 256
+_FLOAT_CHARS = 25  # "-1.2345678901234567e-308" and its comma
+_ROW_OVERHEAD_BYTES = 64
+
+# Every key a config may hold; a list holds items of its one element's
+# schema, None is a leaf.  Curves are a number or a list of nodes.
+_CURVE = [{"t": None, "value": None}]
+_SCHEMA = {
+    "market": {"risk_free": _CURVE, "collateral": _CURVE},
+    "credit": {"investor": _CURVE, "counterparty": _CURVE},
+    "bond_recovery": None,
+    "closeout": {"recovery_investor": None, "recovery_counterparty": None},
+    "schedule": {"flows": [{"t": None, "amount": None}], "maturity": None},
+    "regime": None,
+    "sweep": {"lambda_bar": [_CURVE], "theta": None},
+    "numerics": {"panels_per_year": None, "mc_paths": None, "seed": None},
+    "output": {"profiles": None, "summary": None},
+}
+
 
 class ConfigError(ValueError):
     """Config rejected; ``diagnostics`` lists every problem found."""
@@ -143,10 +169,65 @@ def _parse_curve(raw, label: str, diags: list) -> TermCurve | None:
         return None
 
 
+def _unknown_keys(doc, schema, path: str = ""):
+    """Dotted paths of the keys in ``doc`` that ``schema`` does not
+    know; values of the wrong type are left to the parser."""
+    if isinstance(schema, dict) and isinstance(doc, dict):
+        for key, value in doc.items():
+            where = f"{path}.{key}" if path else str(key)
+            if key in schema:
+                yield from _unknown_keys(value, schema[key], where)
+            else:
+                yield where
+    elif isinstance(schema, list) and isinstance(doc, list):
+        for i, item in enumerate(doc):
+            yield from _unknown_keys(item, schema[0], f"{path}[{i}]")
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _panel_grid_bytes(cfg: ScenarioConfig, panels_per_year: int) -> int:
+    """Upper estimate of the memory a run's panel grids take: grid points
+    times the engine's bytes per point and one profile row per sweep
+    point.  The grid has ``ceil(maturity * panels_per_year) + 1`` uniform
+    points plus at most one per flow date and curve node."""
+    curves = [
+        cfg.market.risk_free,
+        cfg.market.collateral,
+        cfg.investor.intensity,
+        *cfg.lambda_bar_sweep,
+    ]
+    if cfg.counterparty is not None:
+        curves.append(cfg.counterparty.intensity)
+    # any rate past 2**62 panels a year is as far out of reach; the cap
+    # keeps the product a float
+    uniform = math.ceil(cfg.schedule.maturity * min(panels_per_year, 2**62))
+    points = uniform + 1 + len(cfg.schedule.times) + sum(len(c.times) for c in curves)
+    row_bytes = sum(
+        3 * (len(f"{cfg.regime},{lam},{theta},,") + 6 * _FLOAT_CHARS) + _ROW_OVERHEAD_BYTES
+        for lam, theta, _, _ in _sweep_points(cfg)
+    )
+    return points * (_ENGINE_BYTES_PER_POINT + row_bytes)
+
+
+def _panel_memory_problem(cfg: ScenarioConfig, panels_per_year: int) -> str | None:
+    need = _panel_grid_bytes(cfg, panels_per_year)
+    have = _physical_memory()
+    if need <= have:
+        return None
+    return (
+        f"{panels_per_year} panels per year over {cfg.schedule.maturity} years need "
+        f"about {need} bytes for the panel grid and its profile rows, more than the "
+        f"{have} bytes of physical memory"
+    )
+
+
 def _parse_config_dict(doc: dict) -> ScenarioConfig:
-    diags: list[str] = []
     if not isinstance(doc, dict):
         raise ConfigError(["config root must be a JSON object"])
+    diags = [f"{where}: unknown key" for where in _unknown_keys(doc, _SCHEMA)]
 
     market_doc = doc.get("market") or {}
     risk_free = _parse_curve(market_doc.get("risk_free"), "market.risk_free", diags)
@@ -260,7 +341,7 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
         mc_paths = 2
     else:
         need = mc_paths * _MC_BYTES_PER_PATH
-        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        have = _physical_memory()
         if need > have:
             diags.append(
                 f"numerics.mc_paths: {mc_paths} paths need {need} bytes for their "
@@ -288,7 +369,7 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
     if diags or market is None or investor is None or closeout is None or schedule is None:
         raise ConfigError(diags or ["invalid config"])
 
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         market=market,
         investor=investor,
         counterparty=counterparty,
@@ -304,6 +385,10 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
         profiles_out=profiles_out,
         summary_out=summary_out,
     )
+    problem = _panel_memory_problem(cfg, panels)
+    if problem is not None:
+        raise ConfigError([f"numerics.panels_per_year: {problem}"])
+    return cfg
 
 
 def load_config(path) -> ScenarioConfig:
@@ -323,6 +408,19 @@ def load_config(path) -> ScenarioConfig:
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def _profile_rows(prefix: str, profile, mc_mean: str, mc_err: str) -> list[str]:
+    """One CSV row per grid time: ``prefix``, then ``t, v_X, u, v, alpha,
+    beta`` and the Monte Carlo columns, filled on the first row only.
+
+    ``tolist`` turns each column into Python floats in one pass, so each
+    value is formatted by ``repr`` without a numpy scalar per element.
+    """
+    columns = (profile.grid, profile.v_x, profile.u, profile.v, profile.alpha, profile.beta)
+    cells = zip(*(map(repr, c.tolist()) for c in columns))
+    tails = [f",{mc_mean},{mc_err}"] + [",,"] * (len(profile.grid) - 1)
+    return [f"{prefix},{','.join(values)}{tail}" for values, tail in zip(cells, tails)]
 
 
 def _lambda_label(curve: TermCurve) -> str:
@@ -430,25 +528,9 @@ def run_scenario(
             est = simulate(cfg.mc_paths, cfg.seed + i)
             mc_mean, mc_err = _fmt(est.mean), _fmt(est.std_error)
             mc_paths, mc_seed = str(est.paths), str(est.seed)
-        for j, t in enumerate(profile.grid):
-            first = j == 0
-            profile_lines.append(
-                ",".join(
-                    (
-                        cfg.regime,
-                        lam_label,
-                        theta_label,
-                        _fmt(t),
-                        _fmt(profile.v_x[j]),
-                        _fmt(profile.u[j]),
-                        _fmt(profile.v[j]),
-                        _fmt(profile.alpha[j]),
-                        _fmt(profile.beta[j]),
-                        mc_mean if first else "",
-                        mc_err if first else "",
-                    )
-                )
-            )
+        profile_lines.extend(
+            _profile_rows(f"{cfg.regime},{lam_label},{theta_label}", profile, mc_mean, mc_err)
+        )
         summary_lines.append(
             ",".join(
                 (
@@ -517,8 +599,12 @@ def main(argv=None) -> int:
         print("config ok")
         return EXIT_OK
 
-    if args.panels is not None and args.panels < 1:
-        return _fail(EXIT_CONFIG, "config", "--panels must be a positive integer")
+    if args.panels is not None:
+        if args.panels < 1:
+            return _fail(EXIT_CONFIG, "config", "--panels must be a positive integer")
+        problem = _panel_memory_problem(cfg, args.panels)
+        if problem is not None:
+            return _fail(EXIT_CONFIG, "config", f"--panels: {problem}")
     try:
         run_scenario(
             cfg, with_mc=args.mc, out_dir=args.out, panels_per_year=args.panels

@@ -166,15 +166,20 @@ class JointDefaultModel:
             self.theta * np.asarray(h_c)
         )
 
+    def _log_survival_of_hazards(self, h_i, h_c):
+        """``log U`` of the copula at cumulative hazards ``h_i``, ``h_c``
+        (arrays), stable for small theta."""
+        if self.theta <= _THETA_INDEPENDENT:
+            return -(h_i + h_c)
+        s = np.expm1(self.theta * h_i) + np.expm1(self.theta * h_c)
+        return -np.log1p(s) / self.theta
+
     def log_joint_survival(self, t_investor, t_counterparty):
         """``log P(tau_I > t_I, tau_C > t_C)``, stable for small theta."""
-        h_i = np.asarray(self.investor.cumulative_hazard(t_investor))
-        h_c = np.asarray(self.counterparty.cumulative_hazard(t_counterparty))
-        if self.theta <= _THETA_INDEPENDENT:
-            out = -(h_i + h_c)
-        else:
-            s = np.expm1(self.theta * h_i) + np.expm1(self.theta * h_c)
-            out = -np.log1p(s) / self.theta
+        out = self._log_survival_of_hazards(
+            np.asarray(self.investor.cumulative_hazard(t_investor)),
+            np.asarray(self.counterparty.cumulative_hazard(t_counterparty)),
+        )
         return float(out) if out.ndim == 0 else out
 
     def joint_survival(self, t_investor, t_counterparty):

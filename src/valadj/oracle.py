@@ -28,13 +28,20 @@ and the mean and standard error are reduced once over the whole vector
 with numpy's pairwise summation, so estimates do not depend on the block
 size: they are bit-identical, and the tests check it.
 
-Payoffs cost ``O(paths + defaults log flows)``.  A path collects the
-flows dated strictly before its first default ``tau``, read from one
-prefix sum of discounted flows; surviving paths (no default up to
-maturity) take the full sum and are not searched.  A default at
-``tau <= maturity`` also settles against the ex-dividend mark
-``v_X(tau)``, so a flow dated exactly ``tau`` is neither paid nor
-marked (a null event under continuous default laws).
+A path collects the flows dated strictly before its first default
+``tau``; a default at ``tau <= maturity`` also settles against the
+ex-dividend mark ``v_X(tau)``, so a flow dated exactly ``tau`` is
+neither paid nor marked (a null event under continuous default laws).
+Everything that does not depend on the path is computed once per
+simulation, in a table on the grid ``G`` of 0, the flow dates and the
+nodes of every curve the payoff reads (``_Segments``): per segment the
+flows paid, ``v_X`` and the discount as exponentials of the time spent
+in it.  Surviving paths (no default up to maturity) take the full flow
+sum and are not searched; a defaulting path costs one binary search
+over ``G``, a few gathers and one ``exp`` (plus the copula term for
+dependent defaults).  Payoffs therefore cost
+``O(paths + defaults log |G|)``, and ``v_X`` is marked once per
+simulation, at the flow dates.
 
 Default times map from uniforms through the inverse survival function;
 ``inf`` means the name never defaults on the path.  For dependent
@@ -158,28 +165,77 @@ def sample_joint_defaults(
     return tau_i, tau_c
 
 
-def _paid_prefix(schedule: CashflowSchedule, weight: np.ndarray) -> np.ndarray:
-    """Prefix sums of the weighted flows: entry ``j`` is the sum of the
-    first ``j`` flows, times their discount ``weight``."""
-    return np.concatenate(([0.0], np.cumsum(np.asarray(schedule.amounts) * weight)))
+def _segment_grid(schedule: CashflowSchedule, curves) -> np.ndarray:
+    """0, every flow date and every node of ``curves`` up to maturity,
+    sorted.
 
-
-def _flows_paid(schedule: CashflowSchedule, paid: np.ndarray, tau: np.ndarray):
-    """Weighted flows dated strictly before each path's first default.
-
-    ``paid`` is :func:`_paid_prefix` of the flows.  Surviving paths
-    collect the full sum without a search, and only paths defaulting by
-    maturity locate ``tau`` among the flow dates by binary search,
-    ``O(log flows)`` each.  Returns the payoffs, the indices of the
-    defaulting paths and their default times.
+    Maturity itself needs no point: a default there either falls on the
+    last flow date, or after the last flow, where every flow has been
+    paid and ``v_X`` is 0 on the whole last segment.
     """
-    payoff = np.full(len(tau), paid[-1])
-    # integer indices: gathers and scatters through them are several
-    # times cheaper than through a boolean mask
-    hit = np.flatnonzero(tau <= schedule.maturity)
-    t_hit = tau[hit]
-    payoff[hit] = paid[np.searchsorted(schedule.times, t_hit, side="left")]
-    return payoff, hit, t_hit
+    pts = {0.0, *schedule.times}
+    for curve in curves:
+        pts.update(t for t in curve.times if t <= schedule.maturity)
+    return np.array(sorted(pts))
+
+
+class _Segments:
+    """One simulation's payoff constants on the segments of ``grid``.
+
+    ``grid`` comes from :func:`_segment_grid` over ``r_X`` and every
+    other curve the payoff reads.  On a segment ``[g_j, g_{j+1})`` each
+    of them is constant and no flow falls strictly inside, so:
+
+    * the flows a default in the segment has been paid are fixed, with a
+      separate sum for a default exactly at ``g_j``, which does not
+      collect the flow dated ``g_j``;
+    * ``v_X(t) = owed[j] exp(log_vx[j] + rate_x[j] (t - g_j))``, with
+      ``owed`` the value of the remaining flows at the next flow date
+      (all three are 0 once no flow is left).  Anchoring ``v_X`` there
+      rather than at ``g_j`` keeps it from underflowing at the start of
+      a long segment.
+
+    ``log_discount`` is the log of the weight of a flow paid at each
+    grid time.  A default then costs one binary search over the grid.
+    """
+
+    def __init__(self, schedule: CashflowSchedule, collateral, grid, log_discount):
+        times = np.asarray(schedule.times)
+        self.grid = grid
+        self.maturity = schedule.maturity
+        flow_at = np.searchsorted(grid, times)  # flow dates are grid points
+        upto = np.searchsorted(times, grid, side="right")  # flows dated <= g_j
+
+        weighted = np.asarray(schedule.amounts) * np.exp(log_discount[flow_at])
+        prefix = np.concatenate(([0.0], np.cumsum(weighted)))
+        self.paid_before = prefix[np.searchsorted(times, grid, side="left")]
+        self.paid_upto = prefix[upto]
+        self.paid_all = prefix[-1]
+
+        nxt = np.minimum(upto, len(times) - 1)  # first flow after g_j
+        done = upto == len(times)  # no flow left after g_j
+        h_x = np.asarray(collateral.cumulative(grid))
+        owed = collateral_value(schedule, collateral, times, left=True)
+        self.owed = np.where(done, 0.0, owed[nxt])
+        self.log_vx = np.where(done, 0.0, h_x - h_x[flow_at[nxt]])
+        self.rate_x = np.where(done, 0.0, collateral.value(grid))
+
+    def locate(self, tau: np.ndarray):
+        """The paths whose default time ``tau`` is at most maturity, as
+        indices, with each one's segment ``j``, the time ``dt`` it spent
+        in it and the flows it was paid.  Surviving paths are not
+        searched."""
+        # integer indices: gathers and scatters through them are several
+        # times cheaper than through a boolean mask
+        hit = np.flatnonzero(tau <= self.maturity)
+        t_hit = tau[hit]
+        j = np.searchsorted(self.grid, t_hit, side="right") - 1
+        dt = t_hit - self.grid[j]
+        paid = self.paid_upto[j]
+        on_node = dt == 0.0
+        if on_node.any():
+            paid[on_node] = self.paid_before[j[on_node]]
+        return hit, j, dt, paid
 
 
 def _first_default(
@@ -200,11 +256,20 @@ def _first_default(
     defaults first (if before maturity).  Returns ``(per_path, block)``:
     the uniforms each path draws, and the map from a block of them to
     ``(tau_I, tau_C, payoffs)``.
+
+    The closeout is positively homogeneous in ``v_X``, so on a segment
+    it is the closeout of ``owed`` times one exponential, which also
+    carries the discount.
     """
     lam_bar = as_curve(lambda_bar)
     r_bar = internal_rate(market, investor, recovery_bond, lam_bar)
     sampler = CreditCurve(name="internal:" + investor.name, intensity=lam_bar)
-    paid = _paid_prefix(schedule, np.exp(-np.asarray(r_bar.cumulative(schedule.times))))
+    grid = _segment_grid(schedule, (market.collateral, r_bar))
+    log_discount = -np.asarray(r_bar.cumulative(grid))
+    seg = _Segments(schedule, market.collateral, grid, log_discount)
+    k_i, k_c = closeout_values(closeout, seg.owed)
+    log_scale = seg.log_vx + log_discount
+    slope = seg.rate_x - np.asarray(r_bar.value(grid))
 
     def block(w):
         tau_i = sampler.inverse_survival(w[:, 0])
@@ -212,12 +277,11 @@ def _first_default(
             tau_c = np.full(len(w), np.inf)
         else:
             tau_c = counterparty.inverse_survival(w[:, 1])
-        payoff, hit, t_hit = _flows_paid(schedule, paid, np.minimum(tau_i, tau_c))
+        payoff = np.full(len(w), seg.paid_all)
+        hit, j, dt, paid = seg.locate(np.minimum(tau_i, tau_c))
         if hit.size:
-            vx_hit = collateral_value(schedule, market.collateral, t_hit)
-            k_i, k_c = closeout_values(closeout, vx_hit)
-            settle = np.where(tau_i[hit] <= tau_c[hit], k_i, k_c)
-            payoff[hit] += settle * np.exp(-np.asarray(r_bar.cumulative(t_hit)))
+            settle = np.where(tau_i[hit] <= tau_c[hit], k_i[j], k_c[j])
+            payoff[hit] = paid + settle * np.exp(log_scale[j] + slope[j] * dt)
         return tau_i, tau_c, payoff
 
     return (1 if counterparty is None else 2), block
@@ -282,26 +346,29 @@ def mc_value_correlated(
     ``t`` on a surviving path is weighted by ``D(0,t) U(t,t) / U_C(t)``
     and the closeout at ``tau_C <= T`` by the same expression evaluated
     at the default time (its left limit along the path).
+
+    On a segment ``r``, ``lam_I`` and ``lam_C`` are constant, so the
+    cumulative rate and hazards at a default time are read off the
+    segment table; only the copula term is evaluated per path.
     """
+    curves = (market.risk_free, model.investor.intensity, model.counterparty.intensity)
 
-    def weight(t):
-        t_arr = np.asarray(t, dtype=float)
-        return np.exp(
-            -np.asarray(market.risk_free.cumulative(t_arr))
-            + np.asarray(model.log_joint_survival(t_arr, t_arr))
-            + np.asarray(model.counterparty.cumulative_hazard(t_arr))
-        )
+    def log_weight(h_r, h_i, h_c):
+        # log of D(0,t) U(t,t) / U_C(t) from the cumulative rate and hazards
+        return -h_r + model._log_survival_of_hazards(h_i, h_c) + h_c
 
-    paid = _paid_prefix(schedule, weight(schedule.times))
+    grid = _segment_grid(schedule, (market.collateral, *curves))
+    cum = [np.asarray(c.cumulative(grid)) for c in curves]
+    rate = [np.asarray(c.value(grid)) for c in curves]
+    seg = _Segments(schedule, market.collateral, grid, log_weight(*cum))
+    _, k_c = closeout_values(closeout, seg.owed)
 
     def block(w):
-        payoff, hit, t_hit = _flows_paid(
-            schedule, paid, model.counterparty.inverse_survival(w[:, 0])
-        )
+        payoff = np.full(len(w), seg.paid_all)
+        hit, j, dt, paid = seg.locate(model.counterparty.inverse_survival(w[:, 0]))
         if hit.size:
-            vx_hit = collateral_value(schedule, market.collateral, t_hit)
-            _, k_c = closeout_values(closeout, vx_hit)
-            payoff[hit] += k_c * weight(t_hit)
+            log_w = log_weight(*(h[j] + lam[j] * dt for h, lam in zip(cum, rate)))
+            payoff[hit] = paid + k_c[j] * np.exp(seg.log_vx[j] + seg.rate_x[j] * dt + log_w)
         return payoff
 
     return _estimate(_simulate(paths, seed, 1, block), seed)

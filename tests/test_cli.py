@@ -1,9 +1,12 @@
 import json
 import os
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from valadj import adjustment_riskfree_cpty, mc_value_riskfree_cpty
+from valadj import AdjustmentProfile, adjustment_riskfree_cpty, cli, mc_value_riskfree_cpty
 from valadj.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -15,6 +18,9 @@ from valadj.cli import (
     main,
     run_scenario,
 )
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_config(**overrides):
@@ -129,6 +135,56 @@ class TestValidate:
         assert str(2**64) in diag  # 16 bytes per path
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         assert str(memory) in diag
+
+
+    def test_unknown_keys_named_by_dotted_path(self, tmp_path, capsys):
+        doc = base_config(regmie="independent")
+        doc["numerics"]["panel_per_year"] = 64
+        doc["market"]["risk_free"] = [{"t": 0.0, "value": 0.01, "vlaue": 0.02}]
+        doc["schedule"]["flows"][0]["when"] = 1.0
+        doc["sweep"]["lambda_bar"] = [[{"t": 0.0, "value": 0.02, "unit": "bp"}]]
+        path = write_config(tmp_path, doc)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        diags = json.loads(capsys.readouterr().err)["diagnostics"]
+        for where in (
+            "regmie",
+            "numerics.panel_per_year",
+            "market.risk_free[0].vlaue",
+            "schedule.flows[0].when",
+            "sweep.lambda_bar[0][0].unit",
+        ):
+            assert f"{where}: unknown key" in diags
+        assert len(diags) == 5
+
+    def test_shipped_configs_validate(self, capsys):
+        for path in sorted(CONFIG_DIR.glob("*.json")):
+            assert main(["validate", str(path)]) == EXIT_OK, path
+            assert "config ok" in capsys.readouterr().out
+
+    def test_panel_grid_beyond_physical_memory(self, tmp_path, capsys):
+        # checked by arithmetic only: nothing of this size is allocated
+        doc = base_config()
+        doc["schedule"]["maturity"] = 1e7
+        path = write_config(tmp_path, doc)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        (diag,) = json.loads(capsys.readouterr().err)["diagnostics"]
+        assert diag.startswith("numerics.panels_per_year: 64 panels per year")
+        assert str(cli._physical_memory()) in diag
+
+    def test_panel_grid_bytes(self, tmp_path, monkeypatch):
+        doc = base_config()
+        doc["market"]["risk_free"] = [{"t": 0.0, "value": 0.01}, {"t": 0.5, "value": 0.02}]
+        cfg = load_config(write_config(tmp_path, doc))
+        # 64 uniform panels + 1 edge, 1 flow date, 2 + 1 + 1 + 1 + 1 curve nodes
+        points = 64 + 1 + 1 + 6
+        rows = [f"riskfree_cpty,{lam},,," for lam in ("0.0", "0.02")]
+        row_bytes = sum(3 * (len(r) + 6 * 25) + 64 for r in rows)
+        need = points * (256 + row_bytes)
+        assert cli._panel_grid_bytes(cfg, 64) == need
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+        assert cli._panel_memory_problem(cfg, 64) is None
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+        assert str(need) in cli._panel_memory_problem(cfg, 64)
 
 
 class TestConfigParsing:
@@ -290,6 +346,41 @@ class TestRun:
         main(["run", str(path), "--out", str(tmp_path / "out"), "--panels", "8"])
         rows = (tmp_path / "out" / "profiles.csv").read_text().splitlines()
         assert len(rows) == 1 + 9
+
+    def test_panels_override_beyond_physical_memory(self, tmp_path, capsys):
+        # checked by arithmetic only: nothing of this size is allocated
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--panels", str(10**15)]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["detail"].startswith(f"--panels: {10**15} panels per year")
+        assert not out.exists()
+
+    def test_profile_rows_match_naive_formatting(self):
+        values = np.array(
+            [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 0.1, -1.0 / 3.0, 1e16, 123456.789, 2.0**60]
+        )
+        n = len(values)
+        profile = AdjustmentProfile(
+            regime="riskfree_cpty",
+            grid=np.linspace(0.0, 1.0, n),
+            v_x=values,
+            u=values[::-1].copy(),
+            v=np.roll(values, 3),
+            alpha=-values,
+            beta=values * 0.5,
+        )
+        naive = []
+        for j in range(n):
+            cells = [
+                repr(float(a[j]))
+                for a in (profile.grid, profile.v_x, profile.u, profile.v, profile.alpha, profile.beta)
+            ]
+            mc = ["1.5", "0.25"] if j == 0 else ["", ""]
+            naive.append(",".join(["riskfree_cpty", "0.02", ""] + cells + mc))
+        assert cli._profile_rows("riskfree_cpty,0.02,", profile, "1.5", "0.25") == naive
+        assert "-0.0" in naive[1] and "5e-324" in naive[2]
 
     def test_bad_panels_override(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())

@@ -23,7 +23,7 @@ from valadj import (
 from valadj import oracle
 from valadj.measure import internal_rate
 
-from _reference import naive_collateral_value
+from _reference import naive_collateral_value, piecewise_integral
 
 N = 200_000
 
@@ -382,3 +382,164 @@ class TestBlockSize:
         outcomes = runs[7]["path_outcomes"]
         assert len(outcomes) == paths
         assert 0 < sum(o.tau <= m.schedule.maturity for o in outcomes) < paths
+
+
+class TestSegmentTable:
+    """Per-path payoffs at chosen default times, against a flow-by-flow
+    rebuild: each default lands on a flow date, on a curve node that is
+    not a flow date, at 0, at maturity, after the last flow, or ties
+    between the two names.
+
+    The inverse survival map is replaced by the identity, so the
+    simulator's uniforms are the default times themselves, and the
+    simulation returns its payoff vector instead of the estimate.
+    """
+
+    m = TestMultiFlowPayoffs
+    theta = 1.5
+    # each node on a time of its own; r_bar has those of r, lam_I and
+    # lambda_bar
+    investor = CreditCurve("I", TermCurve.from_nodes([(0.0, 0.1), (2.6, 0.2)]))
+    counterparty = CreditCurve("C", TermCurve.from_nodes([(0.0, 0.15), (3.5, 0.08)]))
+    lambda_bar = TermCurve.from_nodes([(0.0, 0.05), (0.8, 0.12)])
+    # flows at 0.5, 1, 1.5, 2.25, 3, 4 and maturity 6.  Nodes off the
+    # flow dates: r at 1.25, r_X at 2 and 4.5, lam_I at 2.6, lam_C at
+    # 3.5, lambda_bar at 0.8; r has one at 3, a flow date
+    taus = [
+        0.0, 0.5, 1.0, 1.5, 3.0, 4.0,  # flow dates
+        1.25, 2.0, 4.5, 2.6, 3.5, 0.8,  # nodes that are not flow dates
+        0.3, 2.7, 5.0, 5.999,  # inside segments, the last two after the last flow
+        0.9, 1.3, 2.1, 2.8, 3.7, 4.7,  # just past each node
+        np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+        6.0, 6.5, math.inf,  # maturity, then surviving paths
+    ]
+    at_last_flow = CashflowSchedule.from_flows(list(zip(m.schedule.times, m.schedule.amounts)))
+
+    def payoffs(self, monkeypatch, simulate, taus):
+        monkeypatch.setattr(CreditCurve, "inverse_survival", lambda self, w: np.array(w))
+        monkeypatch.setattr(oracle, "_simulate", lambda paths, seed, per_path, block: block(taus))
+        monkeypatch.setattr(oracle, "_estimate", lambda payoffs, seed: payoffs)
+        return simulate()
+
+    def first_default_expected(self, schedule, tau_i, tau_c, r_bar, market=m.market):
+        flows = list(zip(schedule.times, schedule.amounts))
+        tau = min(tau_i, tau_c)
+        out = sum(
+            a * math.exp(-piecewise_integral(r_bar, 0.0, t)) for t, a in flows if t < tau
+        )
+        if tau <= schedule.maturity:
+            vx = naive_collateral_value(flows, market.collateral, tau)
+            k_i, k_c = closeout_values(self.m.closeout, vx)
+            settle = k_i if tau_i <= tau_c else k_c
+            out += settle * math.exp(-piecewise_integral(r_bar, 0.0, tau))
+        return out
+
+    def correlated_expected(self, schedule, tau):
+        flows = list(zip(schedule.times, schedule.amounts))
+        m = self.m
+
+        def weight(t):
+            h_i = piecewise_integral(self.investor.intensity, 0.0, t)
+            h_c = piecewise_integral(self.counterparty.intensity, 0.0, t)
+            diagonal = (
+                math.exp(self.theta * h_i) + math.exp(self.theta * h_c) - 1.0
+            ) ** (-1.0 / self.theta)
+            return math.exp(-piecewise_integral(m.market.risk_free, 0.0, t) + h_c) * diagonal
+
+        out = sum(a * weight(t) for t, a in flows if t < tau)
+        if tau <= schedule.maturity:
+            vx = naive_collateral_value(flows, m.market.collateral, tau)
+            out += closeout_values(m.closeout, vx)[1] * weight(tau)
+        return out
+
+    @pytest.mark.parametrize("maturity_after_last_flow", [True, False])
+    def test_riskfree_cpty(self, monkeypatch, maturity_after_last_flow):
+        m = self.m
+        schedule = m.schedule if maturity_after_last_flow else self.at_last_flow
+        taus = np.array(self.taus)[:, None]
+        got = self.payoffs(
+            monkeypatch,
+            lambda: mc_value_riskfree_cpty(
+                m.market, self.investor, 0.4, self.lambda_bar, schedule, m.closeout,
+                len(taus), 1,
+            ),
+            taus,
+        )
+        r_bar = internal_rate(m.market, self.investor, 0.4, self.lambda_bar)
+        for tau, p in zip(self.taus, got):
+            expected = self.first_default_expected(schedule, tau, math.inf, r_bar)
+            assert p == pytest.approx(expected, abs=1e-12), tau
+
+    @pytest.mark.parametrize("maturity_after_last_flow", [True, False])
+    def test_independent_with_ties(self, monkeypatch, maturity_after_last_flow):
+        m = self.m
+        schedule = m.schedule if maturity_after_last_flow else self.at_last_flow
+        pairs = [(t, t) for t in self.taus]  # ties: the investor's closeout
+        pairs += [(t, t + 0.5) for t in self.taus] + [(t + 0.5, t) for t in self.taus]
+        pairs += [(math.inf, t) for t in self.taus]
+        got = self.payoffs(
+            monkeypatch,
+            lambda: mc_value_independent(
+                m.market, self.investor, self.counterparty, 0.4, self.lambda_bar,
+                schedule, m.closeout, len(pairs), 1,
+            ),
+            np.array(pairs),
+        )
+        r_bar = internal_rate(m.market, self.investor, 0.4, self.lambda_bar)
+        for (tau_i, tau_c), p in zip(pairs, got):
+            expected = self.first_default_expected(schedule, tau_i, tau_c, r_bar)
+            assert p == pytest.approx(expected, abs=1e-12), (tau_i, tau_c)
+
+    @pytest.mark.parametrize("maturity_after_last_flow", [True, False])
+    def test_correlated(self, monkeypatch, maturity_after_last_flow):
+        m = self.m
+        schedule = m.schedule if maturity_after_last_flow else self.at_last_flow
+        model = JointDefaultModel(self.investor, self.counterparty, self.theta)
+        taus = np.array(self.taus)[:, None]
+        got = self.payoffs(
+            monkeypatch,
+            lambda: mc_value_correlated(m.market, model, schedule, m.closeout, len(taus), 1),
+            taus,
+        )
+        for tau, p in zip(self.taus, got):
+            assert p == pytest.approx(self.correlated_expected(schedule, tau), abs=1e-12), tau
+
+    def test_long_segments_at_a_high_collateral_rate(self, monkeypatch):
+        # v_X(0) = exp(-999) underflows, yet a default at 999.5 settles
+        # against exp(-0.5); past the last flow, r_X grows by exp(790)
+        # over a segment whose v_X is 0
+        market = MarketRates(TermCurve.flat(0.0), TermCurve.flat(1.0))
+        investor = CreditCurve("I", TermCurve.flat(0.02))
+        schedule = CashflowSchedule.from_flows([(1.0, 1.0), (1000.0, 1.0)], maturity=1800.0)
+        taus = [0.5, 999.5, 1000.0, 1790.0, math.inf]
+        got = self.payoffs(
+            monkeypatch,
+            lambda: mc_value_riskfree_cpty(
+                market, investor, 0.4, 0.02, schedule, self.m.closeout, len(taus), 1
+            ),
+            np.array(taus)[:, None],
+        )
+        r_bar = internal_rate(market, investor, 0.4, 0.02)
+        assert got[1] > 1e-6
+        for tau, p in zip(taus, got):
+            expected = self.first_default_expected(schedule, tau, math.inf, r_bar, market)
+            assert p == pytest.approx(expected, abs=1e-12), tau
+
+    def test_one_collateral_value_per_simulation(self, monkeypatch):
+        m = self.m
+        calls = []
+        original = oracle.collateral_value
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "collateral_value", counting)
+        monkeypatch.setattr(oracle, "_BLOCK", 1000)
+        mc_value_independent(
+            m.market, m.investor, m.counterparty, 0.4, m.lambda_bar, m.schedule,
+            m.closeout, 5000, 3,
+        )
+        model = JointDefaultModel(m.investor, m.counterparty, self.theta)
+        mc_value_correlated(m.market, model, m.schedule, m.closeout, 5000, 3)
+        assert len(calls) == 2
