@@ -18,7 +18,6 @@ from .engine import (
     AdjustmentProfile,
     adjustment_correlated,
     adjustment_independent,
-    adjustment_riskfree_cpty,
     panel_grid,
     solve_linear_adjustment,
 )
@@ -44,12 +43,9 @@ from .measure import (
 )
 from .oracle import (
     McEstimate,
-    PathOutcome,
     mc_value_correlated,
     mc_value_independent,
-    mc_value_riskfree_cpty,
     sample_joint_defaults,
-    sample_path_outcomes,
 )
 
 __version__ = "0.1.0"
@@ -65,11 +61,9 @@ __all__ = [
     "JointDefaultModel",
     "MarketRates",
     "McEstimate",
-    "PathOutcome",
     "TermCurve",
     "adjustment_correlated",
     "adjustment_independent",
-    "adjustment_riskfree_cpty",
     "as_curve",
     "bond_price",
     "clayton_survival_copula",
@@ -83,12 +77,10 @@ __all__ = [
     "internal_rate",
     "mc_value_correlated",
     "mc_value_independent",
-    "mc_value_riskfree_cpty",
     "panel_grid",
     "pre_default_rate",
     "reprice_contingent_bond",
     "riskfree_counterparty_measure",
     "sample_joint_defaults",
-    "sample_path_outcomes",
     "solve_linear_adjustment",
 ]

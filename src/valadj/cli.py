@@ -25,22 +25,10 @@ from pathlib import Path
 from . import __version__
 from .credit import CreditCurve, JointDefaultModel
 from .curves import MarketRates, TermCurve
-from .engine import (
-    DEFAULT_PANELS_PER_YEAR,
-    REGIME_CORRELATED,
-    REGIME_INDEPENDENT,
-    REGIME_RISKFREE_CPTY,
-    adjustment_correlated,
-    adjustment_independent,
-    adjustment_riskfree_cpty,
-)
+from .engine import DEFAULT_PANELS_PER_YEAR, adjustment_correlated, adjustment_independent
 from .errors import InvariantError
 from .instruments import CashflowSchedule, CloseoutSpec
-from .oracle import (
-    mc_value_correlated,
-    mc_value_independent,
-    mc_value_riskfree_cpty,
-)
+from .oracle import mc_value_correlated, mc_value_independent
 
 __all__ = ["ScenarioConfig", "ConfigError", "load_config", "run_scenario", "main"]
 
@@ -48,6 +36,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+REGIME_RISKFREE_CPTY = "riskfree_cpty"
+REGIME_INDEPENDENT = "independent"
+REGIME_CORRELATED = "correlated"
 REGIMES = (REGIME_RISKFREE_CPTY, REGIME_INDEPENDENT, REGIME_CORRELATED)
 
 PROFILE_COLUMNS = (
@@ -184,6 +175,17 @@ def _unknown_keys(doc, schema, path: str = ""):
             yield from _unknown_keys(item, schema[0], f"{path}[{i}]")
 
 
+def _section(doc: dict, key: str, diags: list) -> dict:
+    """The object under ``key``; an absent or null section is empty."""
+    value = doc.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        diags.append(f"{key}: must be a JSON object")
+        return {}
+    return value
+
+
 def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
@@ -229,7 +231,7 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
         raise ConfigError(["config root must be a JSON object"])
     diags = [f"{where}: unknown key" for where in _unknown_keys(doc, _SCHEMA)]
 
-    market_doc = doc.get("market") or {}
+    market_doc = _section(doc, "market", diags)
     risk_free = _parse_curve(market_doc.get("risk_free"), "market.risk_free", diags)
     collateral = _parse_curve(market_doc.get("collateral"), "market.collateral", diags)
     market = (
@@ -238,7 +240,7 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
         else None
     )
 
-    credit_doc = doc.get("credit") or {}
+    credit_doc = _section(doc, "credit", diags)
     investor = None
     inv_curve = _parse_curve(credit_doc.get("investor"), "credit.investor", diags)
     if inv_curve is not None:
@@ -265,7 +267,7 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
         bond_recovery = 0.0
 
     closeout = None
-    closeout_doc = doc.get("closeout") or {}
+    closeout_doc = _section(doc, "closeout", diags)
     try:
         closeout = CloseoutSpec(
             recovery_investor=closeout_doc.get("recovery_investor", 0.0),
@@ -275,7 +277,7 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
         diags.append(f"closeout: {exc}")
 
     schedule = None
-    schedule_doc = doc.get("schedule") or {}
+    schedule_doc = _section(doc, "schedule", diags)
     try:
         flows = [(f["t"], f["amount"]) for f in schedule_doc.get("flows", [])]
         schedule = CashflowSchedule.from_flows(flows, schedule_doc.get("maturity"))
@@ -286,14 +288,16 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
     if regime not in REGIMES:
         diags.append(f"regime: must be one of {', '.join(REGIMES)}")
 
-    sweep_doc = doc.get("sweep") or {}
+    sweep_doc = _section(doc, "sweep", diags)
     lambda_bar_sweep: list[TermCurve] = []
     theta_sweep: list[float] = []
     if regime == REGIME_CORRELATED:
         if sweep_doc.get("lambda_bar"):
             diags.append("sweep.lambda_bar: not used by the correlated regime")
         thetas = sweep_doc.get("theta")
-        if not thetas:
+        if thetas is not None and not isinstance(thetas, list):
+            diags.append("sweep.theta: must be a list of numbers")
+        elif not thetas:
             diags.append("sweep.theta: correlated regime needs at least one theta")
         else:
             for i, th in enumerate(thetas):
@@ -312,7 +316,9 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
         if sweep_doc.get("theta"):
             diags.append(f"sweep.theta: not used by the {regime} regime")
         lams = sweep_doc.get("lambda_bar")
-        if not lams:
+        if lams is not None and not isinstance(lams, list):
+            diags.append("sweep.lambda_bar: must be a list of curves")
+        elif not lams:
             diags.append(
                 "sweep.lambda_bar: this regime needs at least one lambda_bar_I entry"
             )
@@ -330,7 +336,7 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
     if investor is None and not any(d.startswith("credit.investor") for d in diags):
         diags.append("credit.investor: required")
 
-    numerics = doc.get("numerics") or {}
+    numerics = _section(doc, "numerics", diags)
     panels = numerics.get("panels_per_year", DEFAULT_PANELS_PER_YEAR)
     if not isinstance(panels, int) or isinstance(panels, bool) or panels < 1:
         diags.append("numerics.panels_per_year: must be a positive integer")
@@ -353,7 +359,7 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
         diags.append("numerics.seed: must be a non-negative integer")
         seed = 0
 
-    output = doc.get("output") or {}
+    output = _section(doc, "output", diags)
     profiles_out = output.get("profiles", "profiles.csv")
     summary_out = output.get("summary", "summary.csv")
     for key, name in (("profiles", profiles_out), ("summary", summary_out)):
@@ -431,7 +437,11 @@ def _lambda_label(curve: TermCurve) -> str:
 
 
 def _sweep_points(cfg: ScenarioConfig):
-    """Yield ``(lambda_label, theta_label, solve, simulate)`` per point."""
+    """Yield ``(lambda_label, theta_label, solve, simulate)`` per point.
+
+    ``riskfree_cpty`` is ``independent`` without a counterparty, even
+    when the config lists one.
+    """
     if cfg.regime == REGIME_CORRELATED:
         for theta in cfg.theta_sweep:
             model = JointDefaultModel(cfg.investor, cfg.counterparty, theta)
@@ -445,58 +455,16 @@ def _sweep_points(cfg: ScenarioConfig):
                     cfg.market, m, cfg.schedule, cfg.closeout, n, s
                 ),
             )
-    elif cfg.regime == REGIME_INDEPENDENT:
-        for lam in cfg.lambda_bar_sweep:
-            yield (
-                _lambda_label(lam),
-                "",
-                lambda ppy, lam=lam: adjustment_independent(
-                    cfg.market,
-                    cfg.investor,
-                    cfg.counterparty,
-                    cfg.bond_recovery,
-                    lam,
-                    cfg.schedule,
-                    cfg.closeout,
-                    panels_per_year=ppy,
-                ),
-                lambda n, s, lam=lam: mc_value_independent(
-                    cfg.market,
-                    cfg.investor,
-                    cfg.counterparty,
-                    cfg.bond_recovery,
-                    lam,
-                    cfg.schedule,
-                    cfg.closeout,
-                    n,
-                    s,
-                ),
-            )
-    else:
-        for lam in cfg.lambda_bar_sweep:
-            yield (
-                _lambda_label(lam),
-                "",
-                lambda ppy, lam=lam: adjustment_riskfree_cpty(
-                    cfg.market,
-                    cfg.investor,
-                    cfg.bond_recovery,
-                    lam,
-                    cfg.schedule,
-                    cfg.closeout,
-                    panels_per_year=ppy,
-                ),
-                lambda n, s, lam=lam: mc_value_riskfree_cpty(
-                    cfg.market,
-                    cfg.investor,
-                    cfg.bond_recovery,
-                    lam,
-                    cfg.schedule,
-                    cfg.closeout,
-                    n,
-                    s,
-                ),
-            )
+        return
+    cpty = cfg.counterparty if cfg.regime == REGIME_INDEPENDENT else None
+    for lam in cfg.lambda_bar_sweep:
+        args = (cfg.market, cfg.investor, cpty, cfg.bond_recovery, lam, cfg.schedule, cfg.closeout)
+        yield (
+            _lambda_label(lam),
+            "",
+            lambda ppy, args=args: adjustment_independent(*args, panels_per_year=ppy),
+            lambda n, s, args=args: mc_value_independent(*args, n, s),
+        )
 
 
 def run_scenario(
@@ -605,6 +573,11 @@ def main(argv=None) -> int:
         problem = _panel_memory_problem(cfg, args.panels)
         if problem is not None:
             return _fail(EXIT_CONFIG, "config", f"--panels: {problem}")
+    if args.out is not None:
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _fail(EXIT_CONFIG, "config", f"--out: cannot create the directory: {exc}")
     try:
         run_scenario(
             cfg, with_mc=args.mc, out_dir=args.out, panels_per_year=args.panels

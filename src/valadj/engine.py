@@ -19,22 +19,21 @@ chained backward with exact exponential propagation.  A flow exactly on
 a panel boundary still belongs to the future of the panel on its left,
 so right-endpoint evaluations use left limits of ``beta``.
 
-Three coefficient regimes are provided:
+Two coefficient families are provided:
 
-* ``riskfree_cpty``: only the investor can default, intensity
-  ``lam_bar_I`` under the internal measure.
-      alpha = r_bar + lam_bar_I
-      beta  = (1 - rec_I) lam_bar_I vX-  -  (r_bar - r_X) vX
-* ``independent``: both names default, independently.
+* ``independent``: both names default, independently; the investor at
+  ``lam_bar_I`` under the internal measure, the counterparty at its
+  market intensity ``lam_C``.
       alpha = r_bar + lam_bar_I + lam_C
       beta  = (1 - rec_I) lam_bar_I vX- - (1 - rec_C) lam_C vX+ - (r_bar - r_X) vX
+  The ``riskfree_cpty`` regime is this one without a counterparty
+  (``lam_C = 0``): only the investor can default.
 * ``correlated``: dependent defaults, zero bond recovery and
   ``lam_bar_I = 0``; hazards are the first-to-default intensities.
       alpha = r + FTD_I + FTD_C
       beta  = -(1 - rec_C) lam_C vX+ - (r + FTD_I + FTD_C - lam_C - r_X) vX
 
-Setting ``lam_C = 0`` collapses ``independent`` onto ``riskfree_cpty``,
-and ``theta = 0`` collapses ``correlated`` onto ``independent`` with
+``theta = 0`` collapses ``correlated`` onto ``independent`` with
 ``lam_bar_I = 0``.
 """
 
@@ -46,7 +45,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .credit import JointDefaultModel
+from .credit import CreditCurve, JointDefaultModel
 from .curves import MarketRates, TermCurve, as_curve
 from .errors import InvariantError
 from .instruments import CashflowSchedule, CloseoutSpec, collateral_value
@@ -55,21 +54,13 @@ from .measure import internal_rate
 __all__ = [
     "AdjustmentProfile",
     "DEFAULT_PANELS_PER_YEAR",
-    "REGIME_RISKFREE_CPTY",
-    "REGIME_INDEPENDENT",
-    "REGIME_CORRELATED",
     "panel_grid",
     "solve_linear_adjustment",
-    "adjustment_riskfree_cpty",
     "adjustment_independent",
     "adjustment_correlated",
 ]
 
 DEFAULT_PANELS_PER_YEAR = 512
-
-REGIME_RISKFREE_CPTY = "riskfree_cpty"
-REGIME_INDEPENDENT = "independent"
-REGIME_CORRELATED = "correlated"
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +71,6 @@ class AdjustmentProfile:
     coefficients evaluated right-continuously at the grid times.
     """
 
-    regime: str
     grid: np.ndarray
     v_x: np.ndarray
     u: np.ndarray
@@ -114,65 +104,45 @@ def panel_grid(
 
 def solve_linear_adjustment(
     alpha: Callable,
+    alpha_cumulative: Callable,
     beta: Callable,
+    vx: Callable,
     *,
     maturity: float,
     breakpoints: Iterable[float] = (),
     panels_per_year: int = DEFAULT_PANELS_PER_YEAR,
-    alpha_cumulative: Callable | None = None,
-    beta_left: Callable | None = None,
-    alpha_left: Callable | None = None,
-    vx: Callable | None = None,
-    regime: str = "generic",
 ) -> AdjustmentProfile:
     """Solve ``-u' + alpha u = beta`` with ``u(maturity) = 0``.
 
     Parameters
     ----------
-    alpha, beta : callable
-        Coefficients; must accept numpy arrays of times.  Their only
-        allowed discontinuities are at ``breakpoints``.
-    alpha_cumulative : callable, optional
-        Exact ``t -> int_0^t alpha``.  When omitted, panel integrals of
-        ``alpha`` fall back to Simpson's rule, which is exact for
-        polynomials of degree three and below.
-    beta_left, alpha_left : callable, optional
-        One-sided limits used at panel right-endpoints; default to the
-        right-continuous versions (correct whenever the coefficient is
-        continuous there).
-    vx : callable, optional
-        Collateral-rate value reported alongside ``u``; defaults to 0.
+    alpha : callable
+        Right-continuous coefficient ``t -> alpha(t)``.
+    alpha_cumulative : callable
+        Exact ``t -> int_0^t alpha``.
+    beta : callable
+        ``(t, left) -> beta(t)``: right-continuous, or its left limit
+        when ``left`` is true (used at panel right-endpoints).
+    vx : callable
+        Collateral-rate value reported alongside ``u``.
+
+    Every callable accepts numpy arrays of times; the coefficients may
+    jump only at ``breakpoints``.
     """
     edges = panel_grid(maturity, breakpoints, panels_per_year)
     mids = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
     n_panels = len(widths)
 
-    beta_left = beta_left if beta_left is not None else beta
-    alpha_left = alpha_left if alpha_left is not None else alpha
-
     alpha_edge = np.asarray(alpha(edges), dtype=float)
-    beta_edge = np.asarray(beta(edges), dtype=float)
-    beta_mid = np.asarray(beta(mids), dtype=float)
-    beta_end = np.asarray(beta_left(edges[1:]), dtype=float)
+    beta_edge = np.asarray(beta(edges, False), dtype=float)
+    beta_mid = np.asarray(beta(mids, False), dtype=float)
+    beta_end = np.asarray(beta(edges[1:], True), dtype=float)
 
-    if alpha_cumulative is not None:
-        a_edge = np.asarray(alpha_cumulative(edges), dtype=float)
-        a_mid = np.asarray(alpha_cumulative(mids), dtype=float)
-        a_half = a_mid - a_edge[:-1]
-        a_full = a_edge[1:] - a_edge[:-1]
-    else:
-        q1 = 0.75 * edges[:-1] + 0.25 * edges[1:]
-        q3 = 0.25 * edges[:-1] + 0.75 * edges[1:]
-        alpha_mid = np.asarray(alpha(mids), dtype=float)
-        a_half = (widths / 12.0) * (
-            alpha_edge[:-1] + 4.0 * np.asarray(alpha(q1), dtype=float) + alpha_mid
-        )
-        a_full = a_half + (widths / 12.0) * (
-            alpha_mid
-            + 4.0 * np.asarray(alpha(q3), dtype=float)
-            + np.asarray(alpha_left(edges[1:]), dtype=float)
-        )
+    a_edge = np.asarray(alpha_cumulative(edges), dtype=float)
+    a_mid = np.asarray(alpha_cumulative(mids), dtype=float)
+    a_half = a_mid - a_edge[:-1]
+    a_full = a_edge[1:] - a_edge[:-1]
 
     for label, arr in (
         ("alpha", alpha_edge),
@@ -201,11 +171,8 @@ def solve_linear_adjustment(
     if not np.all(np.isfinite(u)):
         raise InvariantError("adjustment overflowed during panel propagation")
 
-    vx_arr = (
-        np.asarray(vx(edges), dtype=float) if vx is not None else np.zeros(len(edges))
-    )
+    vx_arr = np.asarray(vx(edges), dtype=float)
     return AdjustmentProfile(
-        regime=regime,
         grid=edges,
         v_x=vx_arr,
         u=u,
@@ -215,17 +182,9 @@ def solve_linear_adjustment(
     )
 
 
-def _vx_pair(schedule: CashflowSchedule, collateral: TermCurve):
-    """Right-continuous ``v_X`` and its left limit (flow at ``t`` still
-    owed)."""
-
-    def vx(t):
-        return collateral_value(schedule, collateral, t)
-
-    def vx_left(t):
-        return collateral_value(schedule, collateral, t, left=True)
-
-    return vx, vx_left
+def _at(curve: TermCurve, t, left: bool):
+    """``curve`` at ``t``, or its left limit there when ``left``."""
+    return curve.value_left(t) if left else curve.value(t)
 
 
 def _flow_breakpoints(schedule: CashflowSchedule, *curves: TermCurve) -> set:
@@ -235,54 +194,10 @@ def _flow_breakpoints(schedule: CashflowSchedule, *curves: TermCurve) -> set:
     return pts
 
 
-def adjustment_riskfree_cpty(
-    market: MarketRates,
-    investor,
-    recovery_bond: float,
-    lambda_bar,
-    schedule: CashflowSchedule,
-    closeout: CloseoutSpec,
-    *,
-    panels_per_year: int = DEFAULT_PANELS_PER_YEAR,
-) -> AdjustmentProfile:
-    """Adjustment when only the investor can default, with internal
-    intensity ``lambda_bar`` (a curve or scalar; 0 is admissible)."""
-    lam_bar = as_curve(lambda_bar)
-    r_bar = internal_rate(market, investor, recovery_bond, lam_bar)
-    alpha_curve = r_bar + lam_bar
-    spread = r_bar - market.collateral
-    loss_i = 1.0 - closeout.recovery_investor
-    vx, vx_left = _vx_pair(schedule, market.collateral)
-
-    def beta(t):
-        x = np.asarray(vx(t), dtype=float)
-        return loss_i * lam_bar.value(t) * np.maximum(-x, 0.0) - spread.value(t) * x
-
-    def beta_left(t):
-        x = np.asarray(vx_left(t), dtype=float)
-        return (
-            loss_i * lam_bar.value_left(t) * np.maximum(-x, 0.0)
-            - spread.value_left(t) * x
-        )
-
-    return solve_linear_adjustment(
-        alpha_curve.value,
-        beta,
-        maturity=schedule.maturity,
-        breakpoints=_flow_breakpoints(schedule, alpha_curve, spread, market.collateral),
-        panels_per_year=panels_per_year,
-        alpha_cumulative=alpha_curve.cumulative,
-        beta_left=beta_left,
-        alpha_left=alpha_curve.value_left,
-        vx=vx,
-        regime=REGIME_RISKFREE_CPTY,
-    )
-
-
 def adjustment_independent(
     market: MarketRates,
-    investor,
-    counterparty,
+    investor: CreditCurve,
+    counterparty: CreditCurve | None,
     recovery_bond: float,
     lambda_bar,
     schedule: CashflowSchedule,
@@ -290,46 +205,42 @@ def adjustment_independent(
     *,
     panels_per_year: int = DEFAULT_PANELS_PER_YEAR,
 ) -> AdjustmentProfile:
-    """Adjustment with an independently defaulting counterparty kept at
-    its market intensity."""
+    """Adjustment with the investor defaulting at its internal intensity
+    ``lambda_bar`` (a curve or scalar; 0 is admissible) and the
+    counterparty, independently, at its market intensity.
+
+    ``counterparty=None`` never defaults (``lam_C = 0``): the
+    ``riskfree_cpty`` regime.
+    """
     lam_bar = as_curve(lambda_bar)
-    lam_c = counterparty.intensity
+    lam_c = counterparty.intensity if counterparty is not None else TermCurve.flat(0.0)
     r_bar = internal_rate(market, investor, recovery_bond, lam_bar)
     alpha_curve = r_bar + lam_bar + lam_c
     spread = r_bar - market.collateral
     loss_i = 1.0 - closeout.recovery_investor
     loss_c = 1.0 - closeout.recovery_counterparty
-    vx, vx_left = _vx_pair(schedule, market.collateral)
 
-    def beta(t):
-        x = np.asarray(vx(t), dtype=float)
-        return (
-            loss_i * lam_bar.value(t) * np.maximum(-x, 0.0)
-            - loss_c * lam_c.value(t) * np.maximum(x, 0.0)
-            - spread.value(t) * x
-        )
+    def vx(t):
+        return collateral_value(schedule, market.collateral, t)
 
-    def beta_left(t):
-        x = np.asarray(vx_left(t), dtype=float)
+    def beta(t, left):
+        x = np.asarray(collateral_value(schedule, market.collateral, t, left=left), dtype=float)
         return (
-            loss_i * lam_bar.value_left(t) * np.maximum(-x, 0.0)
-            - loss_c * lam_c.value_left(t) * np.maximum(x, 0.0)
-            - spread.value_left(t) * x
+            loss_i * _at(lam_bar, t, left) * np.maximum(-x, 0.0)
+            - loss_c * _at(lam_c, t, left) * np.maximum(x, 0.0)
+            - _at(spread, t, left) * x
         )
 
     return solve_linear_adjustment(
         alpha_curve.value,
+        alpha_curve.cumulative,
         beta,
+        vx,
         maturity=schedule.maturity,
         breakpoints=_flow_breakpoints(
             schedule, alpha_curve, spread, market.collateral
         ),
         panels_per_year=panels_per_year,
-        alpha_cumulative=alpha_curve.cumulative,
-        beta_left=beta_left,
-        alpha_left=alpha_curve.value_left,
-        vx=vx,
-        regime=REGIME_INDEPENDENT,
     )
 
 
@@ -354,7 +265,6 @@ def adjustment_correlated(
     inv_name = model.investor.name
     cpty_name = model.counterparty.name
     loss_c = 1.0 - closeout.recovery_counterparty
-    vx, vx_left = _vx_pair(schedule, market.collateral)
 
     def ftd_sum(t, left=False):
         return np.asarray(
@@ -364,37 +274,28 @@ def adjustment_correlated(
     def alpha(t):
         return r.value(t) + ftd_sum(t)
 
-    def alpha_left(t):
-        return r.value_left(t) + ftd_sum(t, left=True)
-
     def alpha_cumulative(t):
         return np.asarray(r.cumulative(t), dtype=float) - np.asarray(
             model.log_joint_survival(t, t), dtype=float
         )
 
-    def beta(t):
-        x = np.asarray(vx(t), dtype=float)
-        lc = lam_c.value(t)
-        carry = r.value(t) + ftd_sum(t) - lc - r_x.value(t)
-        return -loss_c * lc * np.maximum(x, 0.0) - carry * x
+    def vx(t):
+        return collateral_value(schedule, r_x, t)
 
-    def beta_left(t):
-        x = np.asarray(vx_left(t), dtype=float)
-        lc = lam_c.value_left(t)
-        carry = r.value_left(t) + ftd_sum(t, left=True) - lc - r_x.value_left(t)
+    def beta(t, left):
+        x = np.asarray(collateral_value(schedule, r_x, t, left=left), dtype=float)
+        lc = _at(lam_c, t, left)
+        carry = _at(r, t, left) + ftd_sum(t, left) - lc - _at(r_x, t, left)
         return -loss_c * lc * np.maximum(x, 0.0) - carry * x
 
     return solve_linear_adjustment(
         alpha,
+        alpha_cumulative,
         beta,
+        vx,
         maturity=schedule.maturity,
         breakpoints=_flow_breakpoints(
             schedule, r, r_x, model.investor.intensity, lam_c
         ),
         panels_per_year=panels_per_year,
-        alpha_cumulative=alpha_cumulative,
-        beta_left=beta_left,
-        alpha_left=alpha_left,
-        vx=vx,
-        regime=REGIME_CORRELATED,
     )

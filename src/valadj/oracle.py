@@ -1,14 +1,16 @@
 """Monte Carlo valuation, independent of the ODE engine.
 
-Each engine regime has a simulator that prices the trade by sampling
-default times and averaging discounted payoffs; agreement within
+Each engine route has a simulator that prices the trade by sampling
+default times and averaging discounted payoffs (``riskfree_cpty`` is
+:func:`mc_value_independent` without a counterparty); agreement within
 statistical error is the package's main correctness check, because the
 two routes share no numerics beyond the curve classes.
 
 Randomness contract: draws come from the counter-based Philox generator
 keyed by the seed.  Draw ``j`` is a pure function of ``(seed, j)`` and
 path ``i`` consumes draws ``k*i .. k*i + k - 1`` (``k`` uniforms per
-path, fixed per simulator).  Philox emits 64-bit words four per counter
+path: 2 for independent defaults, 1 without a counterparty or for
+dependent defaults).  Philox emits 64-bit words four per counter
 block and ``advance`` counts blocks, so a worker owning paths
 ``[p0, p1)`` could reproduce its slice exactly via
 ``Philox(key=seed).advance(k * p0 // 4)`` when partitions are chosen
@@ -67,12 +69,9 @@ from .measure import internal_rate
 
 __all__ = [
     "McEstimate",
-    "PathOutcome",
     "sample_joint_defaults",
-    "mc_value_riskfree_cpty",
     "mc_value_independent",
     "mc_value_correlated",
-    "sample_path_outcomes",
 ]
 
 
@@ -85,21 +84,6 @@ class McEstimate:
     std_error: float
     paths: int
     seed: int
-
-
-@dataclass(frozen=True)
-class PathOutcome:
-    """One simulated path: default times (``inf`` = never) and the
-    payoff discounted to time 0."""
-
-    tau_investor: float
-    tau_counterparty: float
-    discounted_payoff: float
-
-    @property
-    def tau(self) -> float:
-        """First default time on the path."""
-        return min(self.tau_investor, self.tau_counterparty)
 
 
 # Paths per block: one float64 column of a block is 256 KiB, so a
@@ -287,33 +271,10 @@ def _first_default(
     return (1 if counterparty is None else 2), block
 
 
-def mc_value_riskfree_cpty(
-    market: MarketRates,
-    investor: CreditCurve,
-    recovery_bond: float,
-    lambda_bar,
-    schedule: CashflowSchedule,
-    closeout: CloseoutSpec,
-    paths: int,
-    seed: int,
-) -> McEstimate:
-    """Simulate v(0) with only the investor defaulting, at its internal
-    intensity.  One uniform per path.
-
-    ``lambda_bar = 0`` makes every path identical (the investor never
-    defaults) and the standard error collapses to zero up to summation
-    rounding (below 1e-15 even at a million paths).
-    """
-    per_path, block = _first_default(
-        market, investor, None, recovery_bond, lambda_bar, schedule, closeout
-    )
-    return _estimate(_simulate(paths, seed, per_path, lambda w: block(w)[2]), seed)
-
-
 def mc_value_independent(
     market: MarketRates,
     investor: CreditCurve,
-    counterparty: CreditCurve,
+    counterparty: CreditCurve | None,
     recovery_bond: float,
     lambda_bar,
     schedule: CashflowSchedule,
@@ -323,7 +284,13 @@ def mc_value_independent(
 ) -> McEstimate:
     """Simulate v(0) with both names defaulting independently: the
     investor at its internal intensity, the counterparty at its market
-    intensity.  Two uniforms per path."""
+    intensity.  Two uniforms per path.
+
+    ``counterparty=None`` never defaults (the ``riskfree_cpty`` regime)
+    and draws one uniform per path.  ``lambda_bar = 0`` then makes every
+    path identical and the standard error collapses to zero up to
+    summation rounding (below 1e-15 even at a million paths).
+    """
     per_path, block = _first_default(
         market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
     )
@@ -372,36 +339,3 @@ def mc_value_correlated(
         return payoff
 
     return _estimate(_simulate(paths, seed, 1, block), seed)
-
-
-def sample_path_outcomes(
-    market: MarketRates,
-    investor: CreditCurve,
-    counterparty: CreditCurve,
-    recovery_bond: float,
-    lambda_bar,
-    schedule: CashflowSchedule,
-    closeout: CloseoutSpec,
-    paths: int,
-    seed: int,
-) -> list[PathOutcome]:
-    """Materialized per-path view of the independent-defaults simulator,
-    for diagnostics and invariant tests on small samples.  Uses the same
-    payoff code as :func:`mc_value_independent`."""
-    per_path, block = _first_default(
-        market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
-    )
-    taus = []
-
-    def keep_taus(w):
-        tau_i, tau_c, payoff = block(w)
-        taus.append((tau_i, tau_c))
-        return payoff
-
-    payoffs = _simulate(paths, seed, per_path, keep_taus)
-    tau_i = np.concatenate([ti for ti, _ in taus])
-    tau_c = np.concatenate([tc for _, tc in taus])
-    return [
-        PathOutcome(float(ti), float(tc), float(p))
-        for ti, tc, p in zip(tau_i, tau_c, payoffs)
-    ]

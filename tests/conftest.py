@@ -1,6 +1,17 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from valadj import CashflowSchedule, CloseoutSpec, CreditCurve, MarketRates, TermCurve
+
+# pytest puts src/ on this process's path (pyproject.toml); child
+# interpreters, such as the CLI end-to-end test's, need it in the
+# environment to import the same checkout
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture

@@ -25,14 +25,12 @@ from valadj import (
     TermCurve,
     adjustment_correlated,
     adjustment_independent,
-    adjustment_riskfree_cpty,
     bond_price,
     expected_conditional_discount,
     reprice_contingent_bond,
     riskfree_counterparty_measure,
     mc_value_correlated,
     mc_value_independent,
-    mc_value_riskfree_cpty,
     sample_joint_defaults,
 )
 
@@ -75,13 +73,13 @@ def test_criterion_1_bond_invariance_sweep():
 
 def test_criterion_2_limiting_cases():
     # default-free internal choice: pure funding, closed form
-    prof0 = adjustment_riskfree_cpty(MARKET, INVESTOR, 0.4, 0.0, BULLET, CLOSEOUT)
+    prof0 = adjustment_independent(MARKET, INVESTOR, None, 0.4, 0.0, BULLET, CLOSEOUT)
     closed = math.exp(-0.022 * 5.0) - math.exp(-0.005 * 5.0)
     gap_closed = abs(prof0.adjustment() - closed)
 
     # market-consensus internal choice: coefficients reduce to the
     # conventional CVA/DVA/funding form with r_bar = r
-    prof = adjustment_riskfree_cpty(MARKET, INVESTOR, 0.4, 0.02, MIXED, CLOSEOUT)
+    prof = adjustment_independent(MARKET, INVESTOR, None, 0.4, 0.02, MIXED, CLOSEOUT)
     gap_alpha = float(np.max(np.abs(prof.alpha - 0.03)))
     beta_ref = 0.6 * 0.02 * np.maximum(-prof.v_x, 0.0) - (0.01 - 0.005) * prof.v_x
     gap_beta = float(np.max(np.abs(prof.beta - beta_ref)))
@@ -98,7 +96,7 @@ def test_criterion_3_regime_lattice():
     start = time.monotonic()
     dead = CreditCurve("C", TermCurve.flat(0.0))
     indep0 = adjustment_independent(MARKET, INVESTOR, dead, 0.4, 0.02, MIXED, CLOSEOUT)
-    riskfree = adjustment_riskfree_cpty(MARKET, INVESTOR, 0.4, 0.02, MIXED, CLOSEOUT)
+    riskfree = adjustment_independent(MARKET, INVESTOR, None, 0.4, 0.02, MIXED, CLOSEOUT)
     same_grid_a = np.array_equal(indep0.grid, riskfree.grid)
     gap_a = float(np.max(np.abs(indep0.u - riskfree.u)))
 
@@ -159,11 +157,11 @@ def test_criterion_5_monte_carlo_agreement():
     seed = 2000
     for _, schedule in SCHEDULES:
         for lam_bar in (0.005, 0.01, 0.02):
-            engine = adjustment_riskfree_cpty(
-                MARKET, INVESTOR, 0.4, lam_bar, schedule, CLOSEOUT
+            engine = adjustment_independent(
+                MARKET, INVESTOR, None, 0.4, lam_bar, schedule, CLOSEOUT
             ).value()
-            mc = mc_value_riskfree_cpty(
-                MARKET, INVESTOR, 0.4, lam_bar, schedule, CLOSEOUT, MC_PATHS, seed
+            mc = mc_value_independent(
+                MARKET, INVESTOR, None, 0.4, lam_bar, schedule, CLOSEOUT, MC_PATHS, seed
             )
             worst_z = max(worst_z, abs(mc.mean - engine) / mc.std_error)
             worst_se = max(worst_se, mc.std_error)
@@ -210,8 +208,8 @@ def test_criterion_5_monte_carlo_agreement():
 def test_criterion_6_grid_convergence():
     model = JointDefaultModel(INVESTOR, COUNTERPARTY, 1.0)
     runs = [
-        lambda ppy, s=s: adjustment_riskfree_cpty(
-            MARKET, INVESTOR, 0.4, 0.02, s, CLOSEOUT, panels_per_year=ppy
+        lambda ppy, s=s: adjustment_independent(
+            MARKET, INVESTOR, None, 0.4, 0.02, s, CLOSEOUT, panels_per_year=ppy
         )
         for _, s in SCHEDULES[:2]
     ] + [

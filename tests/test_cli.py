@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from valadj import AdjustmentProfile, adjustment_riskfree_cpty, cli, mc_value_riskfree_cpty
+from valadj import AdjustmentProfile, adjustment_independent, cli, mc_value_independent
 from valadj.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -136,6 +136,30 @@ class TestValidate:
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         assert str(memory) in diag
 
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (section, 5)
+            for section in (
+                "market", "credit", "closeout", "schedule", "sweep", "numerics", "output"
+            )
+        ]
+        + [("sweep.lambda_bar", 0.02), ("sweep.theta", 1.0)],
+    )
+    def test_wrong_shapes_named_by_dotted_key(self, tmp_path, capsys, where, value):
+        doc = base_config()
+        if where == "sweep.theta":  # read by the correlated regime only
+            doc.update(regime="correlated", bond_recovery=0.0, sweep={})
+            doc["credit"]["counterparty"] = 0.03
+        section, _, key = where.partition(".")
+        if key:
+            doc[section][key] = value
+        else:
+            doc[section] = value
+        path = write_config(tmp_path, doc)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        diags = json.loads(capsys.readouterr().err)["diagnostics"]
+        assert any(d.startswith(f"{where}: must be") for d in diags), diags
 
     def test_unknown_keys_named_by_dotted_path(self, tmp_path, capsys):
         doc = base_config(regmie="independent")
@@ -298,8 +322,8 @@ class TestRun:
         rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
         for row, lam in zip(rows, (0.0, 0.02)):
             fields = row.split(",")
-            prof = adjustment_riskfree_cpty(
-                flat_market, investor, 0.4, lam, cfg.schedule, closeout,
+            prof = adjustment_independent(
+                flat_market, investor, None, 0.4, lam, cfg.schedule, closeout,
                 panels_per_year=64,
             )
             # repr round trip: exact equality after parsing
@@ -324,8 +348,8 @@ class TestRun:
         rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
         for i, (row, lam) in enumerate(zip(rows, (0.0, 0.02))):
             fields = row.split(",")
-            est = mc_value_riskfree_cpty(
-                flat_market, investor, 0.4, lam, cfg.schedule, closeout, 4000, 7 + i
+            est = mc_value_independent(
+                flat_market, investor, None, 0.4, lam, cfg.schedule, closeout, 4000, 7 + i
             )
             assert fields[6] == repr(est.mean)
             assert fields[7] == repr(est.std_error)
@@ -357,13 +381,36 @@ class TestRun:
         assert err["detail"].startswith(f"--panels: {10**15} panels per year")
         assert not out.exists()
 
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_out_not_a_directory(self, tmp_path, capsys, under_file):
+        path = write_config(tmp_path, base_config())
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if under_file else taken
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "config"
+        assert err["detail"].startswith("--out: ")
+        assert captured.out == ""  # refused before any solve
+        assert taken.read_text() == ""
+
+    def test_riskfree_ignores_a_listed_counterparty(self, tmp_path):
+        doc = base_config()
+        plain = write_config(tmp_path, doc, "plain.json")
+        doc["credit"]["counterparty"] = 0.05
+        listed = write_config(tmp_path, doc, "listed.json")
+        assert main(["run", str(plain), "--mc", "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert main(["run", str(listed), "--mc", "--out", str(tmp_path / "b")]) == EXIT_OK
+        for name in ("profiles.csv", "summary.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_profile_rows_match_naive_formatting(self):
         values = np.array(
             [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 0.1, -1.0 / 3.0, 1e16, 123456.789, 2.0**60]
         )
         n = len(values)
         profile = AdjustmentProfile(
-            regime="riskfree_cpty",
             grid=np.linspace(0.0, 1.0, n),
             v_x=values,
             u=values[::-1].copy(),

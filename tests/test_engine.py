@@ -15,7 +15,6 @@ from valadj import (
     TermCurve,
     adjustment_correlated,
     adjustment_independent,
-    adjustment_riskfree_cpty,
     panel_grid,
     solve_linear_adjustment,
 )
@@ -57,83 +56,59 @@ class TestPanelGrid:
         assert len(g) == 5
 
 
+def constant(c):
+    """Coefficient ``t -> c``; its left limit is the same."""
+    return lambda t, left=False: np.full_like(np.asarray(t, float), c)
+
+
+def solve_constant(alpha, beta, **kwargs):
+    """Solve with constant ``alpha`` and ``beta`` and ``v_X = 0``."""
+    return solve_linear_adjustment(
+        constant(alpha),
+        lambda t: alpha * np.asarray(t, float),
+        constant(beta),
+        constant(0.0),
+        **kwargs,
+    )
+
+
 class TestSolver:
     def test_constant_coefficients_closed_form(self):
         alpha, beta, maturity = 0.07, 0.013, 4.0
-        prof = solve_linear_adjustment(
-            lambda t: np.full_like(np.asarray(t, float), alpha),
-            lambda t: np.full_like(np.asarray(t, float), beta),
-            maturity=maturity,
-        )
+        prof = solve_constant(alpha, beta, maturity=maturity)
         expected = beta / alpha * -np.expm1(-alpha * (maturity - prof.grid))
         np.testing.assert_allclose(prof.u, expected, rtol=1e-13, atol=1e-16)
 
     def test_zero_alpha(self):
-        prof = solve_linear_adjustment(
-            lambda t: np.zeros_like(np.asarray(t, float)),
-            lambda t: np.full_like(np.asarray(t, float), 0.02),
-            maturity=3.0,
-        )
+        prof = solve_constant(0.0, 0.02, maturity=3.0)
         np.testing.assert_allclose(prof.u, 0.02 * (3.0 - prof.grid), rtol=1e-13)
 
-    def test_exact_cumulative_matches_simpson_fallback(self):
-        # alpha cubic in t: Simpson integrates it exactly
-        def alpha(t):
-            t = np.asarray(t, float)
-            return 0.01 + 0.002 * t + 3e-4 * t**3
-
-        def alpha_cum(t):
-            t = np.asarray(t, float)
-            return 0.01 * t + 0.001 * t**2 + 7.5e-5 * t**4
-
-        def beta(t):
-            return np.full_like(np.asarray(t, float), 0.01)
-
-        a = solve_linear_adjustment(alpha, beta, maturity=2.0, panels_per_year=16)
-        b = solve_linear_adjustment(
-            alpha, beta, maturity=2.0, panels_per_year=16, alpha_cumulative=alpha_cum
-        )
-        np.testing.assert_allclose(a.u, b.u, rtol=1e-13, atol=1e-18)
-
     def test_non_finite_coefficient_raises(self):
-        def bad_beta(t):
-            return np.full_like(np.asarray(t, float), np.nan)
-
         with pytest.raises(InvariantError, match="non-finite"):
-            solve_linear_adjustment(
-                lambda t: np.zeros_like(np.asarray(t, float)),
-                bad_beta,
-                maturity=1.0,
-                panels_per_year=4,
-            )
+            solve_constant(0.0, np.nan, maturity=1.0, panels_per_year=4)
 
     def test_terminal_condition(self):
-        prof = solve_linear_adjustment(
-            lambda t: np.full_like(np.asarray(t, float), 0.1),
-            lambda t: np.full_like(np.asarray(t, float), 1.0),
-            maturity=1.0,
-            panels_per_year=8,
-        )
+        prof = solve_constant(0.1, 1.0, maturity=1.0, panels_per_year=8)
         assert prof.u[-1] == 0.0
 
 
 class TestRiskfreeRegime:
     def test_pure_funding_closed_form(self, flat_market, investor, closeout, bullet):
         # lam_bar = 0: u(0) = exp(-r_F T) - exp(-r_X T)
-        prof = adjustment_riskfree_cpty(flat_market, investor, 0.4, 0.0, bullet, closeout)
+        prof = adjustment_independent(flat_market, investor, None, 0.4, 0.0, bullet, closeout)
         target = math.exp(-0.022 * 5.0) - math.exp(-0.005 * 5.0)
         assert prof.adjustment() == pytest.approx(target, abs=1e-9)
         # far tighter in practice
         assert prof.adjustment() == pytest.approx(target, abs=1e-13)
 
     def test_mixed_schedule_frozen(self, flat_market, investor, closeout, mixed):
-        prof = adjustment_riskfree_cpty(flat_market, investor, 0.4, 0.02, mixed, closeout)
+        prof = adjustment_independent(flat_market, investor, None, 0.4, 0.02, mixed, closeout)
         assert prof.adjustment() == pytest.approx(RISKFREE_MIXED_U0, abs=1e-12)
 
     def test_coupon_schedule_interval_exact(
         self, flat_market, investor, closeout, coupon
     ):
-        prof = adjustment_riskfree_cpty(flat_market, investor, 0.4, 0.02, coupon, closeout)
+        prof = adjustment_independent(flat_market, investor, None, 0.4, 0.02, coupon, closeout)
         target = flat_adjustment_u0(
             list(zip(coupon.times, coupon.amounts)),
             5.0,
@@ -148,7 +123,7 @@ class TestRiskfreeRegime:
         assert prof.adjustment() == pytest.approx(target, abs=1e-12)
 
     def test_profile_consistency(self, flat_market, investor, closeout, mixed):
-        prof = adjustment_riskfree_cpty(flat_market, investor, 0.4, 0.02, mixed, closeout)
+        prof = adjustment_independent(flat_market, investor, None, 0.4, 0.02, mixed, closeout)
         np.testing.assert_array_equal(prof.v, prof.v_x + prof.u)
         assert prof.grid[0] == 0.0 and prof.grid[-1] == 5.0
         assert 2.5 in prof.grid
@@ -163,7 +138,7 @@ class TestRiskfreeRegime:
         lam_bar = TermCurve.from_nodes([(0.0, 0.01), (3.0, 0.02)])
         flows = [(2.5, 1.0), (4.0, -0.7)]
         schedule = CashflowSchedule.from_flows(flows)
-        prof = adjustment_riskfree_cpty(market, inv, 0.4, lam_bar, schedule, closeout)
+        prof = adjustment_independent(market, inv, None, 0.4, lam_bar, schedule, closeout)
 
         rec = 0.4
 
@@ -210,11 +185,27 @@ class TestIndependentRegime:
     def test_collapses_to_riskfree_without_counterparty_risk(
         self, flat_market, investor, closeout, mixed
     ):
+        # riskfree_cpty is independent without a counterparty: the same
+        # profile to the last bit as a counterparty that never defaults,
+        # on flat curves and on multi-node ones
+        term_structure = (
+            MarketRates(
+                TermCurve.from_nodes([(0.0, 0.01), (1.0, 0.03), (3.5, 0.02)]),
+                TermCurve.from_nodes([(0.0, 0.005), (2.0, 0.0)]),
+            ),
+            CreditCurve("I", TermCurve.from_nodes([(0.0, 0.02), (1.5, 0.04)])),
+            TermCurve.from_nodes([(0.0, 0.01), (3.0, 0.02)]),
+            CashflowSchedule.from_flows([(1.0, 0.3), (2.5, 1.0), (4.0, -0.7)]),
+        )
         dead = CreditCurve("C", TermCurve.flat(0.0))
-        a = adjustment_independent(flat_market, investor, dead, 0.4, 0.02, mixed, closeout)
-        b = adjustment_riskfree_cpty(flat_market, investor, 0.4, 0.02, mixed, closeout)
-        np.testing.assert_array_equal(a.grid, b.grid)
-        np.testing.assert_allclose(a.u, b.u, rtol=0, atol=1e-15)
+        for market, inv, lam_bar, schedule in (
+            (flat_market, investor, 0.02, mixed),
+            term_structure,
+        ):
+            a = adjustment_independent(market, inv, dead, 0.4, lam_bar, schedule, closeout)
+            b = adjustment_independent(market, inv, None, 0.4, lam_bar, schedule, closeout)
+            for column in ("grid", "v_x", "u", "v", "alpha", "beta"):
+                assert getattr(a, column).tobytes() == getattr(b, column).tobytes(), column
 
     def test_counterparty_risk_lowers_value_on_receivable(
         self, flat_market, investor, counterparty, closeout, bullet
@@ -222,7 +213,7 @@ class TestIndependentRegime:
         with_c = adjustment_independent(
             flat_market, investor, counterparty, 0.4, 0.0, bullet, closeout
         )
-        without = adjustment_riskfree_cpty(flat_market, investor, 0.4, 0.0, bullet, closeout)
+        without = adjustment_independent(flat_market, investor, None, 0.4, 0.0, bullet, closeout)
         assert with_c.adjustment() < without.adjustment()
 
     def test_coupon_schedule_interval_exact(
@@ -318,8 +309,8 @@ class TestRefinement:
     ):
         model = JointDefaultModel(investor, counterparty, 1.0)
         runs = {
-            "riskfree_cpty": lambda ppy: adjustment_riskfree_cpty(
-                flat_market, investor, 0.4, 0.02, mixed, closeout, panels_per_year=ppy
+            "riskfree_cpty": lambda ppy: adjustment_independent(
+                flat_market, investor, None, 0.4, 0.02, mixed, closeout, panels_per_year=ppy
             ),
             "independent": lambda ppy: adjustment_independent(
                 flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout,
@@ -336,8 +327,8 @@ class TestRefinement:
 
     def test_flow_beyond_maturity_grid_is_flat_zero(self, flat_market, investor, closeout):
         schedule = CashflowSchedule.from_flows([(1.0, 1.0)], maturity=2.0)
-        prof = adjustment_riskfree_cpty(
-            flat_market, investor, 0.4, 0.01, schedule, closeout, panels_per_year=8
+        prof = adjustment_independent(
+            flat_market, investor, None, 0.4, 0.01, schedule, closeout, panels_per_year=8
         )
         tail = prof.u[prof.grid >= 1.0 - 1e-12]
         np.testing.assert_array_equal(tail, np.zeros_like(tail))

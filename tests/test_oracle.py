@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,13 +13,10 @@ from valadj import (
     TermCurve,
     adjustment_correlated,
     adjustment_independent,
-    adjustment_riskfree_cpty,
     closeout_values,
     mc_value_correlated,
     mc_value_independent,
-    mc_value_riskfree_cpty,
     sample_joint_defaults,
-    sample_path_outcomes,
 )
 from valadj import oracle
 from valadj.measure import internal_rate
@@ -28,17 +26,57 @@ from _reference import naive_collateral_value, piecewise_integral
 N = 200_000
 
 
+@dataclass(frozen=True)
+class PathOutcome:
+    """One simulated path: default times (``inf`` = never) and the
+    payoff discounted to time 0."""
+
+    tau_investor: float
+    tau_counterparty: float
+    discounted_payoff: float
+
+    @property
+    def tau(self) -> float:
+        """First default time on the path."""
+        return min(self.tau_investor, self.tau_counterparty)
+
+
+def sample_path_outcomes(
+    market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout, paths, seed
+) -> list[PathOutcome]:
+    """Per-path view of the simulator behind :func:`mc_value_independent`:
+    the same block pipeline and payoff code, keeping each path's default
+    times."""
+    per_path, block = oracle._first_default(
+        market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
+    )
+    taus = []
+
+    def keep_taus(w):
+        tau_i, tau_c, payoff = block(w)
+        taus.append((tau_i, tau_c))
+        return payoff
+
+    payoffs = oracle._simulate(paths, seed, per_path, keep_taus)
+    tau_i = np.concatenate([ti for ti, _ in taus])
+    tau_c = np.concatenate([tc for _, tc in taus])
+    return [
+        PathOutcome(float(ti), float(tc), float(p))
+        for ti, tc, p in zip(tau_i, tau_c, payoffs)
+    ]
+
+
 class TestRandomnessContract:
     def test_same_seed_same_estimate(self, flat_market, investor, closeout, mixed):
-        a = mc_value_riskfree_cpty(flat_market, investor, 0.4, 0.02, mixed, closeout, 5000, 3)
-        b = mc_value_riskfree_cpty(flat_market, investor, 0.4, 0.02, mixed, closeout, 5000, 3)
+        a = mc_value_independent(flat_market, investor, None, 0.4, 0.02, mixed, closeout, 5000, 3)
+        b = mc_value_independent(flat_market, investor, None, 0.4, 0.02, mixed, closeout, 5000, 3)
         assert a == b
 
     def test_different_seed_different_estimate(
         self, flat_market, investor, closeout, mixed
     ):
-        a = mc_value_riskfree_cpty(flat_market, investor, 0.4, 0.02, mixed, closeout, 5000, 3)
-        b = mc_value_riskfree_cpty(flat_market, investor, 0.4, 0.02, mixed, closeout, 5000, 4)
+        a = mc_value_independent(flat_market, investor, None, 0.4, 0.02, mixed, closeout, 5000, 3)
+        b = mc_value_independent(flat_market, investor, None, 0.4, 0.02, mixed, closeout, 5000, 4)
         assert a.mean != b.mean
 
     def test_prefix_paths_are_a_substream(self, flat_market, investor, counterparty, closeout, mixed):
@@ -51,6 +89,28 @@ class TestRandomnessContract:
         )
         assert big[:1000] == small
 
+    def test_no_counterparty_draws_one_uniform_per_path(self):
+        # path i's tau_I is the internal curve's inverse survival of draw
+        # i of the seed's Philox stream: one uniform per path, none spent
+        # on the counterparty that never defaults
+        m = TestMultiFlowPayoffs
+        paths, seed = 5003, 23
+        args = (
+            m.market, m.investor, None, 0.4, m.lambda_bar, m.schedule, m.closeout, paths, seed
+        )
+        outcomes = sample_path_outcomes(*args)
+        w = np.random.Generator(np.random.Philox(key=seed)).random(paths)
+        internal = CreditCurve("internal", m.lambda_bar)
+        tau_i = np.array([o.tau_investor for o in outcomes])
+        np.testing.assert_array_equal(tau_i, internal.inverse_survival(w))
+        assert 0 < np.count_nonzero(tau_i <= m.schedule.maturity) < paths
+        assert all(o.tau_counterparty == math.inf for o in outcomes)
+        # the estimate reduces exactly these paths
+        payoffs = np.array([o.discounted_payoff for o in outcomes])
+        mc = mc_value_independent(*args)
+        assert mc.mean == float(np.mean(payoffs))
+        assert mc.std_error == float(np.std(payoffs, ddof=1) / math.sqrt(paths))
+
     def test_worker_partition_by_counter_advance(self):
         # two uniforms per path; a worker owning paths [60, 100) jumps
         # the counter by 2*60/4 blocks and sees identical draws
@@ -62,18 +122,18 @@ class TestRandomnessContract:
 
     def test_input_validation(self, flat_market, investor, closeout, mixed):
         with pytest.raises(ValueError):
-            mc_value_riskfree_cpty(flat_market, investor, 0.4, 0.02, mixed, closeout, 1, 3)
+            mc_value_independent(flat_market, investor, None, 0.4, 0.02, mixed, closeout, 1, 3)
         with pytest.raises(ValueError):
-            mc_value_riskfree_cpty(flat_market, investor, 0.4, 0.02, mixed, closeout, 100, -1)
+            mc_value_independent(flat_market, investor, None, 0.4, 0.02, mixed, closeout, 100, -1)
 
 
 class TestRiskfreeCptySimulator:
     def test_agrees_with_engine(self, flat_market, investor, closeout, mixed):
-        engine = adjustment_riskfree_cpty(
-            flat_market, investor, 0.4, 0.02, mixed, closeout
+        engine = adjustment_independent(
+            flat_market, investor, None, 0.4, 0.02, mixed, closeout
         ).value()
-        mc = mc_value_riskfree_cpty(
-            flat_market, investor, 0.4, 0.02, mixed, closeout, N, 42
+        mc = mc_value_independent(
+            flat_market, investor, None, 0.4, 0.02, mixed, closeout, N, 42
         )
         assert abs(mc.mean - engine) <= 3.0 * mc.std_error
         assert mc.std_error < 1e-3
@@ -81,17 +141,17 @@ class TestRiskfreeCptySimulator:
     def test_default_free_limit_is_exact(self, flat_market, investor, closeout, bullet):
         # lam_bar = 0: no randomness left, the MC price is the
         # discounted cashflow sum itself
-        engine = adjustment_riskfree_cpty(
-            flat_market, investor, 0.4, 0.0, bullet, closeout
+        engine = adjustment_independent(
+            flat_market, investor, None, 0.4, 0.0, bullet, closeout
         ).value()
-        mc = mc_value_riskfree_cpty(flat_market, investor, 0.4, 0.0, bullet, closeout, 1000, 5)
+        mc = mc_value_independent(flat_market, investor, None, 0.4, 0.0, bullet, closeout, 1000, 5)
         # every path is identical; the std error collapses to rounding noise
         assert mc.std_error <= 1e-15
         assert mc.mean == pytest.approx(engine, abs=1e-12)
         assert mc.mean == pytest.approx(math.exp(-0.022 * 5.0), rel=1e-14)
 
     def test_estimate_metadata(self, flat_market, investor, closeout, bullet):
-        mc = mc_value_riskfree_cpty(flat_market, investor, 0.4, 0.01, bullet, closeout, 2500, 8)
+        mc = mc_value_independent(flat_market, investor, None, 0.4, 0.01, bullet, closeout, 2500, 8)
         assert mc.paths == 2500
         assert mc.seed == 8
 
@@ -360,8 +420,8 @@ class TestBlockSize:
         paths, seed = 5003, 19  # a multiple of neither block size below
         args = (m.market, m.investor)
         sims = {
-            "riskfree_cpty": lambda: mc_value_riskfree_cpty(
-                *args, 0.4, m.lambda_bar, m.schedule, m.closeout, paths, seed
+            "riskfree_cpty": lambda: mc_value_independent(
+                *args, None, 0.4, m.lambda_bar, m.schedule, m.closeout, paths, seed
             ),
             "independent": lambda: mc_value_independent(
                 *args, m.counterparty, 0.4, m.lambda_bar, m.schedule, m.closeout, paths, seed
@@ -459,8 +519,8 @@ class TestSegmentTable:
         taus = np.array(self.taus)[:, None]
         got = self.payoffs(
             monkeypatch,
-            lambda: mc_value_riskfree_cpty(
-                m.market, self.investor, 0.4, self.lambda_bar, schedule, m.closeout,
+            lambda: mc_value_independent(
+                m.market, self.investor, None, 0.4, self.lambda_bar, schedule, m.closeout,
                 len(taus), 1,
             ),
             taus,
@@ -514,8 +574,8 @@ class TestSegmentTable:
         taus = [0.5, 999.5, 1000.0, 1790.0, math.inf]
         got = self.payoffs(
             monkeypatch,
-            lambda: mc_value_riskfree_cpty(
-                market, investor, 0.4, 0.02, schedule, self.m.closeout, len(taus), 1
+            lambda: mc_value_independent(
+                market, investor, None, 0.4, 0.02, schedule, self.m.closeout, len(taus), 1
             ),
             np.array(taus)[:, None],
         )
