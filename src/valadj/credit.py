@@ -30,11 +30,11 @@ precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import TermCurve
+from .curves import TermCurve, _Locator
 
 __all__ = [
     "CreditCurve",
@@ -58,12 +58,17 @@ class CreditCurve:
 
     name: str
     intensity: TermCurve
+    # the cumulative hazard at the nodes after 0, which inverse_survival
+    # locates levels among; None on a flat curve
+    _levels: _Locator | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("credit curve needs a name")
         if any(v < 0.0 for v in self.intensity.values):
             raise ValueError("default intensity must be non-negative")
+        cum = self.intensity._cum
+        object.__setattr__(self, "_levels", _Locator(cum[1:]) if len(cum) > 1 else None)
 
     def hazard(self, t):
         return self.intensity.value(t)
@@ -84,15 +89,15 @@ class CreditCurve:
         (e.g. a tail intensity of zero, or ``w = 0``).
 
         Each level takes only its own branch: on a flat curve
-        ``tau = -log(w) / lam`` with no search; on a piecewise curve one
-        search over the node levels picks the segment, whose constants
-        are gathered once, and the tail past the last node is the
-        unbounded last segment.
+        ``tau = -log(w) / lam`` with no lookup; on a piecewise curve a
+        bucket lookup among the cumulative hazards at the nodes picks the
+        segment, whose constants are gathered once, and the tail past the
+        last node is the unbounded last segment.  NaN levels are rejected
+        with the out-of-range ones.
         """
         w_arr = np.asarray(w, dtype=float)
-        # NaN levels pass this check and map to NaN, or to inf under a
-        # zero tail
-        if w_arr.size and (w_arr.min() < 0.0 or w_arr.max() > 1.0):
+        # NaN fails both comparisons
+        if w_arr.size and not (w_arr.min() >= 0.0 and w_arr.max() <= 1.0):
             raise ValueError("survival levels must lie in [0, 1]")
         with np.errstate(divide="ignore"):
             # 0.0 - log(w) is +0.0 at w = 1, where -log(w) is -0.0
@@ -106,7 +111,7 @@ class CreditCurve:
             out = target / lam[0]
         else:
             cum = self.intensity._cum
-            k = np.searchsorted(cum[1:], target, side="left")
+            k = self._levels(target, "left")
             # a zero-intensity segment spans no levels (a leading one is
             # reached only at w = 1): it adds 0 to its start time
             rate = np.where(lam > 0.0, lam, np.inf)

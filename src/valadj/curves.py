@@ -39,6 +39,69 @@ def _as_time_array(t) -> np.ndarray:
     return arr
 
 
+# Below this many keys a binary search is cheaper than the bucket
+# lookup's fixed cost of about eight numpy calls (~6 us on a 2-vCPU Xeon,
+# numpy 2.4; the two break even between 512 and 1024 keys).
+_BUCKET_MIN_KEYS = 1024
+# More knots than this in one bucket means they cluster: each is one more
+# pass over the keys, and a binary search is cheaper.
+_BUCKET_MAX_STEPS = 4
+
+
+class _Locator:
+    """``np.searchsorted(knots, x, side)`` over fixed sorted knots,
+    through a uniform bucket table.
+
+    ``4 * len(knots)`` buckets cover ``[knots[0], knots[-1]]``: a key's
+    bucket is its offset from ``knots[0]``, clipped to that range, times
+    ``scale``, cast to an index (a zero span has ``scale = 0`` and one
+    bucket).  ``table[b]`` counts the knots whose own bucket, by the same
+    float formula, is below ``b``.  The formula is monotone in the key, so
+    those knots lie strictly below every key in bucket ``b`` and knots in
+    later buckets strictly above it: ``table[b]`` is a lower bound on both
+    sides, and ``steps`` passes of ``j += knots[j] <= x`` (``<`` for
+    ``side="left"``), one per knot the fullest bucket holds, step over the
+    knots the key shares its bucket with.  A NaN after the last knot stops
+    every key there.  A lookup is thus a few elementwise passes, whatever
+    the knot count; short key arrays, and knots that are not finite or
+    crowd into one bucket, are binary-searched.  Keys must not be NaN.
+    """
+
+    def __init__(self, knots):
+        self.knots = np.asarray(knots, dtype=float)
+        self._table = None
+        lo, hi = float(self.knots[0]), float(self.knots[-1])
+        span = hi - lo
+        scale = 4 * len(self.knots) / span if span > 0.0 else 0.0
+        if not (math.isfinite(span) and math.isfinite(scale)):
+            return
+        self._lo, self._hi, self._scale = np.array(lo), np.array(hi), np.array(scale)
+        own = self._bucket(self.knots)
+        steps = int(np.bincount(own).max())
+        if steps <= _BUCKET_MAX_STEPS:
+            self._table = np.searchsorted(own, np.arange(own[-1] + 1), side="left")
+            self._steps = steps
+            self._padded = np.append(self.knots, np.nan)
+
+    def _bucket(self, x):
+        # clipping first keeps every product finite: +-inf keys never
+        # meet scale = 0 or overflow
+        b = np.minimum(x, self._hi)
+        np.maximum(b, self._lo, out=b)
+        b -= self._lo
+        b *= self._scale
+        return b.astype(np.intp)
+
+    def __call__(self, x: np.ndarray, side: str) -> np.ndarray:
+        if self._table is None or x.size < _BUCKET_MIN_KEYS:
+            return np.searchsorted(self.knots, x, side=side)
+        j = self._table[self._bucket(x)]
+        below = np.less_equal if side == "right" else np.less
+        for _ in range(self._steps):
+            j += below(self._padded[j], x)
+        return j
+
+
 @dataclass(frozen=True)
 class TermCurve:
     """Piecewise-constant curve ``t -> value`` on ``[0, inf)``.
@@ -52,6 +115,7 @@ class TermCurve:
     _times: np.ndarray = field(init=False, repr=False, compare=False)
     _values: np.ndarray = field(init=False, repr=False, compare=False)
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
+    _locate: _Locator | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
@@ -75,6 +139,7 @@ class TermCurve:
         object.__setattr__(self, "_times", t_arr)
         object.__setattr__(self, "_values", v_arr)
         object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_locate", _Locator(t_arr) if len(times) > 1 else None)
 
     @classmethod
     def flat(cls, value: float) -> "TermCurve":
@@ -88,7 +153,7 @@ class TermCurve:
 
     # -- evaluation ----------------------------------------------------
 
-    # One-node (flat) curves skip the node search and the gathers; the
+    # One-node (flat) curves skip the node lookup and the gathers; the
     # results are those of the general formulas at index 0.
 
     def value(self, t):
@@ -97,7 +162,7 @@ class TermCurve:
         if len(self._times) == 1:
             out = np.full(arr.shape, self._values[0])
         else:
-            out = self._values[np.searchsorted(self._times, arr, side="right") - 1]
+            out = self._values[self._locate(arr, "right") - 1]
         return float(out) if out.ndim == 0 else out
 
     def value_left(self, t):
@@ -106,7 +171,7 @@ class TermCurve:
         if len(self._times) == 1:
             out = np.full(arr.shape, self._values[0])
         else:
-            idx = np.searchsorted(self._times, arr, side="left") - 1
+            idx = self._locate(arr, "left") - 1
             out = self._values[np.maximum(idx, 0)]
         return float(out) if out.ndim == 0 else out
 
@@ -118,7 +183,7 @@ class TermCurve:
             # formula's +0.0 where the product is -0.0
             out = 0.0 + self._values[0] * arr
         else:
-            idx = np.searchsorted(self._times, arr, side="right") - 1
+            idx = self._locate(arr, "right") - 1
             out = self._cum[idx] + self._values[idx] * (arr - self._times[idx])
         return float(out) if out.ndim == 0 else out
 
@@ -149,15 +214,18 @@ class TermCurve:
     __rmul__ = __mul__
 
 
-def combined(curves: Sequence[TermCurve], fn: Callable[..., float]) -> TermCurve:
+def combined(curves: Sequence[TermCurve], fn: Callable[..., np.ndarray]) -> TermCurve:
     """Pointwise combination of piecewise-constant curves.
 
     The result lives on the union of the node grids, where it is again
-    piecewise constant.
+    piecewise constant.  Each curve is evaluated once, on the whole union
+    grid, so ``fn`` receives one array per curve and must combine them
+    elementwise into an array of the same shape.
     """
     times = sorted({t for c in curves for t in c.times})
-    values = tuple(float(fn(*(c.value(t) for c in curves))) for t in times)
-    return TermCurve(tuple(times), values)
+    grid = np.array(times)
+    values = np.asarray(fn(*(c.value(grid) for c in curves)), dtype=float)
+    return TermCurve(tuple(times), tuple(values.tolist()))
 
 
 def as_curve(x) -> TermCurve:

@@ -106,7 +106,6 @@ def solve_linear_adjustment(
     alpha: Callable,
     alpha_cumulative: Callable,
     beta: Callable,
-    vx: Callable,
     *,
     maturity: float,
     breakpoints: Iterable[float] = (),
@@ -121,10 +120,11 @@ def solve_linear_adjustment(
     alpha_cumulative : callable
         Exact ``t -> int_0^t alpha``.
     beta : callable
-        ``(t, left) -> beta(t)``: right-continuous, or its left limit
-        when ``left`` is true (used at panel right-endpoints).
-    vx : callable
-        Collateral-rate value reported alongside ``u``.
+        ``(t, left) -> (beta(t), v_X(t))``: the coefficient and the
+        collateral-rate value it is built from, right-continuous, or
+        their left limits when ``left`` is true (used at panel
+        right-endpoints).  The right-continuous ``v_X`` on the panel
+        edges is reported alongside ``u``.
 
     Every callable accepts numpy arrays of times; the coefficients may
     jump only at ``breakpoints``.
@@ -135,9 +135,9 @@ def solve_linear_adjustment(
     n_panels = len(widths)
 
     alpha_edge = np.asarray(alpha(edges), dtype=float)
-    beta_edge = np.asarray(beta(edges, False), dtype=float)
-    beta_mid = np.asarray(beta(mids, False), dtype=float)
-    beta_end = np.asarray(beta(edges[1:], True), dtype=float)
+    beta_edge, vx_edge = np.asarray(beta(edges, False), dtype=float)
+    beta_mid = np.asarray(beta(mids, False)[0], dtype=float)
+    beta_end = np.asarray(beta(edges[1:], True)[0], dtype=float)
 
     a_edge = np.asarray(alpha_cumulative(edges), dtype=float)
     a_mid = np.asarray(alpha_cumulative(mids), dtype=float)
@@ -171,12 +171,11 @@ def solve_linear_adjustment(
     if not np.all(np.isfinite(u)):
         raise InvariantError("adjustment overflowed during panel propagation")
 
-    vx_arr = np.asarray(vx(edges), dtype=float)
     return AdjustmentProfile(
         grid=edges,
-        v_x=vx_arr,
+        v_x=vx_edge,
         u=u,
-        v=vx_arr + u,
+        v=vx_edge + u,
         alpha=alpha_edge,
         beta=beta_edge,
     )
@@ -220,22 +219,18 @@ def adjustment_independent(
     loss_i = 1.0 - closeout.recovery_investor
     loss_c = 1.0 - closeout.recovery_counterparty
 
-    def vx(t):
-        return collateral_value(schedule, market.collateral, t)
-
     def beta(t, left):
         x = np.asarray(collateral_value(schedule, market.collateral, t, left=left), dtype=float)
         return (
             loss_i * _at(lam_bar, t, left) * np.maximum(-x, 0.0)
             - loss_c * _at(lam_c, t, left) * np.maximum(x, 0.0)
             - _at(spread, t, left) * x
-        )
+        ), x
 
     return solve_linear_adjustment(
         alpha_curve.value,
         alpha_curve.cumulative,
         beta,
-        vx,
         maturity=schedule.maturity,
         breakpoints=_flow_breakpoints(
             schedule, alpha_curve, spread, market.collateral
@@ -279,20 +274,16 @@ def adjustment_correlated(
             model.log_joint_survival(t, t), dtype=float
         )
 
-    def vx(t):
-        return collateral_value(schedule, r_x, t)
-
     def beta(t, left):
         x = np.asarray(collateral_value(schedule, r_x, t, left=left), dtype=float)
         lc = _at(lam_c, t, left)
         carry = _at(r, t, left) + ftd_sum(t, left) - lc - _at(r_x, t, left)
-        return -loss_c * lc * np.maximum(x, 0.0) - carry * x
+        return -loss_c * lc * np.maximum(x, 0.0) - carry * x, x
 
     return solve_linear_adjustment(
         alpha,
         alpha_cumulative,
         beta,
-        vx,
         maturity=schedule.maturity,
         breakpoints=_flow_breakpoints(
             schedule, r, r_x, model.investor.intensity, lam_c

@@ -39,11 +39,12 @@ simulation, in a table on the grid ``G`` of 0, the flow dates and the
 nodes of every curve the payoff reads (``_Segments``): per segment the
 flows paid, ``v_X`` and the discount as exponentials of the time spent
 in it.  Surviving paths (no default up to maturity) take the full flow
-sum and are not searched; a defaulting path costs one binary search
-over ``G``, a few gathers and one ``exp`` (plus the copula term for
-dependent defaults).  Payoffs therefore cost
-``O(paths + defaults log |G|)``, and ``v_X`` is marked once per
-simulation, at the flow dates.
+sum and are not located; a defaulting path costs one lookup in a
+uniform bucket table over ``G`` (a multiply, a gather and a fix-up pass
+per grid point sharing its bucket, at most a few), a few gathers and one
+``exp`` (plus the copula term for dependent defaults).  Payoffs
+therefore cost ``O(paths + defaults)``, with ``O(|G|)`` set-up, and
+``v_X`` is marked once per simulation, at the flow dates.
 
 Default times map from uniforms through the inverse survival function;
 ``inf`` means the name never defaults on the path.  For dependent
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .credit import _THETA_INDEPENDENT, CreditCurve, JointDefaultModel
-from .curves import MarketRates, as_curve
+from .curves import MarketRates, _Locator, as_curve
 from .instruments import CashflowSchedule, CloseoutSpec, closeout_values, collateral_value
 from .measure import internal_rate
 
@@ -180,12 +181,15 @@ class _Segments:
       a long segment.
 
     ``log_discount`` is the log of the weight of a flow paid at each
-    grid time.  A default then costs one binary search over the grid.
+    grid time.  A default then costs one bucket lookup in the grid
+    (:class:`~valadj.curves._Locator`): a few elementwise passes, however
+    many points the grid has.
     """
 
     def __init__(self, schedule: CashflowSchedule, collateral, grid, log_discount):
         times = np.asarray(schedule.times)
         self.grid = grid
+        self._locate = _Locator(grid)
         self.maturity = schedule.maturity
         flow_at = np.searchsorted(grid, times)  # flow dates are grid points
         upto = np.searchsorted(times, grid, side="right")  # flows dated <= g_j
@@ -208,12 +212,12 @@ class _Segments:
         """The paths whose default time ``tau`` is at most maturity, as
         indices, with each one's segment ``j``, the time ``dt`` it spent
         in it and the flows it was paid.  Surviving paths are not
-        searched."""
+        located."""
         # integer indices: gathers and scatters through them are several
         # times cheaper than through a boolean mask
         hit = np.flatnonzero(tau <= self.maturity)
         t_hit = tau[hit]
-        j = np.searchsorted(self.grid, t_hit, side="right") - 1
+        j = self._locate(t_hit, "right") - 1
         dt = t_hit - self.grid[j]
         paid = self.paid_upto[j]
         on_node = dt == 0.0

@@ -85,6 +85,23 @@ class TestInverseSurvival:
         with pytest.raises(ValueError):
             c.inverse_survival(w)
 
+    @pytest.mark.parametrize(
+        "nodes",
+        [[(0.0, 0.02)], [(0.0, 0.05), (1.0, 0.0), (2.0, 0.01)], [(0.0, 0.05), (1.0, 0.0)]],
+        ids=["flat", "piecewise", "zero_tail"],
+    )
+    def test_nan_level_rejected(self, nodes):
+        # a NaN level has no default time; it used to map to NaN, or to
+        # inf under a zero tail.  The array is long enough for the bucket
+        # lookup of a piecewise curve.
+        c = CreditCurve("I", TermCurve.from_nodes(nodes))
+        w = np.linspace(0.0, 1.0, 4096)
+        c.inverse_survival(w)
+        w[1234] = math.nan
+        for levels in (math.nan, np.array(math.nan), w):
+            with pytest.raises(ValueError):
+                c.inverse_survival(levels)
+
     def test_vectorized_matches_scalar(self):
         c = CreditCurve("I", TermCurve.from_nodes([(0.0, 0.03), (2.0, 0.01)]))
         ws = np.linspace(0.01, 0.99, 23)

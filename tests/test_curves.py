@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valadj import MarketRates, TermCurve, as_curve, combined
+from valadj.curves import _BUCKET_MIN_KEYS, _Locator
 
 
 class TestValidation:
@@ -148,6 +149,22 @@ class TestAlgebra:
         assert c.value(1.0) == pytest.approx(0.04)
         assert c.value(2.0) == pytest.approx(0.12)
 
+    def test_combined_evaluates_each_curve_once(self):
+        a = TermCurve.from_nodes([(0.0, 0.01), (1.0, 0.02), (3.0, 0.03)])
+        b = TermCurve.from_nodes([(0.0, 0.5), (2.0, 0.25)])
+        args = []
+
+        def fn(x, y):
+            args.append((x, y))
+            return x - 2.0 * y
+
+        c = combined((a, b), fn)
+        assert len(args) == 1
+        x, y = args[0]
+        assert isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+        assert c.times == (0.0, 1.0, 2.0, 3.0)
+        assert c.values == tuple(a.value(t) - 2.0 * b.value(t) for t in c.times)
+
     def test_as_curve(self):
         assert as_curve(0.02).values == (0.02,)
         c = TermCurve.flat(0.01)
@@ -202,3 +219,56 @@ def test_integral_additivity(curve, t0, dt1, dt2):
 def test_value_is_left_value_off_nodes(curve, t):
     if t not in curve.times:
         assert curve.value(t) == curve.value_left(t)
+
+
+class TestLocator:
+    """``_Locator`` returns ``np.searchsorted``'s indices on both sides,
+    through its bucket table or, for short key arrays and crowded knots,
+    the binary search itself."""
+
+    def test_paths(self):
+        assert _Locator(np.arange(121) * 0.25)._table is not None
+        # zero span: one bucket holding every knot
+        assert _Locator([3.0])._table is not None
+        assert _Locator([2.0, 2.0, 2.0])._table is not None
+        # a month of daily flows, then one at 30y: 31 knots share a bucket
+        assert _Locator(np.append(np.arange(1, 32) / 365.0, 30.0))._table is None
+        # the span or the bucket scale is not finite
+        assert _Locator([-1e308, 1e308])._table is None
+        assert _Locator([0.0, 5e-324])._table is None
+
+
+@st.composite
+def knot_arrays(draw):
+    """Sorted finite knots: one or many, with repeats (the cumulative
+    hazard stays level over a zero-intensity segment), sometimes with a
+    tight cluster that crowds one bucket."""
+    bound = draw(st.sampled_from([1e3, 1e300]))
+    values = draw(
+        st.lists(st.floats(min_value=-bound, max_value=bound), min_size=1, max_size=40)
+    )
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(values), max_size=len(values)))
+    knots = np.repeat(values, repeats)
+    if draw(st.booleans()):
+        start = draw(st.sampled_from(list(knots)))
+        knots = np.append(knots, start + np.arange(1, draw(st.integers(2, 12))) * 1e-9)
+    return np.sort(knots)
+
+
+def _ulp_neighbours(values):
+    """Each value and the doubles one ulp below and above it."""
+    return np.concatenate((values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)))
+
+
+@given(knots=knot_arrays(), extra=st.lists(st.floats(allow_nan=False), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_locator_matches_searchsorted(knots, extra):
+    loc = _Locator(knots)
+    keys = np.concatenate((_ulp_neighbours(knots), [0.0, -0.0, math.inf, -math.inf], extra))
+    # repeated keys, enough of them for the bucket table
+    long_keys = np.resize(keys, _BUCKET_MIN_KEYS + len(keys))
+    for x in (long_keys, keys, np.array(keys[0])):
+        for side in ("left", "right"):
+            np.testing.assert_array_equal(
+                loc(x, side), np.searchsorted(knots, x, side=side), strict=True
+            )

@@ -15,6 +15,7 @@ from valadj import (
     TermCurve,
     adjustment_correlated,
     adjustment_independent,
+    engine,
     panel_grid,
     solve_linear_adjustment,
 )
@@ -66,8 +67,7 @@ def solve_constant(alpha, beta, **kwargs):
     return solve_linear_adjustment(
         constant(alpha),
         lambda t: alpha * np.asarray(t, float),
-        constant(beta),
-        constant(0.0),
+        lambda t, left: (constant(beta)(t), constant(0.0)(t)),
         **kwargs,
     )
 
@@ -90,6 +90,32 @@ class TestSolver:
     def test_terminal_condition(self):
         prof = solve_constant(0.1, 1.0, maturity=1.0, panels_per_year=8)
         assert prof.u[-1] == 0.0
+
+
+@pytest.mark.parametrize("regime", ["independent", "correlated"])
+def test_collateral_value_once_per_coefficient_grid(
+    regime, monkeypatch, flat_market, investor, counterparty, closeout, mixed
+):
+    # edges, midpoints and left limits at the right ends: the reported
+    # v_X on the edges is the one beta was built from, not a fourth call
+    points = []
+
+    def counted(schedule, collateral, t, left=False):
+        points.append((np.size(t), left))
+        return real(schedule, collateral, t, left=left)
+
+    real = engine.collateral_value
+    monkeypatch.setattr(engine, "collateral_value", counted)
+    if regime == "independent":
+        prof = adjustment_independent(
+            flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout
+        )
+    else:
+        model = JointDefaultModel(investor, counterparty, 1.0)
+        prof = adjustment_correlated(flat_market, model, mixed, closeout)
+    n = len(prof.grid)
+    assert points == [(n, False), (n - 1, False), (n - 1, True)]
+    np.testing.assert_array_equal(prof.v_x, real(mixed, flat_market.collateral, prof.grid))
 
 
 class TestRiskfreeRegime:
