@@ -22,12 +22,15 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .credit import CreditCurve, JointDefaultModel
-from .curves import MarketRates, TermCurve
+from .curves import MarketRates, TermCurve, combined
 from .engine import DEFAULT_PANELS_PER_YEAR, adjustment_correlated, adjustment_independent
 from .errors import InvariantError
 from .instruments import CashflowSchedule, CloseoutSpec
+from .measure import funding_rate
 from .oracle import mc_value_correlated, mc_value_independent
 
 __all__ = ["ScenarioConfig", "ConfigError", "load_config", "run_scenario", "main"]
@@ -49,11 +52,6 @@ SUMMARY_COLUMNS = (
 )
 
 
-# The simulators hold one float64 payoff per path, and the standard
-# error takes one more full-size float64 temporary (np.std's deviations);
-# everything else they allocate is bounded by their block size.
-_MC_BYTES_PER_PATH = 16
-
 # Memory per panel grid point: the engine's float64 arrays and
 # temporaries for one sweep point (tracemalloc: 163 bytes at peak), and
 # for every sweep point one profile row, held three times until written
@@ -64,6 +62,9 @@ _MC_BYTES_PER_PATH = 16
 _ENGINE_BYTES_PER_POINT = 256
 _FLOAT_CHARS = 25  # "-1.2345678901234567e-308" and its comma
 _ROW_OVERHEAD_BYTES = 64
+
+# exp overflows past this argument
+_MAX_EXP = math.log(sys.float_info.max)
 
 # Every key a config may hold; a list holds items of its one element's
 # schema, None is a leaf.  Curves are a number or a list of nodes.
@@ -226,6 +227,26 @@ def _panel_memory_problem(cfg: ScenarioConfig, panels_per_year: int) -> str | No
     )
 
 
+def _lambda_bar_growth(market, investor, recovery_bond, lambda_bar, maturity) -> float:
+    """Largest ``int_0^t ((1 - R) lambda_bar - max(r_F, 0))`` over ``t`` up
+    to ``maturity``.
+
+    ``-int r_bar = int ((1 - R) lambda_bar - r_F)`` is the log of the
+    internal discount factor the simulator takes; this lower bound of it
+    credits a positive funding rate only, so what it finds overflowing is
+    lambda_bar's doing.  The integrand is piecewise constant, so the
+    largest value is at a node or at maturity.
+    """
+    rec = 1.0 - recovery_bond
+    growth = combined(
+        (funding_rate(market, investor, recovery_bond), lambda_bar),
+        lambda r_f, lam: rec * lam - np.maximum(r_f, 0.0),
+    )
+    times = [t for t in growth.times if t < maturity] + [maturity]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(growth.cumulative(np.array(times))))
+
+
 def _parse_config_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["config root must be a JSON object"])
@@ -325,11 +346,23 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
         else:
             for i, raw in enumerate(lams):
                 curve = _parse_curve(raw, f"sweep.lambda_bar[{i}]", diags)
-                if curve is not None:
-                    if any(v < 0.0 for v in curve.values):
-                        diags.append(f"sweep.lambda_bar[{i}]: must be non-negative")
-                    else:
-                        lambda_bar_sweep.append(curve)
+                if curve is None:
+                    continue
+                if any(v < 0.0 for v in curve.values):
+                    diags.append(f"sweep.lambda_bar[{i}]: must be non-negative")
+                    continue
+                if market is not None and investor is not None and schedule is not None:
+                    growth = _lambda_bar_growth(
+                        market, investor, bond_recovery, curve, schedule.maturity
+                    )
+                    if not growth <= _MAX_EXP:
+                        diags.append(
+                            f"sweep.lambda_bar[{i}]: the internal discount factor "
+                            f"exp(-int r_bar) reaches exp({growth:.6g}) before maturity, "
+                            f"past exp({_MAX_EXP:.6g}); lower (1 - bond_recovery) lambda_bar"
+                        )
+                        continue
+                lambda_bar_sweep.append(curve)
 
     if regime in (REGIME_INDEPENDENT, REGIME_CORRELATED) and counterparty is None:
         diags.append(f"credit.counterparty: required by the {regime} regime")
@@ -345,15 +378,6 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(mc_paths, int) or isinstance(mc_paths, bool) or mc_paths < 2:
         diags.append("numerics.mc_paths: must be an integer >= 2")
         mc_paths = 2
-    else:
-        need = mc_paths * _MC_BYTES_PER_PATH
-        have = _physical_memory()
-        if need > have:
-            diags.append(
-                f"numerics.mc_paths: {mc_paths} paths need {need} bytes for their "
-                f"payoffs and standard error, more than the {have} bytes of "
-                "physical memory"
-            )
     seed = numerics.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         diags.append("numerics.seed: must be a non-negative integer")

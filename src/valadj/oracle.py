@@ -22,13 +22,16 @@ paths, sized so that a block's draws and temporaries stay in the L2
 cache: draw the block's uniforms into one reused buffer (consecutive
 draws continue the stream, so each path sees the same uniforms for any
 block size), map them to default times, then to discounted payoffs,
-written into one ``paths``-long vector.  Memory is therefore 8 bytes per
-path plus ``O(block)``, and 8 more per path while ``np.std`` reduces
-the vector.  Each payoff comes from elementwise operations
-whose results do not depend on the length of the arrays they run over,
-and the mean and standard error are reduced once over the whole vector
-with numpy's pairwise summation, so estimates do not depend on the block
-size: they are bit-identical, and the tests check it.
+written into one reused buffer of ``_CHUNK`` paths.  Chunks are cut by
+path index, not by block.  Each chunk is reduced to ``(n, mean, M2)``
+with the two passes of ``np.var`` (numpy's pairwise summation), and the
+chunks are merged in index order by the update of Chan, Golub & LeVeque
+(1979).  Memory is therefore ``O(chunk + block)`` whatever the path
+count, and a simulation of at most ``_CHUNK`` paths reduces exactly as
+``np.mean`` and ``np.std(ddof=1)`` over all its payoffs.  Each payoff
+comes from elementwise operations whose results do not depend on the
+length of the arrays they run over, so estimates do not depend on the
+block size: they are bit-identical, and the tests check it.
 
 A path collects the flows dated strictly before its first default
 ``tau``; a default at ``tau <= maturity`` also settles against the
@@ -91,6 +94,16 @@ class McEstimate:
 # block's draws and temporaries stay in a 2 MiB L2 cache.
 _BLOCK = 2**15
 
+# Paths per reduction chunk: a chunk's payoffs fill one 2 MiB buffer
+# before they are reduced.  The size is measured, in minor page faults
+# per run_scenario call (2-vCPU Xeon, numpy 2.4): 2**15-path chunks
+# took 2.4k on long_mc and 2**17 4.1k, 2**18 took 56 (shipped_mc: 89,
+# against 3.3k for a paths-long payoff vector).  glibc raises its mmap
+# and trim thresholds to the largest mapped block freed; a 2 MiB buffer
+# lifts them past a block's working set, so the heap keeps the block
+# temporaries instead of trimming and refaulting them every block.
+_CHUNK = 2**18
+
 
 def _generator(paths: int, seed: int) -> np.random.Generator:
     if paths < 2:
@@ -100,28 +113,48 @@ def _generator(paths: int, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _simulate(paths: int, seed: int, per_path: int, block_payoffs) -> np.ndarray:
-    """Discounted payoffs of ``paths`` paths, computed block by block.
+def _simulate(paths: int, seed: int, per_path: int, block_payoffs) -> tuple:
+    """``(n, mean, M2)`` of the discounted payoffs of ``paths`` paths.
 
     Each block's ``(n, per_path)`` uniforms are drawn into one reused
     buffer, continuing the Philox stream, so path ``i`` sees draws
     ``per_path*i ..`` whatever the block size; ``block_payoffs`` maps
-    them to the block's payoffs.
+    them to the block's payoffs, which fill one reused chunk buffer.
+    Blocks never straddle a chunk boundary.
     """
     gen = _generator(paths, seed)
-    payoffs = np.empty(paths)
-    buf = np.empty((min(_BLOCK, paths), per_path))
-    for start in range(0, paths, _BLOCK):
-        w = buf[: min(_BLOCK, paths - start)]
-        gen.random(out=w)
-        payoffs[start : start + len(w)] = block_payoffs(w)
-    return payoffs
+    chunk = np.empty(min(_CHUNK, paths))
+    buf = np.empty((min(_BLOCK, len(chunk)), per_path))
+    total = None
+    for first in range(0, paths, _CHUNK):
+        x = chunk[: min(_CHUNK, paths - first)]
+        for start in range(0, len(x), _BLOCK):
+            w = buf[: min(_BLOCK, len(x) - start)]
+            gen.random(out=w)
+            x[start : start + len(w)] = block_payoffs(w)
+        # np.var's two passes, in place; no BLAS dot, whose summation
+        # order depends on the machine
+        mean = float(np.mean(x))
+        x -= mean
+        np.square(x, out=x)
+        stats = (len(x), mean, float(np.sum(x)))
+        total = stats if total is None else _merge(total, stats)
+    return total
 
 
-def _estimate(payoffs: np.ndarray, seed: int) -> McEstimate:
-    n = len(payoffs)
-    mean = float(np.mean(payoffs))
-    std_error = float(np.std(payoffs, ddof=1) / math.sqrt(n))
+def _merge(a: tuple, b: tuple) -> tuple:
+    """``(n, mean, M2)`` of two samples, from each one's: Chan, Golub &
+    LeVeque (1979)."""
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
+
+
+def _estimate(stats: tuple, seed: int) -> McEstimate:
+    n, mean, m2 = stats
+    std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return McEstimate(mean=mean, std_error=std_error, paths=n, seed=seed)
 
 

@@ -126,3 +126,28 @@ def naive_inverse_survival(nodes, w):
 
 def central_difference(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def chunked_mean_m2(payoffs, chunk):
+    """``(n, mean, M2)`` of ``payoffs``, folded chunk by chunk in order.
+
+    Each chunk of ``chunk`` values takes ``np.var``'s two passes: its
+    mean, then the sum of its squared deviations from it.  The running
+    totals absorb each chunk by the update of Chan, Golub & LeVeque
+    (1979).
+    """
+    n = mean = m2 = None
+    for start in range(0, len(payoffs), chunk):
+        x = np.asarray(payoffs[start : start + chunk], dtype=float)
+        n_b = len(x)
+        mean_b = float(np.mean(x))
+        m2_b = float(np.sum((x - mean_b) ** 2))
+        if n is None:
+            n, mean, m2 = n_b, mean_b, m2_b
+            continue
+        total = n + n_b
+        delta = mean_b - mean
+        mean = mean + delta * (n_b / total)
+        m2 = m2 + m2_b + delta * delta * (n * n_b / total)
+        n = total
+    return n, mean, m2

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 from pathlib import Path
 
@@ -125,16 +126,55 @@ class TestValidate:
             for d in err["diagnostics"]
         )
 
-    def test_mc_paths_beyond_physical_memory(self, tmp_path, capsys):
-        # checked by arithmetic only: nothing of this size is allocated
+    def test_mc_paths_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
+        # the simulators' memory is flat in the path count, so validate
+        # sets no bound on it; it parses the config and runs nothing
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("validate ran the scenario")
+
+        monkeypatch.setattr(cli, "run_scenario", must_not_run)
         doc = base_config(numerics={"panels_per_year": 64, "mc_paths": 2**60, "seed": 7})
+        path = write_config(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            assert main(["validate", str(path)]) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert capsys.readouterr().out == "config ok\n"
+
+    def test_lambda_bar_whose_discount_overflows(self, tmp_path, capsys):
+        # r_bar = r_F - (1 - R) lambda_bar: the discount factor
+        # exp(-int r_bar) of 1e300 over a year overflows, and run used to
+        # write v0 = 1.9e296 with exit 0
+        doc = base_config(sweep={"lambda_bar": [0.0, 1e300, 0.02]})
         path = write_config(tmp_path, doc)
         assert main(["validate", str(path)]) == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)
-        (diag,) = [d for d in err["diagnostics"] if d.startswith("numerics.mc_paths:")]
-        assert str(2**64) in diag  # 16 bytes per path
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        assert str(memory) in diag
+        (diag,) = err["diagnostics"]
+        assert diag.startswith("sweep.lambda_bar[1]:") and "exp(-int r_bar)" in diag
+        # the bound is (1 - R) int_0^t lambda_bar - int_0^t r_F <= log(max
+        # float) for t up to maturity, with r_F = 0.022 here
+        for lam, code in ((709.0 / 0.6, EXIT_OK), (710.0 / 0.6, EXIT_CONFIG)):
+            doc = base_config(sweep={"lambda_bar": [lam]})
+            assert main(["validate", str(write_config(tmp_path, doc))]) == code
+        # the largest exponent can come before maturity: 709.99 at 0.5,
+        # then a funding rate of 10 brings it down to 704.99 at 1
+        doc = base_config(
+            market={"risk_free": [{"t": 0.0, "value": 0.01}, {"t": 0.5, "value": 10.0}],
+                    "collateral": 0.005},
+            sweep={"lambda_bar": [[{"t": 0.0, "value": 2 * 710.0 / 0.6},
+                                   {"t": 0.5, "value": 0.0}]]},
+        )
+        assert main(["validate", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
+        # a long trade whose funding rate outgrows (1 - R) lambda_bar
+        doc = base_config(sweep={"lambda_bar": [0.02]})
+        doc["schedule"]["maturity"] = 1e5
+        assert main(["validate", str(write_config(tmp_path, doc))]) == EXIT_OK
+        # no overflow without a bond loss: r_bar = r_F
+        doc = base_config(bond_recovery=1.0, sweep={"lambda_bar": [710.0 / 0.6]})
+        assert main(["validate", str(write_config(tmp_path, doc))]) == EXIT_OK
 
     @pytest.mark.parametrize(
         "where, value",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from valadj import (
 from valadj import oracle
 from valadj.measure import internal_rate
 
-from _reference import naive_collateral_value, piecewise_integral
+from _reference import chunked_mean_m2, naive_collateral_value, piecewise_integral
 
 N = 200_000
 
@@ -46,20 +47,19 @@ def sample_path_outcomes(
 ) -> list[PathOutcome]:
     """Per-path view of the simulator behind :func:`mc_value_independent`:
     the same block pipeline and payoff code, keeping each path's default
-    times."""
+    times and payoff."""
     per_path, block = oracle._first_default(
         market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
     )
-    taus = []
+    kept = []
 
-    def keep_taus(w):
+    def keep(w):
         tau_i, tau_c, payoff = block(w)
-        taus.append((tau_i, tau_c))
+        kept.append((tau_i, tau_c, payoff))
         return payoff
 
-    payoffs = oracle._simulate(paths, seed, per_path, keep_taus)
-    tau_i = np.concatenate([ti for ti, _ in taus])
-    tau_c = np.concatenate([tc for _, tc in taus])
+    oracle._simulate(paths, seed, per_path, keep)
+    tau_i, tau_c, payoffs = (np.concatenate(cols) for cols in zip(*kept))
     return [
         PathOutcome(float(ti), float(tc), float(p))
         for ti, tc, p in zip(tau_i, tau_c, payoffs)
@@ -442,6 +442,66 @@ class TestBlockSize:
         outcomes = runs[7]["path_outcomes"]
         assert len(outcomes) == paths
         assert 0 < sum(o.tau <= m.schedule.maturity for o in outcomes) < paths
+
+    def test_chunked_results_do_not_depend_on_block_size(self, monkeypatch):
+        # six chunks of 1000 paths, the last one partial; blocks of 7 and
+        # 4096 paths divide neither, 2**20 is cut down to a chunk
+        monkeypatch.setattr(oracle, "_CHUNK", 1000)
+        self.test_results_do_not_depend_on_block_size(monkeypatch)
+
+
+class TestChunkedReduction:
+    """Payoffs are reduced in chunks of ``_CHUNK`` paths, each to
+    ``(n, mean, M2)``, and the chunks are merged in index order."""
+
+    m = TestMultiFlowPayoffs
+    paths = 5003  # six chunks of 1000, the last one partial
+
+    def test_matches_reference_fold(self, monkeypatch):
+        m = self.m
+        monkeypatch.setattr(oracle, "_CHUNK", 1000)
+        args = (
+            m.market, m.investor, m.counterparty, 0.4, m.lambda_bar, m.schedule,
+            m.closeout, self.paths, 29,
+        )
+        mc = mc_value_independent(*args)
+        payoffs = np.array([o.discounted_payoff for o in sample_path_outcomes(*args)])
+        n, mean, m2 = chunked_mean_m2(payoffs, 1000)
+        assert (mc.paths, mc.mean) == (n, mean)
+        assert mc.std_error == math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+        # the whole vector's statistics, up to the merge's rounding
+        std_error = float(np.std(payoffs, ddof=1) / math.sqrt(n))
+        for got, want in ((mc.mean, float(np.mean(payoffs))), (mc.std_error, std_error)):
+            assert abs(got - want) <= 4 * np.spacing(abs(want))
+
+    def test_default_free_limit_is_exact_across_chunks(
+        self, monkeypatch, flat_market, investor, closeout, bullet
+    ):
+        monkeypatch.setattr(oracle, "_CHUNK", 1000)
+        mc = mc_value_independent(
+            flat_market, investor, None, 0.4, 0.0, bullet, closeout, self.paths, 5
+        )
+        assert mc.std_error <= 1e-15
+        assert mc.mean == pytest.approx(math.exp(-0.022 * 5.0), rel=1e-14)
+
+    def test_memory_is_flat_in_paths(
+        self, monkeypatch, flat_market, investor, counterparty, closeout, mixed
+    ):
+        # numpy reports its buffers to tracemalloc.  The first call warms
+        # one-time caches; then 56 more chunks must not raise the peak by
+        # more than rounding noise, where a payoff vector would add 3.7 MB
+        monkeypatch.setattr(oracle, "_CHUNK", 4096)
+        peaks = []
+        for paths in (8 * 4096, 8 * 4096, 64 * 4096):
+            tracemalloc.start()
+            try:
+                mc_value_independent(
+                    flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout, paths, 3
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] <= 2**14, peaks
 
 
 class TestSegmentTable:
