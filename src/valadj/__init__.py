@@ -29,17 +29,14 @@ from .instruments import (
     collateral_value,
 )
 from .measure import (
-    BondSpec,
-    InternalMeasure,
     bond_price,
     conditional_discount,
-    correlated_zero_recovery_measure,
     expected_conditional_discount,
     funding_rate,
+    internal_bond_price,
     internal_rate,
     pre_default_rate,
     reprice_contingent_bond,
-    riskfree_counterparty_measure,
 )
 from .oracle import (
     McEstimate,
@@ -52,11 +49,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjustmentProfile",
-    "BondSpec",
     "CashflowSchedule",
     "CloseoutSpec",
     "CreditCurve",
-    "InternalMeasure",
     "InvariantError",
     "JointDefaultModel",
     "MarketRates",
@@ -71,16 +66,15 @@ __all__ = [
     "collateral_value",
     "combined",
     "conditional_discount",
-    "correlated_zero_recovery_measure",
     "expected_conditional_discount",
     "funding_rate",
+    "internal_bond_price",
     "internal_rate",
     "mc_value_correlated",
     "mc_value_independent",
     "panel_grid",
     "pre_default_rate",
     "reprice_contingent_bond",
-    "riskfree_counterparty_measure",
     "sample_joint_defaults",
     "solve_linear_adjustment",
 ]

@@ -210,7 +210,7 @@ def _panel_grid_bytes(cfg: ScenarioConfig, panels_per_year: int) -> int:
     points = uniform + 1 + len(cfg.schedule.times) + sum(len(c.times) for c in curves)
     row_bytes = sum(
         3 * (len(f"{cfg.regime},{lam},{theta},,") + 6 * _FLOAT_CHARS) + _ROW_OVERHEAD_BYTES
-        for lam, theta, _, _ in _sweep_points(cfg)
+        for lam, theta, *_ in _sweep_points(cfg)
     )
     return points * (_ENGINE_BYTES_PER_POINT + row_bytes)
 
@@ -382,6 +382,11 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         diags.append("numerics.seed: must be a non-negative integer")
         seed = 0
+    elif seed + max(len(lambda_bar_sweep), len(theta_sweep), 1) > 2**128:
+        diags.append(
+            "numerics.seed: sweep point i simulates with seed + i, which must stay "
+            "below 2**128"
+        )
 
     output = _section(doc, "output", diags)
     profiles_out = output.get("profiles", "profiles.csv")
@@ -461,7 +466,9 @@ def _lambda_label(curve: TermCurve) -> str:
 
 
 def _sweep_points(cfg: ScenarioConfig):
-    """Yield ``(lambda_label, theta_label, solve, simulate)`` per point.
+    """Yield ``(lambda_label, theta_label, solve, simulate, args)`` per
+    point: the engine's and the oracle's function for the regime, both
+    called on the point's ``args``.
 
     ``riskfree_cpty`` is ``independent`` without a counterparty, even
     when the config lists one.
@@ -469,26 +476,13 @@ def _sweep_points(cfg: ScenarioConfig):
     if cfg.regime == REGIME_CORRELATED:
         for theta in cfg.theta_sweep:
             model = JointDefaultModel(cfg.investor, cfg.counterparty, theta)
-            yield (
-                _fmt(0.0),
-                _fmt(theta),
-                lambda ppy, m=model: adjustment_correlated(
-                    cfg.market, m, cfg.schedule, cfg.closeout, panels_per_year=ppy
-                ),
-                lambda n, s, m=model: mc_value_correlated(
-                    cfg.market, m, cfg.schedule, cfg.closeout, n, s
-                ),
-            )
+            args = (cfg.market, model, cfg.schedule, cfg.closeout)
+            yield _fmt(0.0), _fmt(theta), adjustment_correlated, mc_value_correlated, args
         return
     cpty = cfg.counterparty if cfg.regime == REGIME_INDEPENDENT else None
     for lam in cfg.lambda_bar_sweep:
         args = (cfg.market, cfg.investor, cpty, cfg.bond_recovery, lam, cfg.schedule, cfg.closeout)
-        yield (
-            _lambda_label(lam),
-            "",
-            lambda ppy, args=args: adjustment_independent(*args, panels_per_year=ppy),
-            lambda n, s, args=args: mc_value_independent(*args, n, s),
-        )
+        yield _lambda_label(lam), "", adjustment_independent, mc_value_independent, args
 
 
 def run_scenario(
@@ -512,12 +506,12 @@ def run_scenario(
     profile_lines = [PROFILE_COLUMNS]
     summary_lines = [SUMMARY_COLUMNS]
 
-    for i, (lam_label, theta_label, solve, simulate) in enumerate(_sweep_points(cfg)):
-        profile = solve(ppy)
+    for i, (lam_label, theta_label, solve, simulate, args) in enumerate(_sweep_points(cfg)):
+        profile = solve(*args, panels_per_year=ppy)
         mc_mean = mc_err = ""
         mc_paths = mc_seed = ""
         if with_mc:
-            est = simulate(cfg.mc_paths, cfg.seed + i)
+            est = simulate(*args, cfg.mc_paths, cfg.seed + i)
             mc_mean, mc_err = _fmt(est.mean), _fmt(est.std_error)
             mc_paths, mc_seed = str(est.paths), str(est.seed)
         profile_lines.extend(
@@ -548,9 +542,25 @@ def run_scenario(
 
     profiles_path = base / cfg.profiles_out
     summary_path = base / cfg.summary_out
-    profiles_path.write_text("\n".join(profile_lines) + "\n")
-    summary_path.write_text("\n".join(summary_lines) + "\n")
+    _write_atomic(profiles_path, "\n".join(profile_lines) + "\n")
+    _write_atomic(summary_path, "\n".join(summary_lines) + "\n")
     return profiles_path, summary_path
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a fresh file beside ``path`` and rename it onto
+    ``path``, so ``path`` holds either its old bytes or all the new ones.
+    Mode ``"x"`` creates the file with ``O_EXCL`` and, like ``write_text``,
+    mode 0o666 less the umask (``tempfile`` would make it 0o600)."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    f = open(tmp, "x")
+    try:
+        with f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fail(code: int, kind: str, detail: str, diagnostics=()) -> int:

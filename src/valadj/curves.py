@@ -207,12 +207,6 @@ class TermCurve:
     def __sub__(self, other: "TermCurve") -> "TermCurve":
         return combined((self, other), lambda a, b: a - b)
 
-    def __mul__(self, scalar) -> "TermCurve":
-        k = float(scalar)
-        return TermCurve(self.times, tuple(k * v for v in self.values))
-
-    __rmul__ = __mul__
-
 
 def combined(curves: Sequence[TermCurve], fn: Callable[..., np.ndarray]) -> TermCurve:
     """Pointwise combination of piecewise-constant curves.
@@ -237,15 +231,7 @@ def as_curve(x) -> TermCurve:
 
 @dataclass(frozen=True)
 class MarketRates:
-    """Observable deterministic rates: risk-free ``r`` and collateral ``r_X``.
-
-    The gap ``r - r_X`` is the liquidity basis earned (or paid) by a
-    strategy that funds at the collateral rate instead of the risk-free
-    rate.
-    """
+    """Observable deterministic rates: risk-free ``r`` and collateral ``r_X``."""
 
     risk_free: TermCurve
     collateral: TermCurve
-
-    def basis(self) -> TermCurve:
-        return self.risk_free - self.collateral

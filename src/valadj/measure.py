@@ -38,7 +38,6 @@ With independent defaults this collapses to ``r + lam_I``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,39 +47,31 @@ from .curves import MarketRates, TermCurve, as_curve, combined
 from .errors import InvariantError
 
 __all__ = [
-    "BondSpec",
-    "InternalMeasure",
-    "MODE_RISKFREE_CPTY",
-    "MODE_CORRELATED",
     "funding_rate",
     "internal_rate",
     "bond_price",
+    "internal_bond_price",
     "pre_default_rate",
     "conditional_discount",
     "expected_conditional_discount",
     "reprice_contingent_bond",
-    "riskfree_counterparty_measure",
-    "correlated_zero_recovery_measure",
 ]
-
-MODE_RISKFREE_CPTY = "riskfree_cpty"
-MODE_CORRELATED = "correlated"
 
 #: panels used by the deterministic quadrature against the tau_C law
 QUADRATURE_PANELS = 2000
 
 
-def _check_recovery(recovery: float, label: str = "recovery") -> float:
+def _check_recovery(recovery: float) -> float:
     rec = float(recovery)
     if not (math.isfinite(rec) and 0.0 <= rec <= 1.0):
-        raise ValueError(f"{label}: recovery out of range [0, 1]")
+        raise ValueError("bond recovery: recovery out of range [0, 1]")
     return rec
 
 
 def funding_rate(market: MarketRates, investor: CreditCurve, recovery_bond: float) -> TermCurve:
     """Rate the investor pays on unsecured borrowing,
     ``r + (1 - R_I) * lam_I``."""
-    rec = _check_recovery(recovery_bond, "bond recovery")
+    rec = _check_recovery(recovery_bond)
     return combined(
         (market.risk_free, investor.intensity), lambda r, lam: r + (1.0 - rec) * lam
     )
@@ -97,7 +88,7 @@ def internal_rate(
     Solves the funding-rate constraint for ``r_bar``; by construction
     ``r_bar + (1 - R_I) lam_bar_I`` reproduces ``funding_rate`` exactly.
     """
-    rec = _check_recovery(recovery_bond, "bond recovery")
+    rec = _check_recovery(recovery_bond)
     lam_bar = as_curve(lambda_bar)
     if any(v < 0.0 for v in lam_bar.values):
         raise ValueError("internal default intensity must be non-negative")
@@ -113,6 +104,28 @@ def bond_price(
     if not (math.isfinite(maturity) and maturity > 0.0):
         raise ValueError("bond maturity must be positive")
     return funding_rate(market, investor, recovery_bond).discount_factor(0.0, maturity)
+
+
+def internal_bond_price(
+    market: MarketRates,
+    investor: CreditCurve,
+    recovery_bond: float,
+    lambda_bar,
+    maturity: float,
+) -> float:
+    """The funding bond priced inside the measure that ``lambda_bar``
+    chooses, ``exp(-(int_0^T r_bar + (1 - R_I) int_0^T lam_bar_I))``.
+
+    The funding-rate constraint makes it equal :func:`bond_price` for
+    every admissible ``lambda_bar``.
+    """
+    if not (math.isfinite(maturity) and maturity > 0.0):
+        raise ValueError("bond maturity must be positive")
+    lam_bar = as_curve(lambda_bar)
+    r_bar = internal_rate(market, investor, recovery_bond, lam_bar)
+    return math.exp(
+        -(r_bar.cumulative(maturity) + (1.0 - recovery_bond) * lam_bar.cumulative(maturity))
+    )
 
 
 def pre_default_rate(market: MarketRates, model: JointDefaultModel) -> Callable:
@@ -223,45 +236,29 @@ def expected_conditional_discount(
     return body + tail
 
 
-@dataclass(frozen=True)
-class BondSpec:
-    """Unit zero-recovery investor bond paying at ``maturity`` provided
-    the counterparty survives to ``contingency``."""
-
-    maturity: float
-    contingency: float = 0.0
-    recovery: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.maturity) and self.maturity > 0.0):
-            raise ValueError("bond maturity must be positive")
-        if not (0.0 <= self.contingency < self.maturity):
-            raise ValueError("need 0 <= contingency < maturity")
-        _check_recovery(self.recovery, "bond recovery")
-
-
 def reprice_contingent_bond(
     market: MarketRates,
     model: JointDefaultModel,
-    bond: BondSpec,
+    maturity: float,
+    contingency: float = 0.0,
     *,
     tolerance: float = 1e-8,
     panels: int = QUADRATURE_PANELS,
 ) -> float:
-    """Price the contingent bond two ways and insist they agree.
+    """Price the unit zero-recovery investor bond paying at ``maturity``
+    provided the counterparty survives to ``contingency``, two ways, and
+    insist they agree.
 
     External route: ``D(0,T_I) * U(T_I, T_C)``.  Internal route:
     quadrature of the conditional discount against the ``tau_C`` law on
     ``tau_C > T_C``.  A gap beyond ``tolerance`` raises
     :class:`InvariantError`; the external price is returned.
     """
-    if bond.recovery != 0.0:
-        raise ValueError("contingent repricing requires zero bond recovery")
-    external = market.risk_free.discount_factor(0.0, bond.maturity) * model.joint_survival(
-        bond.maturity, bond.contingency
-    )
     internal = expected_conditional_discount(
-        market, model, bond.maturity, contingency=bond.contingency, panels=panels
+        market, model, maturity, contingency=contingency, panels=panels
+    )
+    external = market.risk_free.discount_factor(0.0, maturity) * model.joint_survival(
+        maturity, contingency
     )
     gap = abs(internal - external)
     if not (gap <= tolerance):
@@ -269,80 +266,3 @@ def reprice_contingent_bond(
             f"contingent bond repricing gap {gap:.3e} exceeds {tolerance:.1e}"
         )
     return external
-
-
-@dataclass(frozen=True)
-class InternalMeasure:
-    """A market completion chosen by the investor.
-
-    Two modes are supported.  ``riskfree_cpty`` carries an explicit
-    ``(lam_bar_I, r_bar)`` pair tied to the funding-rate constraint; it
-    also covers the independent-counterparty case, where the internal
-    law of ``tau_C`` is pinned to the market one.  ``correlated`` prices
-    dependent defaults with zero bond recovery and ``lam_bar_I = 0``;
-    there the deterministic short rate is replaced by the pre-default
-    rate implied by the contingent bond.
-    """
-
-    mode: str
-    market: MarketRates
-    recovery_bond: float
-    lambda_bar: TermCurve
-    rate: TermCurve | None = None
-    model: JointDefaultModel | None = None
-
-    def bond_price(self, maturity: float) -> float:
-        """Funding-bond price recomputed inside the measure."""
-        if not (math.isfinite(maturity) and maturity > 0.0):
-            raise ValueError("bond maturity must be positive")
-        if self.mode == MODE_RISKFREE_CPTY:
-            exponent = self.rate.cumulative(maturity) + (
-                1.0 - self.recovery_bond
-            ) * self.lambda_bar.cumulative(maturity)
-            return math.exp(-exponent)
-        # zero recovery: expected contingent discount with no contingency
-        return self.market.risk_free.discount_factor(0.0, maturity) * float(
-            self.model.investor.survival(maturity)
-        )
-
-    def pre_default_rate(self) -> Callable:
-        if self.mode != MODE_CORRELATED:
-            raise ValueError("pre-default rate is defined for the correlated mode")
-        return pre_default_rate(self.market, self.model)
-
-    def counterparty_survival(self, t):
-        """Internal survival law of ``tau_C``; always the market one."""
-        if self.model is None:
-            raise ValueError("no counterparty attached to this measure")
-        return self.model.counterparty.survival(t)
-
-
-def riskfree_counterparty_measure(
-    market: MarketRates,
-    investor: CreditCurve,
-    recovery_bond: float,
-    lambda_bar,
-) -> InternalMeasure:
-    """Measure with explicit internal intensity, counterparty untouched."""
-    lam_bar = as_curve(lambda_bar)
-    return InternalMeasure(
-        mode=MODE_RISKFREE_CPTY,
-        market=market,
-        recovery_bond=_check_recovery(recovery_bond, "bond recovery"),
-        lambda_bar=lam_bar,
-        rate=internal_rate(market, investor, recovery_bond, lam_bar),
-    )
-
-
-def correlated_zero_recovery_measure(
-    market: MarketRates, model: JointDefaultModel
-) -> InternalMeasure:
-    """Measure for dependent defaults: zero bond recovery, the investor
-    internally default-free, ``tau_C`` kept at its market law."""
-    return InternalMeasure(
-        mode=MODE_CORRELATED,
-        market=market,
-        recovery_bond=0.0,
-        lambda_bar=TermCurve.flat(0.0),
-        model=model,
-    )

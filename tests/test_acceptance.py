@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from valadj import (
-    BondSpec,
     CashflowSchedule,
     CloseoutSpec,
     CreditCurve,
@@ -27,8 +26,8 @@ from valadj import (
     adjustment_independent,
     bond_price,
     expected_conditional_discount,
+    internal_bond_price,
     reprice_contingent_bond,
-    riskfree_counterparty_measure,
     mc_value_correlated,
     mc_value_independent,
     sample_joint_defaults,
@@ -60,8 +59,8 @@ def test_criterion_1_bond_invariance_sweep():
     for maturity in (1.0, 5.0, 10.0):
         target = bond_price(MARKET, INVESTOR, 0.4, maturity)
         for lam_bar in (0.0, 0.005, 0.01, 0.02, 0.04):
-            measure = riskfree_counterparty_measure(MARKET, INVESTOR, 0.4, lam_bar)
-            worst = max(worst, abs(measure.bond_price(maturity) - target) / target)
+            got = internal_bond_price(MARKET, INVESTOR, 0.4, lam_bar, maturity)
+            worst = max(worst, abs(got - target) / target)
     elapsed = time.monotonic() - start
     _report(
         1,
@@ -134,9 +133,7 @@ def test_criterion_4_conditional_discount_identity():
             internal = expected_conditional_discount(MARKET, model, 1.0, contingency=t_c)
             worst_reprice = max(worst_reprice, abs(internal - external))
             # must also clear its own internal consistency gate
-            px = reprice_contingent_bond(
-                MARKET, model, BondSpec(1.0, t_c), tolerance=1e-8
-            )
+            px = reprice_contingent_bond(MARKET, model, 1.0, t_c, tolerance=1e-8)
             assert px == external
     elapsed = time.monotonic() - start
 

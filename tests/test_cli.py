@@ -251,6 +251,21 @@ class TestValidate:
         assert str(need) in cli._panel_memory_problem(cfg, 64)
 
 
+    @pytest.mark.parametrize("seed, code", [(2**128 - 1, EXIT_CONFIG), (2**128 - 2, EXIT_OK)])
+    def test_seed_of_the_last_sweep_point_is_a_philox_key(self, tmp_path, capsys, seed, code):
+        # sweep point i simulates with seed + i; Philox keys stay below 2**128
+        doc = base_config(numerics={"panels_per_year": 8, "mc_paths": 16, "seed": seed})
+        path = write_config(tmp_path, doc)
+        assert main(["validate", str(path)]) == code
+        if code == EXIT_CONFIG:
+            (diag,) = json.loads(capsys.readouterr().err)["diagnostics"]
+            assert diag.startswith("numerics.seed:")
+        else:
+            assert main(["run", str(path), "--mc", "--out", str(tmp_path / "out")]) == EXIT_OK
+            summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+            assert [row.split(",")[9] for row in summary[1:]] == [str(seed), str(seed + 1)]
+
+
 class TestConfigParsing:
     def test_round_trip_through_canonical_json(self, tmp_path):
         doc = base_config(
@@ -504,6 +519,44 @@ class TestRun:
         rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
         assert [r.split(",")[2] for r in rows] == ["0.0", "1.0"]
         assert all(r.split(",")[1] == "0.0" for r in rows)
+
+    def test_failed_write_keeps_the_old_reports(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "profiles.csv").write_text("old profiles\n")
+        (out / "summary.csv").write_text("old summary\n")
+        class Torn:
+            """A file that takes half of what is written, then fails."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                self.f.write(text[: len(text) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "open", lambda path, mode: Torn(open(path, mode)), raising=False)
+        cfg = load_config(write_config(tmp_path, base_config()))
+        with pytest.raises(OSError, match="no space"):
+            run_scenario(cfg, out_dir=out, echo=lambda _: None)
+        assert (out / "profiles.csv").read_text() == "old profiles\n"
+        assert (out / "summary.csv").read_text() == "old summary\n"
+        assert sorted(os.listdir(out)) == ["profiles.csv", "summary.csv"]
+
+    def test_reports_take_the_umask_mode(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, base_config()))
+        umask = os.umask(0o027)
+        try:
+            files = run_scenario(cfg, out_dir=tmp_path / "out", echo=lambda _: None)
+        finally:
+            os.umask(umask)
+        assert [f.stat().st_mode & 0o777 for f in files] == [0o640, 0o640]
 
     def test_run_scenario_custom_filenames(self, tmp_path):
         doc = base_config(output={"profiles": "p.csv", "summary": "s.csv"})

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valadj import MarketRates, TermCurve, as_curve, combined
+from valadj import TermCurve, as_curve, combined
 from valadj.curves import _BUCKET_MIN_KEYS, _Locator
 
 
@@ -140,7 +140,6 @@ class TestAlgebra:
         a = TermCurve.flat(0.03)
         b = TermCurve.flat(0.01)
         assert (a - b).value(1.0) == pytest.approx(0.02)
-        assert (2.0 * a).value(0.0) == pytest.approx(0.06)
 
     def test_combined_general(self):
         a = TermCurve.flat(0.04)
@@ -169,11 +168,6 @@ class TestAlgebra:
         assert as_curve(0.02).values == (0.02,)
         c = TermCurve.flat(0.01)
         assert as_curve(c) is c
-
-
-def test_market_rates_basis():
-    m = MarketRates(TermCurve.flat(0.01), TermCurve.flat(0.005))
-    assert m.basis().value(0.0) == pytest.approx(0.005)
 
 
 @st.composite

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valadj import (
-    BondSpec,
     CreditCurve,
     InvariantError,
     JointDefaultModel,
@@ -14,13 +13,12 @@ from valadj import (
     TermCurve,
     bond_price,
     conditional_discount,
-    correlated_zero_recovery_measure,
     expected_conditional_discount,
     funding_rate,
+    internal_bond_price,
     internal_rate,
     pre_default_rate,
     reprice_contingent_bond,
-    riskfree_counterparty_measure,
 )
 
 # flat market r=0.01, lam_I=0.02, lam_C=0.03, theta=1; checked below
@@ -77,8 +75,7 @@ class TestBondInvariance:
     @pytest.mark.parametrize("lam_bar", [0.0, 0.005, 0.01, 0.02, 0.04])
     def test_flat_sweep(self, flat_market, investor, maturity, lam_bar):
         target = bond_price(flat_market, investor, 0.4, maturity)
-        measure = riskfree_counterparty_measure(flat_market, investor, 0.4, lam_bar)
-        got = measure.bond_price(maturity)
+        got = internal_bond_price(flat_market, investor, 0.4, lam_bar, maturity)
         assert abs(got - target) / target <= 1e-12
 
     def test_term_structure_sweep(self):
@@ -86,17 +83,16 @@ class TestBondInvariance:
         market = MarketRates(r, TermCurve.flat(0.004))
         inv = CreditCurve("I", TermCurve.from_nodes([(0.0, 0.01), (4.0, 0.06)]))
         lam_bar = TermCurve.from_nodes([(0.0, 0.0), (2.0, 0.03)])
-        measure = riskfree_counterparty_measure(market, inv, 0.25, lam_bar)
         for maturity in (0.5, 3.0, 8.0):
             target = bond_price(market, inv, 0.25, maturity)
-            assert abs(measure.bond_price(maturity) - target) / target <= 1e-12
+            got = internal_bond_price(market, inv, 0.25, lam_bar, maturity)
+            assert abs(got - target) / target <= 1e-12
 
     def test_maturity_validation(self, flat_market, investor):
         with pytest.raises(ValueError):
             bond_price(flat_market, investor, 0.4, 0.0)
-        measure = riskfree_counterparty_measure(flat_market, investor, 0.4, 0.0)
         with pytest.raises(ValueError):
-            measure.bond_price(-1.0)
+            internal_bond_price(flat_market, investor, 0.4, 0.0, -1.0)
 
 
 class TestPreDefaultRate:
@@ -201,62 +197,32 @@ class TestRepricing:
         assert abs(got - target) <= 1e-8
 
     def test_reprice_no_contingency(self, flat_market, model):
-        px = reprice_contingent_bond(flat_market, model(1.0), BondSpec(1.0))
+        px = reprice_contingent_bond(flat_market, model(1.0), 1.0)
         assert px == pytest.approx(math.exp(-0.03), rel=1e-14)
 
     def test_reprice_with_contingency(self, flat_market, model):
-        px = reprice_contingent_bond(flat_market, model(1.0), BondSpec(1.0, 0.5))
+        px = reprice_contingent_bond(flat_market, model(1.0), 1.0, 0.5)
         assert px == pytest.approx(REPRICE_THETA1_TC_HALF, abs=1e-15)
         # external leg recomputed from raw pieces
         ext = math.exp(-0.01) * model(1.0).joint_survival(1.0, 0.5)
         assert px == ext
-
-    def test_reprice_rejects_recovery(self, flat_market, model):
-        with pytest.raises(ValueError, match="zero bond recovery"):
-            reprice_contingent_bond(flat_market, model(1.0), BondSpec(1.0, recovery=0.2))
 
     def test_reprice_reports_quadrature_gap(self, flat_market, model):
         # starved quadrature cannot hit an impossible tolerance; the
         # check must fail loudly instead of returning a price
         with pytest.raises(InvariantError, match="repricing gap"):
             reprice_contingent_bond(
-                flat_market, model(3.0), BondSpec(1.0), tolerance=1e-18, panels=4
+                flat_market, model(3.0), 1.0, tolerance=1e-18, panels=4
             )
 
-    def test_bond_spec_validation(self):
-        with pytest.raises(ValueError):
-            BondSpec(0.0)
-        with pytest.raises(ValueError):
-            BondSpec(1.0, contingency=1.0)
-        with pytest.raises(ValueError):
-            BondSpec(1.0, recovery=2.0)
-
-
-class TestInternalMeasure:
-    def test_correlated_bond_price(self, flat_market, model):
-        measure = correlated_zero_recovery_measure(flat_market, model(1.0))
-        assert measure.bond_price(1.0) == pytest.approx(math.exp(-0.03), rel=1e-14)
-        assert measure.recovery_bond == 0.0
-        assert measure.lambda_bar.value(3.0) == 0.0
-
-    def test_correlated_pre_default_rate(self, flat_market, model):
-        measure = correlated_zero_recovery_measure(flat_market, model(1.0))
-        assert measure.pre_default_rate()(5.0) == pytest.approx(
-            PRE_DEFAULT_THETA1_T5, abs=1e-15
-        )
-
-    def test_counterparty_survival_is_market_law(self, flat_market, model):
-        measure = correlated_zero_recovery_measure(flat_market, model(1.0))
-        assert measure.counterparty_survival(2.0) == pytest.approx(
-            math.exp(-0.06), rel=1e-15
-        )
-
-    def test_riskfree_mode_has_no_pre_default_rate(self, flat_market, investor):
-        measure = riskfree_counterparty_measure(flat_market, investor, 0.4, 0.01)
-        with pytest.raises(ValueError):
-            measure.pre_default_rate()
-        with pytest.raises(ValueError):
-            measure.counterparty_survival(1.0)
+    def test_bond_spec_validation(self, flat_market, model):
+        m = model(1.0)
+        for maturity in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="horizon must be positive"):
+                reprice_contingent_bond(flat_market, m, maturity)
+        for contingency in (-0.5, 1.0, 2.0, math.nan):
+            with pytest.raises(ValueError, match="contingency"):
+                reprice_contingent_bond(flat_market, m, 1.0, contingency)
 
 
 @given(
@@ -271,5 +237,5 @@ def test_bond_invariance_property(r, lam_i, rec, lam_bar, maturity):
     market = MarketRates(TermCurve.flat(r), TermCurve.flat(0.0))
     inv = CreditCurve("I", TermCurve.flat(lam_i))
     target = bond_price(market, inv, rec, maturity)
-    measure = riskfree_counterparty_measure(market, inv, rec, lam_bar)
-    assert measure.bond_price(maturity) == pytest.approx(target, rel=1e-12)
+    got = internal_bond_price(market, inv, rec, lam_bar, maturity)
+    assert got == pytest.approx(target, rel=1e-12)
