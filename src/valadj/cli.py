@@ -111,10 +111,10 @@ class ScenarioConfig:
         """Canonical JSON form; parsing it back yields an equal config."""
         d = {
             "market": {
-                "risk_free": _curve_nodes(self.market.risk_free),
-                "collateral": _curve_nodes(self.market.collateral),
+                "risk_free": _node_list(self.market.risk_free),
+                "collateral": _node_list(self.market.collateral),
             },
-            "credit": {"investor": _curve_nodes(self.investor.intensity)},
+            "credit": {"investor": _node_list(self.investor.intensity)},
             "bond_recovery": self.bond_recovery,
             "closeout": {
                 "recovery_investor": self.closeout.recovery_investor,
@@ -137,15 +137,15 @@ class ScenarioConfig:
             "output": {"profiles": self.profiles_out, "summary": self.summary_out},
         }
         if self.counterparty is not None:
-            d["credit"]["counterparty"] = _curve_nodes(self.counterparty.intensity)
+            d["credit"]["counterparty"] = _node_list(self.counterparty.intensity)
         if self.regime == REGIME_CORRELATED:
             d["sweep"]["theta"] = list(self.theta_sweep)
         else:
-            d["sweep"]["lambda_bar"] = [_curve_nodes(c) for c in self.lambda_bar_sweep]
+            d["sweep"]["lambda_bar"] = [_node_list(c) for c in self.lambda_bar_sweep]
         return d
 
 
-def _curve_nodes(curve: TermCurve) -> list[dict]:
+def _node_list(curve: TermCurve) -> list[dict]:
     return [{"t": t, "value": v} for t, v in zip(curve.times, curve.values)]
 
 
@@ -247,6 +247,24 @@ def _lambda_bar_growth(market, investor, recovery_bond, lambda_bar, maturity) ->
         return float(np.max(growth.cumulative(np.array(times))))
 
 
+def _theta_overflows(investor, counterparty, theta, maturity) -> bool:
+    """Whether dependence ``theta`` overflows ``S`` or the first-to-default
+    intensities ``lam_N exp(theta H_N) / S`` at some ``t`` up to
+    ``maturity``.
+
+    The factors grow with the cumulative hazards, which never decrease,
+    so on each hazard segment they peak at its end: the one-sided values
+    at the nodes and at maturity are enough.
+    """
+    model = JointDefaultModel(investor, counterparty, theta)
+    curves = (investor.intensity, counterparty.intensity)
+    ts = np.array(sorted({t for c in curves for t in c.times if t < maturity} | {maturity}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (*model.ftd_intensity(ts), *model.ftd_intensity(ts, left=True))
+        values += (model.log_joint_survival(ts, ts),)
+    return not all(np.all(np.isfinite(v)) for v in values)
+
+
 def _parse_config_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["config root must be a JSON object"])
@@ -329,6 +347,18 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
                     or th < 0
                 ):
                     diags.append(f"sweep.theta[{i}]: must be a finite number >= 0")
+                elif (
+                    th > 0  # theta = 0 is the product law: no copula terms
+                    and investor is not None
+                    and counterparty is not None
+                    and schedule is not None
+                    and _theta_overflows(investor, counterparty, th, schedule.maturity)
+                ):
+                    diags.append(
+                        f"sweep.theta[{i}]: the first-to-default intensities "
+                        f"lam * exp(theta * H) / S, with H the cumulative default "
+                        f"hazard, overflow before maturity; lower theta"
+                    )
                 else:
                     theta_sweep.append(float(th))
         if bond_recovery != 0.0:

@@ -22,9 +22,11 @@ negative log-derivative of the diagonal ``U(t, t)``.
 Internally ``u**-theta`` is written as ``exp(theta * H)`` with ``H`` the
 cumulative hazard, and ``S`` is tracked as ``1 + s`` with ``s =
 expm1(theta*H_I) + expm1(theta*H_C)``, which keeps full precision for
-any ``theta`` above the independence threshold below; smaller values
-take the product-law branch, whose result is identical at double
-precision.
+any ``theta`` above the independence threshold below.  Every copula
+quantity derives from one kernel, ``_log_clayton``, and the sampler's
+inverse, ``_conditional_inverse``: only these two divide by theta, so
+only they take the product-law branch for smaller values, whose result
+is identical at double precision.
 """
 
 from __future__ import annotations
@@ -70,9 +72,6 @@ class CreditCurve:
         cum = self.intensity._cum
         object.__setattr__(self, "_levels", _Locator(cum[1:]) if len(cum) > 1 else None)
 
-    def hazard(self, t):
-        return self.intensity.value(t)
-
     def cumulative_hazard(self, t):
         return self.intensity.cumulative(t)
 
@@ -108,36 +107,63 @@ class CreditCurve:
         if lam[-1] == 0.0 and nseg == 0:
             out = np.where(target <= 0.0, 0.0, np.inf)
         elif nseg == 0:
-            out = target / lam[0]
+            with np.errstate(over="ignore"):  # a subnormal intensity: tau = inf
+                out = target / lam[0]
         else:
             cum = self.intensity._cum
             k = self._levels(target, "left")
             # a zero-intensity segment spans no levels (a leading one is
             # reached only at w = 1): it adds 0 to its start time
             rate = np.where(lam > 0.0, lam, np.inf)
-            with np.errstate(invalid="ignore"):  # inf/inf at w = 0, zero tail
+            # inf/inf at w = 0 and on a zero tail; a subnormal intensity
+            # overflows to tau = inf
+            with np.errstate(over="ignore", invalid="ignore"):
                 out = self.intensity._times[k] + (target - cum[k]) / rate[k]
             if lam[-1] == 0.0:
                 # a zero tail never reaches the levels past the last node
                 out = np.where(k < nseg, out, np.inf)
-        return float(out) if out.ndim == 0 else out
+        return _scalar(out)
+
+
+def _log_clayton(h_i, h_c, theta: float):
+    """``log C(exp(-h_i), exp(-h_c))``: the copula in hazard coordinates.
+
+    ``S - 1 = expm1(theta*h_i) + expm1(theta*h_c)`` keeps full precision
+    for small theta; at or below the threshold it is the product law.
+    """
+    if theta <= _THETA_INDEPENDENT:
+        return -(h_i + h_c)
+    return -np.log1p(np.expm1(theta * h_i) + np.expm1(theta * h_c)) / theta
+
+
+def _conditional_inverse(u, w, theta: float):
+    """The ``v`` with ``P(V <= v | U = u) = w``, which turns uniform
+    ``(u, w)`` into a copula draw: ``v = ((w**(-theta/(1+theta)) - 1) *
+    u**-theta + 1)**(-1/theta)``, assembled through expm1/log1p."""
+    if theta <= _THETA_INDEPENDENT:
+        return w
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.expm1(theta / (1.0 + theta) * -np.log(w))
+        b = np.exp(theta * -np.log(u))
+        return np.exp(-np.log1p(a * b) / theta)
+
+
+def _scalar(out):
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def clayton_survival_copula(u, v, theta: float):
     """Clayton survival copula ``C(u, v)``; ``theta = 0`` is ``u * v``."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if np.any(u < 0) or np.any(u > 1) or np.any(v < 0) or np.any(v > 1):
-        raise ValueError("copula arguments must lie in [0, 1]")
+    # NaN fails both comparisons
+    for x in (u, v):
+        if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+            raise ValueError("copula arguments must lie in [0, 1]")
     if theta < 0.0 or not math.isfinite(theta):
         raise ValueError("dependence parameter theta must be >= 0")
-    if theta <= _THETA_INDEPENDENT:
-        out = u * v
-    else:
-        with np.errstate(divide="ignore"):
-            s = np.expm1(-theta * np.log(u)) + np.expm1(-theta * np.log(v))
-        out = np.exp(-np.log1p(s) / theta)
-    return float(out) if out.ndim == 0 else out
+    with np.errstate(divide="ignore"):
+        return _scalar(np.exp(_log_clayton(-np.log(u), -np.log(v), theta)))
 
 
 @dataclass(frozen=True)
@@ -152,74 +178,36 @@ class JointDefaultModel:
     def __post_init__(self):
         if not math.isfinite(self.theta) or self.theta < 0.0:
             raise ValueError("dependence parameter theta must be finite and >= 0")
-        if self.investor.name == self.counterparty.name:
-            raise ValueError("investor and counterparty need distinct names")
-
-    def _curve(self, name: str) -> CreditCurve:
-        if name == self.investor.name:
-            return self.investor
-        if name == self.counterparty.name:
-            return self.counterparty
-        raise ValueError(f"unknown credit name {name!r}")
-
-    def _s_minus_one(self, t_investor, t_counterparty):
-        """``S - 1`` with ``S = U_I**-theta + U_C**-theta - 1``, computed
-        from cumulative hazards so tiny theta keeps full precision."""
-        h_i = self.investor.cumulative_hazard(t_investor)
-        h_c = self.counterparty.cumulative_hazard(t_counterparty)
-        return np.expm1(self.theta * np.asarray(h_i)) + np.expm1(
-            self.theta * np.asarray(h_c)
-        )
-
-    def _log_survival_of_hazards(self, h_i, h_c):
-        """``log U`` of the copula at cumulative hazards ``h_i``, ``h_c``
-        (arrays), stable for small theta."""
-        if self.theta <= _THETA_INDEPENDENT:
-            return -(h_i + h_c)
-        s = np.expm1(self.theta * h_i) + np.expm1(self.theta * h_c)
-        return -np.log1p(s) / self.theta
 
     def log_joint_survival(self, t_investor, t_counterparty):
         """``log P(tau_I > t_I, tau_C > t_C)``, stable for small theta."""
-        out = self._log_survival_of_hazards(
-            np.asarray(self.investor.cumulative_hazard(t_investor)),
-            np.asarray(self.counterparty.cumulative_hazard(t_counterparty)),
-        )
-        return float(out) if out.ndim == 0 else out
+        h_i = self.investor.cumulative_hazard(t_investor)
+        h_c = self.counterparty.cumulative_hazard(t_counterparty)
+        return _scalar(_log_clayton(np.asarray(h_i), np.asarray(h_c), self.theta))
 
     def joint_survival(self, t_investor, t_counterparty):
         """P(tau_I > t_I, tau_C > t_C) under the survival copula."""
-        out = np.exp(self.log_joint_survival(t_investor, t_counterparty))
-        return float(out) if np.ndim(out) == 0 else out
+        return _scalar(np.exp(self.log_joint_survival(t_investor, t_counterparty)))
 
-    def ftd_intensity(self, name: str, t, *, left: bool = False):
-        """First-to-default intensity of ``name`` at ``t``.
+    def ftd_intensity(self, t, *, left: bool = False):
+        """First-to-default intensities ``(FTD_I, FTD_C)`` at ``t``.
 
-        ``left`` evaluates the piecewise-constant hazard one-sided at its
-        node times (the copula factors are continuous either way).
+        ``left`` evaluates the piecewise-constant hazards one-sided at
+        their node times (the copula factors are continuous either way).
+        At or below the independence threshold every copula factor rounds
+        to 1 (for ``H`` below ~1e6), so the intensities are the hazards.
         """
-        curve = self._curve(name)
-        lam = curve.intensity.value_left(t) if left else curve.intensity.value(t)
-        if self.theta <= _THETA_INDEPENDENT:
-            out = np.asarray(lam, dtype=float)
-        else:
-            h_n = np.asarray(curve.cumulative_hazard(t))
-            s1 = self._s_minus_one(t, t)
-            out = lam * np.exp(self.theta * h_n) / (1.0 + s1)
-        return float(out) if out.ndim == 0 else out
+        curves = (self.investor.intensity, self.counterparty.intensity)
+        lam = [c.value_left(t) if left else c.value(t) for c in curves]
+        h = [np.asarray(c.cumulative(t)) for c in curves]
+        s = 1.0 + (np.expm1(self.theta * h[0]) + np.expm1(self.theta * h[1]))
+        return tuple(_scalar(lam[n] * np.exp(self.theta * h[n]) / s) for n in (0, 1))
 
     def joint_survival_partial_tc(self, t_investor, t_counterparty):
         """Partial derivative of ``joint_survival`` in the counterparty
         time.  Non-positive; zero wherever ``lam_C`` is zero."""
-        lam_c = np.asarray(self.counterparty.hazard(t_counterparty), dtype=float)
-        h_c = np.asarray(self.counterparty.cumulative_hazard(t_counterparty))
-        if self.theta <= _THETA_INDEPENDENT:
-            u_i = self.investor.survival(t_investor)
-            out = -lam_c * u_i * np.exp(-h_c)
-        else:
-            s1 = self._s_minus_one(t_investor, t_counterparty)
-            # dC/dv * dU_C/dt with dC/dv = S**(-1/theta - 1) * v**(-theta-1)
-            out = -lam_c * np.exp(
-                -(1.0 + 1.0 / self.theta) * np.log1p(s1) + self.theta * h_c
-            )
-        return float(out) if out.ndim == 0 else out
+        lam_c = self.counterparty.intensity.value(t_counterparty)
+        h_c = self.counterparty.cumulative_hazard(t_counterparty)
+        log_c = self.log_joint_survival(t_investor, t_counterparty)
+        # dC/dv * dU_C/dt with dC/dv = C**(1+theta) * v**-(1+theta), v = exp(-h_c)
+        return _scalar(-lam_c * np.exp((1.0 + self.theta) * log_c + self.theta * h_c))

@@ -257,14 +257,10 @@ def adjustment_correlated(
     r = market.risk_free
     r_x = market.collateral
     lam_c = model.counterparty.intensity
-    inv_name = model.investor.name
-    cpty_name = model.counterparty.name
     loss_c = 1.0 - closeout.recovery_counterparty
 
     def ftd_sum(t, left=False):
-        return np.asarray(
-            model.ftd_intensity(inv_name, t, left=left), dtype=float
-        ) + np.asarray(model.ftd_intensity(cpty_name, t, left=left), dtype=float)
+        return np.add(*model.ftd_intensity(t, left=left))
 
     def alpha(t):
         return r.value(t) + ftd_sum(t)

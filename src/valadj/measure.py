@@ -132,16 +132,9 @@ def pre_default_rate(market: MarketRates, model: JointDefaultModel) -> Callable:
     """Growth rate of the survival-contingent bank account,
     ``r + FTD_I + FTD_C - lam_C``.  Returns a vectorized callable of t."""
 
-    inv = model.investor.name
-    cpty = model.counterparty.name
-
     def rate(t):
-        return (
-            market.risk_free.value(t)
-            + model.ftd_intensity(inv, t)
-            + model.ftd_intensity(cpty, t)
-            - model.counterparty.hazard(t)
-        )
+        ftd_i, ftd_c = model.ftd_intensity(t)
+        return market.risk_free.value(t) + ftd_i + ftd_c - model.counterparty.intensity.value(t)
 
     return rate
 
@@ -156,7 +149,7 @@ def _survival_branch(market: MarketRates, model: JointDefaultModel, horizon: flo
 def _default_branch(market: MarketRates, model: JointDefaultModel, horizon: float, t_c):
     """Dbar(0,T_I) given default at ``t_c < horizon``.  Vectorized."""
     t_arr = np.asarray(t_c, dtype=float)
-    lam_c = np.asarray(model.counterparty.hazard(t_arr), dtype=float)
+    lam_c = np.asarray(model.counterparty.intensity.value(t_arr), dtype=float)
     if np.any(lam_c <= 0.0):
         raise ValueError(
             "conditional discount is singular where the counterparty intensity vanishes"
@@ -225,7 +218,7 @@ def expected_conditional_discount(
         raise ValueError("need 0 <= contingency < horizon")
 
     def integrand(ts):
-        lam_c = np.asarray(model.counterparty.hazard(ts), dtype=float)
+        lam_c = np.asarray(model.counterparty.intensity.value(ts), dtype=float)
         u_c = np.exp(-np.asarray(model.counterparty.cumulative_hazard(ts)))
         return _default_branch(market, model, horizon, ts) * lam_c * u_c
 

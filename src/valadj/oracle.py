@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .credit import _THETA_INDEPENDENT, CreditCurve, JointDefaultModel
+from .credit import CreditCurve, JointDefaultModel, _conditional_inverse, _log_clayton
 from .curves import MarketRates, _Locator, as_curve
 from .instruments import CashflowSchedule, CloseoutSpec, closeout_values, collateral_value
 from .measure import internal_rate
@@ -168,19 +168,8 @@ def sample_joint_defaults(
     """
     w = _generator(paths, seed).random((paths, 2))
     u = w[:, 0]
-    if model.theta <= _THETA_INDEPENDENT:
-        v = w[:, 1]
-    else:
-        # v = ((w2**(-theta/(1+theta)) - 1) * u**-theta + 1)**(-1/theta),
-        # assembled through expm1/log1p so small theta keeps full precision
-        theta = model.theta
-        with np.errstate(divide="ignore", over="ignore"):
-            a = np.expm1(theta / (1.0 + theta) * -np.log(w[:, 1]))
-            b = np.exp(theta * -np.log(u))
-            v = np.exp(-np.log1p(a * b) / theta)
-    tau_i = model.investor.inverse_survival(u)
-    tau_c = model.counterparty.inverse_survival(v)
-    return tau_i, tau_c
+    v = _conditional_inverse(u, w[:, 1], model.theta)
+    return model.investor.inverse_survival(u), model.counterparty.inverse_survival(v)
 
 
 def _segment_grid(schedule: CashflowSchedule, curves) -> np.ndarray:
@@ -359,7 +348,7 @@ def mc_value_correlated(
 
     def log_weight(h_r, h_i, h_c):
         # log of D(0,t) U(t,t) / U_C(t) from the cumulative rate and hazards
-        return -h_r + model._log_survival_of_hazards(h_i, h_c) + h_c
+        return -h_r + _log_clayton(h_i, h_c, model.theta) + h_c
 
     grid = _segment_grid(schedule, (market.collateral, *curves))
     cum = [np.asarray(c.cumulative(grid)) for c in curves]

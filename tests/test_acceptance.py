@@ -243,8 +243,8 @@ def test_criterion_7_credit_math():
             ) / (2 * h)
             worst_fd = max(
                 worst_fd,
-                abs(model.ftd_intensity("I", t) - fd_i),
-                abs(model.ftd_intensity("C", t) - fd_c),
+                abs(model.ftd_intensity(t)[0] - fd_i),
+                abs(model.ftd_intensity(t)[1] - fd_c),
             )
         for t in np.linspace(0.0, 10.0, 101):
             worst_marginal = max(

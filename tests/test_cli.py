@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 import tracemalloc
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valadj import AdjustmentProfile, adjustment_independent, cli, mc_value_independent
 from valadj.cli import (
@@ -250,6 +255,43 @@ class TestValidate:
         monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
         assert str(need) in cli._panel_memory_problem(cfg, 64)
 
+    @pytest.mark.parametrize(
+        "investor, counterparty, theta, code",
+        [
+            # theta * H_C(1) = 0.03 theta: exp(theta * H_C) overflows
+            (0.02, 0.03, 23650.0, EXIT_OK),
+            (0.02, 0.03, 23700.0, EXIT_CONFIG),
+            # theta * H_C(1) = 709.2 at 177.3: lam_C * exp(theta * H_C) overflows first
+            (0.02, 4.0, 177.0, EXIT_OK),
+            (0.02, 4.0, 177.3, EXIT_CONFIG),
+            # the peak is at the left limit of a node before maturity:
+            # lam_C = 4 on [0, 0.5), then 0
+            (0.02, [{"t": 0.0, "value": 4.0}, {"t": 0.5, "value": 0.0}], 354.0, EXIT_OK),
+            (0.02, [{"t": 0.0, "value": 4.0}, {"t": 0.5, "value": 0.0}], 354.6, EXIT_CONFIG),
+            # only S = exp(theta H_I) + exp(theta H_C) - 1 overflows: 2 exp(709.5)
+            (0.03, 0.03, 23600.0, EXIT_OK),
+            (0.03, 0.03, 23650.0, EXIT_CONFIG),
+        ],
+    )
+    def test_theta_whose_copula_terms_overflow(
+        self, tmp_path, capsys, investor, counterparty, theta, code
+    ):
+        doc = json.loads((CONFIG_DIR / "correlated_bond.json").read_text())
+        doc["credit"] = {"investor": investor, "counterparty": counterparty}
+        doc["sweep"]["theta"] = [0.0, theta]
+        doc["numerics"].update(panels_per_year=64, mc_paths=4096)
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        for command in (["validate"], ["run", "--mc", "--out", str(out)]):
+            assert main([*command, str(path)]) == code
+            err = capsys.readouterr().err
+            if code == EXIT_CONFIG:
+                # theta = 0 is the product law: never rejected
+                (diag,) = json.loads(err)["diagnostics"]
+                assert diag.startswith("sweep.theta[1]:")
+            else:
+                assert err == ""
+        assert out.exists() == (code == EXIT_OK)
 
     @pytest.mark.parametrize("seed, code", [(2**128 - 1, EXIT_CONFIG), (2**128 - 2, EXIT_OK)])
     def test_seed_of_the_last_sweep_point_is_a_philox_key(self, tmp_path, capsys, seed, code):
@@ -566,3 +608,69 @@ class TestRun:
         assert p.name == "p.csv" and p.exists()
         assert s.name == "s.csv" and s.exists()
         assert len(notes) == 2
+
+
+def _curve_docs(values):
+    """A flat curve, or nodes at 0 and at up to three times within 100 years."""
+    nodes = st.tuples(
+        values,
+        st.lists(st.tuples(st.floats(0.01, 100.0), values), max_size=3, unique_by=lambda n: n[0]),
+    ).map(lambda v: [{"t": t, "value": x} for t, x in [(0.0, v[0]), *sorted(v[1])]])
+    return st.one_of(values, nodes)
+
+
+@st.composite
+def scenario_docs(draw):
+    """Configs inside the schema: every regime, zero and piecewise curves,
+    flows at maturity, theta up to 1e6 and at most 4096 paths."""
+    regime = draw(st.sampled_from(cli.REGIMES))
+    rates = st.floats(-0.05, 0.2)
+    hazards = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    maturity = draw(st.floats(0.05, 100.0))
+    times = sorted(draw(st.lists(st.floats(0.01, maturity), max_size=3, unique=True)))
+    if not times or (times[-1] < maturity and draw(st.booleans())):
+        times.append(maturity)
+    doc = {
+        "market": {"risk_free": draw(_curve_docs(rates)), "collateral": draw(_curve_docs(rates))},
+        "credit": {"investor": draw(_curve_docs(hazards))},
+        "bond_recovery": 0.0 if regime == "correlated" else draw(st.floats(0.0, 1.0)),
+        "closeout": {
+            "recovery_investor": draw(st.floats(0.0, 1.0)),
+            "recovery_counterparty": draw(st.floats(0.0, 1.0)),
+        },
+        "schedule": {"flows": [{"t": t, "amount": draw(st.floats(-2.0, 2.0))} for t in times]},
+        "regime": regime,
+        "numerics": {
+            "panels_per_year": draw(st.integers(1, 64)),
+            "mc_paths": draw(st.integers(2, 4096)),
+            "seed": draw(st.integers(0, 2**32)),
+        },
+    }
+    if draw(st.booleans()):
+        doc["schedule"]["maturity"] = maturity
+    if regime != "riskfree_cpty" or draw(st.booleans()):
+        doc["credit"]["counterparty"] = draw(_curve_docs(hazards))
+    if regime == "correlated":
+        thetas = st.one_of(
+            st.just(0.0), st.floats(0.0, 1e6), st.floats(-30.0, 6.0).map(lambda x: 10.0**x)
+        )
+        doc["sweep"] = {"theta": draw(st.lists(thetas, min_size=1, max_size=3))}
+    else:
+        doc["sweep"] = {"lambda_bar": draw(st.lists(_curve_docs(hazards), min_size=1, max_size=3))}
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=scenario_docs())
+def test_validated_configs_run(doc):
+    """Whatever ``validate`` accepts, ``run --mc`` executes: it exits 0 or
+    with the numeric code, never with an uncaught exception (nor, under
+    this suite's warning filter, with an overflow warning)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), doc)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            if main(["validate", str(path)]) != EXIT_OK:
+                return
+            code = main(["run", "--mc", "--panels", "8", "--out", str(Path(tmp) / "out"), str(path)])
+    assert code in (EXIT_OK, EXIT_NUMERIC), sink.getvalue()

@@ -102,6 +102,14 @@ class TestInverseSurvival:
             with pytest.raises(ValueError):
                 c.inverse_survival(levels)
 
+    def test_subnormal_intensity_never_defaults(self):
+        # -log(w) / 2.2e-313 overflows: tau = inf, without an overflow warning
+        w = np.array([1.0, 0.5, 1e-300])
+        flat = CreditCurve("I", TermCurve.flat(2.2250738585e-313))
+        np.testing.assert_array_equal(flat.inverse_survival(w), [0.0, math.inf, math.inf])
+        nodes = CreditCurve("I", TermCurve.from_nodes([(0.0, 0.0), (1.0, 2.2250738585e-313)]))
+        np.testing.assert_array_equal(nodes.inverse_survival(w), [0.0, math.inf, math.inf])
+
     def test_vectorized_matches_scalar(self):
         c = CreditCurve("I", TermCurve.from_nodes([(0.0, 0.03), (2.0, 0.01)]))
         ws = np.linspace(0.01, 0.99, 23)
@@ -136,6 +144,17 @@ class TestCopula:
         with pytest.raises(ValueError):
             clayton_survival_copula(0.5, 0.5, -0.5)
 
+    def test_nan_rejected(self):
+        for u, v, theta in (
+            (math.nan, 0.5, 1.0),
+            (0.5, math.nan, 1.0),
+            (np.array([0.2, math.nan]), 0.5, 1.0),
+            (0.5, np.array([math.nan, 0.7]), 0.0),
+            (0.5, 0.5, math.nan),
+        ):
+            with pytest.raises(ValueError):
+                clayton_survival_copula(u, v, theta)
+
     def test_monotone_in_theta(self):
         vals = [clayton_survival_copula(0.9, 0.9, th) for th in (0.0, 0.5, 1.0, 3.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
@@ -154,11 +173,6 @@ class TestJointModel:
             flat_model(-0.1)
         with pytest.raises(ValueError):
             flat_model(math.nan)
-
-    def test_distinct_names_required(self):
-        c = CreditCurve("X", TermCurve.flat(0.02))
-        with pytest.raises(ValueError):
-            JointDefaultModel(c, c, 1.0)
 
     def test_marginal_consistency(self):
         model = flat_model(1.0, lam_i=0.02, lam_c=0.03)
@@ -188,16 +202,12 @@ class TestJointModel:
 class TestFtdIntensity:
     def test_independence_reduces_to_hazard(self):
         model = flat_model(0.0, lam_i=0.02, lam_c=0.03)
-        assert model.ftd_intensity("I", 4.0) == pytest.approx(0.02, rel=1e-14)
-        assert model.ftd_intensity("C", 4.0) == pytest.approx(0.03, rel=1e-14)
+        assert model.ftd_intensity(4.0)[0] == pytest.approx(0.02, rel=1e-14)
+        assert model.ftd_intensity(4.0)[1] == pytest.approx(0.03, rel=1e-14)
 
     def test_frozen_value(self):
         model = flat_model(1.0)
-        assert model.ftd_intensity("I", 5.0) == pytest.approx(FTD_THETA1_T5, rel=1e-12)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            flat_model(1.0).ftd_intensity("Z", 1.0)
+        assert model.ftd_intensity(5.0)[0] == pytest.approx(FTD_THETA1_T5, rel=1e-12)
 
     @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 3.0])
     @pytest.mark.parametrize("t", [0.5, 2.0, 5.0])
@@ -208,7 +218,7 @@ class TestFtdIntensity:
         fd = -(
             model.log_joint_survival(t + h, t) - model.log_joint_survival(t - h, t)
         ) / (2 * h)
-        assert model.ftd_intensity("I", t) == pytest.approx(fd, abs=1e-6)
+        assert model.ftd_intensity(t)[0] == pytest.approx(fd, abs=1e-6)
 
     @pytest.mark.parametrize("theta", [0.0, 1.0, 3.0])
     def test_sum_is_diagonal_log_derivative(self, theta):
@@ -218,17 +228,46 @@ class TestFtdIntensity:
             model.log_joint_survival(t + h, t + h)
             - model.log_joint_survival(t - h, t - h)
         ) / (2 * h)
-        total = model.ftd_intensity("I", t) + model.ftd_intensity("C", t)
+        total = model.ftd_intensity(t)[0] + model.ftd_intensity(t)[1]
         assert total == pytest.approx(fd, abs=1e-6)
 
     def test_left_limit_at_hazard_node(self):
         inv = CreditCurve("I", TermCurve.from_nodes([(0.0, 0.02), (1.0, 0.05)]))
         cpty = CreditCurve("C", TermCurve.flat(0.03))
         model = JointDefaultModel(inv, cpty, 1.0)
-        right = model.ftd_intensity("I", 1.0)
-        left = model.ftd_intensity("I", 1.0, left=True)
+        right = model.ftd_intensity(1.0)[0]
+        left = model.ftd_intensity(1.0, left=True)[0]
         # same copula factor, different hazard on each side of the node
         assert right / left == pytest.approx(0.05 / 0.02, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [5e-324, 1e-300, 1e-22])
+class TestProductLawBelowThreshold:
+    """At or below the independence threshold the copula is the product
+    law exactly, though only the kernel branches on theta."""
+
+    @staticmethod
+    def model(theta):
+        inv = CreditCurve("I", TermCurve.from_nodes([(0.0, 0.02), (1.0, 0.05), (4.0, 0.0)]))
+        cpty = CreditCurve("C", TermCurve.from_nodes([(0.0, 0.03), (2.5, 0.5)]))
+        return JointDefaultModel(inv, cpty, theta)
+
+    TIMES = np.concatenate([np.linspace(0.0, 30.0, 301), [1.0, 2.5, 4.0]])
+
+    def test_ftd_intensity_is_the_hazard(self, theta):
+        model = self.model(theta)
+        for left in (False, True):
+            ftd_i, ftd_c = model.ftd_intensity(self.TIMES, left=left)
+            for ftd, curve in ((ftd_i, model.investor), (ftd_c, model.counterparty)):
+                lam = curve.intensity.value_left if left else curve.intensity.value
+                np.testing.assert_array_equal(ftd, lam(self.TIMES))
+
+    def test_log_joint_survival_is_the_product_law(self, theta):
+        model = self.model(theta)
+        t_c = self.TIMES[::-1]
+        h_i = model.investor.cumulative_hazard(self.TIMES)
+        h_c = model.counterparty.cumulative_hazard(t_c)
+        np.testing.assert_array_equal(model.log_joint_survival(self.TIMES, t_c), -(h_i + h_c))
 
 
 class TestPartialSurvival:

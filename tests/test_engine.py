@@ -281,6 +281,19 @@ class TestCorrelatedRegime:
         np.testing.assert_array_equal(a.grid, b.grid)
         assert abs(a.adjustment() - b.adjustment()) <= 1e-15
 
+    @pytest.mark.parametrize("theta", [5e-324, 1e-300, 1e-22])
+    def test_product_law_below_threshold(self, counterparty, closeout, mixed, theta):
+        market = MarketRates(
+            TermCurve.from_nodes([(0.0, 0.01), (1.0, 0.02)]), TermCurve.flat(0.005)
+        )
+        inv = CreditCurve("I", TermCurve.from_nodes([(0.0, 0.02), (3.0, 0.04)]))
+        a, b = (
+            adjustment_correlated(market, JointDefaultModel(inv, counterparty, th), mixed, closeout)
+            for th in (theta, 0.0)
+        )
+        for field in ("grid", "v_x", "u", "v", "alpha", "beta"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
     def test_small_theta_continuity(
         self, flat_market, investor, counterparty, closeout, mixed
     ):
@@ -305,8 +318,8 @@ class TestCorrelatedRegime:
             s = np.asarray(s, float)
             return (
                 r.value(s)
-                + np.asarray(model.ftd_intensity("I", s))
-                + np.asarray(model.ftd_intensity("C", s))
+                + np.asarray(model.ftd_intensity(s)[0])
+                + np.asarray(model.ftd_intensity(s)[1])
             )
 
         def beta_fn(s, remaining):

@@ -164,7 +164,7 @@ class TestConditionalDiscount:
         m = model(1.0)
         left = conditional_discount(flat_market, m, 1.0, 1.0 - 1e-9)
         surv = conditional_discount(flat_market, m, 1.0, math.inf)
-        ratio = m.ftd_intensity("C", 1.0) / 0.03
+        ratio = m.ftd_intensity(1.0)[1] / 0.03
         assert left / surv == pytest.approx(ratio, rel=1e-6)
         assert ratio < 1.0
 

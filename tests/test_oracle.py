@@ -222,6 +222,19 @@ class TestCorrelatedSimulator:
         assert abs(mc.mean - engine) <= 3.0 * mc.std_error
 
 
+    @pytest.mark.parametrize("theta", [5e-324, 1e-300, 1e-22])
+    def test_product_law_below_threshold(
+        self, flat_market, investor, counterparty, closeout, mixed, theta
+    ):
+        tiny, zero = (
+            mc_value_correlated(
+                flat_market, JointDefaultModel(investor, counterparty, th), mixed, closeout, 4096, 23
+            )
+            for th in (theta, 0.0)
+        )
+        assert (tiny.mean, tiny.std_error) == (zero.mean, zero.std_error)
+
+
 class TestJointSampling:
     def test_empirical_joint_survival(self, investor, counterparty):
         model = JointDefaultModel(investor, counterparty, 1.0)
