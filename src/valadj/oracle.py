@@ -6,16 +6,18 @@ default times and averaging discounted payoffs (``riskfree_cpty`` is
 statistical error is the package's main correctness check, because the
 two routes share no numerics beyond the curve classes.
 
-Randomness contract: draws come from the counter-based Philox generator
-keyed by the seed.  Draw ``j`` is a pure function of ``(seed, j)`` and
-path ``i`` consumes draws ``k*i .. k*i + k - 1`` (``k`` uniforms per
-path: 2 for independent defaults, 1 without a counterparty or for
-dependent defaults).  Philox emits 64-bit words four per counter
-block and ``advance`` counts blocks, so a worker owning paths
-``[p0, p1)`` could reproduce its slice exactly via
-``Philox(key=seed).advance(k * p0 // 4)`` when partitions are chosen
-with ``k * p0`` a multiple of four.  Antithetic or other
-variance-reduction couplings are deliberately not applied.
+Randomness contract: draws come from numpy's ``PCG64`` generator seeded
+with the seed (through ``SeedSequence``, so any non-negative integer is a
+seed).  Path ``i`` consumes draws ``k*i .. k*i + k - 1`` (``k`` uniforms
+per path: 2 for independent defaults, 1 without a counterparty or for
+dependent defaults), and ``PCG64`` emits one 64-bit word per double, so a
+worker owning paths ``[p0, p1)`` reproduces its slice exactly from
+``PCG64(seed).advance(k * p0)``, for any ``p0``.  Each name's levels
+reach the inverse survival maps as a contiguous column (a copy of the
+block's column), where the elementwise passes run at unit stride; their
+results do not depend on the stride, so the copy moves no bit.
+Antithetic or other variance-reduction couplings are deliberately not
+applied.
 
 Every simulator runs as one pipeline over fixed blocks of ``_BLOCK``
 paths, sized so that a block's draws and temporaries stay in the L2
@@ -110,14 +112,14 @@ def _generator(paths: int, seed: int) -> np.random.Generator:
         raise ValueError("need at least two paths")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    return np.random.Generator(np.random.Philox(key=seed))
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _simulate(paths: int, seed: int, per_path: int, block_payoffs) -> tuple:
     """``(n, mean, M2)`` of the discounted payoffs of ``paths`` paths.
 
     Each block's ``(n, per_path)`` uniforms are drawn into one reused
-    buffer, continuing the Philox stream, so path ``i`` sees draws
+    buffer, continuing the generator's stream, so path ``i`` sees draws
     ``per_path*i ..`` whatever the block size; ``block_payoffs`` maps
     them to the block's payoffs, which fill one reused chunk buffer.
     Blocks never straddle a chunk boundary.
@@ -167,8 +169,8 @@ def sample_joint_defaults(
     then marginal inverse survival maps.
     """
     w = _generator(paths, seed).random((paths, 2))
-    u = w[:, 0]
-    v = _conditional_inverse(u, w[:, 1], model.theta)
+    u = np.ascontiguousarray(w[:, 0])
+    v = _conditional_inverse(u, np.ascontiguousarray(w[:, 1]), model.theta)
     return model.investor.inverse_survival(u), model.counterparty.inverse_survival(v)
 
 
@@ -282,11 +284,14 @@ def _first_default(
     slope = seg.rate_x - np.asarray(r_bar.value(grid))
 
     def block(w):
-        tau_i = sampler.inverse_survival(w[:, 0])
+        # one column copy at a time, freed before the next: copying both
+        # at once would raise a simulation's heap peak by 0.5 MiB.  A
+        # one-name block's column is contiguous already, and not copied.
+        tau_i = sampler.inverse_survival(np.ascontiguousarray(w[:, 0]))
         if counterparty is None:
             tau_c = np.full(len(w), np.inf)
         else:
-            tau_c = counterparty.inverse_survival(w[:, 1])
+            tau_c = counterparty.inverse_survival(np.ascontiguousarray(w[:, 1]))
         payoff = np.full(len(w), seg.paid_all)
         hit, j, dt, paid = seg.locate(np.minimum(tau_i, tau_c))
         if hit.size:

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -293,19 +295,17 @@ class TestValidate:
                 assert err == ""
         assert out.exists() == (code == EXIT_OK)
 
-    @pytest.mark.parametrize("seed, code", [(2**128 - 1, EXIT_CONFIG), (2**128 - 2, EXIT_OK)])
-    def test_seed_of_the_last_sweep_point_is_a_philox_key(self, tmp_path, capsys, seed, code):
-        # sweep point i simulates with seed + i; Philox keys stay below 2**128
+    @pytest.mark.parametrize("seed", [2**128 - 1, 2**200])
+    def test_seeds_past_128_bits(self, tmp_path, capsys, seed):
+        # sweep point i simulates with seed + i; SeedSequence takes any
+        # non-negative integer, so no seed is too large
         doc = base_config(numerics={"panels_per_year": 8, "mc_paths": 16, "seed": seed})
         path = write_config(tmp_path, doc)
-        assert main(["validate", str(path)]) == code
-        if code == EXIT_CONFIG:
-            (diag,) = json.loads(capsys.readouterr().err)["diagnostics"]
-            assert diag.startswith("numerics.seed:")
-        else:
-            assert main(["run", str(path), "--mc", "--out", str(tmp_path / "out")]) == EXIT_OK
-            summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
-            assert [row.split(",")[9] for row in summary[1:]] == [str(seed), str(seed + 1)]
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main(["run", str(path), "--mc", "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[9] for row in summary[1:]] == [str(seed), str(seed + 1)]
 
 
 class TestConfigParsing:
@@ -548,6 +548,25 @@ class TestRun:
         assert err["error"] == "numeric"
         assert not (tmp_path / "out" / "profiles.csv").exists()
 
+    def test_numeric_failure_stderr_is_one_json_document(self, tmp_path):
+        # the counterparty's cumulative hazard overflows before the flow
+        # at 100 years; no RuntimeWarning may precede the JSON error (a
+        # child process, because this suite turns warnings into errors)
+        doc = json.loads((CONFIG_DIR / "independent_mixed.json").read_text())
+        doc["credit"]["counterparty"] = 1e307
+        doc["schedule"] = {"flows": [{"t": 100.0, "amount": 1.0}]}
+        doc["numerics"]["mc_paths"] = 4096
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "valadj.cli", "run", "--mc", "--out", str(out), str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_NUMERIC, proc.stderr
+        assert json.loads(proc.stderr)["error"] == "numeric"
+        assert not list(out.glob("*.csv"))
+
     def test_correlated_run(self, tmp_path):
         doc = base_config(
             regime="correlated",
@@ -643,7 +662,7 @@ def scenario_docs(draw):
         "numerics": {
             "panels_per_year": draw(st.integers(1, 64)),
             "mc_paths": draw(st.integers(2, 4096)),
-            "seed": draw(st.integers(0, 2**32)),
+            "seed": draw(st.integers(0, 2**200)),
         },
     }
     if draw(st.booleans()):

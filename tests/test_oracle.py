@@ -91,7 +91,7 @@ class TestRandomnessContract:
 
     def test_no_counterparty_draws_one_uniform_per_path(self):
         # path i's tau_I is the internal curve's inverse survival of draw
-        # i of the seed's Philox stream: one uniform per path, none spent
+        # i of the seed's PCG64 stream: one uniform per path, none spent
         # on the counterparty that never defaults
         m = TestMultiFlowPayoffs
         paths, seed = 5003, 23
@@ -99,7 +99,7 @@ class TestRandomnessContract:
             m.market, m.investor, None, 0.4, m.lambda_bar, m.schedule, m.closeout, paths, seed
         )
         outcomes = sample_path_outcomes(*args)
-        w = np.random.Generator(np.random.Philox(key=seed)).random(paths)
+        w = np.random.Generator(np.random.PCG64(seed)).random(paths)
         internal = CreditCurve("internal", m.lambda_bar)
         tau_i = np.array([o.tau_investor for o in outcomes])
         np.testing.assert_array_equal(tau_i, internal.inverse_survival(w))
@@ -111,14 +111,18 @@ class TestRandomnessContract:
         assert mc.mean == float(np.mean(payoffs))
         assert mc.std_error == float(np.std(payoffs, ddof=1) / math.sqrt(paths))
 
-    def test_worker_partition_by_counter_advance(self):
-        # two uniforms per path; a worker owning paths [60, 100) jumps
-        # the counter by 2*60/4 blocks and sees identical draws
-        full = np.random.Generator(np.random.Philox(key=123)).random((100, 2))
-        bit = np.random.Philox(key=123)
-        bit.advance(2 * 60 // 4)
-        part = np.random.Generator(bit).random((40, 2))
-        np.testing.assert_array_equal(full[60:], part)
+    @pytest.mark.parametrize("per_path", [1, 2])
+    @pytest.mark.parametrize("p0", [60, 61, 2**18 + 3])
+    def test_worker_partition_by_advance(self, per_path, p0):
+        # path i draws per_path*i .. and PCG64 spends one word per
+        # double, so a worker owning paths [p0, p0 + 40) jumps the stream
+        # by per_path * p0 draws, for any p0, and sees identical draws
+        seed, paths = 123, p0 + 40
+        full = oracle._generator(paths, seed).random((paths, per_path))
+        bit = np.random.PCG64(seed)
+        bit.advance(per_path * p0)
+        part = np.random.Generator(bit).random((40, per_path))
+        np.testing.assert_array_equal(full[p0:], part)
 
     def test_input_validation(self, flat_market, investor, closeout, mixed):
         with pytest.raises(ValueError):
@@ -395,7 +399,7 @@ class TestMultiFlowPayoffs:
         paths, seed = 4000, 29
         mc = mc_value_correlated(self.market, model, self.schedule, self.closeout, paths, seed)
 
-        w = np.random.Generator(np.random.Philox(key=seed)).random((paths, 1))[:, 0]
+        w = np.random.Generator(np.random.PCG64(seed)).random(paths)
         taus = model.counterparty.inverse_survival(w)
         r = self.market.risk_free
 
@@ -461,6 +465,58 @@ class TestBlockSize:
         # 4096 paths divide neither, 2**20 is cut down to a chunk
         monkeypatch.setattr(oracle, "_CHUNK", 1000)
         self.test_results_do_not_depend_on_block_size(monkeypatch)
+
+
+class TestContiguousColumns:
+    """Each name's levels reach the inverse survival maps as a contiguous
+    column, where the elementwise passes run at unit stride."""
+
+    m = TestMultiFlowPayoffs
+
+    def spy(self, monkeypatch, owner, name):
+        seen = []
+        original = getattr(owner, name)
+
+        def spying(*args):
+            seen.extend(a for a in args if isinstance(a, np.ndarray))
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, spying)
+        return seen
+
+    def test_simulator_columns_are_contiguous(self, monkeypatch):
+        m = self.m
+        monkeypatch.setattr(oracle, "_BLOCK", 1000)
+        seen = self.spy(monkeypatch, CreditCurve, "inverse_survival")
+        mc_value_independent(
+            m.market, m.investor, m.counterparty, 0.4, m.lambda_bar, m.schedule,
+            m.closeout, 5000, 3,
+        )
+        assert len(seen) == 10  # two names, five blocks
+        assert all(w.ndim == 1 and w.flags.c_contiguous for w in seen)
+
+    def test_joint_sampling_columns_are_contiguous(self, monkeypatch):
+        m = self.m
+        levels = self.spy(monkeypatch, CreditCurve, "inverse_survival")
+        copula = self.spy(monkeypatch, oracle, "_conditional_inverse")
+        sample_joint_defaults(JointDefaultModel(m.investor, m.counterparty, 1.5), 5000, 3)
+        assert len(levels) == 2 and len(copula) == 2
+        assert all(w.ndim == 1 and w.flags.c_contiguous for w in levels + copula)
+
+    def test_copy_moves_no_bit(self):
+        m = self.m
+        _, block = oracle._first_default(
+            m.market, m.investor, m.counterparty, 0.4, m.lambda_bar, m.schedule, m.closeout
+        )
+        wide = np.random.Generator(np.random.PCG64(8)).random((4000, 4))
+        strided = wide[:, ::2]
+        assert not strided.flags.c_contiguous
+        for got, want in zip(block(strided), block(np.ascontiguousarray(strided))):
+            assert got.tobytes() == want.tobytes()
+        # the maps themselves do not depend on the stride of their levels
+        for curve in (m.investor, m.counterparty):
+            got = curve.inverse_survival(strided[:, 1])
+            assert got.tobytes() == curve.inverse_survival(strided[:, 1].copy()).tobytes()
 
 
 class TestChunkedReduction:
