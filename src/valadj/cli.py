@@ -19,19 +19,25 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .credit import CreditCurve, JointDefaultModel
-from .curves import MarketRates, TermCurve, combined
-from .engine import DEFAULT_PANELS_PER_YEAR, adjustment_correlated, adjustment_independent
+from .curves import MarketRates, TermCurve
+from .engine import (
+    DEFAULT_PANELS_PER_YEAR,
+    _check_coefficients,
+    _correlated_coefficients,
+    _independent_coefficients,
+    adjustment_correlated,
+    adjustment_independent,
+)
 from .errors import InvariantError
 from .instruments import CashflowSchedule, CloseoutSpec
-from .measure import funding_rate
-from .oracle import mc_value_correlated, mc_value_independent
+from .oracle import _dependent_default, _first_default, mc_value_correlated, mc_value_independent
 
 __all__ = ["ScenarioConfig", "ConfigError", "load_config", "run_scenario", "main"]
 
@@ -44,12 +50,8 @@ REGIME_INDEPENDENT = "independent"
 REGIME_CORRELATED = "correlated"
 REGIMES = (REGIME_RISKFREE_CPTY, REGIME_INDEPENDENT, REGIME_CORRELATED)
 
-PROFILE_COLUMNS = (
-    "regime,lambda_bar_I,theta,t,v_X,u,v,alpha,beta,mc_mean,mc_stderr"
-)
-SUMMARY_COLUMNS = (
-    "regime,lambda_bar_I,theta,v_X0,u0,v0,mc_mean,mc_stderr,mc_paths,mc_seed"
-)
+PROFILE_COLUMNS = "regime,lambda_bar_I,theta,t,v_X,u,v,alpha,beta,mc_mean,mc_stderr"
+SUMMARY_COLUMNS = "regime,lambda_bar_I,theta,v_X0,u0,v0,mc_mean,mc_stderr,mc_paths,mc_seed"
 
 
 # Memory per panel grid point: the engine's float64 arrays and
@@ -63,8 +65,9 @@ _ENGINE_BYTES_PER_POINT = 256
 _FLOAT_CHARS = 25  # "-1.2345678901234567e-308" and its comma
 _ROW_OVERHEAD_BYTES = 64
 
-# exp overflows past this argument
-_MAX_EXP = math.log(sys.float_info.max)
+# a run's floating-point rules: an overflow or a NaN raises, so stderr holds
+# only the JSON error; underflow is legitimate (survival and discounts decay)
+_RUN_ERRSTATE = {"divide": "raise", "over": "raise", "invalid": "raise"}
 
 # Every key a config may hold; a list holds items of its one element's
 # schema, None is a leaf.  Curves are a number or a list of nodes.
@@ -109,6 +112,7 @@ class ScenarioConfig:
 
     def to_json_dict(self) -> dict:
         """Canonical JSON form; parsing it back yields an equal config."""
+        schedule = self.schedule
         d = {
             "market": {
                 "risk_free": _node_list(self.market.risk_free),
@@ -116,16 +120,10 @@ class ScenarioConfig:
             },
             "credit": {"investor": _node_list(self.investor.intensity)},
             "bond_recovery": self.bond_recovery,
-            "closeout": {
-                "recovery_investor": self.closeout.recovery_investor,
-                "recovery_counterparty": self.closeout.recovery_counterparty,
-            },
+            "closeout": asdict(self.closeout),
             "schedule": {
-                "flows": [
-                    {"t": t, "amount": a}
-                    for t, a in zip(self.schedule.times, self.schedule.amounts)
-                ],
-                "maturity": self.schedule.maturity,
+                "flows": [{"t": t, "amount": a} for t, a in zip(schedule.times, schedule.amounts)],
+                "maturity": schedule.maturity,
             },
             "regime": self.regime,
             "sweep": {},
@@ -149,15 +147,29 @@ def _node_list(curve: TermCurve) -> list[dict]:
     return [{"t": t, "value": v} for t, v in zip(curve.times, curve.values)]
 
 
+def _real(x) -> bool:
+    """A JSON number; ``bool`` is an ``int`` subclass, but not a number."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_curve(raw, label: str, diags: list) -> TermCurve | None:
     try:
-        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        if _real(raw):
             return TermCurve.flat(raw)
         if isinstance(raw, list):
             return TermCurve.from_nodes((node["t"], node["value"]) for node in raw)
         raise ValueError("expected a number or a list of {t, value} nodes")
     except (ValueError, TypeError, KeyError) as exc:
         diags.append(f"{label}: {exc}")
+        return None
+
+
+def _parse_credit(raw, key: str, name: str, diags: list) -> CreditCurve | None:
+    curve = _parse_curve(raw, f"credit.{key}", diags)
+    try:
+        return None if curve is None else CreditCurve(name, curve)
+    except ValueError as exc:
+        diags.append(f"credit.{key}: {exc}")
         return None
 
 
@@ -196,12 +208,8 @@ def _panel_grid_bytes(cfg: ScenarioConfig, panels_per_year: int) -> int:
     times the engine's bytes per point and one profile row per sweep
     point.  The grid has ``ceil(maturity * panels_per_year) + 1`` uniform
     points plus at most one per flow date and curve node."""
-    curves = [
-        cfg.market.risk_free,
-        cfg.market.collateral,
-        cfg.investor.intensity,
-        *cfg.lambda_bar_sweep,
-    ]
+    curves = [cfg.market.risk_free, cfg.market.collateral, cfg.investor.intensity]
+    curves += cfg.lambda_bar_sweep
     if cfg.counterparty is not None:
         curves.append(cfg.counterparty.intensity)
     # any rate past 2**62 panels a year is as far out of reach; the cap
@@ -210,7 +218,7 @@ def _panel_grid_bytes(cfg: ScenarioConfig, panels_per_year: int) -> int:
     points = uniform + 1 + len(cfg.schedule.times) + sum(len(c.times) for c in curves)
     row_bytes = sum(
         3 * (len(f"{cfg.regime},{lam},{theta},,") + 6 * _FLOAT_CHARS) + _ROW_OVERHEAD_BYTES
-        for lam, theta, *_ in _sweep_points(cfg)
+        for _, lam, theta, _ in _sweep_points(cfg)
     )
     return points * (_ENGINE_BYTES_PER_POINT + row_bytes)
 
@@ -227,44 +235,6 @@ def _panel_memory_problem(cfg: ScenarioConfig, panels_per_year: int) -> str | No
     )
 
 
-def _lambda_bar_growth(market, investor, recovery_bond, lambda_bar, maturity) -> float:
-    """Largest ``int_0^t ((1 - R) lambda_bar - max(r_F, 0))`` over ``t`` up
-    to ``maturity``.
-
-    ``-int r_bar = int ((1 - R) lambda_bar - r_F)`` is the log of the
-    internal discount factor the simulator takes; this lower bound of it
-    credits a positive funding rate only, so what it finds overflowing is
-    lambda_bar's doing.  The integrand is piecewise constant, so the
-    largest value is at a node or at maturity.
-    """
-    rec = 1.0 - recovery_bond
-    growth = combined(
-        (funding_rate(market, investor, recovery_bond), lambda_bar),
-        lambda r_f, lam: rec * lam - np.maximum(r_f, 0.0),
-    )
-    times = [t for t in growth.times if t < maturity] + [maturity]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(growth.cumulative(np.array(times))))
-
-
-def _theta_overflows(investor, counterparty, theta, maturity) -> bool:
-    """Whether dependence ``theta`` overflows ``S`` or the first-to-default
-    intensities ``lam_N exp(theta H_N) / S`` at some ``t`` up to
-    ``maturity``.
-
-    The factors grow with the cumulative hazards, which never decrease,
-    so on each hazard segment they peak at its end: the one-sided values
-    at the nodes and at maturity are enough.
-    """
-    model = JointDefaultModel(investor, counterparty, theta)
-    curves = (investor.intensity, counterparty.intensity)
-    ts = np.array(sorted({t for c in curves for t in c.times if t < maturity} | {maturity}))
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = (*model.ftd_intensity(ts), *model.ftd_intensity(ts, left=True))
-        values += (model.log_joint_survival(ts, ts),)
-    return not all(np.all(np.isfinite(v)) for v in values)
-
-
 def _parse_config_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["config root must be a JSON object"])
@@ -273,35 +243,18 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
     market_doc = _section(doc, "market", diags)
     risk_free = _parse_curve(market_doc.get("risk_free"), "market.risk_free", diags)
     collateral = _parse_curve(market_doc.get("collateral"), "market.collateral", diags)
-    market = (
-        MarketRates(risk_free, collateral)
-        if risk_free is not None and collateral is not None
-        else None
-    )
+    market = None
+    if risk_free is not None and collateral is not None:
+        market = MarketRates(risk_free, collateral)
 
     credit_doc = _section(doc, "credit", diags)
-    investor = None
-    inv_curve = _parse_curve(credit_doc.get("investor"), "credit.investor", diags)
-    if inv_curve is not None:
-        try:
-            investor = CreditCurve("I", inv_curve)
-        except ValueError as exc:
-            diags.append(f"credit.investor: {exc}")
+    investor = _parse_credit(credit_doc.get("investor"), "investor", "I", diags)
     counterparty = None
     if credit_doc.get("counterparty") is not None:
-        cpty_curve = _parse_curve(
-            credit_doc.get("counterparty"), "credit.counterparty", diags
-        )
-        if cpty_curve is not None:
-            try:
-                counterparty = CreditCurve("C", cpty_curve)
-            except ValueError as exc:
-                diags.append(f"credit.counterparty: {exc}")
+        counterparty = _parse_credit(credit_doc["counterparty"], "counterparty", "C", diags)
 
     bond_recovery = doc.get("bond_recovery", 0.0)
-    if not isinstance(bond_recovery, (int, float)) or isinstance(bond_recovery, bool) or not (
-        math.isfinite(bond_recovery) and 0.0 <= bond_recovery <= 1.0
-    ):
+    if not (_real(bond_recovery) and math.isfinite(bond_recovery) and 0 <= bond_recovery <= 1):
         diags.append("bond_recovery: recovery out of range [0, 1]")
         bond_recovery = 0.0
 
@@ -340,25 +293,8 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
             diags.append("sweep.theta: correlated regime needs at least one theta")
         else:
             for i, th in enumerate(thetas):
-                if (
-                    not isinstance(th, (int, float))
-                    or isinstance(th, bool)
-                    or not math.isfinite(th)
-                    or th < 0
-                ):
+                if not (_real(th) and math.isfinite(th) and th >= 0):
                     diags.append(f"sweep.theta[{i}]: must be a finite number >= 0")
-                elif (
-                    th > 0  # theta = 0 is the product law: no copula terms
-                    and investor is not None
-                    and counterparty is not None
-                    and schedule is not None
-                    and _theta_overflows(investor, counterparty, th, schedule.maturity)
-                ):
-                    diags.append(
-                        f"sweep.theta[{i}]: the first-to-default intensities "
-                        f"lam * exp(theta * H) / S, with H the cumulative default "
-                        f"hazard, overflow before maturity; lower theta"
-                    )
                 else:
                     theta_sweep.append(float(th))
         if bond_recovery != 0.0:
@@ -370,34 +306,18 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
         if lams is not None and not isinstance(lams, list):
             diags.append("sweep.lambda_bar: must be a list of curves")
         elif not lams:
-            diags.append(
-                "sweep.lambda_bar: this regime needs at least one lambda_bar_I entry"
-            )
+            diags.append("sweep.lambda_bar: this regime needs at least one lambda_bar_I entry")
         else:
+            # the set-up rejects a negative one (measure.internal_rate)
             for i, raw in enumerate(lams):
                 curve = _parse_curve(raw, f"sweep.lambda_bar[{i}]", diags)
-                if curve is None:
-                    continue
-                if any(v < 0.0 for v in curve.values):
-                    diags.append(f"sweep.lambda_bar[{i}]: must be non-negative")
-                    continue
-                if market is not None and investor is not None and schedule is not None:
-                    growth = _lambda_bar_growth(
-                        market, investor, bond_recovery, curve, schedule.maturity
-                    )
-                    if not growth <= _MAX_EXP:
-                        diags.append(
-                            f"sweep.lambda_bar[{i}]: the internal discount factor "
-                            f"exp(-int r_bar) reaches exp({growth:.6g}) before maturity, "
-                            f"past exp({_MAX_EXP:.6g}); lower (1 - bond_recovery) lambda_bar"
-                        )
-                        continue
-                lambda_bar_sweep.append(curve)
+                if curve is not None:
+                    lambda_bar_sweep.append(curve)
 
-    if regime in (REGIME_INDEPENDENT, REGIME_CORRELATED) and counterparty is None:
+    # a listed counterparty that fails to parse has its own diagnostic
+    listed = credit_doc.get("counterparty") is not None
+    if regime in (REGIME_INDEPENDENT, REGIME_CORRELATED) and not listed:
         diags.append(f"credit.counterparty: required by the {regime} regime")
-    if investor is None and not any(d.startswith("credit.investor") for d in diags):
-        diags.append("credit.investor: required")
 
     numerics = _section(doc, "numerics", diags)
     panels = numerics.get("panels_per_year", DEFAULT_PANELS_PER_YEAR)
@@ -445,10 +365,28 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
         profiles_out=profiles_out,
         summary_out=summary_out,
     )
+    diags = list(_set_up_problems(cfg))
     problem = _panel_memory_problem(cfg, panels)
     if problem is not None:
-        raise ConfigError([f"numerics.panels_per_year: {problem}"])
+        diags.append(f"numerics.panels_per_year: {problem}")
+    if diags:
+        raise ConfigError(diags)
     return cfg
+
+
+def _set_up_problems(cfg: ScenarioConfig):
+    """Build what ``run --mc`` builds for each sweep point before its
+    panels and paths, under the run's floating-point rules, and yield a
+    diagnostic naming each point that fails, the quantity and the time.
+    An overflow in panel propagation is left to the run (exit 3)."""
+    *_, coefficients, simulator = _regime_functions(cfg.regime)
+    for key, _, _, args in _sweep_points(cfg):
+        try:
+            with np.errstate(**_RUN_ERRSTATE):
+                _check_coefficients(*coefficients(*args), maturity=cfg.schedule.maturity)
+                simulator(*args)
+        except (InvariantError, ValueError, ArithmeticError) as exc:
+            yield f"{key}: {exc}"
 
 
 def load_config(path) -> ScenarioConfig:
@@ -490,24 +428,31 @@ def _lambda_label(curve: TermCurve) -> str:
     return f"piecewise({nodes})"
 
 
-def _sweep_points(cfg: ScenarioConfig):
-    """Yield ``(lambda_label, theta_label, solve, simulate, args)`` per
-    point: the engine's and the oracle's function for the regime, both
-    called on the point's ``args``.
+def _regime_functions(regime: str) -> tuple:
+    """``(solve, simulate)`` of ``regime`` and the set-ups they start with,
+    all called on a sweep point's ``args``; looked up per call, so a
+    wrapper installed on these names sees every call."""
+    if regime == REGIME_CORRELATED:
+        return (adjustment_correlated, mc_value_correlated,
+                _correlated_coefficients, _dependent_default)
+    return adjustment_independent, mc_value_independent, _independent_coefficients, _first_default
 
+
+def _sweep_points(cfg: ScenarioConfig):
+    """Yield ``(key, lambda_label, theta_label, args)`` per point: its
+    config key, its report labels and its regime functions' arguments.
     ``riskfree_cpty`` is ``independent`` without a counterparty, even
-    when the config lists one.
-    """
+    when the config lists one."""
     if cfg.regime == REGIME_CORRELATED:
-        for theta in cfg.theta_sweep:
+        for i, theta in enumerate(cfg.theta_sweep):
             model = JointDefaultModel(cfg.investor, cfg.counterparty, theta)
             args = (cfg.market, model, cfg.schedule, cfg.closeout)
-            yield _fmt(0.0), _fmt(theta), adjustment_correlated, mc_value_correlated, args
+            yield f"sweep.theta[{i}]", _fmt(0.0), _fmt(theta), args
         return
     cpty = cfg.counterparty if cfg.regime == REGIME_INDEPENDENT else None
-    for lam in cfg.lambda_bar_sweep:
+    for i, lam in enumerate(cfg.lambda_bar_sweep):
         args = (cfg.market, cfg.investor, cpty, cfg.bond_recovery, lam, cfg.schedule, cfg.closeout)
-        yield _lambda_label(lam), "", adjustment_independent, mc_value_independent, args
+        yield f"sweep.lambda_bar[{i}]", _lambda_label(lam), "", args
 
 
 def run_scenario(
@@ -523,7 +468,8 @@ def run_scenario(
     Returns the paths written.  Rows appear in config order; the Monte
     Carlo columns are populated on the ``t = 0`` profile row of each
     sweep point (the estimate targets the time-0 value) and stay empty
-    when simulation is off.
+    when simulation is off.  A numeric failure is raised again with the
+    failing point's config key in front of its message.
     """
     ppy = panels_per_year if panels_per_year is not None else cfg.panels_per_year
     base = Path(out_dir) if out_dir is not None else Path(".")
@@ -531,33 +477,23 @@ def run_scenario(
     profile_lines = [PROFILE_COLUMNS]
     summary_lines = [SUMMARY_COLUMNS]
 
-    for i, (lam_label, theta_label, solve, simulate, args) in enumerate(_sweep_points(cfg)):
-        profile = solve(*args, panels_per_year=ppy)
-        mc_mean = mc_err = ""
-        mc_paths = mc_seed = ""
-        if with_mc:
-            est = simulate(*args, cfg.mc_paths, cfg.seed + i)
-            mc_mean, mc_err = _fmt(est.mean), _fmt(est.std_error)
-            mc_paths, mc_seed = str(est.paths), str(est.seed)
+    solve, simulate, *_ = _regime_functions(cfg.regime)
+    for i, (key, lam_label, theta_label, args) in enumerate(_sweep_points(cfg)):
+        mc_mean = mc_err = mc_paths = mc_seed = ""
+        try:
+            profile = solve(*args, panels_per_year=ppy)
+            if with_mc:
+                est = simulate(*args, cfg.mc_paths, cfg.seed + i)
+                mc_mean, mc_err = _fmt(est.mean), _fmt(est.std_error)
+                mc_paths, mc_seed = str(est.paths), str(est.seed)
+        except (InvariantError, ArithmeticError) as exc:
+            raise type(exc)(f"{key}: {exc}") from exc
         profile_lines.extend(
             _profile_rows(f"{cfg.regime},{lam_label},{theta_label}", profile, mc_mean, mc_err)
         )
-        summary_lines.append(
-            ",".join(
-                (
-                    cfg.regime,
-                    lam_label,
-                    theta_label,
-                    _fmt(profile.v_x[0]),
-                    _fmt(profile.u[0]),
-                    _fmt(profile.v[0]),
-                    mc_mean,
-                    mc_err,
-                    mc_paths,
-                    mc_seed,
-                )
-            )
-        )
+        values = map(_fmt, (profile.v_x[0], profile.u[0], profile.v[0]))
+        row = (cfg.regime, lam_label, theta_label, *values, mc_mean, mc_err, mc_paths, mc_seed)
+        summary_lines.append(",".join(row))
         mc_note = f" mc={mc_mean}+-{mc_err}" if with_mc else ""
         echo(
             f"{cfg.regime} lambda_bar_I={lam_label}"
@@ -565,11 +501,10 @@ def run_scenario(
             + f" u0={_fmt(profile.u[0])} v0={_fmt(profile.v[0])}{mc_note}"
         )
 
-    profiles_path = base / cfg.profiles_out
-    summary_path = base / cfg.summary_out
-    _write_atomic(profiles_path, "\n".join(profile_lines) + "\n")
-    _write_atomic(summary_path, "\n".join(summary_lines) + "\n")
-    return profiles_path, summary_path
+    paths = (base / cfg.profiles_out, base / cfg.summary_out)
+    for path, lines in zip(paths, (profile_lines, summary_lines)):
+        _write_atomic(path, "\n".join(lines) + "\n")
+    return paths
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -608,9 +543,7 @@ def main(argv=None) -> int:
     run_p.add_argument("config")
     run_p.add_argument("--mc", action="store_true", help="also run the Monte Carlo check")
     run_p.add_argument("--out", default=None, help="output directory (default: cwd)")
-    run_p.add_argument(
-        "--panels", type=int, default=None, help="override panels per year"
-    )
+    run_p.add_argument("--panels", type=int, default=None, help="override panels per year")
 
     val_p = sub.add_parser("validate", help="parse a config and report problems")
     val_p.add_argument("config")
@@ -638,15 +571,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             return _fail(EXIT_CONFIG, "config", f"--out: cannot create the directory: {exc}")
     try:
-        # an overflow or a NaN raises, so stderr holds only the JSON error;
-        # underflow is legitimate (survival and discount factors decay)
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            run_scenario(
-                cfg, with_mc=args.mc, out_dir=args.out, panels_per_year=args.panels
-            )
-    except InvariantError as exc:
-        return _fail(EXIT_NUMERIC, "numeric", str(exc))
-    except (FloatingPointError, ArithmeticError) as exc:
+        with np.errstate(**_RUN_ERRSTATE):
+            run_scenario(cfg, with_mc=args.mc, out_dir=args.out, panels_per_year=args.panels)
+    except (InvariantError, ArithmeticError) as exc:
         return _fail(EXIT_NUMERIC, "numeric", str(exc))
     except ValueError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))

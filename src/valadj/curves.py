@@ -135,7 +135,12 @@ class TermCurve:
         # cumulative integral at each node, used by cumulative()
         cum = np.zeros(len(times))
         if len(times) > 1:
-            cum[1:] = np.cumsum(v_arr[:-1] * np.diff(t_arr))
+            with np.errstate(over="ignore", invalid="ignore"):
+                cum[1:] = np.cumsum(v_arr[:-1] * np.diff(t_arr))
+            finite = np.isfinite(cum)
+            if not finite.all():
+                t = times[int(np.argmin(finite))]
+                raise ValueError(f"curve integral overflows a double at t = {t!r}")
         object.__setattr__(self, "_times", t_arr)
         object.__setattr__(self, "_values", v_arr)
         object.__setattr__(self, "_cum", cum)

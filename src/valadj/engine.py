@@ -47,17 +47,13 @@ import numpy as np
 
 from .credit import CreditCurve, JointDefaultModel
 from .curves import MarketRates, TermCurve, as_curve
-from .errors import InvariantError
+from .errors import InvariantError, _require_finite
 from .instruments import CashflowSchedule, CloseoutSpec, collateral_value
 from .measure import internal_rate
 
 __all__ = [
-    "AdjustmentProfile",
-    "DEFAULT_PANELS_PER_YEAR",
-    "panel_grid",
-    "solve_linear_adjustment",
-    "adjustment_independent",
-    "adjustment_correlated",
+    "AdjustmentProfile", "DEFAULT_PANELS_PER_YEAR", "panel_grid", "solve_linear_adjustment",
+    "adjustment_independent", "adjustment_correlated",
 ]
 
 DEFAULT_PANELS_PER_YEAR = 512
@@ -102,6 +98,41 @@ def panel_grid(
     return np.union1d(base, inner) if inner else base
 
 
+def _coefficients(edges: np.ndarray, alpha, alpha_cumulative, beta) -> tuple:
+    """What the solver reads on the panels between ``edges``: ``alpha`` and
+    ``(beta, v_X)`` on the edges, ``beta`` at the midpoints and its left
+    limits at the right ends, and ``int alpha`` over each panel's first
+    half and whole.  Raises :class:`InvariantError` where one is not finite."""
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    # an overflow shows as inf or NaN, which the check below names
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        alpha_edge = np.asarray(alpha(edges), dtype=float)
+        beta_edge, vx_edge = np.asarray(beta(edges, False), dtype=float)
+        beta_mid = np.asarray(beta(mids, False)[0], dtype=float)
+        beta_end = np.asarray(beta(edges[1:], True)[0], dtype=float)
+        a_edge = np.asarray(alpha_cumulative(edges), dtype=float)
+        a_half = np.asarray(alpha_cumulative(mids), dtype=float) - a_edge[:-1]
+        a_full = a_edge[1:] - a_edge[:-1]
+    _require_finite(
+        ("alpha coefficient", edges, alpha_edge),
+        ("beta coefficient", edges, beta_edge),
+        ("beta coefficient", mids, beta_mid),
+        ("beta coefficient", edges[1:], beta_end),
+        ("integrated alpha", mids, a_half),
+        ("integrated alpha", edges[1:], a_full),
+    )
+    return alpha_edge, beta_edge, vx_edge, beta_mid, beta_end, a_half, a_full
+
+
+def _check_coefficients(alpha, alpha_cumulative, beta, breakpoints, *, maturity: float) -> None:
+    """:func:`_coefficients` on 0, the breakpoints and ``maturity`` only.
+    Between breakpoints each coefficient is constant, linear or one
+    exponential (the first-to-default factors are monotone), so where it
+    is finite at both ends it is on every panel grid."""
+    edges = sorted({0.0, maturity, *(b for b in breakpoints if 0.0 < b < maturity)})
+    _coefficients(np.array(edges), alpha, alpha_cumulative, beta)
+
+
 def solve_linear_adjustment(
     alpha: Callable,
     alpha_cumulative: Callable,
@@ -130,38 +161,17 @@ def solve_linear_adjustment(
     jump only at ``breakpoints``.
     """
     edges = panel_grid(maturity, breakpoints, panels_per_year)
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    alpha_edge, beta_edge, vx_edge, beta_mid, beta_end, a_half, a_full = _coefficients(
+        edges, alpha, alpha_cumulative, beta
+    )
     widths = np.diff(edges)
     n_panels = len(widths)
-
-    alpha_edge = np.asarray(alpha(edges), dtype=float)
-    beta_edge, vx_edge = np.asarray(beta(edges, False), dtype=float)
-    beta_mid = np.asarray(beta(mids, False)[0], dtype=float)
-    beta_end = np.asarray(beta(edges[1:], True)[0], dtype=float)
-
-    a_edge = np.asarray(alpha_cumulative(edges), dtype=float)
-    a_mid = np.asarray(alpha_cumulative(mids), dtype=float)
-    a_half = a_mid - a_edge[:-1]
-    a_full = a_edge[1:] - a_edge[:-1]
-
-    for label, arr in (
-        ("alpha", alpha_edge),
-        ("beta", beta_edge),
-        ("beta", beta_mid),
-        ("beta", beta_end),
-        ("integrated alpha", a_half),
-        ("integrated alpha", a_full),
-    ):
-        if not np.all(np.isfinite(arr)):
-            raise InvariantError(f"non-finite {label} coefficient on the panel grid")
 
     # overflow here is handled by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         w_mid = np.exp(-a_half)
         w_end = np.exp(-a_full)
-        local = (widths / 6.0) * (
-            beta_edge[:-1] + 4.0 * beta_mid * w_mid + beta_end * w_end
-        )
+        local = (widths / 6.0) * (beta_edge[:-1] + 4.0 * beta_mid * w_mid + beta_end * w_end)
 
         u = np.zeros(n_panels + 1)
         acc = 0.0
@@ -169,15 +179,12 @@ def solve_linear_adjustment(
             acc = local[k] + w_end[k] * acc
             u[k] = acc
     if not np.all(np.isfinite(u)):
-        raise InvariantError("adjustment overflowed during panel propagation")
+        # once non-finite, u stays so down to t = 0: name where it broke
+        t = float(edges[np.flatnonzero(~np.isfinite(u))[-1]])
+        raise InvariantError(f"adjustment overflowed during panel propagation at t = {t!r}")
 
     return AdjustmentProfile(
-        grid=edges,
-        v_x=vx_edge,
-        u=u,
-        v=vx_edge + u,
-        alpha=alpha_edge,
-        beta=beta_edge,
+        grid=edges, v_x=vx_edge, u=u, v=vx_edge + u, alpha=alpha_edge, beta=beta_edge
     )
 
 
@@ -191,6 +198,30 @@ def _flow_breakpoints(schedule: CashflowSchedule, *curves: TermCurve) -> set:
     for c in curves:
         pts.update(c.times)
     return pts
+
+
+def _independent_coefficients(
+    market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
+) -> tuple:
+    """``(alpha, alpha_cumulative, beta, breakpoints)`` of :func:`adjustment_independent`."""
+    lam_bar = as_curve(lambda_bar)
+    lam_c = counterparty.intensity if counterparty is not None else TermCurve.flat(0.0)
+    r_bar = internal_rate(market, investor, recovery_bond, lam_bar)
+    alpha_curve = r_bar + lam_bar + lam_c
+    spread = r_bar - market.collateral
+    loss_i = 1.0 - closeout.recovery_investor
+    loss_c = 1.0 - closeout.recovery_counterparty
+
+    def beta(t, left):
+        x = np.asarray(collateral_value(schedule, market.collateral, t, left=left), dtype=float)
+        return (
+            loss_i * _at(lam_bar, t, left) * np.maximum(-x, 0.0)
+            - loss_c * _at(lam_c, t, left) * np.maximum(x, 0.0)
+            - _at(spread, t, left) * x
+        ), x
+
+    breakpoints = _flow_breakpoints(schedule, alpha_curve, spread, market.collateral)
+    return alpha_curve.value, alpha_curve.cumulative, beta, breakpoints
 
 
 def adjustment_independent(
@@ -211,49 +242,19 @@ def adjustment_independent(
     ``counterparty=None`` never defaults (``lam_C = 0``): the
     ``riskfree_cpty`` regime.
     """
-    lam_bar = as_curve(lambda_bar)
-    lam_c = counterparty.intensity if counterparty is not None else TermCurve.flat(0.0)
-    r_bar = internal_rate(market, investor, recovery_bond, lam_bar)
-    alpha_curve = r_bar + lam_bar + lam_c
-    spread = r_bar - market.collateral
-    loss_i = 1.0 - closeout.recovery_investor
-    loss_c = 1.0 - closeout.recovery_counterparty
-
-    def beta(t, left):
-        x = np.asarray(collateral_value(schedule, market.collateral, t, left=left), dtype=float)
-        return (
-            loss_i * _at(lam_bar, t, left) * np.maximum(-x, 0.0)
-            - loss_c * _at(lam_c, t, left) * np.maximum(x, 0.0)
-            - _at(spread, t, left) * x
-        ), x
-
+    *coefficients, breakpoints = _independent_coefficients(
+        market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
+    )
     return solve_linear_adjustment(
-        alpha_curve.value,
-        alpha_curve.cumulative,
-        beta,
+        *coefficients,
         maturity=schedule.maturity,
-        breakpoints=_flow_breakpoints(
-            schedule, alpha_curve, spread, market.collateral
-        ),
+        breakpoints=breakpoints,
         panels_per_year=panels_per_year,
     )
 
 
-def adjustment_correlated(
-    market: MarketRates,
-    model: JointDefaultModel,
-    schedule: CashflowSchedule,
-    closeout: CloseoutSpec,
-    *,
-    panels_per_year: int = DEFAULT_PANELS_PER_YEAR,
-) -> AdjustmentProfile:
-    """Adjustment with dependent defaults, zero bond recovery and the
-    investor internally default-free.
-
-    The cumulative hazard of the first default has the closed form
-    ``-log U(t, t)``, so the exponential propagation stays exact even
-    though the first-to-default intensities vary inside panels.
-    """
+def _correlated_coefficients(market, model, schedule, closeout) -> tuple:
+    """``(alpha, alpha_cumulative, beta, breakpoints)`` of :func:`adjustment_correlated`."""
     r = market.risk_free
     r_x = market.collateral
     lam_c = model.counterparty.intensity
@@ -276,13 +277,29 @@ def adjustment_correlated(
         carry = _at(r, t, left) + ftd_sum(t, left) - lc - _at(r_x, t, left)
         return -loss_c * lc * np.maximum(x, 0.0) - carry * x, x
 
+    breakpoints = _flow_breakpoints(schedule, r, r_x, model.investor.intensity, lam_c)
+    return alpha, alpha_cumulative, beta, breakpoints
+
+
+def adjustment_correlated(
+    market: MarketRates,
+    model: JointDefaultModel,
+    schedule: CashflowSchedule,
+    closeout: CloseoutSpec,
+    *,
+    panels_per_year: int = DEFAULT_PANELS_PER_YEAR,
+) -> AdjustmentProfile:
+    """Adjustment with dependent defaults, zero bond recovery and the
+    investor internally default-free.
+
+    The cumulative hazard of the first default has the closed form
+    ``-log U(t, t)``, so the exponential propagation stays exact even
+    though the first-to-default intensities vary inside panels.
+    """
+    *coefficients, breakpoints = _correlated_coefficients(market, model, schedule, closeout)
     return solve_linear_adjustment(
-        alpha,
-        alpha_cumulative,
-        beta,
+        *coefficients,
         maturity=schedule.maturity,
-        breakpoints=_flow_breakpoints(
-            schedule, r, r_x, model.investor.intensity, lam_c
-        ),
+        breakpoints=breakpoints,
         panels_per_year=panels_per_year,
     )

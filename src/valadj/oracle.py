@@ -41,15 +41,13 @@ ex-dividend mark ``v_X(tau)``, so a flow dated exactly ``tau`` is
 neither paid nor marked (a null event under continuous default laws).
 Everything that does not depend on the path is computed once per
 simulation, in a table on the grid ``G`` of 0, the flow dates and the
-nodes of every curve the payoff reads (``_Segments``): per segment the
-flows paid, ``v_X`` and the discount as exponentials of the time spent
-in it.  Surviving paths (no default up to maturity) take the full flow
-sum and are not located; a defaulting path costs one lookup in a
-uniform bucket table over ``G`` (a multiply, a gather and a fix-up pass
-per grid point sharing its bucket, at most a few), a few gathers and one
-``exp`` (plus the copula term for dependent defaults).  Payoffs
-therefore cost ``O(paths + defaults)``, with ``O(|G|)`` set-up, and
-``v_X`` is marked once per simulation, at the flow dates.
+nodes of every curve the payoff reads (``_Segments``), and checked: a
+set-up whose payoffs could overflow raises ``InvariantError``, naming
+the quantity and the time, before any path is drawn.  Surviving paths
+take the full flow sum; a defaulting path costs one bucket lookup in
+``G``, a few gathers and one ``exp`` (plus the copula term for
+dependent defaults).  Payoffs therefore cost ``O(paths + defaults)``,
+with ``O(|G|)`` set-up, and ``v_X`` is marked once per simulation.
 
 Default times map from uniforms through the inverse survival function;
 ``inf`` means the name never defaults on the path.  For dependent
@@ -70,15 +68,11 @@ import numpy as np
 
 from .credit import CreditCurve, JointDefaultModel, _conditional_inverse, _log_clayton
 from .curves import MarketRates, _Locator, as_curve
+from .errors import _require_finite
 from .instruments import CashflowSchedule, CloseoutSpec, closeout_values, collateral_value
 from .measure import internal_rate
 
-__all__ = [
-    "McEstimate",
-    "sample_joint_defaults",
-    "mc_value_independent",
-    "mc_value_correlated",
-]
+__all__ = ["McEstimate", "sample_joint_defaults", "mc_value_independent", "mc_value_correlated"]
 
 
 @dataclass(frozen=True)
@@ -215,6 +209,9 @@ class _Segments:
         self.grid = grid
         self._locate = _Locator(grid)
         self.maturity = schedule.maturity
+        # the time a default can spend in each segment; the last one ends
+        # at maturity
+        self.span = np.diff(np.append(grid, self.maturity))
         flow_at = np.searchsorted(grid, times)  # flow dates are grid points
         upto = np.searchsorted(times, grid, side="right")  # flows dated <= g_j
 
@@ -250,6 +247,25 @@ class _Segments:
         return hit, j, dt, paid
 
 
+def _check_payoffs(seg: _Segments, settles, log_scale, slope) -> None:
+    """Raise :class:`InvariantError` where a payoff of ``seg`` is not
+    finite.  A default ``dt`` into segment ``j`` is paid its flows and
+    ``settle[j] * exp(log_scale[j] + slope[j] * dt)`` for one of
+    ``settles`` (the exponent may be an upper bound): linear in ``dt``,
+    so the payoffs at a segment's two ends bound those inside it."""
+    at = (seg.grid, seg.grid, seg.grid + seg.span)
+    paid = (seg.paid_before, seg.paid_upto, seg.paid_upto)
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = np.exp(log_scale)
+        growth = (start, start, np.exp(log_scale + slope * seg.span))
+        closeouts = [
+            ("discounted closeout", t, p + k * g)
+            for k in settles
+            for t, p, g in zip(at, paid, growth)
+        ]
+    _require_finite(("discounted flows", seg.grid, seg.paid_upto), *closeouts)
+
+
 def _first_default(
     market: MarketRates,
     investor: CreditCurve,
@@ -277,11 +293,13 @@ def _first_default(
     r_bar = internal_rate(market, investor, recovery_bond, lam_bar)
     sampler = CreditCurve(name="internal:" + investor.name, intensity=lam_bar)
     grid = _segment_grid(schedule, (market.collateral, r_bar))
-    log_discount = -np.asarray(r_bar.cumulative(grid))
-    seg = _Segments(schedule, market.collateral, grid, log_discount)
-    k_i, k_c = closeout_values(closeout, seg.owed)
-    log_scale = seg.log_vx + log_discount
-    slope = seg.rate_x - np.asarray(r_bar.value(grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_discount = -np.asarray(r_bar.cumulative(grid))
+        seg = _Segments(schedule, market.collateral, grid, log_discount)
+        k_i, k_c = closeout_values(closeout, seg.owed)
+        log_scale = seg.log_vx + log_discount
+        slope = seg.rate_x - np.asarray(r_bar.value(grid))
+    _check_payoffs(seg, (k_i,) if counterparty is None else (k_i, k_c), log_scale, slope)
 
     def block(w):
         # one column copy at a time, freed before the next: copying both
@@ -328,16 +346,9 @@ def mc_value_independent(
     return _estimate(_simulate(paths, seed, per_path, lambda w: block(w)[2]), seed)
 
 
-def mc_value_correlated(
-    market: MarketRates,
-    model: JointDefaultModel,
-    schedule: CashflowSchedule,
-    closeout: CloseoutSpec,
-    paths: int,
-    seed: int,
-) -> McEstimate:
-    """Simulate v(0) with dependent defaults, zero bond recovery and the
-    investor internally default-free.
+def _dependent_default(market, model, schedule, closeout):
+    """The dependent-default simulator, its constants built once; returns
+    ``(1, block)``, ``block`` mapping a block of uniforms to payoffs.
 
     Only ``tau_C`` is random (its internal law equals the market one);
     the numeraire is the survival-contingent bank account, so a flow at
@@ -347,7 +358,9 @@ def mc_value_correlated(
 
     On a segment ``r``, ``lam_I`` and ``lam_C`` are constant, so the
     cumulative rate and hazards at a default time are read off the
-    segment table; only the copula term is evaluated per path.
+    segment table; only the copula term is evaluated per path.  It is
+    checked at both ends of every segment, and the payoffs are checked
+    with ``U(t,t) / U_C(t) <= 1``, as the copula term is concave in ``dt``.
     """
     curves = (market.risk_free, model.investor.intensity, model.counterparty.intensity)
 
@@ -356,10 +369,15 @@ def mc_value_correlated(
         return -h_r + _log_clayton(h_i, h_c, model.theta) + h_c
 
     grid = _segment_grid(schedule, (market.collateral, *curves))
-    cum = [np.asarray(c.cumulative(grid)) for c in curves]
-    rate = [np.asarray(c.value(grid)) for c in curves]
-    seg = _Segments(schedule, market.collateral, grid, log_weight(*cum))
-    _, k_c = closeout_values(closeout, seg.owed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cum = [np.asarray(c.cumulative(grid)) for c in curves]
+        rate = [np.asarray(c.value(grid)) for c in curves]
+        start = log_weight(*cum)
+        seg = _Segments(schedule, market.collateral, grid, start)
+        _, k_c = closeout_values(closeout, seg.owed)
+        end = log_weight(*(h + lam * seg.span for h, lam in zip(cum, rate)))
+    _require_finite(("log discount", grid, start), ("log discount", grid + seg.span, end))
+    _check_payoffs(seg, (k_c,), seg.log_vx - cum[0], seg.rate_x - rate[0])
 
     def block(w):
         payoff = np.full(len(w), seg.paid_all)
@@ -369,4 +387,18 @@ def mc_value_correlated(
             payoff[hit] = paid + k_c[j] * np.exp(seg.log_vx[j] + seg.rate_x[j] * dt + log_w)
         return payoff
 
-    return _estimate(_simulate(paths, seed, 1, block), seed)
+    return 1, block
+
+
+def mc_value_correlated(
+    market: MarketRates,
+    model: JointDefaultModel,
+    schedule: CashflowSchedule,
+    closeout: CloseoutSpec,
+    paths: int,
+    seed: int,
+) -> McEstimate:
+    """Simulate v(0) with dependent defaults, zero bond recovery and the
+    investor internally default-free (:func:`_dependent_default`)."""
+    per_path, block = _dependent_default(market, model, schedule, closeout)
+    return _estimate(_simulate(paths, seed, per_path, block), seed)

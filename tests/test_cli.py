@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,6 +45,26 @@ def base_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def shipped_config(name, counterparty=None, flows=None, theta=None):
+    """A shipped config at 4096 paths, with the given changes."""
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    doc["numerics"]["mc_paths"] = 4096
+    if counterparty is not None:
+        doc["credit"]["counterparty"] = counterparty
+    if flows is not None:
+        doc["schedule"] = {"flows": [{"t": t, "amount": 1.0} for t in flows]}
+    if theta is not None:
+        doc["sweep"]["theta"] = theta
+    return doc
+
+
+def propagation_overflow_doc():
+    """A config whose set-up is finite, so it validates, and whose run
+    overflows in panel propagation: with a counterparty hazard of 9e307,
+    Simpson's ``4 * beta_mid`` term is past the largest double."""
+    return shipped_config("correlated_bond", counterparty=9e307, flows=[1.0], theta=[0.0])
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -160,9 +181,10 @@ class TestValidate:
         assert main(["validate", str(path)]) == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)
         (diag,) = err["diagnostics"]
-        assert diag.startswith("sweep.lambda_bar[1]:") and "exp(-int r_bar)" in diag
-        # the bound is (1 - R) int_0^t lambda_bar - int_0^t r_F <= log(max
-        # float) for t up to maturity, with r_F = 0.022 here
+        assert diag == "sweep.lambda_bar[1]: non-finite discounted closeout at t = 1.0"
+        # the simulator's discount exp(-int_0^t r_bar) = exp((1 - R) int_0^t
+        # lambda_bar - int_0^t r_F) must stay finite up to maturity, with
+        # r_F = 0.022 here
         for lam, code in ((709.0 / 0.6, EXIT_OK), (710.0 / 0.6, EXIT_CONFIG)):
             doc = base_config(sweep={"lambda_bar": [lam]})
             assert main(["validate", str(write_config(tmp_path, doc))]) == code
@@ -294,6 +316,58 @@ class TestValidate:
             else:
                 assert err == ""
         assert out.exists() == (code == EXIT_OK)
+
+    @pytest.mark.parametrize(
+        "doc, diagnostics",
+        [
+            # the simulator's discount exp(-int r_bar) overflows
+            (
+                base_config(sweep={"lambda_bar": [0.0, 1e300, 0.02]}),
+                ["sweep.lambda_bar[1]: non-finite discounted closeout at t = 1.0"],
+            ),
+            (
+                base_config(market={"risk_free": -1e6, "collateral": 0.005}),
+                [f"sweep.lambda_bar[{i}]: non-finite discounted closeout at t = 1.0"
+                 for i in (0, 1)],
+            ),
+            # exp(theta * H_C) overflows at maturity
+            (
+                shipped_config("correlated_bond", theta=[0.0, 23700.0]),
+                ["sweep.theta[1]: non-finite alpha coefficient at t = 1.0"],
+            ),
+            # the counterparty's cumulative hazard overflows before the flow
+            (
+                shipped_config("independent_mixed", counterparty=1e307, flows=[100.0]),
+                [f"sweep.lambda_bar[{i}]: non-finite integrated alpha at t = 50.0"
+                 for i in (0, 1)],
+            ),
+            (
+                shipped_config("correlated_mixed", counterparty=1e307, flows=[100.0]),
+                [f"sweep.theta[{i}]: non-finite beta coefficient at t = 50.0" for i in (0, 1, 2)],
+            ),
+            # the integral of a curve overflows at one of its nodes
+            (
+                shipped_config(
+                    "correlated_bond",
+                    counterparty=[{"t": 0.0, "value": 2.0**1023}, {"t": 2.0, "value": 0.0}],
+                    flows=[1.0],
+                    theta=[0.0],
+                ),
+                ["credit.counterparty: curve integral overflows a double at t = 2.0"],
+            ),
+        ],
+        ids=["lambda_bar", "risk_free", "theta", "independent_1e307", "correlated_1e307",
+             "node_integral"],
+    )
+    def test_rejected_by_both_commands(self, tmp_path, capsys, doc, diagnostics):
+        # validate builds what run builds, so both reject the config with
+        # the same diagnostics: the point, the quantity and the time
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        for command in (["validate"], ["run", "--mc", "--out", str(out)]):
+            assert main([*command, str(path)]) == EXIT_CONFIG
+            assert json.loads(capsys.readouterr().err)["diagnostics"] == diagnostics
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", [2**128 - 1, 2**200])
     def test_seeds_past_128_bits(self, tmp_path, capsys, seed):
@@ -539,24 +613,26 @@ class TestRun:
         assert err["diagnostics"]
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
-        # a rate this extreme overflows the panel exponentials; the run
-        # must fail loudly with the numeric exit code, not write NaNs
-        doc = base_config(market={"risk_free": -1e6, "collateral": 0.005})
-        path = write_config(tmp_path, doc)
+        # every set-up value is finite, so the config validates, but the
+        # panel propagation overflows; the run must fail loudly with the
+        # numeric exit code, not write NaNs
+        path = write_config(tmp_path, propagation_overflow_doc())
+        assert main(["validate", str(path)]) == EXIT_OK
+        capsys.readouterr()
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numeric"
+        # the detail names the point and the time at which propagation broke
+        assert re.fullmatch(
+            r"sweep\.theta\[0\]: adjustment overflowed during panel propagation at t = 0\.\d+",
+            err["detail"],
+        ), err["detail"]
         assert not (tmp_path / "out" / "profiles.csv").exists()
 
     def test_numeric_failure_stderr_is_one_json_document(self, tmp_path):
-        # the counterparty's cumulative hazard overflows before the flow
-        # at 100 years; no RuntimeWarning may precede the JSON error (a
-        # child process, because this suite turns warnings into errors)
-        doc = json.loads((CONFIG_DIR / "independent_mixed.json").read_text())
-        doc["credit"]["counterparty"] = 1e307
-        doc["schedule"] = {"flows": [{"t": 100.0, "amount": 1.0}]}
-        doc["numerics"]["mc_paths"] = 4096
-        path = write_config(tmp_path, doc)
+        # no RuntimeWarning may precede the JSON error (a child process,
+        # because this suite turns warnings into errors)
+        path = write_config(tmp_path, propagation_overflow_doc())
         out = tmp_path / "out"
         proc = subprocess.run(
             [sys.executable, "-m", "valadj.cli", "run", "--mc", "--out", str(out), str(path)],
@@ -641,10 +717,11 @@ def _curve_docs(values):
 @st.composite
 def scenario_docs(draw):
     """Configs inside the schema: every regime, zero and piecewise curves,
-    flows at maturity, theta up to 1e6 and at most 4096 paths."""
+    hazards up to 1e308, flows at maturity, theta up to 1e6 and at most
+    4096 paths."""
     regime = draw(st.sampled_from(cli.REGIMES))
     rates = st.floats(-0.05, 0.2)
-    hazards = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    hazards = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e308))
     maturity = draw(st.floats(0.05, 100.0))
     times = sorted(draw(st.lists(st.floats(0.01, maturity), max_size=3, unique=True)))
     if not times or (times[-1] < maturity and draw(st.booleans())):
@@ -682,14 +759,21 @@ def scenario_docs(draw):
 @settings(max_examples=100, deadline=None)
 @given(doc=scenario_docs())
 def test_validated_configs_run(doc):
-    """Whatever ``validate`` accepts, ``run --mc`` executes: it exits 0 or
-    with the numeric code, never with an uncaught exception (nor, under
-    this suite's warning filter, with an overflow warning)."""
+    """Whatever ``validate`` accepts, ``run --mc`` executes: it exits 0, or
+    3 when panel propagation overflows (the one step that ``validate``
+    does not build), never with an uncaught exception (nor, under this
+    suite's warning filter, with an overflow warning)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp), doc)
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             if main(["validate", str(path)]) != EXIT_OK:
                 return
-            code = main(["run", "--mc", "--panels", "8", "--out", str(Path(tmp) / "out"), str(path)])
-    assert code in (EXIT_OK, EXIT_NUMERIC), sink.getvalue()
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(
+                    ["run", "--mc", "--panels", "8", "--out", str(Path(tmp) / "out"), str(path)]
+                )
+    assert code in (EXIT_OK, EXIT_NUMERIC), sink.getvalue() + err.getvalue()
+    if code == EXIT_NUMERIC:
+        assert "during panel propagation at t = " in json.loads(err.getvalue())["detail"]

@@ -26,6 +26,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             TermCurve((0.0, math.inf), (0.01, 0.02))
 
+    def test_node_integral_must_be_finite(self):
+        # 2**1023 over two years is 2**1024: the integral at the second
+        # node overflows, and the curve is rejected naming that node
+        with np.errstate(over="raise"):
+            with pytest.raises(ValueError, match=r"integral overflows a double at t = 2\.0"):
+                TermCurve((0.0, 2.0, 3.0), (2.0**1023, 0.0, 1.0))
+        # the largest finite integral is accepted
+        assert TermCurve((0.0, 1.0), (2.0**1023, 0.0))._cum[-1] == 2.0**1023
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             TermCurve((0.0, 1.0), (0.01,))

@@ -84,8 +84,30 @@ class TestSolver:
         np.testing.assert_allclose(prof.u, 0.02 * (3.0 - prof.grid), rtol=1e-13)
 
     def test_non_finite_coefficient_raises(self):
-        with pytest.raises(InvariantError, match="non-finite"):
+        with pytest.raises(InvariantError, match="non-finite beta coefficient at t = 0.0"):
             solve_constant(0.0, np.nan, maturity=1.0, panels_per_year=4)
+
+    def test_non_finite_coefficient_names_its_first_time(self):
+        # beta is NaN after 0.6: with four panels a year the edges 0.75
+        # and 1 fail, and so do the midpoints 0.625 and 0.875; the error
+        # names the earliest of them, a midpoint
+        def beta(t, left):
+            t = np.asarray(t, float)
+            return np.where(t > 0.6, np.nan, 0.01), np.zeros_like(t)
+
+        with pytest.raises(InvariantError, match=r"non-finite beta coefficient at t = 0\.625$"):
+            solve_linear_adjustment(
+                constant(0.1), lambda t: 0.1 * np.asarray(t, float), beta,
+                maturity=1.0, panels_per_year=4,
+            )
+
+    def test_propagation_overflow_names_where_it_broke(self):
+        # exp(-int alpha) over one panel of a year is exp(800): the first
+        # panel propagated, [0.75, 1], overflows at its left edge
+        with pytest.raises(
+            InvariantError, match=r"overflowed during panel propagation at t = 0\.75$"
+        ):
+            solve_constant(-3200.0, 1.0, maturity=1.0, panels_per_year=4)
 
     def test_terminal_condition(self):
         prof = solve_constant(0.1, 1.0, maturity=1.0, panels_per_year=8)

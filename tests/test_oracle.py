@@ -9,6 +9,7 @@ from valadj import (
     CashflowSchedule,
     CloseoutSpec,
     CreditCurve,
+    InvariantError,
     JointDefaultModel,
     MarketRates,
     TermCurve,
@@ -732,3 +733,41 @@ class TestSegmentTable:
         model = JointDefaultModel(m.investor, m.counterparty, self.theta)
         mc_value_correlated(m.market, model, m.schedule, m.closeout, 5000, 3)
         assert len(calls) == 2
+
+
+class TestSetUpCheck:
+    """Each simulator checks its segment table before drawing a path: a
+    payoff that could overflow raises, naming the quantity and time."""
+
+    market = MarketRates(TermCurve.flat(0.01), TermCurve.flat(0.005))
+    investor = CreditCurve("I", TermCurve.flat(0.02))
+    counterparty = CreditCurve("C", TermCurve.flat(0.03))
+    closeout = CloseoutSpec(0.4, 0.4)
+    bullet = CashflowSchedule.from_flows([(1.0, 1.0)])
+
+    def test_discount_overflow_at_the_boundary(self):
+        # r_bar = 0.022 - 0.6 lambda_bar: the discount at the flow is
+        # exp(708.978) for 709 / 0.6 and exp(709.978), past the largest
+        # double, for 710 / 0.6
+        with np.errstate(over="raise", invalid="raise"):
+            est = mc_value_independent(
+                self.market, self.investor, None, 0.4, 709.0 / 0.6, self.bullet,
+                self.closeout, 4096, 1,
+            )
+        assert math.isfinite(est.mean) and math.isfinite(est.std_error)
+        with pytest.raises(InvariantError, match=r"non-finite discounted \w+ at t = 1\.0$"):
+            mc_value_independent(
+                self.market, self.investor, None, 0.4, 710.0 / 0.6, self.bullet,
+                self.closeout, 4096, 1,
+            )
+
+    def test_copula_overflow(self):
+        # theta * H_C(1) = 711: expm1 overflows in the copula term, which
+        # every default at or before maturity evaluates
+        model = JointDefaultModel(self.investor, self.counterparty, 23700.0)
+        with pytest.raises(InvariantError, match=r"non-finite log discount at t = 1\.0$"):
+            mc_value_correlated(self.market, model, self.bullet, self.closeout, 4096, 1)
+        model = JointDefaultModel(self.investor, self.counterparty, 23650.0)
+        with np.errstate(over="raise", invalid="raise"):
+            est = mc_value_correlated(self.market, model, self.bullet, self.closeout, 4096, 1)
+        assert math.isfinite(est.mean)
