@@ -128,9 +128,35 @@ def _check_coefficients(alpha, alpha_cumulative, beta, breakpoints, *, maturity:
     """:func:`_coefficients` on 0, the breakpoints and ``maturity`` only.
     Between breakpoints each coefficient is constant, linear or one
     exponential (the first-to-default factors are monotone), so where it
-    is finite at both ends it is on every panel grid."""
-    edges = sorted({0.0, maturity, *(b for b in breakpoints if 0.0 < b < maturity)})
-    _coefficients(np.array(edges), alpha, alpha_cumulative, beta)
+    is finite at both ends it is on every panel grid.
+
+    Where one is not, the error names the time it breaks: the first
+    double after the last edge before the failing point at which a
+    panel from that edge has a non-finite coefficient, found by
+    bisecting the doubles between them (at most 64 steps)."""
+    edges = np.array(sorted({0.0, maturity, *(b for b in breakpoints if 0.0 < b < maturity)}))
+
+    def check(panel):
+        try:
+            _coefficients(panel, alpha, alpha_cumulative, beta)
+        except InvariantError as exc:
+            return exc
+        return None
+
+    error = check(edges)
+    if error is None or error.t == 0.0:
+        return
+    start = edges[np.searchsorted(edges, error.t) - 1]
+    # the bit patterns of non-negative doubles are ordered as the doubles
+    lo, hi = (int(bits) for bits in np.array([start, error.t]).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        found = check(np.array([start, np.array(mid).view(np.float64)]))
+        if found is None:
+            lo = mid
+        else:
+            hi, error = mid, found
+    raise error
 
 
 def solve_linear_adjustment(

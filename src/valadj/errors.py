@@ -11,7 +11,12 @@ import numpy as np
 
 
 class InvariantError(RuntimeError):
-    """A guaranteed numeric identity or sanity bound failed."""
+    """A guaranteed numeric identity or sanity bound failed; ``t`` is the
+    time it failed at, where one is known."""
+
+    def __init__(self, message: str, t: float | None = None):
+        super().__init__(message)
+        self.t = t
 
 
 def _require_finite(*checks) -> None:
@@ -24,4 +29,4 @@ def _require_finite(*checks) -> None:
     ]
     if bad:
         t, quantity = min(bad)
-        raise InvariantError(f"non-finite {quantity} at t = {t!r}")
+        raise InvariantError(f"non-finite {quantity} at t = {t!r}", t)

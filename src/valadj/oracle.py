@@ -13,24 +13,28 @@ per path: 2 for independent defaults, 1 without a counterparty or for
 dependent defaults), and ``PCG64`` emits one 64-bit word per double, so a
 worker owning paths ``[p0, p1)`` reproduces its slice exactly from
 ``PCG64(seed).advance(k * p0)``, for any ``p0``.  Each name's levels
-reach the inverse survival maps as a contiguous column (a copy of the
+reach the inverse survival maps as a contiguous array (gathered from the
 block's column), where the elementwise passes run at unit stride; their
-results do not depend on the stride, so the copy moves no bit.
+results do not depend on the stride, so the gather moves no bit.
 Antithetic or other variance-reduction couplings are deliberately not
 applied.
 
-Every simulator runs as one pipeline over fixed blocks of ``_BLOCK``
-paths, sized so that a block's draws and temporaries stay in the L2
-cache: draw the block's uniforms into one reused buffer (consecutive
-draws continue the stream, so each path sees the same uniforms for any
-block size), map them to default times, then to discounted payoffs,
-written into one reused buffer of ``_CHUNK`` paths.  Chunks are cut by
-path index, not by block.  Each chunk is reduced to ``(n, mean, M2)``
-with the two passes of ``np.var`` (numpy's pairwise summation), and the
+Every simulator runs as one pipeline over blocks of ``_BLOCK`` paths
+(twice that where at most a quarter of the paths can default), sized so
+that a block's draws and temporaries stay in the L2 cache: draw the
+block's uniforms into one reused buffer (consecutive draws continue the
+stream, so each path sees the same uniforms for any block size), map
+them to default times, then to discounted payoffs, written straight
+into one reused buffer of ``_CHUNK`` paths.  Chunks are cut by path
+index, not by block.  Each chunk is reduced to ``(n, mean, M2)`` with
+the two passes of ``np.var`` (numpy's pairwise summation), and the
 chunks are merged in index order by the update of Chan, Golub & LeVeque
 (1979).  Memory is therefore ``O(chunk + block)`` whatever the path
 count, and a simulation of at most ``_CHUNK`` paths reduces exactly as
-``np.mean`` and ``np.std(ddof=1)`` over all its payoffs.  Each payoff
+``np.mean`` and ``np.std(ddof=1)`` over all its payoffs.  Where the
+set-up's bound on the payoffs means their squared deviations could
+overflow, the chunks are reduced scaled by a power of two, which the
+estimate undoes exactly; otherwise the scale is 1.  Each payoff
 comes from elementwise operations whose results do not depend on the
 length of the arrays they run over, so estimates do not depend on the
 block size: they are bit-identical, and the tests check it.
@@ -43,11 +47,18 @@ Everything that does not depend on the path is computed once per
 simulation, in a table on the grid ``G`` of 0, the flow dates and the
 nodes of every curve the payoff reads (``_Segments``), and checked: a
 set-up whose payoffs could overflow raises ``InvariantError``, naming
-the quantity and the time, before any path is drawn.  Surviving paths
-take the full flow sum; a defaulting path costs one bucket lookup in
-``G``, a few gathers and one ``exp`` (plus the copula term for
-dependent defaults).  Payoffs therefore cost ``O(paths + defaults)``,
-with ``O(|G|)`` set-up, and ``v_X`` is marked once per simulation.
+the quantity and the time, before any path is drawn.
+
+Each sampled name also gets a screen level: below it, the name's
+inverse survival map certainly returns a time past maturity.  A path
+whose levels are all below their screens survives: it costs one
+comparison per name and takes the full flow sum, and is never mapped to
+a default time.  Only the other paths are mapped, located and closed
+out, by the same elementwise code on the same values, so the screen
+moves no bit.  A defaulting path costs one bucket lookup in ``G``, a few
+gathers and one ``exp`` (plus the copula term for dependent defaults).
+Beyond the draws, payoffs therefore cost ``O(defaults)``, with ``O(|G|)``
+set-up, and ``v_X`` is marked once per simulation.
 
 Default times map from uniforms through the inverse survival function;
 ``inf`` means the name never defaults on the path.  For dependent
@@ -62,6 +73,7 @@ with ``v = w2`` when ``theta = 0``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,18 +98,25 @@ class McEstimate:
     seed: int
 
 
-# Paths per block: one float64 column of a block is 256 KiB, so a
-# block's draws and temporaries stay in a 2 MiB L2 cache.
-_BLOCK = 2**15
+# Paths per block: one float64 column of a block is 128 KiB, so a
+# block's draws and temporaries stay in a 2 MiB L2 cache, and a
+# simulation's heap peak stays under the trim threshold that _CHUNK's
+# buffer sets (below).  With 2**15-path blocks the long_mc configs of
+# seed 61 peaked at 4.42, 5.10 and 4.46 MiB (tracemalloc), past that
+# threshold, and each timed call of bench/run.py took ~1170 minor page
+# faults and ~3 ms of system time; with 2**14 they peak at 3.12, 3.53
+# and 3.30 MiB, and a call takes under 25 faults and ~0.6 ms of system
+# time (2-vCPU Xeon, numpy 2.4).
+_BLOCK = 2**14
 
 # Paths per reduction chunk: a chunk's payoffs fill one 2 MiB buffer
-# before they are reduced.  The size is measured, in minor page faults
-# per run_scenario call (2-vCPU Xeon, numpy 2.4): 2**15-path chunks
-# took 2.4k on long_mc and 2**17 4.1k, 2**18 took 56 (shipped_mc: 89,
-# against 3.3k for a paths-long payoff vector).  glibc raises its mmap
-# and trim thresholds to the largest mapped block freed; a 2 MiB buffer
-# lifts them past a block's working set, so the heap keeps the block
-# temporaries instead of trimming and refaulting them every block.
+# before they are reduced.  glibc raises its mmap and trim thresholds
+# to the largest mapped block freed: freeing the 2 MiB buffer sets the
+# trim threshold to ~4 MiB, so a heap that peaks below it keeps the
+# block temporaries instead of trimming and refaulting them every block.
+# Smaller chunks leave the thresholds low (2**15-path chunks took 2.4k
+# faults a long_mc call, 2**17 4.1k); a paths-long payoff vector took
+# 3.3k on shipped_mc.
 _CHUNK = 2**18
 
 
@@ -109,25 +128,32 @@ def _generator(paths: int, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _simulate(paths: int, seed: int, per_path: int, block_payoffs) -> tuple:
-    """``(n, mean, M2)`` of the discounted payoffs of ``paths`` paths.
+def _simulate(paths: int, seed: int, screens: tuple, block, bound: float) -> McEstimate:
+    """The estimate from the discounted payoffs of ``paths`` paths, each
+    at most ``bound`` in magnitude.
 
-    Each block's ``(n, per_path)`` uniforms are drawn into one reused
-    buffer, continuing the generator's stream, so path ``i`` sees draws
-    ``per_path*i ..`` whatever the block size; ``block_payoffs`` maps
-    them to the block's payoffs, which fill one reused chunk buffer.
-    Blocks never straddle a chunk boundary.
+    A path draws one uniform per name, and can default only where one
+    reaches its name's level in ``screens``.  Each block's ``(n,
+    len(screens))`` uniforms are drawn into one reused buffer, continuing
+    the generator's stream, so path ``i`` sees the same draws whatever
+    the block size; ``block(w, out)`` writes their payoffs into ``out``,
+    a slice of one reused chunk buffer.  Blocks never straddle a chunk
+    boundary.
     """
     gen = _generator(paths, seed)
+    scale = _scale(paths, bound)
+    size = _block_size(screens)
     chunk = np.empty(min(_CHUNK, paths))
-    buf = np.empty((min(_BLOCK, len(chunk)), per_path))
+    buf = np.empty((min(size, len(chunk)), len(screens)))
     total = None
     for first in range(0, paths, _CHUNK):
         x = chunk[: min(_CHUNK, paths - first)]
-        for start in range(0, len(x), _BLOCK):
-            w = buf[: min(_BLOCK, len(x) - start)]
+        for start in range(0, len(x), size):
+            w = buf[: min(size, len(x) - start)]
             gen.random(out=w)
-            x[start : start + len(w)] = block_payoffs(w)
+            block(w, x[start : start + len(w)])
+        if scale != 1.0:
+            x *= scale
         # np.var's two passes, in place; no BLAS dot, whose summation
         # order depends on the machine
         mean = float(np.mean(x))
@@ -135,7 +161,27 @@ def _simulate(paths: int, seed: int, per_path: int, block_payoffs) -> tuple:
         np.square(x, out=x)
         stats = (len(x), mean, float(np.sum(x)))
         total = stats if total is None else _merge(total, stats)
-    return total
+    n, mean, m2 = total
+    std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    return McEstimate(mean=mean / scale, std_error=std_error / scale, paths=n, seed=seed)
+
+
+def _block_size(screens: tuple) -> int:
+    """``_BLOCK`` paths, or twice that where at most a quarter of the
+    paths can default: a block's default work then stays below a full
+    ``_BLOCK``-path block's, and half as many blocks pay its fixed cost
+    of some 50 numpy calls."""
+    return 2 * _BLOCK if math.prod(screens) >= 0.75 else _BLOCK
+
+
+def _scale(paths: int, bound: float) -> float:
+    """A power of two that keeps the squared deviations of ``paths``
+    payoffs of magnitude at most ``bound``, and their sum, finite: 1
+    unless they could overflow.  Scaling by it, and back, is exact."""
+    # paths * (2 * bound)**2 <= 2**1023 once bound <= 2**limit
+    limit = (1021 - paths.bit_length()) // 2
+    exponent = math.frexp(bound)[1]  # bound < 2**exponent
+    return 1.0 if exponent <= limit else math.ldexp(1.0, limit - exponent)
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -146,12 +192,6 @@ def _merge(a: tuple, b: tuple) -> tuple:
     n = n_a + n_b
     delta = mean_b - mean_a
     return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
-
-
-def _estimate(stats: tuple, seed: int) -> McEstimate:
-    n, mean, m2 = stats
-    std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-    return McEstimate(mean=mean, std_error=std_error, paths=n, seed=seed)
 
 
 def sample_joint_defaults(
@@ -247,12 +287,13 @@ class _Segments:
         return hit, j, dt, paid
 
 
-def _check_payoffs(seg: _Segments, settles, log_scale, slope) -> None:
+def _check_payoffs(seg: _Segments, settles, log_scale, slope) -> float:
     """Raise :class:`InvariantError` where a payoff of ``seg`` is not
-    finite.  A default ``dt`` into segment ``j`` is paid its flows and
-    ``settle[j] * exp(log_scale[j] + slope[j] * dt)`` for one of
-    ``settles`` (the exponent may be an upper bound): linear in ``dt``,
-    so the payoffs at a segment's two ends bound those inside it."""
+    finite, and return a bound on every payoff's magnitude.  A default
+    ``dt`` into segment ``j`` is paid its flows and ``settle[j] *
+    exp(log_scale[j] + slope[j] * dt)`` for one of ``settles`` (the
+    exponent may be an upper bound): monotone in ``dt``, so the payoffs
+    at a segment's two ends bound those inside it."""
     at = (seg.grid, seg.grid, seg.grid + seg.span)
     paid = (seg.paid_before, seg.paid_upto, seg.paid_upto)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -263,7 +304,20 @@ def _check_payoffs(seg: _Segments, settles, log_scale, slope) -> None:
             for k in settles
             for t, p, g in zip(at, paid, growth)
         ]
-    _require_finite(("discounted flows", seg.grid, seg.paid_upto), *closeouts)
+    checks = [("discounted flows", seg.grid, seg.paid_upto), *closeouts]
+    _require_finite(*checks)
+    return max(float(np.max(np.abs(values))) for _, _, values in checks)
+
+
+def _screen(curve: CreditCurve, maturity: float) -> float:
+    """A survival level below which ``curve.inverse_survival`` returns a
+    time past ``maturity``: the survival a little after maturity, a
+    little lowered, so that the rounding of the inverse map cannot
+    bring a level below it back to maturity.  A hazard that overflows
+    gives 0, which screens nothing."""
+    t = min(maturity + 2.0**-30 * max(1.0, maturity), sys.float_info.max)
+    with np.errstate(over="ignore"):
+        return float(curve.survival(t)) * (1.0 - 2.0**-20)
 
 
 def _first_default(
@@ -281,9 +335,13 @@ def _first_default(
     (if any; ``None`` never defaults) at its market intensity.  Payoffs
     are discounted at the deterministic internal rate ``r_bar``: flows
     are paid while both names are alive, then the closeout of whoever
-    defaults first (if before maturity).  Returns ``(per_path, block)``:
-    the uniforms each path draws, and the map from a block of them to
-    ``(tau_I, tau_C, payoffs)``.
+    defaults first (if before maturity).  Returns ``(screens, block,
+    bound)``: the screen level of each name a path draws a uniform for,
+    the map from a block of uniforms to their payoffs (see
+    :func:`_simulate`), and a bound on every payoff's magnitude.
+    ``block`` returns the paths that can default, as indices, with their
+    ``(tau_I, tau_C)``; every other path draws levels below both names'
+    screens and survives past maturity.
 
     The closeout is positively homogeneous in ``v_X``, so on a segment
     it is the closeout of ``owed`` times one exponential, which also
@@ -299,25 +357,29 @@ def _first_default(
         k_i, k_c = closeout_values(closeout, seg.owed)
         log_scale = seg.log_vx + log_discount
         slope = seg.rate_x - np.asarray(r_bar.value(grid))
-    _check_payoffs(seg, (k_i,) if counterparty is None else (k_i, k_c), log_scale, slope)
+    bound = _check_payoffs(seg, (k_i,) if counterparty is None else (k_i, k_c), log_scale, slope)
+    names = (sampler,) if counterparty is None else (sampler, counterparty)
+    screens = tuple(_screen(name, schedule.maturity) for name in names)
 
-    def block(w):
-        # one column copy at a time, freed before the next: copying both
-        # at once would raise a simulation's heap peak by 0.5 MiB.  A
-        # one-name block's column is contiguous already, and not copied.
-        tau_i = sampler.inverse_survival(np.ascontiguousarray(w[:, 0]))
+    def block(w, out):
+        out.fill(seg.paid_all)
+        can_default = w[:, 0] >= screens[0]
+        if counterparty is not None:
+            can_default |= w[:, 1] >= screens[1]
+        at_risk = np.flatnonzero(can_default)
+        # gathered levels are contiguous, and the maps run at unit stride
+        tau_i = sampler.inverse_survival(w[at_risk, 0])
         if counterparty is None:
-            tau_c = np.full(len(w), np.inf)
+            tau_c = np.full(len(at_risk), np.inf)
         else:
-            tau_c = counterparty.inverse_survival(np.ascontiguousarray(w[:, 1]))
-        payoff = np.full(len(w), seg.paid_all)
+            tau_c = counterparty.inverse_survival(w[at_risk, 1])
         hit, j, dt, paid = seg.locate(np.minimum(tau_i, tau_c))
         if hit.size:
             settle = np.where(tau_i[hit] <= tau_c[hit], k_i[j], k_c[j])
-            payoff[hit] = paid + settle * np.exp(log_scale[j] + slope[j] * dt)
-        return tau_i, tau_c, payoff
+            out[at_risk[hit]] = paid + settle * np.exp(log_scale[j] + slope[j] * dt)
+        return at_risk, tau_i, tau_c
 
-    return (1 if counterparty is None else 2), block
+    return screens, block, bound
 
 
 def mc_value_independent(
@@ -340,15 +402,18 @@ def mc_value_independent(
     path identical and the standard error collapses to zero up to
     summation rounding (below 1e-15 even at a million paths).
     """
-    per_path, block = _first_default(
-        market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
+    return _simulate(
+        paths, seed, *_first_default(
+            market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
+        )
     )
-    return _estimate(_simulate(paths, seed, per_path, lambda w: block(w)[2]), seed)
 
 
 def _dependent_default(market, model, schedule, closeout):
     """The dependent-default simulator, its constants built once; returns
-    ``(1, block)``, ``block`` mapping a block of uniforms to payoffs.
+    ``(screens, block, bound)`` as :func:`_first_default` does, ``block``
+    returning the paths that can default, as indices, with their
+    ``tau_C``.
 
     Only ``tau_C`` is random (its internal law equals the market one);
     the numeraire is the survival-contingent bank account, so a flow at
@@ -377,17 +442,20 @@ def _dependent_default(market, model, schedule, closeout):
         _, k_c = closeout_values(closeout, seg.owed)
         end = log_weight(*(h + lam * seg.span for h, lam in zip(cum, rate)))
     _require_finite(("log discount", grid, start), ("log discount", grid + seg.span, end))
-    _check_payoffs(seg, (k_c,), seg.log_vx - cum[0], seg.rate_x - rate[0])
+    bound = _check_payoffs(seg, (k_c,), seg.log_vx - cum[0], seg.rate_x - rate[0])
+    screen = _screen(model.counterparty, schedule.maturity)
 
-    def block(w):
-        payoff = np.full(len(w), seg.paid_all)
-        hit, j, dt, paid = seg.locate(model.counterparty.inverse_survival(w[:, 0]))
+    def block(w, out):
+        out.fill(seg.paid_all)
+        at_risk = np.flatnonzero(w[:, 0] >= screen)
+        tau_c = model.counterparty.inverse_survival(w[at_risk, 0])
+        hit, j, dt, paid = seg.locate(tau_c)
         if hit.size:
             log_w = log_weight(*(h[j] + lam[j] * dt for h, lam in zip(cum, rate)))
-            payoff[hit] = paid + k_c[j] * np.exp(seg.log_vx[j] + seg.rate_x[j] * dt + log_w)
-        return payoff
+            out[at_risk[hit]] = paid + k_c[j] * np.exp(seg.log_vx[j] + seg.rate_x[j] * dt + log_w)
+        return at_risk, tau_c
 
-    return 1, block
+    return (screen,), block, bound
 
 
 def mc_value_correlated(
@@ -400,5 +468,4 @@ def mc_value_correlated(
 ) -> McEstimate:
     """Simulate v(0) with dependent defaults, zero bond recovery and the
     investor internally default-free (:func:`_dependent_default`)."""
-    per_path, block = _dependent_default(market, model, schedule, closeout)
-    return _estimate(_simulate(paths, seed, per_path, block), seed)
+    return _simulate(paths, seed, *_dependent_default(market, model, schedule, closeout))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -30,6 +31,9 @@ from valadj.cli import (
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+DBL_MAX = sys.float_info.max
 
 
 def base_config(**overrides):
@@ -318,32 +322,43 @@ class TestValidate:
         assert out.exists() == (code == EXIT_OK)
 
     @pytest.mark.parametrize(
-        "doc, diagnostics",
+        "doc, diagnostics, closed_forms",
         [
-            # the simulator's discount exp(-int r_bar) overflows
+            # the simulator's discount exp(-int r_bar) overflows; its check
+            # names the end of the segment where it does
             (
                 base_config(sweep={"lambda_bar": [0.0, 1e300, 0.02]}),
                 ["sweep.lambda_bar[1]: non-finite discounted closeout at t = 1.0"],
+                None,
             ),
             (
                 base_config(market={"risk_free": -1e6, "collateral": 0.005}),
                 [f"sweep.lambda_bar[{i}]: non-finite discounted closeout at t = 1.0"
                  for i in (0, 1)],
+                None,
             ),
-            # exp(theta * H_C) overflows at maturity
+            # exp(theta * H_C) = exp(711 t) overflows
             (
                 shipped_config("correlated_bond", theta=[0.0, 23700.0]),
-                ["sweep.theta[1]: non-finite alpha coefficient at t = 1.0"],
+                ["sweep.theta[1]: non-finite alpha coefficient at t = 0.998287922494211"],
+                [math.log(DBL_MAX) / 711.0],
             ),
-            # the counterparty's cumulative hazard overflows before the flow
+            # the counterparty's cumulative hazard 1e307 t overflows
             (
                 shipped_config("independent_mixed", counterparty=1e307, flows=[100.0]),
-                [f"sweep.lambda_bar[{i}]: non-finite integrated alpha at t = 50.0"
+                [f"sweep.lambda_bar[{i}]: non-finite integrated alpha at t = 17.97693134862316"
                  for i in (0, 1)],
+                [DBL_MAX / 1e307] * 2,
             ),
+            # theta = 0: the hazard, as above; theta > 0: the first-to-default
+            # intensity 1e307 exp(theta 1e307 t) / S
             (
                 shipped_config("correlated_mixed", counterparty=1e307, flows=[100.0]),
-                [f"sweep.theta[{i}]: non-finite beta coefficient at t = 50.0" for i in (0, 1, 2)],
+                ["sweep.theta[0]: non-finite alpha coefficient at t = 17.97693134862316",
+                 "sweep.theta[1]: non-finite alpha coefficient at t = 2.889089344211972e-299",
+                 "sweep.theta[2]: non-finite alpha coefficient at t = 2.8890893442119722e-307"],
+                [DBL_MAX / 1e307]
+                + [math.log(DBL_MAX / 1e307) / (theta * 1e307) for theta in (1e-8, 1.0)],
             ),
             # the integral of a curve overflows at one of its nodes
             (
@@ -354,20 +369,24 @@ class TestValidate:
                     theta=[0.0],
                 ),
                 ["credit.counterparty: curve integral overflows a double at t = 2.0"],
+                None,
             ),
         ],
         ids=["lambda_bar", "risk_free", "theta", "independent_1e307", "correlated_1e307",
              "node_integral"],
     )
-    def test_rejected_by_both_commands(self, tmp_path, capsys, doc, diagnostics):
+    def test_rejected_by_both_commands(self, tmp_path, capsys, doc, diagnostics, closed_forms):
         # validate builds what run builds, so both reject the config with
-        # the same diagnostics: the point, the quantity and the time
+        # the same diagnostics: the point, the quantity and the time, which
+        # for a coefficient is where it breaks
         path = write_config(tmp_path, doc)
         out = tmp_path / "out"
         for command in (["validate"], ["run", "--mc", "--out", str(out)]):
             assert main([*command, str(path)]) == EXIT_CONFIG
             assert json.loads(capsys.readouterr().err)["diagnostics"] == diagnostics
         assert not out.exists()
+        for diag, t in zip(diagnostics, closed_forms or ()):
+            assert float(diag.rsplit("at t = ", 1)[1]) == pytest.approx(t, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [2**128 - 1, 2**200])
     def test_seeds_past_128_bits(self, tmp_path, capsys, seed):
@@ -526,6 +545,26 @@ class TestRun:
             assert fields[7] == repr(est.std_error)
             assert fields[8] == "4000"
             assert fields[9] == str(7 + i)
+
+    def test_payoffs_whose_squares_overflow(self, tmp_path, capsys):
+        # no path defaults, and each is paid exp(-int r_bar) = exp(399.988)
+        # ~ 5.2e173, whose square overflows: the simulation reduces the
+        # payoffs scaled by a power of two.  The solver's Simpson panels
+        # are off by (h alpha)**4 / 2880 relative, 3e-8 at 4096 a year
+        doc = base_config(
+            market={"risk_free": -400.0, "collateral": 0.005},
+            sweep={"lambda_bar": [0.0]},
+            numerics={"panels_per_year": 4096, "mc_paths": 4000, "seed": 7},
+        )
+        path = write_config(tmp_path, doc)
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main(["run", str(path), "--mc", "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        (row,) = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+        fields = row.split(",")
+        exact = math.exp(400.0 - 0.6 * 0.02)
+        assert float(fields[6]) == pytest.approx(exact, rel=1e-12)
+        assert float(fields[5]) == pytest.approx(exact, rel=1e-7)
 
     def test_byte_deterministic_reruns(self, tmp_path):
         path = write_config(tmp_path, base_config())

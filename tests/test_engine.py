@@ -19,6 +19,7 @@ from valadj import (
     panel_grid,
     solve_linear_adjustment,
 )
+from valadj.engine import _check_coefficients
 
 from _reference import dense_duhamel_u0, flat_adjustment_u0
 
@@ -100,6 +101,21 @@ class TestSolver:
                 constant(0.1), lambda t: 0.1 * np.asarray(t, float), beta,
                 maturity=1.0, panels_per_year=4,
             )
+
+    def test_set_up_check_names_where_a_coefficient_breaks(self):
+        # beta is NaN after 0.6, between the check points 0 and 1: the
+        # check bisects to the first double past 0.6
+        def beta(t, left):
+            t = np.asarray(t, float)
+            return np.where(t > 0.6, np.nan, 0.01), np.zeros_like(t)
+
+        with pytest.raises(InvariantError) as info:
+            _check_coefficients(
+                constant(0.1), lambda t: 0.1 * np.asarray(t, float), beta, [], maturity=1.0
+            )
+        first = float(np.nextafter(0.6, 1.0))
+        assert info.value.t == first
+        assert str(info.value) == f"non-finite beta coefficient at t = {first!r}"
 
     def test_propagation_overflow_names_where_it_broke(self):
         # exp(-int alpha) over one panel of a year is exp(800): the first

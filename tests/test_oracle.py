@@ -1,9 +1,12 @@
 import math
 import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from valadj import (
     CashflowSchedule,
@@ -20,7 +23,7 @@ from valadj import (
     mc_value_independent,
     sample_joint_defaults,
 )
-from valadj import oracle
+from valadj import as_curve, oracle
 from valadj.measure import internal_rate
 
 from _reference import chunked_mean_m2, naive_collateral_value, piecewise_integral
@@ -48,18 +51,33 @@ def sample_path_outcomes(
 ) -> list[PathOutcome]:
     """Per-path view of the simulator behind :func:`mc_value_independent`:
     the same block pipeline and payoff code, keeping each path's default
-    times and payoff."""
-    per_path, block = oracle._first_default(
+    times and payoff.
+
+    A block maps only the paths that can default to default times; the
+    others are mapped here, by the same inverse survival maps, and must
+    default after maturity under both names."""
+    screens, block, bound = oracle._first_default(
         market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
     )
+    internal = CreditCurve("internal", as_curve(lambda_bar))
     kept = []
 
-    def keep(w):
-        tau_i, tau_c, payoff = block(w)
-        kept.append((tau_i, tau_c, payoff))
-        return payoff
+    def keep(w, out):
+        at_risk, tau_i, tau_c = block(w, out)
+        all_i = internal.inverse_survival(np.ascontiguousarray(w[:, 0]))
+        all_c = (
+            np.full(len(w), np.inf) if counterparty is None
+            else counterparty.inverse_survival(np.ascontiguousarray(w[:, 1]))
+        )
+        assert all_i[at_risk].tobytes() == tau_i.tobytes()
+        assert all_c[at_risk].tobytes() == tau_c.tobytes()
+        skipped = np.ones(len(w), dtype=bool)
+        skipped[at_risk] = False
+        assert np.all(all_i[skipped] > schedule.maturity)
+        assert np.all(all_c[skipped] > schedule.maturity)
+        kept.append((all_i, all_c, out.copy()))
 
-    oracle._simulate(paths, seed, per_path, keep)
+    oracle._simulate(paths, seed, screens, keep, bound)
     tau_i, tau_c, payoffs = (np.concatenate(cols) for cols in zip(*kept))
     return [
         PathOutcome(float(ti), float(tc), float(p))
@@ -506,14 +524,17 @@ class TestContiguousColumns:
 
     def test_copy_moves_no_bit(self):
         m = self.m
-        _, block = oracle._first_default(
+        _, block, _ = oracle._first_default(
             m.market, m.investor, m.counterparty, 0.4, m.lambda_bar, m.schedule, m.closeout
         )
         wide = np.random.Generator(np.random.PCG64(8)).random((4000, 4))
         strided = wide[:, ::2]
         assert not strided.flags.c_contiguous
-        for got, want in zip(block(strided), block(np.ascontiguousarray(strided))):
-            assert got.tobytes() == want.tobytes()
+        got_out, want_out = np.empty(len(wide)), np.empty(len(wide))
+        got = block(strided, got_out)
+        want = block(np.ascontiguousarray(strided), want_out)
+        for a, b in zip((*got, got_out), (*want, want_out)):
+            assert a.tobytes() == b.tobytes()
         # the maps themselves do not depend on the stride of their levels
         for curve in (m.investor, m.counterparty):
             got = curve.inverse_survival(strided[:, 1])
@@ -543,6 +564,31 @@ class TestChunkedReduction:
         std_error = float(np.std(payoffs, ddof=1) / math.sqrt(n))
         for got, want in ((mc.mean, float(np.mean(payoffs))), (mc.std_error, std_error)):
             assert abs(got - want) <= 4 * np.spacing(abs(want))
+
+    @pytest.mark.parametrize("exponent", [400, 600, 1000])
+    def test_scaled_reduction_is_exact(self, monkeypatch, exponent):
+        # payoffs whose squares could overflow (past 2**504 at 5003 paths)
+        # reduce scaled by a power of two, and scale back to the bits of
+        # the unscaled reduction
+        monkeypatch.setattr(oracle, "_CHUNK", 1000)
+        payoffs = np.random.Generator(np.random.PCG64(3)).normal(1.0, 0.5, self.paths)
+        bound = float(np.max(np.abs(payoffs)))
+
+        def simulate(factor):
+            done = [0]
+
+            def block(w, out):
+                out[:] = payoffs[done[0] : done[0] + len(out)] * factor
+                done[0] += len(out)
+
+            with np.errstate(over="raise", invalid="raise"):
+                return oracle._simulate(self.paths, 1, (0.0,), block, bound * factor)
+
+        small, large = simulate(1.0), simulate(2.0**exponent)
+        assert large.mean == small.mean * 2.0**exponent
+        assert large.std_error == small.std_error * 2.0**exponent
+        scaled = oracle._scale(self.paths, bound * 2.0**exponent) < 1.0
+        assert scaled == (exponent > 500)
 
     def test_default_free_limit_is_exact_across_chunks(
         self, monkeypatch, flat_market, investor, closeout, bullet
@@ -574,6 +620,60 @@ class TestChunkedReduction:
         assert peaks[2] - peaks[1] <= 2**14, peaks
 
 
+class TestHeapPeak:
+    """A simulation of ``_CHUNK`` paths keeps its heap peak under the
+    ~4 MiB trim threshold that freeing the chunk buffer sets, so the heap
+    keeps the block temporaries instead of trimming and refaulting them
+    every block.  The trade is long_mc-shaped: 10-node curves, 120
+    quarterly flows and both names.  Where most paths default, blocks
+    are ``_BLOCK`` paths; where under a quarter can, twice that."""
+
+    @staticmethod
+    def curve(lo, hi):
+        times = [0.0] + [3.0 * k for k in range(1, 10)]
+        return TermCurve.from_nodes([(t, lo + (hi - lo) * (7 * k % 10) / 9) for k, t in
+                                     enumerate(times)])
+
+    @pytest.mark.parametrize(
+        "hazards, doubled", [((0.05, 0.07), False), ((0.003, 0.006), True)],
+        ids=["most_default", "under_a_quarter"],
+    )
+    def test_peak_at_most_3_75_mib(self, hazards, doubled):
+        market = MarketRates(self.curve(0.01, 0.04), self.curve(0.005, 0.03))
+        investor = CreditCurve("I", self.curve(0.01, 0.025))
+        counterparty = CreditCurve("C", self.curve(*hazards))
+        lambda_bar = self.curve(*hazards)
+        schedule = CashflowSchedule.from_flows(
+            [(k / 4, (-1.25 if k <= 60 else 1.0) * (0.5 + k % 7 / 6)) for k in range(1, 121)]
+        )
+        closeout = CloseoutSpec(0.4, 0.3)
+        model = JointDefaultModel(investor, counterparty, 1.5)
+        if not doubled:
+            for curve in (lambda_bar, counterparty.intensity):
+                assert CreditCurve("N", curve).survival(schedule.maturity) < 0.25
+        first = (market, investor, None, 0.2, lambda_bar, schedule, closeout)
+        both = (market, investor, counterparty, 0.2, lambda_bar, schedule, closeout)
+        sims = {
+            "riskfree_cpty": (oracle._first_default(*first), mc_value_independent, first),
+            "independent": (oracle._first_default(*both), mc_value_independent, both),
+            "correlated": (
+                oracle._dependent_default(market, model, schedule, closeout),
+                mc_value_correlated, (market, model, schedule, closeout),
+            ),
+        }
+        peaks = {}
+        for name, ((screens, _, _), simulate, args) in sims.items():
+            assert (oracle._block_size(screens) == 2 * oracle._BLOCK) == doubled, name
+            simulate(*args, oracle._CHUNK, 5)  # warms one-time caches
+            tracemalloc.start()
+            try:
+                simulate(*args, oracle._CHUNK, 5)
+                peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) <= 3.75, peaks
+
+
 class TestSegmentTable:
     """Per-path payoffs at chosen default times, against a flow-by-flow
     rebuild: each default lands on a flow date, on a curve node that is
@@ -581,8 +681,9 @@ class TestSegmentTable:
     between the two names.
 
     The inverse survival map is replaced by the identity, so the
-    simulator's uniforms are the default times themselves, and the
-    simulation returns its payoff vector instead of the estimate.
+    simulator's uniforms are the default times themselves; survival is
+    replaced by 0, which turns the screen off; and the simulation
+    returns its payoff vector instead of the estimate.
     """
 
     m = TestMultiFlowPayoffs
@@ -606,9 +707,14 @@ class TestSegmentTable:
     at_last_flow = CashflowSchedule.from_flows(list(zip(m.schedule.times, m.schedule.amounts)))
 
     def payoffs(self, monkeypatch, simulate, taus):
+        def payoff_vector(paths, seed, screens, block, bound):
+            out = np.empty(len(taus))
+            block(taus, out)
+            return out
+
         monkeypatch.setattr(CreditCurve, "inverse_survival", lambda self, w: np.array(w))
-        monkeypatch.setattr(oracle, "_simulate", lambda paths, seed, per_path, block: block(taus))
-        monkeypatch.setattr(oracle, "_estimate", lambda payoffs, seed: payoffs)
+        monkeypatch.setattr(CreditCurve, "survival", lambda self, t: 0.0)
+        monkeypatch.setattr(oracle, "_simulate", payoff_vector)
         return simulate()
 
     def first_default_expected(self, schedule, tau_i, tau_c, r_bar, market=m.market):
@@ -771,3 +877,99 @@ class TestSetUpCheck:
         with np.errstate(over="raise", invalid="raise"):
             est = mc_value_correlated(self.market, model, self.bullet, self.closeout, 4096, 1)
         assert math.isfinite(est.mean)
+
+
+# intensities at the edges of the double range, and ordinary ones
+EXTREME_INTENSITIES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e300, 1e307]),
+    st.floats(min_value=0.0, max_value=3.0),
+)
+
+
+def ulps_from(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, math.inf if steps > 0 else -math.inf))
+    return x
+
+
+@st.composite
+def screened_curves(draw, maturity):
+    """Piecewise intensities with nodes at maturity, within ulps of it
+    and elsewhere."""
+    near = [ulps_from(maturity, k) for k in (-3, -1, 0, 1, 3)]
+    times = draw(
+        st.lists(
+            st.one_of(st.sampled_from(near), st.floats(min_value=1e-3, max_value=2 * maturity)),
+            max_size=4, unique=True,
+        )
+    )
+    times = [0.0, *sorted(t for t in times if t > 0.0)]
+    values = draw(st.lists(EXTREME_INTENSITIES, min_size=len(times), max_size=len(times)))
+    try:
+        return CreditCurve("N", TermCurve.from_nodes(list(zip(times, values))))
+    except ValueError:  # a node integral past the largest double
+        assume(False)
+
+
+def packed_levels(curve, maturity):
+    """Levels packed around the survival at maturity and the screen:
+    40 ulps either side, and 2**-20 relative either side."""
+    out = [0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53]
+    with np.errstate(over="ignore"):
+        at_maturity = float(curve.survival(maturity))
+    for centre in (at_maturity, oracle._screen(curve, maturity)):
+        out += [ulps_from(centre, k) for k in range(-40, 41)]
+        out += [centre * (1.0 - 2.0**-20), centre * (1.0 + 2.0**-20)]
+    return np.clip(out, 0.0, 1.0)
+
+
+class TestScreen:
+    """A block maps to default times only the paths whose level reaches
+    some name's screen; every other path survives past maturity."""
+
+    market = MarketRates(TermCurve.flat(0.01), TermCurve.flat(0.005))
+    investor = CreditCurve("I", TermCurve.flat(0.02))
+    closeout = CloseoutSpec(0.4, 0.3)
+
+    @staticmethod
+    def run(block, w):
+        out = np.empty(len(w))
+        taus = block(w, out)
+        return out, taus
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), maturity=st.sampled_from([0.25, 1.0, 5.0, 30.0, 1e5]))
+    def test_screened_blocks_match_screen_off(self, data, maturity):
+        sampled = data.draw(screened_curves(maturity))
+        counterparty = data.draw(screened_curves(maturity))
+        schedule = CashflowSchedule.from_flows([(0.5 * maturity, -1.0), (maturity, 2.0)])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        levels = [packed_levels(c, maturity) for c in (sampled, counterparty)]
+        pairs = np.column_stack([rng.choice(x, 400) for x in levels])
+        # bond recovery 1 keeps r_bar off lambda_bar, whatever its size
+        simulators = [
+            (oracle._first_default, (self.market, self.investor, None, 1.0, sampled.intensity),
+             (sampled,), pairs[:, :1]),
+            (oracle._first_default,
+             (self.market, self.investor, counterparty, 1.0, sampled.intensity),
+             (sampled, counterparty), pairs),
+            (oracle._dependent_default,
+             (self.market, JointDefaultModel(self.investor, counterparty, 0.0)),
+             (counterparty,), pairs[:, 1:]),
+        ]
+        for build, args, curves, w in simulators:
+            try:
+                _, block, _ = build(*args, schedule, self.closeout)
+            except InvariantError:  # a hazard past the copula's range
+                continue
+            out, (at_risk, *taus) = self.run(block, w)
+            with mock.patch.object(oracle, "_screen", lambda curve, maturity: 0.0):
+                _, block_off, _ = build(*args, schedule, self.closeout)
+            out_off, (all_paths, *taus_off) = self.run(block_off, w)
+            assert np.array_equal(all_paths, np.arange(len(w)))
+            assert out.tobytes() == out_off.tobytes()
+            for tau, tau_off in zip(taus, taus_off):
+                assert tau.tobytes() == tau_off[at_risk].tobytes()
+            skipped = np.setdiff1d(all_paths, at_risk)
+            for n, curve in enumerate(curves):
+                assert np.all(curve.inverse_survival(w[skipped, n]) > maturity)
