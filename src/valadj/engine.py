@@ -144,8 +144,11 @@ def _check_coefficients(alpha, alpha_cumulative, beta, breakpoints, *, maturity:
         return None
 
     error = check(edges)
-    if error is None or error.t == 0.0:
+    if error is None:
         return
+    if error.t == 0.0:
+        # no earlier edge to bisect from
+        raise error
     start = edges[np.searchsorted(edges, error.t) - 1]
     # the bit patterns of non-negative doubles are ordered as the doubles
     lo, hi = (int(bits) for bits in np.array([start, error.t]).view(np.int64))

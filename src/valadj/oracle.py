@@ -103,10 +103,10 @@ class McEstimate:
 # simulation's heap peak stays under the trim threshold that _CHUNK's
 # buffer sets (below).  With 2**15-path blocks the long_mc configs of
 # seed 61 peaked at 4.42, 5.10 and 4.46 MiB (tracemalloc), past that
-# threshold, and each timed call of bench/run.py took ~1170 minor page
-# faults and ~3 ms of system time; with 2**14 they peak at 3.12, 3.53
-# and 3.30 MiB, and a call takes under 25 faults and ~0.6 ms of system
-# time (2-vCPU Xeon, numpy 2.4).
+# threshold, and each timed long_mc call of bench/run.py took ~1180
+# minor page faults and ~3.6 ms of system time; with 2**14 they peak at
+# 3.12, 3.53 and 3.30 MiB, and a call takes ~43 faults and ~0.9 ms of
+# system time (seed 132; 2-vCPU Xeon, numpy 2.4).
 _BLOCK = 2**14
 
 # Paths per reduction chunk: a chunk's payoffs fill one 2 MiB buffer
@@ -170,7 +170,8 @@ def _block_size(screens: tuple) -> int:
     """``_BLOCK`` paths, or twice that where at most a quarter of the
     paths can default: a block's default work then stays below a full
     ``_BLOCK``-path block's, and half as many blocks pay its fixed cost
-    of some 50 numpy calls."""
+    of some 50 numpy calls.  The quarter is a reasoned cut-off, not a
+    measured optimum: the benchmark's workloads lie at 0-22% and ~79%."""
     return 2 * _BLOCK if math.prod(screens) >= 0.75 else _BLOCK
 
 
@@ -338,10 +339,8 @@ def _first_default(
     defaults first (if before maturity).  Returns ``(screens, block,
     bound)``: the screen level of each name a path draws a uniform for,
     the map from a block of uniforms to their payoffs (see
-    :func:`_simulate`), and a bound on every payoff's magnitude.
-    ``block`` returns the paths that can default, as indices, with their
-    ``(tau_I, tau_C)``; every other path draws levels below both names'
-    screens and survives past maturity.
+    :func:`_simulate`), and a bound on every payoff's magnitude.  A path
+    whose levels are below both names' screens survives past maturity.
 
     The closeout is positively homogeneous in ``v_X``, so on a segment
     it is the closeout of ``owed`` times one exponential, which also
@@ -377,7 +376,6 @@ def _first_default(
         if hit.size:
             settle = np.where(tau_i[hit] <= tau_c[hit], k_i[j], k_c[j])
             out[at_risk[hit]] = paid + settle * np.exp(log_scale[j] + slope[j] * dt)
-        return at_risk, tau_i, tau_c
 
     return screens, block, bound
 
@@ -411,9 +409,7 @@ def mc_value_independent(
 
 def _dependent_default(market, model, schedule, closeout):
     """The dependent-default simulator, its constants built once; returns
-    ``(screens, block, bound)`` as :func:`_first_default` does, ``block``
-    returning the paths that can default, as indices, with their
-    ``tau_C``.
+    ``(screens, block, bound)`` as :func:`_first_default` does.
 
     Only ``tau_C`` is random (its internal law equals the market one);
     the numeraire is the survival-contingent bank account, so a flow at
@@ -453,7 +449,6 @@ def _dependent_default(market, model, schedule, closeout):
         if hit.size:
             log_w = log_weight(*(h[j] + lam[j] * dt for h, lam in zip(cum, rate)))
             out[at_risk[hit]] = paid + k_c[j] * np.exp(seg.log_vx[j] + seg.rate_x[j] * dt + log_w)
-        return at_risk, tau_c
 
     return (screen,), block, bound
 

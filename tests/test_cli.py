@@ -51,14 +51,15 @@ def base_config(**overrides):
     return doc
 
 
-def shipped_config(name, counterparty=None, flows=None, theta=None):
-    """A shipped config at 4096 paths, with the given changes."""
+def shipped_config(name, counterparty=None, flows=None, theta=None, amount=1.0):
+    """A shipped config at 4096 paths, with the given changes; ``flows``
+    are the times of flows of ``amount`` each."""
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     doc["numerics"]["mc_paths"] = 4096
     if counterparty is not None:
         doc["credit"]["counterparty"] = counterparty
     if flows is not None:
-        doc["schedule"] = {"flows": [{"t": t, "amount": 1.0} for t in flows]}
+        doc["schedule"] = {"flows": [{"t": t, "amount": amount} for t in flows]}
     if theta is not None:
         doc["sweep"]["theta"] = theta
     return doc
@@ -350,6 +351,14 @@ class TestValidate:
                  for i in (0, 1)],
                 [DBL_MAX / 1e307] * 2,
             ),
+            # beta(0) = -(1 - R_C) 1e308 x(0) overflows at the first edge,
+            # which has no earlier edge to bisect from
+            (
+                shipped_config("independent_mixed", counterparty=1e308, flows=[1.0], amount=10.0),
+                [f"sweep.lambda_bar[{i}]: non-finite beta coefficient at t = 0.0"
+                 for i in (0, 1)],
+                None,
+            ),
             # theta = 0: the hazard, as above; theta > 0: the first-to-default
             # intensity 1e307 exp(theta 1e307 t) / S
             (
@@ -372,7 +381,7 @@ class TestValidate:
                 None,
             ),
         ],
-        ids=["lambda_bar", "risk_free", "theta", "independent_1e307", "correlated_1e307",
+        ids=["lambda_bar", "risk_free", "theta", "independent_1e307", "beta_at_0", "correlated_1e307",
              "node_integral"],
     )
     def test_rejected_by_both_commands(self, tmp_path, capsys, doc, diagnostics, closed_forms):

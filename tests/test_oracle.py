@@ -53,9 +53,10 @@ def sample_path_outcomes(
     the same block pipeline and payoff code, keeping each path's default
     times and payoff.
 
-    A block maps only the paths that can default to default times; the
-    others are mapped here, by the same inverse survival maps, and must
-    default after maturity under both names."""
+    A block maps only the paths that can default to default times; every
+    path is mapped here, by the same inverse survival maps, and one whose
+    levels are all below their screens must default after maturity under
+    both names."""
     screens, block, bound = oracle._first_default(
         market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
     )
@@ -63,16 +64,13 @@ def sample_path_outcomes(
     kept = []
 
     def keep(w, out):
-        at_risk, tau_i, tau_c = block(w, out)
+        block(w, out)
         all_i = internal.inverse_survival(np.ascontiguousarray(w[:, 0]))
         all_c = (
             np.full(len(w), np.inf) if counterparty is None
             else counterparty.inverse_survival(np.ascontiguousarray(w[:, 1]))
         )
-        assert all_i[at_risk].tobytes() == tau_i.tobytes()
-        assert all_c[at_risk].tobytes() == tau_c.tobytes()
-        skipped = np.ones(len(w), dtype=bool)
-        skipped[at_risk] = False
+        skipped = np.all(w < np.array(screens), axis=1)
         assert np.all(all_i[skipped] > schedule.maturity)
         assert np.all(all_c[skipped] > schedule.maturity)
         kept.append((all_i, all_c, out.copy()))
@@ -530,11 +528,10 @@ class TestContiguousColumns:
         wide = np.random.Generator(np.random.PCG64(8)).random((4000, 4))
         strided = wide[:, ::2]
         assert not strided.flags.c_contiguous
-        got_out, want_out = np.empty(len(wide)), np.empty(len(wide))
-        got = block(strided, got_out)
-        want = block(np.ascontiguousarray(strided), want_out)
-        for a, b in zip((*got, got_out), (*want, want_out)):
-            assert a.tobytes() == b.tobytes()
+        got, want = np.empty(len(wide)), np.empty(len(wide))
+        block(strided, got)
+        block(np.ascontiguousarray(strided), want)
+        assert got.tobytes() == want.tobytes()
         # the maps themselves do not depend on the stride of their levels
         for curve in (m.investor, m.counterparty):
             got = curve.inverse_survival(strided[:, 1])
@@ -635,8 +632,8 @@ class TestHeapPeak:
                                      enumerate(times)])
 
     @pytest.mark.parametrize(
-        "hazards, doubled", [((0.05, 0.07), False), ((0.003, 0.006), True)],
-        ids=["most_default", "under_a_quarter"],
+        "hazards, doubled", [((0.05, 0.07), False), ((0.0031, 0.0062), True)],
+        ids=["most_default", "just_under_a_quarter"],
     )
     def test_peak_at_most_3_75_mib(self, hazards, doubled):
         market = MarketRates(self.curve(0.01, 0.04), self.curve(0.005, 0.03))
@@ -661,6 +658,11 @@ class TestHeapPeak:
                 mc_value_correlated, (market, model, schedule, closeout),
             ),
         }
+        if doubled:
+            # with both names drawn, 24.3% of the paths can default: the
+            # most work a doubled block is given
+            (screens, _, _), _, _ = sims["independent"]
+            assert 0.75 <= math.prod(screens) < 0.76
         peaks = {}
         for name, ((screens, _, _), simulate, args) in sims.items():
             assert (oracle._block_size(screens) == 2 * oracle._BLOCK) == doubled, name
@@ -923,6 +925,17 @@ def packed_levels(curve, maturity):
     return np.clip(out, 0.0, 1.0)
 
 
+def spy_lengths(lengths):
+    """``CreditCurve.inverse_survival``, noting how many levels each call maps."""
+    original = CreditCurve.inverse_survival
+
+    def spying(curve, levels):
+        lengths.append(len(levels))
+        return original(curve, levels)
+
+    return spying
+
+
 class TestScreen:
     """A block maps to default times only the paths whose level reaches
     some name's screen; every other path survives past maturity."""
@@ -934,8 +947,8 @@ class TestScreen:
     @staticmethod
     def run(block, w):
         out = np.empty(len(w))
-        taus = block(w, out)
-        return out, taus
+        block(w, out)
+        return out
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), maturity=st.sampled_from([0.25, 1.0, 5.0, 30.0, 1e5]))
@@ -959,17 +972,19 @@ class TestScreen:
         ]
         for build, args, curves, w in simulators:
             try:
-                _, block, _ = build(*args, schedule, self.closeout)
+                screens, block, _ = build(*args, schedule, self.closeout)
             except InvariantError:  # a hazard past the copula's range
                 continue
-            out, (at_risk, *taus) = self.run(block, w)
             with mock.patch.object(oracle, "_screen", lambda curve, maturity: 0.0):
-                _, block_off, _ = build(*args, schedule, self.closeout)
-            out_off, (all_paths, *taus_off) = self.run(block_off, w)
-            assert np.array_equal(all_paths, np.arange(len(w)))
-            assert out.tobytes() == out_off.tobytes()
-            for tau, tau_off in zip(taus, taus_off):
-                assert tau.tobytes() == tau_off[at_risk].tobytes()
-            skipped = np.setdiff1d(all_paths, at_risk)
+                screens_off, block_off, _ = build(*args, schedule, self.closeout)
+            assert screens_off == (0.0,) * len(curves)  # every path is mapped
+            mapped = []
+            with mock.patch.object(CreditCurve, "inverse_survival", spy_lengths(mapped)):
+                out = self.run(block, w)
+            assert out.tobytes() == self.run(block_off, w).tobytes()
+            # the screened block maps the paths that reach a screen, and
+            # only those; the others survive past maturity under each name
+            skipped = np.all(w < np.array(screens), axis=1)
+            assert mapped == [np.count_nonzero(~skipped)] * len(curves)
             for n, curve in enumerate(curves):
                 assert np.all(curve.inverse_survival(w[skipped, n]) > maturity)
