@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Check that this working tree's ``valadj run`` behaves byte for byte as
+revision REV's does.
+
+    python3 scripts/same_bytes.py REV
+
+Runs ``valadj run`` with and without ``--mc`` on the shipped configs
+(``configs/*.json``) and on the ``long_mc`` benchmark configs of seeds 1,
+2, 3 and 7, built by importing ``bench/workloads.py``: 34 runs, each once
+with REV's ``src/`` and once with this tree's, on the same config files.
+It compares every CSV written, stdout, stderr and the exit code, prints
+one table row per run and exits 1 on any difference.  REV is checked out
+in a temporary ``git worktree``, removed when done.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3, 7)
+
+
+def config_paths(workdir: Path) -> list[Path]:
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    paths = sorted((ROOT / "configs").glob("*.json"))
+    for seed in SEEDS:
+        seed_dir = workdir / f"long_mc_seed{seed}"
+        seed_dir.mkdir()
+        paths += workloads.config_paths("long_mc", seed, False, ROOT, seed_dir)
+    return paths
+
+
+def run(src: Path, config: Path, mc: bool, cwd: Path) -> tuple:
+    """``(exit code, stdout, stderr, {file name: bytes})`` of one run,
+    started in a fresh ``cwd`` with ``--out out``."""
+    cwd.mkdir(parents=True)
+    command = [sys.executable, "-m", "valadj.cli", "run", str(config), "--out", "out"]
+    proc = subprocess.run(
+        command + (["--mc"] if mc else []),
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+    )
+    out = cwd / "out"
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="the git revision to compare with, e.g. HEAD~1")
+    args = parser.parse_args()
+
+    with tempfile.TemporaryDirectory(prefix="same_bytes_") as tmp:
+        tmp = Path(tmp)
+        worktree = tmp / "rev"
+        subprocess.run(
+            ["git", "-C", str(ROOT), "worktree", "add", "--detach", str(worktree), args.rev],
+            check=True,
+            stdout=subprocess.DEVNULL,
+        )
+        try:
+            configs = config_paths(tmp)
+            row = "{:<40} {:<8} {:>7} {:<6} {:<6} {:<6}"
+            print(row.format("config", "mode", "exit", "stdout", "stderr", "csv"))
+            differ = 0
+            for n, config in enumerate(configs):
+                name = str(config.relative_to(ROOT if config.is_relative_to(ROOT) else tmp))
+                for mc in (False, True):
+                    before, after = (
+                        run(src, config, mc, tmp / side / f"{n}{'_mc' * mc}")
+                        for side, src in (("rev", worktree / "src"), ("tree", ROOT / "src"))
+                    )
+                    same = [a == b for a, b in zip(before, after)]
+                    differ += not all(same)
+                    print(
+                        row.format(
+                            name,
+                            "--mc" if mc else "",
+                            f"{before[0]}/{after[0]}",
+                            *("same" if s else "DIFF" for s in same[1:]),
+                        )
+                    )
+            runs = 2 * len(configs)
+            print(f"{runs - differ} of {runs} runs identical to {args.rev}")
+        finally:
+            subprocess.run(
+                ["git", "-C", str(ROOT), "worktree", "remove", "--force", str(worktree)],
+                check=True,
+            )
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

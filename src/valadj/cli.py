@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .credit import CreditCurve, JointDefaultModel
+from .credit import CreditCurve, JointDefaultModel, _check_theta
 from .curves import MarketRates, TermCurve
 from .engine import (
     DEFAULT_PANELS_PER_YEAR,
@@ -36,7 +36,7 @@ from .engine import (
     adjustment_independent,
 )
 from .errors import InvariantError
-from .instruments import CashflowSchedule, CloseoutSpec
+from .instruments import CashflowSchedule, CloseoutSpec, _check_recovery
 from .oracle import _dependent_default, _first_default, mc_value_correlated, mc_value_independent
 
 __all__ = ["ScenarioConfig", "ConfigError", "load_config", "run_scenario", "main"]
@@ -152,25 +152,57 @@ def _real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _parse_curve(raw, label: str, diags: list) -> TermCurve | None:
+def _field(diags: list, key: str, build, *args):
+    """``build(*args)``, the value of config field ``key``; if building it
+    raises, None, and ``<key>: <message>`` joins ``diags``.  A JSON
+    integer may pass the range of a double, so an overflow counts, and
+    so does a sweep point's set-up failing its check."""
     try:
-        if _real(raw):
-            return TermCurve.flat(raw)
-        if isinstance(raw, list):
-            return TermCurve.from_nodes((node["t"], node["value"]) for node in raw)
-        raise ValueError("expected a number or a list of {t, value} nodes")
-    except (ValueError, TypeError, KeyError) as exc:
-        diags.append(f"{label}: {exc}")
+        return build(*args)
+    except (ValueError, TypeError, KeyError, ArithmeticError, InvariantError) as exc:
+        diags.append(f"{key}: {exc}")
         return None
 
 
-def _parse_credit(raw, key: str, name: str, diags: list) -> CreditCurve | None:
-    curve = _parse_curve(raw, f"credit.{key}", diags)
-    try:
-        return None if curve is None else CreditCurve(name, curve)
-    except ValueError as exc:
-        diags.append(f"credit.{key}: {exc}")
-        return None
+def _number(raw):
+    if not _real(raw):
+        raise TypeError("must be a number")
+    return raw
+
+
+def _curve(raw) -> TermCurve:
+    if _real(raw):
+        return TermCurve.flat(raw)
+    if isinstance(raw, list):
+        return TermCurve.from_nodes((node["t"], node["value"]) for node in raw)
+    raise ValueError("expected a number or a list of {t, value} nodes")
+
+
+def _credit(name: str, raw) -> CreditCurve:
+    return CreditCurve(name, _curve(raw))
+
+
+def _schedule(doc: dict) -> CashflowSchedule:
+    flows = [(f["t"], f["amount"]) for f in doc.get("flows", [])]
+    return CashflowSchedule.from_flows(flows, doc.get("maturity"))
+
+
+def _output_name(name) -> str:
+    """``name`` if :func:`_write_atomic` can write a report of that name
+    inside ``--out``."""
+    # a bare name stays inside --out; Path("..").name is ".." itself
+    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+        raise ValueError(
+            "must be a plain file name inside --out (non-empty, no directory part, not '.' or '..')"
+        )
+    if "\0" in name:
+        raise ValueError("embedded null byte")
+    # the report is first written under a longer temporary name, which
+    # must fit a file name: 255 bytes on Linux file systems
+    longest = 255 - len(_temporary_name(""))
+    if len(os.fsencode(name)) > longest:
+        raise ValueError(f"must be at most {longest} bytes, so that its temporary name fits 255")
+    return name
 
 
 def _unknown_keys(doc, schema, path: str = ""):
@@ -241,81 +273,52 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
     diags = [f"{where}: unknown key" for where in _unknown_keys(doc, _SCHEMA)]
 
     market_doc = _section(doc, "market", diags)
-    risk_free = _parse_curve(market_doc.get("risk_free"), "market.risk_free", diags)
-    collateral = _parse_curve(market_doc.get("collateral"), "market.collateral", diags)
-    market = None
-    if risk_free is not None and collateral is not None:
-        market = MarketRates(risk_free, collateral)
+    risk_free = _field(diags, "market.risk_free", _curve, market_doc.get("risk_free"))
+    collateral = _field(diags, "market.collateral", _curve, market_doc.get("collateral"))
 
     credit_doc = _section(doc, "credit", diags)
-    investor = _parse_credit(credit_doc.get("investor"), "investor", "I", diags)
+    investor = _field(diags, "credit.investor", _credit, "I", credit_doc.get("investor"))
+    # a listed counterparty that fails to parse has its own diagnostic
+    listed = credit_doc.get("counterparty") is not None
     counterparty = None
-    if credit_doc.get("counterparty") is not None:
-        counterparty = _parse_credit(credit_doc["counterparty"], "counterparty", "C", diags)
+    if listed:
+        counterparty = _field(diags, "credit.counterparty", _credit, "C", credit_doc["counterparty"])
 
-    bond_recovery = doc.get("bond_recovery", 0.0)
-    if not (_real(bond_recovery) and math.isfinite(bond_recovery) and 0 <= bond_recovery <= 1):
-        diags.append("bond_recovery: recovery out of range [0, 1]")
-        bond_recovery = 0.0
-
-    closeout = None
+    raw = doc.get("bond_recovery", 0.0)
+    bond_recovery = _field(diags, "bond_recovery", lambda: _check_recovery(_number(raw)))
     closeout_doc = _section(doc, "closeout", diags)
-    try:
-        closeout = CloseoutSpec(
-            recovery_investor=closeout_doc.get("recovery_investor", 0.0),
-            recovery_counterparty=closeout_doc.get("recovery_counterparty", 0.0),
-        )
-    except (ValueError, TypeError) as exc:
-        diags.append(f"closeout: {exc}")
-
-    schedule = None
-    schedule_doc = _section(doc, "schedule", diags)
-    try:
-        flows = [(f["t"], f["amount"]) for f in schedule_doc.get("flows", [])]
-        schedule = CashflowSchedule.from_flows(flows, schedule_doc.get("maturity"))
-    except (ValueError, TypeError, KeyError) as exc:
-        diags.append(f"schedule: {exc}")
+    recoveries = [closeout_doc.get(key, 0.0) for key in ("recovery_investor", "recovery_counterparty")]
+    closeout = _field(diags, "closeout", CloseoutSpec, *recoveries)
+    schedule = _field(diags, "schedule", _schedule, _section(doc, "schedule", diags))
 
     regime = doc.get("regime")
     if regime not in REGIMES:
         diags.append(f"regime: must be one of {', '.join(REGIMES)}")
 
+    # the regime's sweep key, whose entries are read by ``read``; the
+    # other key must be empty
     sweep_doc = _section(doc, "sweep", diags)
-    lambda_bar_sweep: list[TermCurve] = []
-    theta_sweep: list[float] = []
-    if regime == REGIME_CORRELATED:
-        if sweep_doc.get("lambda_bar"):
-            diags.append("sweep.lambda_bar: not used by the correlated regime")
-        thetas = sweep_doc.get("theta")
-        if thetas is not None and not isinstance(thetas, list):
-            diags.append("sweep.theta: must be a list of numbers")
-        elif not thetas:
-            diags.append("sweep.theta: correlated regime needs at least one theta")
+    sweeps = {"lambda_bar": [], "theta": []}
+    if regime in REGIMES:
+        used, unused, read, kind = (
+            ("theta", "lambda_bar", lambda th: _check_theta(_number(th)), "numbers")
+            if regime == REGIME_CORRELATED
+            else ("lambda_bar", "theta", _curve, "curves")
+        )
+        if sweep_doc.get(unused):
+            diags.append(f"sweep.{unused}: not used by the {regime} regime")
+        raws = sweep_doc.get(used)
+        if raws is not None and not isinstance(raws, list):
+            diags.append(f"sweep.{used}: must be a list of {kind}")
+        elif not raws:
+            diags.append(f"sweep.{used}: the {regime} regime needs at least one {used}")
         else:
-            for i, th in enumerate(thetas):
-                if not (_real(th) and math.isfinite(th) and th >= 0):
-                    diags.append(f"sweep.theta[{i}]: must be a finite number >= 0")
-                else:
-                    theta_sweep.append(float(th))
-        if bond_recovery != 0.0:
-            diags.append("bond_recovery: correlated regime requires zero bond recovery")
-    elif regime in REGIMES:
-        if sweep_doc.get("theta"):
-            diags.append(f"sweep.theta: not used by the {regime} regime")
-        lams = sweep_doc.get("lambda_bar")
-        if lams is not None and not isinstance(lams, list):
-            diags.append("sweep.lambda_bar: must be a list of curves")
-        elif not lams:
-            diags.append("sweep.lambda_bar: this regime needs at least one lambda_bar_I entry")
-        else:
-            # the set-up rejects a negative one (measure.internal_rate)
-            for i, raw in enumerate(lams):
-                curve = _parse_curve(raw, f"sweep.lambda_bar[{i}]", diags)
-                if curve is not None:
-                    lambda_bar_sweep.append(curve)
-
-    # a listed counterparty that fails to parse has its own diagnostic
-    listed = credit_doc.get("counterparty") is not None
+            # the set-up rejects a negative lambda_bar (measure.internal_rate)
+            sweeps[used] = [
+                _field(diags, f"sweep.{used}[{i}]", read, raw) for i, raw in enumerate(raws)
+            ]
+    if regime == REGIME_CORRELATED and bond_recovery:
+        diags.append("bond_recovery: correlated regime requires zero bond recovery")
     if regime in (REGIME_INDEPENDENT, REGIME_CORRELATED) and not listed:
         diags.append(f"credit.counterparty: required by the {regime} regime")
 
@@ -323,49 +326,42 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
     panels = numerics.get("panels_per_year", DEFAULT_PANELS_PER_YEAR)
     if not isinstance(panels, int) or isinstance(panels, bool) or panels < 1:
         diags.append("numerics.panels_per_year: must be a positive integer")
-        panels = DEFAULT_PANELS_PER_YEAR
     mc_paths = numerics.get("mc_paths", 100_000)
     if not isinstance(mc_paths, int) or isinstance(mc_paths, bool) or mc_paths < 2:
         diags.append("numerics.mc_paths: must be an integer >= 2")
-        mc_paths = 2
     seed = numerics.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         diags.append("numerics.seed: must be a non-negative integer")
-        seed = 0
 
     output = _section(doc, "output", diags)
     profiles_out = output.get("profiles", "profiles.csv")
     summary_out = output.get("summary", "summary.csv")
-    for key, name in (("profiles", profiles_out), ("summary", summary_out)):
-        # a bare name stays inside --out; Path("..").name is ".." itself
-        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
-            diags.append(
-                f"output.{key}: must be a plain file name inside --out "
-                "(non-empty, no directory part, not '.' or '..')"
-            )
+    _field(diags, "output.profiles", _output_name, profiles_out)
+    _field(diags, "output.summary", _output_name, summary_out)
     if profiles_out == summary_out:
         diags.append("output.summary: must differ from output.profiles")
 
-    if diags or market is None or investor is None or closeout is None or schedule is None:
-        raise ConfigError(diags or ["invalid config"])
+    # every field that failed to build has its diagnostic
+    if diags:
+        raise ConfigError(diags)
 
     cfg = ScenarioConfig(
-        market=market,
+        market=MarketRates(risk_free, collateral),
         investor=investor,
         counterparty=counterparty,
-        bond_recovery=float(bond_recovery),
+        bond_recovery=bond_recovery,
         closeout=closeout,
         schedule=schedule,
         regime=regime,
-        lambda_bar_sweep=tuple(lambda_bar_sweep),
-        theta_sweep=tuple(theta_sweep),
+        lambda_bar_sweep=tuple(sweeps["lambda_bar"]),
+        theta_sweep=tuple(sweeps["theta"]),
         panels_per_year=panels,
         mc_paths=mc_paths,
         seed=seed,
         profiles_out=profiles_out,
         summary_out=summary_out,
     )
-    diags = list(_set_up_problems(cfg))
+    diags = _set_up_problems(cfg)
     problem = _panel_memory_problem(cfg, panels)
     if problem is not None:
         diags.append(f"numerics.panels_per_year: {problem}")
@@ -374,19 +370,22 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
     return cfg
 
 
-def _set_up_problems(cfg: ScenarioConfig):
+def _set_up_problems(cfg: ScenarioConfig) -> list:
     """Build what ``run --mc`` builds for each sweep point before its
-    panels and paths, under the run's floating-point rules, and yield a
+    panels and paths, under the run's floating-point rules, and return a
     diagnostic naming each point that fails, the quantity and the time.
     An overflow in panel propagation is left to the run (exit 3)."""
     *_, coefficients, simulator = _regime_functions(cfg.regime)
+
+    def set_up(args):
+        with np.errstate(**_RUN_ERRSTATE):
+            _check_coefficients(*coefficients(*args), maturity=cfg.schedule.maturity)
+            simulator(*args)
+
+    diags = []
     for key, _, _, args in _sweep_points(cfg):
-        try:
-            with np.errstate(**_RUN_ERRSTATE):
-                _check_coefficients(*coefficients(*args), maturity=cfg.schedule.maturity)
-                simulator(*args)
-        except (InvariantError, ValueError, ArithmeticError) as exc:
-            yield f"{key}: {exc}"
+        _field(diags, key, set_up, args)
+    return diags
 
 
 def load_config(path) -> ScenarioConfig:
@@ -503,16 +502,25 @@ def run_scenario(
 
     paths = (base / cfg.profiles_out, base / cfg.summary_out)
     for path, lines in zip(paths, (profile_lines, summary_lines)):
-        _write_atomic(path, "\n".join(lines) + "\n")
+        try:
+            _write_atomic(path, "\n".join(lines) + "\n")
+        except OSError as exc:
+            raise OSError(f"cannot write {path}: {exc}") from exc
     return paths
+
+
+def _temporary_name(name: str) -> str:
+    """The fresh name :func:`_write_atomic` writes report ``name`` under."""
+    return f".{name}.{os.urandom(6).hex()}.tmp"
 
 
 def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to a fresh file beside ``path`` and rename it onto
-    ``path``, so ``path`` holds either its old bytes or all the new ones.
-    Mode ``"x"`` creates the file with ``O_EXCL`` and, like ``write_text``,
-    mode 0o666 less the umask (``tempfile`` would make it 0o600)."""
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    ``path``, so ``path`` holds either its old bytes or all the new ones,
+    and a failure leaves no temporary file behind.  Mode ``"x"`` creates
+    the file with ``O_EXCL`` and, like ``write_text``, mode 0o666 less
+    the umask (``tempfile`` would make it 0o600)."""
+    tmp = path.with_name(_temporary_name(path.name))
     f = open(tmp, "x")
     try:
         with f:
@@ -577,6 +585,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_NUMERIC, "numeric", str(exc))
     except ValueError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
+    except OSError as exc:
+        return _fail(EXIT_CONFIG, "output", str(exc))
     return EXIT_OK
 
 

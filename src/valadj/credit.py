@@ -152,6 +152,13 @@ def _scalar(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _check_theta(theta) -> float:
+    """``theta`` as a float, if it is an admissible dependence level."""
+    if not (math.isfinite(theta) and theta >= 0.0):
+        raise ValueError("dependence parameter theta must be finite and >= 0")
+    return float(theta)
+
+
 def clayton_survival_copula(u, v, theta: float):
     """Clayton survival copula ``C(u, v)``; ``theta = 0`` is ``u * v``."""
     u = np.asarray(u, dtype=float)
@@ -160,8 +167,7 @@ def clayton_survival_copula(u, v, theta: float):
     for x in (u, v):
         if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
             raise ValueError("copula arguments must lie in [0, 1]")
-    if theta < 0.0 or not math.isfinite(theta):
-        raise ValueError("dependence parameter theta must be >= 0")
+    _check_theta(theta)
     with np.errstate(divide="ignore"):
         return _scalar(np.exp(_log_clayton(-np.log(u), -np.log(v), theta)))
 
@@ -176,8 +182,7 @@ class JointDefaultModel:
     theta: float
 
     def __post_init__(self):
-        if not math.isfinite(self.theta) or self.theta < 0.0:
-            raise ValueError("dependence parameter theta must be finite and >= 0")
+        _check_theta(self.theta)
 
     def log_joint_survival(self, t_investor, t_counterparty):
         """``log P(tau_I > t_I, tau_C > t_C)``, stable for small theta."""
@@ -198,7 +203,7 @@ class JointDefaultModel:
         to 1 (for ``H`` below ~1e6), so the intensities are the hazards.
         """
         curves = (self.investor.intensity, self.counterparty.intensity)
-        lam = [c.value_left(t) if left else c.value(t) for c in curves]
+        lam = [c.value(t, left) for c in curves]
         h = [np.asarray(c.cumulative(t)) for c in curves]
         s = 1.0 + (np.expm1(self.theta * h[0]) + np.expm1(self.theta * h[1]))
         return tuple(_scalar(lam[n] * np.exp(self.theta * h[n]) / s) for n in (0, 1))

@@ -161,23 +161,17 @@ class TermCurve:
     # One-node (flat) curves skip the node lookup and the gathers; the
     # results are those of the general formulas at index 0.
 
-    def value(self, t):
-        """Curve value at ``t`` (right-continuous). Scalar or array."""
+    def value(self, t, left: bool = False):
+        """Curve value at ``t`` (right-continuous), or with ``left`` its
+        left limit there: the segment that ends at ``t``, if any (the
+        first one at 0).  Scalar or array."""
         arr = _as_time_array(t)
         if len(self._times) == 1:
             out = np.full(arr.shape, self._values[0])
+        elif left:
+            out = self._values[np.maximum(self._locate(arr, "left") - 1, 0)]
         else:
             out = self._values[self._locate(arr, "right") - 1]
-        return float(out) if out.ndim == 0 else out
-
-    def value_left(self, t):
-        """Left limit at ``t``: the segment that ends there, if any."""
-        arr = _as_time_array(t)
-        if len(self._times) == 1:
-            out = np.full(arr.shape, self._values[0])
-        else:
-            idx = self._locate(arr, "left") - 1
-            out = self._values[np.maximum(idx, 0)]
         return float(out) if out.ndim == 0 else out
 
     def cumulative(self, t):
@@ -204,17 +198,10 @@ class TermCurve:
         """``exp(-integral)`` of the curve between ``t0`` and ``t1``."""
         return math.exp(-self.integrated_rate(t0, t1))
 
-    # -- algebra -------------------------------------------------------
-
-    def __add__(self, other: "TermCurve") -> "TermCurve":
-        return combined((self, other), lambda a, b: a + b)
-
-    def __sub__(self, other: "TermCurve") -> "TermCurve":
-        return combined((self, other), lambda a, b: a - b)
-
 
 def combined(curves: Sequence[TermCurve], fn: Callable[..., np.ndarray]) -> TermCurve:
-    """Pointwise combination of piecewise-constant curves.
+    """Pointwise combination of piecewise-constant curves: the package's
+    one curve algebra (sums, differences, scalings).
 
     The result lives on the union of the node grids, where it is again
     piecewise constant.  Each curve is evaluated once, on the whole union

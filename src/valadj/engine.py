@@ -46,7 +46,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .credit import CreditCurve, JointDefaultModel
-from .curves import MarketRates, TermCurve, as_curve
+from .curves import MarketRates, TermCurve, as_curve, combined
 from .errors import InvariantError, _require_finite
 from .instruments import CashflowSchedule, CloseoutSpec, collateral_value
 from .measure import internal_rate
@@ -217,11 +217,6 @@ def solve_linear_adjustment(
     )
 
 
-def _at(curve: TermCurve, t, left: bool):
-    """``curve`` at ``t``, or its left limit there when ``left``."""
-    return curve.value_left(t) if left else curve.value(t)
-
-
 def _flow_breakpoints(schedule: CashflowSchedule, *curves: TermCurve) -> set:
     pts = set(schedule.times)
     for c in curves:
@@ -236,17 +231,17 @@ def _independent_coefficients(
     lam_bar = as_curve(lambda_bar)
     lam_c = counterparty.intensity if counterparty is not None else TermCurve.flat(0.0)
     r_bar = internal_rate(market, investor, recovery_bond, lam_bar)
-    alpha_curve = r_bar + lam_bar + lam_c
-    spread = r_bar - market.collateral
+    alpha_curve = combined((r_bar, lam_bar, lam_c), lambda r, lb, lc: r + lb + lc)
+    spread = combined((r_bar, market.collateral), np.subtract)
     loss_i = 1.0 - closeout.recovery_investor
     loss_c = 1.0 - closeout.recovery_counterparty
 
     def beta(t, left):
         x = np.asarray(collateral_value(schedule, market.collateral, t, left=left), dtype=float)
         return (
-            loss_i * _at(lam_bar, t, left) * np.maximum(-x, 0.0)
-            - loss_c * _at(lam_c, t, left) * np.maximum(x, 0.0)
-            - _at(spread, t, left) * x
+            loss_i * lam_bar.value(t, left) * np.maximum(-x, 0.0)
+            - loss_c * lam_c.value(t, left) * np.maximum(x, 0.0)
+            - spread.value(t, left) * x
         ), x
 
     breakpoints = _flow_breakpoints(schedule, alpha_curve, spread, market.collateral)
@@ -302,8 +297,8 @@ def _correlated_coefficients(market, model, schedule, closeout) -> tuple:
 
     def beta(t, left):
         x = np.asarray(collateral_value(schedule, r_x, t, left=left), dtype=float)
-        lc = _at(lam_c, t, left)
-        carry = _at(r, t, left) + ftd_sum(t, left) - lc - _at(r_x, t, left)
+        lc = lam_c.value(t, left)
+        carry = r.value(t, left) + ftd_sum(t, left) - lc - r_x.value(t, left)
         return -loss_c * lc * np.maximum(x, 0.0) - carry * x, x
 
     breakpoints = _flow_breakpoints(schedule, r, r_x, model.investor.intensity, lam_c)

@@ -130,6 +130,13 @@ def collateral_value(schedule: CashflowSchedule, collateral: TermCurve, t, *, le
     return float(out) if out.ndim == 0 else out
 
 
+def _check_recovery(recovery) -> float:
+    """``recovery`` as a float, if it lies in ``[0, 1]``."""
+    if not (math.isfinite(recovery) and 0.0 <= recovery <= 1.0):
+        raise ValueError("recovery out of range [0, 1]")
+    return float(recovery)
+
+
 @dataclass(frozen=True)
 class CloseoutSpec:
     """Recovered fractions applied to the collateral-rate value on a
@@ -139,12 +146,11 @@ class CloseoutSpec:
     recovery_counterparty: float
 
     def __post_init__(self):
-        for label, rec in (
-            ("recovery_investor", self.recovery_investor),
-            ("recovery_counterparty", self.recovery_counterparty),
-        ):
-            if not (math.isfinite(rec) and 0.0 <= rec <= 1.0):
-                raise ValueError(f"{label}: recovery out of range [0, 1]")
+        for label in ("recovery_investor", "recovery_counterparty"):
+            try:
+                _check_recovery(getattr(self, label))
+            except ValueError as exc:
+                raise ValueError(f"{label}: {exc}") from None
 
 
 def closeout_values(spec: CloseoutSpec, vx):

@@ -45,6 +45,7 @@ import numpy as np
 from .credit import CreditCurve, JointDefaultModel
 from .curves import MarketRates, TermCurve, as_curve, combined
 from .errors import InvariantError
+from .instruments import _check_recovery
 
 __all__ = [
     "funding_rate",
@@ -59,13 +60,6 @@ __all__ = [
 
 #: panels used by the deterministic quadrature against the tau_C law
 QUADRATURE_PANELS = 2000
-
-
-def _check_recovery(recovery: float) -> float:
-    rec = float(recovery)
-    if not (math.isfinite(rec) and 0.0 <= rec <= 1.0):
-        raise ValueError("bond recovery: recovery out of range [0, 1]")
-    return rec
 
 
 def funding_rate(market: MarketRates, investor: CreditCurve, recovery_bond: float) -> TermCurve:

@@ -369,12 +369,13 @@ def _first_default(
         # gathered levels are contiguous, and the maps run at unit stride
         tau_i = sampler.inverse_survival(w[at_risk, 0])
         if counterparty is None:
-            tau_c = np.full(len(at_risk), np.inf)
+            hit, j, dt, paid = seg.locate(tau_i)
+            settle = k_i[j]
         else:
             tau_c = counterparty.inverse_survival(w[at_risk, 1])
-        hit, j, dt, paid = seg.locate(np.minimum(tau_i, tau_c))
-        if hit.size:
+            hit, j, dt, paid = seg.locate(np.minimum(tau_i, tau_c))
             settle = np.where(tau_i[hit] <= tau_c[hit], k_i[j], k_c[j])
+        if hit.size:
             out[at_risk[hit]] = paid + settle * np.exp(log_scale[j] + slope[j] * dt)
 
     return screens, block, bound

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -70,6 +71,32 @@ def propagation_overflow_doc():
     overflows in panel propagation: with a counterparty hazard of 9e307,
     Simpson's ``4 * beta_mid`` term is past the largest double."""
     return shipped_config("correlated_bond", counterparty=9e307, flows=[1.0], theta=[0.0])
+
+
+def correlated_config(**overrides):
+    doc = base_config(
+        regime="correlated",
+        bond_recovery=0.0,
+        credit={"investor": 0.02, "counterparty": 0.03},
+        sweep={"theta": [0.0, 1.0]},
+    )
+    doc.update(overrides)
+    return doc
+
+
+def overflowing_integer_docs():
+    """``(key, config)`` pairs: each config holds one JSON integer past the
+    range of a double, 10**400, in the field ``key`` names."""
+    big = 10**400
+    closeout = {"recovery_investor": big, "recovery_counterparty": 0.4}
+    return [
+        ("market.risk_free", base_config(market={"risk_free": big, "collateral": 0.005})),
+        ("bond_recovery", base_config(bond_recovery=big)),
+        ("closeout", base_config(closeout=closeout)),
+        ("schedule", base_config(schedule={"flows": [{"t": 1.0, "amount": big}]})),
+        ("sweep.lambda_bar[1]", base_config(sweep={"lambda_bar": [0.0, big]})),
+        ("sweep.theta[0]", correlated_config(sweep={"theta": [big]})),
+    ]
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -380,9 +407,27 @@ class TestValidate:
                 ["credit.counterparty: curve integral overflows a double at t = 2.0"],
                 None,
             ),
+            # JSON integers past the range of a double, one field each
+            *(
+                (doc, [f"{key}: int too large to convert to float"], None)
+                for key, doc in overflowing_integer_docs()
+            ),
+            # names run could not write: open() rejects a NUL byte, and the
+            # temporary name of a 244-byte name passes 255 bytes
+            (
+                base_config(output={"profiles": "p\0.csv"}),
+                ["output.profiles: embedded null byte"],
+                None,
+            ),
+            (
+                base_config(output={"summary": "s" * 244}),
+                ["output.summary: must be at most 237 bytes, so that its temporary name fits 255"],
+                None,
+            ),
         ],
         ids=["lambda_bar", "risk_free", "theta", "independent_1e307", "beta_at_0", "correlated_1e307",
-             "node_integral"],
+             "node_integral", *(f"overflow_{key}" for key, _ in overflowing_integer_docs()),
+             "output_nul", "output_244_bytes"],
     )
     def test_rejected_by_both_commands(self, tmp_path, capsys, doc, diagnostics, closed_forms):
         # validate builds what run builds, so both reject the config with
@@ -421,6 +466,53 @@ class TestConfigParsing:
         cfg = load_config(write_config(tmp_path, doc))
         again = load_config(write_config(tmp_path, cfg.to_json_dict(), "again.json"))
         assert again == cfg
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_configs_round_trip(self, tmp_path, path):
+        cfg = load_config(path)
+        doc = cfg.to_json_dict()
+        assert ("counterparty" in doc["credit"]) == (cfg.counterparty is not None)
+        assert list(doc["sweep"]) == ["theta" if cfg.regime == "correlated" else "lambda_bar"]
+        assert load_config(write_config(tmp_path, doc)) == cfg
+
+    def test_root_must_be_an_object(self, tmp_path):
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, [base_config()]))
+        assert info.value.diagnostics == ["config root must be a JSON object"]
+
+    @pytest.mark.parametrize(
+        "doc, diagnostics",
+        [
+            (
+                base_config(credit={"investor": -0.01}),
+                ["credit.investor: default intensity must be non-negative"],
+            ),
+            (
+                base_config(closeout={"recovery_investor": 1.5, "recovery_counterparty": 0.4}),
+                ["closeout: recovery_investor: recovery out of range [0, 1]"],
+            ),
+            (
+                correlated_config(sweep={"theta": [0.0], "lambda_bar": [0.02]}),
+                ["sweep.lambda_bar: not used by the correlated regime"],
+            ),
+            (
+                correlated_config(sweep={"theta": []}),
+                ["sweep.theta: the correlated regime needs at least one theta"],
+            ),
+            (
+                correlated_config(sweep={"theta": [0.5, -1.0, True, "1.0"]}),
+                ["sweep.theta[1]: dependence parameter theta must be finite and >= 0",
+                 "sweep.theta[2]: must be a number",
+                 "sweep.theta[3]: must be a number"],
+            ),
+        ],
+        ids=["negative_intensity", "closeout_recovery", "lambda_bar_under_correlated",
+             "empty_theta", "invalid_theta"],
+    )
+    def test_rejected_field_named_by_key(self, tmp_path, doc, diagnostics):
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, doc))
+        assert info.value.diagnostics == diagnostics
 
     def test_scalar_curve_becomes_flat(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config()))
@@ -733,6 +825,19 @@ class TestRun:
         assert (out / "profiles.csv").read_text() == "old profiles\n"
         assert (out / "summary.csv").read_text() == "old summary\n"
         assert sorted(os.listdir(out)) == ["profiles.csv", "summary.csv"]
+
+    def test_write_failure_exits_2_naming_the_path(self, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link", src, None, dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "output"
+        assert err["detail"].startswith(f"cannot write {out / 'profiles.csv'}: [Errno {errno.EXDEV}]")
+        assert os.listdir(out) == []
 
     def test_reports_take_the_umask_mode(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config()))

@@ -259,8 +259,7 @@ class TestProductLawBelowThreshold:
         for left in (False, True):
             ftd_i, ftd_c = model.ftd_intensity(self.TIMES, left=left)
             for ftd, curve in ((ftd_i, model.investor), (ftd_c, model.counterparty)):
-                lam = curve.intensity.value_left if left else curve.intensity.value
-                np.testing.assert_array_equal(ftd, lam(self.TIMES))
+                np.testing.assert_array_equal(ftd, curve.intensity.value(self.TIMES, left))
 
     def test_log_joint_survival_is_the_product_law(self, theta):
         model = self.model(theta)
