@@ -9,8 +9,10 @@ Runs ``valadj run`` with and without ``--mc`` on the shipped configs
 2, 3 and 7, built by importing ``bench/workloads.py``: 34 runs, each once
 with REV's ``src/`` and once with this tree's, on the same config files.
 It compares every CSV written, stdout, stderr and the exit code, prints
-one table row per run and exits 1 on any difference.  REV is checked out
-in a temporary ``git worktree``, removed when done.
+one table row per run and exits 1 on any difference.  Under a run whose
+CSVs differ it names each differing cell by file, line and column, with
+both values and their relative change (at most ``MAX_CELLS`` per file).
+REV is checked out in a temporary ``git worktree``, removed when done.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 7)
+MAX_CELLS = 20
 
 
 def config_paths(workdir: Path) -> list[Path]:
@@ -52,6 +55,42 @@ def run(src: Path, config: Path, mc: bool, cwd: Path) -> tuple:
     out = cwd / "out"
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
     return proc.returncode, proc.stdout, proc.stderr, files
+
+
+def relative_change(old: str, new: str) -> str:
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return "not numbers"
+    return f"rel {abs(b - a) / abs(a):.3g}" if a != 0.0 else "rel inf"
+
+
+def cell_changes(before: dict, after: dict) -> list[str]:
+    """One line per differing cell of the CSVs of two runs, ``{file name:
+    bytes}``: the file, the line (the header is line 1), the column named
+    by the header, both values and their relative change."""
+    lines = []
+    for name in sorted(before.keys() | after.keys()):
+        if before.get(name) == after.get(name):
+            continue
+        if name not in before or name not in after:
+            lines.append(f"    {name}: written by one side only")
+            continue
+        old, new = (files[name].decode().splitlines() for files in (before, after))
+        if len(old) != len(new):
+            lines.append(f"    {name}: {len(old)} lines, then {len(new)}")
+        header = old[0].split(",") if old else []
+        cells = [
+            (number, header[col] if col < len(header) else f"column {col + 1}", a, b)
+            for number, (row_a, row_b) in enumerate(zip(old, new), start=1)
+            for col, (a, b) in enumerate(zip(row_a.split(","), row_b.split(",")))
+            if a != b
+        ]
+        for number, column, a, b in cells[:MAX_CELLS]:
+            lines.append(f"    {name} line {number} {column}: {a} -> {b} ({relative_change(a, b)})")
+        if len(cells) > MAX_CELLS:
+            lines.append(f"    {name}: {len(cells) - MAX_CELLS} more cells differ")
+    return lines
 
 
 def main() -> int:
@@ -89,6 +128,8 @@ def main() -> int:
                             *("same" if s else "DIFF" for s in same[1:]),
                         )
                     )
+                    for line in cell_changes(before[3], after[3]):
+                        print(line)
             runs = 2 * len(configs)
             print(f"{runs - differ} of {runs} runs identical to {args.rev}")
         finally:

@@ -188,7 +188,7 @@ def _schedule(doc: dict) -> CashflowSchedule:
 
 
 def _output_name(name) -> str:
-    """``name`` if :func:`_write_atomic` can write a report of that name
+    """``name`` if :func:`_write_reports` can write a report of that name
     inside ``--out``."""
     # a bare name stays inside --out; Path("..").name is ".." itself
     if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
@@ -390,12 +390,12 @@ def _set_up_problems(cfg: ScenarioConfig) -> list:
 
 def load_config(path) -> ScenarioConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the recursion limit
         raise ConfigError([f"invalid JSON: {exc}"]) from exc
     return _parse_config_dict(doc)
 
@@ -501,34 +501,33 @@ def run_scenario(
         )
 
     paths = (base / cfg.profiles_out, base / cfg.summary_out)
-    for path, lines in zip(paths, (profile_lines, summary_lines)):
-        try:
-            _write_atomic(path, "\n".join(lines) + "\n")
-        except OSError as exc:
-            raise OSError(f"cannot write {path}: {exc}") from exc
+    _write_reports(paths, ["\n".join(lines) + "\n" for lines in (profile_lines, summary_lines)])
     return paths
 
 
 def _temporary_name(name: str) -> str:
-    """The fresh name :func:`_write_atomic` writes report ``name`` under."""
+    """The fresh name :func:`_write_reports` writes report ``name`` under."""
     return f".{name}.{os.urandom(6).hex()}.tmp"
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a fresh file beside ``path`` and rename it onto
-    ``path``, so ``path`` holds either its old bytes or all the new ones,
-    and a failure leaves no temporary file behind.  Mode ``"x"`` creates
-    the file with ``O_EXCL`` and, like ``write_text``, mode 0o666 less
-    the umask (``tempfile`` would make it 0o600)."""
-    tmp = path.with_name(_temporary_name(path.name))
-    f = open(tmp, "x")
+def _write_reports(paths, texts) -> None:
+    """Write each text to a fresh file beside its path (mode 0o666 less the
+    umask), then rename each onto its path: a failed write leaves the old
+    reports and no temporary file; only a failed rename leaves some new."""
+    tmps = []
     try:
-        with f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        for path, text in zip(paths, texts):
+            tmp = path.with_name(_temporary_name(path.name))
+            with open(tmp, "x") as f:
+                tmps.append(tmp)
+                f.write(text)
+        for path, tmp in zip(paths, tmps):
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 def _fail(code: int, kind: str, detail: str, diagnostics=()) -> int:

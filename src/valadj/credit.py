@@ -98,6 +98,10 @@ class CreditCurve:
         # NaN fails both comparisons
         if w_arr.size and not (w_arr.min() >= 0.0 and w_arr.max() <= 1.0):
             raise ValueError("survival levels must lie in [0, 1]")
+        return _scalar(self._inverse_survival(w_arr))
+
+    def _inverse_survival(self, w_arr: np.ndarray) -> np.ndarray:
+        """:meth:`inverse_survival` of a float array already in [0, 1]."""
         with np.errstate(divide="ignore"):
             # 0.0 - log(w) is +0.0 at w = 1, where -log(w) is -0.0
             target = 0.0 - np.log(w_arr)
@@ -122,7 +126,7 @@ class CreditCurve:
             if lam[-1] == 0.0:
                 # a zero tail never reaches the levels past the last node
                 out = np.where(k < nseg, out, np.inf)
-        return _scalar(out)
+        return out
 
 
 def _log_clayton(h_i, h_c, theta: float):

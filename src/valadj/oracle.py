@@ -13,9 +13,9 @@ per path: 2 for independent defaults, 1 without a counterparty or for
 dependent defaults), and ``PCG64`` emits one 64-bit word per double, so a
 worker owning paths ``[p0, p1)`` reproduces its slice exactly from
 ``PCG64(seed).advance(k * p0)``, for any ``p0``.  Each name's levels
-reach the inverse survival maps as a contiguous array (gathered from the
-block's column), where the elementwise passes run at unit stride; their
-results do not depend on the stride, so the gather moves no bit.
+reach its level map as a contiguous array (gathered from the block's
+column), where the elementwise passes run at unit stride; their results
+do not depend on the stride, so the gather moves no bit.
 Antithetic or other variance-reduction couplings are deliberately not
 applied.
 
@@ -52,13 +52,12 @@ the quantity and the time, before any path is drawn.
 Each sampled name also gets a screen level: below it, the name's
 inverse survival map certainly returns a time past maturity.  A path
 whose levels are all below their screens survives: it costs one
-comparison per name and takes the full flow sum, and is never mapped to
-a default time.  Only the other paths are mapped, located and closed
-out, by the same elementwise code on the same values, so the screen
-moves no bit.  A defaulting path costs one bucket lookup in ``G``, a few
-gathers and one ``exp`` (plus the copula term for dependent defaults).
-Beyond the draws, payoffs therefore cost ``O(defaults)``, with ``O(|G|)``
-set-up, and ``v_X`` is marked once per simulation.
+comparison per name and takes the full flow sum.  Every other path is
+located once, as it would be with no screen, so the screen moves no bit:
+one bucket lookup, of its hazard level with one sampled name or of its
+first default time with two, gives its segment of ``G`` (past maturity
+the survivor segment ``len(G)``: every flow, no closeout), then a few
+gathers and one ``exp`` its payoff: ``O(defaults)`` beyond the draws.
 
 Default times map from uniforms through the inverse survival function;
 ``inf`` means the name never defaults on the path.  For dependent
@@ -79,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .credit import CreditCurve, JointDefaultModel, _conditional_inverse, _log_clayton
-from .curves import MarketRates, _Locator, as_curve
+from .curves import MarketRates, TermCurve, _Locator, as_curve
 from .errors import _require_finite
 from .instruments import CashflowSchedule, CloseoutSpec, closeout_values, collateral_value
 from .measure import internal_rate
@@ -240,27 +239,28 @@ class _Segments:
       a long segment.
 
     ``log_discount`` is the log of the weight of a flow paid at each
-    grid time.  A default then costs one bucket lookup in the grid
-    (:class:`~valadj.curves._Locator`): a few elementwise passes, however
-    many points the grid has.
+    grid time.  A path is located by one bucket lookup
+    (:class:`~valadj.curves._Locator`), past maturity in the survivor
+    segment ``len(grid)`` (see :func:`_survivor_row`).
     """
 
     def __init__(self, schedule: CashflowSchedule, collateral, grid, log_discount):
         times = np.asarray(schedule.times)
         self.grid = grid
-        self._locate = _Locator(grid)
         self.maturity = schedule.maturity
-        # the time a default can spend in each segment; the last one ends
-        # at maturity
+        # the time a default can spend in each segment, the last to maturity
         self.span = np.diff(np.append(grid, self.maturity))
         flow_at = np.searchsorted(grid, times)  # flow dates are grid points
         upto = np.searchsorted(times, grid, side="right")  # flows dated <= g_j
 
         weighted = np.asarray(schedule.amounts) * np.exp(log_discount[flow_at])
         prefix = np.concatenate(([0.0], np.cumsum(weighted)))
-        self.paid_before = prefix[np.searchsorted(times, grid, side="left")]
-        self.paid_upto = prefix[upto]
         self.paid_all = prefix[-1]
+        left = np.searchsorted(times, grid, side="left")
+        # the survivor segment starts just past maturity, paid every flow
+        self._starts = np.append(grid, np.nextafter(self.maturity, math.inf))
+        self._locate = _Locator(self._starts)
+        self.paid_before, self.paid_upto = (np.append(prefix[k], prefix[-1]) for k in (left, upto))
 
         nxt = np.minimum(upto, len(times) - 1)  # first flow after g_j
         done = upto == len(times)  # no flow left after g_j
@@ -271,21 +271,53 @@ class _Segments:
         self.rate_x = np.where(done, 0.0, collateral.value(grid))
 
     def locate(self, tau: np.ndarray):
-        """The paths whose default time ``tau`` is at most maturity, as
-        indices, with each one's segment ``j``, the time ``dt`` it spent
-        in it and the flows it was paid.  Surviving paths are not
-        located."""
-        # integer indices: gathers and scatters through them are several
-        # times cheaper than through a boolean mask
-        hit = np.flatnonzero(tau <= self.maturity)
-        t_hit = tau[hit]
-        j = self._locate(t_hit, "right") - 1
-        dt = t_hit - self.grid[j]
+        """Default times' segments ``j``, times ``dt`` in them and flows paid;
+        clips ``tau`` in place."""
+        # a finite dt keeps the survivor segment's -0.0 * dt from NaN
+        np.minimum(tau, self._starts[-1], out=tau)
+        j = self._locate(tau, "right") - 1
+        dt = tau - self._starts[j]
+        return j, dt, self._paid(j, dt)
+
+    def levels(self, intensity: TermCurve):
+        """Levels ``w`` to :meth:`locate` of their default times, for a name
+        whose ``intensity`` is constant on each segment: ``-log w`` (at
+        most the largest double) is looked up among its cumulative hazards
+        ``H`` on the grid and just past ``H(maturity)``, a knot repeated by
+        zero hazard raised one ulp, then ``dt = (-log w - H[j]) / lam_j``."""
+        top = sys.float_info.max
+        with np.errstate(over="ignore", divide="ignore"):
+            past = np.nextafter(intensity.cumulative(self.maturity), math.inf)
+            knots = np.minimum(np.append(intensity.cumulative(self.grid), past), top)
+            lam = np.asarray(intensity.value(self.grid))
+            # 0 where the hazard is 0; clipped where it is subnormal
+            inv = np.append(np.minimum(np.where(lam > 0.0, 1.0 / lam, 0.0), top), 0.0)
+            repeat = np.append(False, knots[1:] == knots[:-1]) & (knots < top)
+            locate = _Locator(np.where(repeat, np.nextafter(knots, math.inf), knots))
+
+        def level(w):
+            with np.errstate(divide="ignore"):
+                target = np.log(w)
+            np.minimum(np.negative(target, out=target), top, out=target)
+            j = locate(target, "right") - 1
+            dt = (target - knots[j]) * inv[j]
+            return j, dt, self._paid(j, dt)
+
+        return level
+
+    def _paid(self, j, dt):
+        """The flows paid by a default ``dt`` into segment ``j``."""
         paid = self.paid_upto[j]
         on_node = dt == 0.0
         if on_node.any():
             paid[on_node] = self.paid_before[j[on_node]]
-        return hit, j, dt, paid
+        return paid
+
+
+def _survivor_row(*columns):
+    """Each column with the survivor segment's entry -0.0: a surviving
+    path's closeout ``-0.0 * exp(-0.0)`` leaves its flows' every bit."""
+    return [np.append(c, -0.0) for c in columns]
 
 
 def _check_payoffs(seg: _Segments, settles, log_scale, slope) -> float:
@@ -296,7 +328,7 @@ def _check_payoffs(seg: _Segments, settles, log_scale, slope) -> float:
     exponent may be an upper bound): monotone in ``dt``, so the payoffs
     at a segment's two ends bound those inside it."""
     at = (seg.grid, seg.grid, seg.grid + seg.span)
-    paid = (seg.paid_before, seg.paid_upto, seg.paid_upto)
+    paid = (seg.paid_before[:-1], seg.paid_upto[:-1], seg.paid_upto[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
         start = np.exp(log_scale)
         growth = (start, start, np.exp(log_scale + slope * seg.span))
@@ -305,7 +337,7 @@ def _check_payoffs(seg: _Segments, settles, log_scale, slope) -> float:
             for k in settles
             for t, p, g in zip(at, paid, growth)
         ]
-    checks = [("discounted flows", seg.grid, seg.paid_upto), *closeouts]
+    checks = [("discounted flows", seg.grid, paid[1]), *closeouts]
     _require_finite(*checks)
     return max(float(np.max(np.abs(values))) for _, _, values in checks)
 
@@ -359,6 +391,10 @@ def _first_default(
     bound = _check_payoffs(seg, (k_i,) if counterparty is None else (k_i, k_c), log_scale, slope)
     names = (sampler,) if counterparty is None else (sampler, counterparty)
     screens = tuple(_screen(name, schedule.maturity) for name in names)
+    k_i, k_c, log_scale, slope = _survivor_row(k_i, k_c, log_scale, slope)
+    settles = np.concatenate((k_c, k_i))  # one gather beats np.where's mask
+    # r_bar has lam_bar's nodes, so lam_bar is constant on each segment
+    levels = seg.levels(lam_bar) if counterparty is None else None
 
     def block(w, out):
         out.fill(seg.paid_all)
@@ -367,16 +403,16 @@ def _first_default(
             can_default |= w[:, 1] >= screens[1]
         at_risk = np.flatnonzero(can_default)
         # gathered levels are contiguous, and the maps run at unit stride
-        tau_i = sampler.inverse_survival(w[at_risk, 0])
         if counterparty is None:
-            hit, j, dt, paid = seg.locate(tau_i)
+            j, dt, paid = levels(w[at_risk, 0])
             settle = k_i[j]
         else:
-            tau_c = counterparty.inverse_survival(w[at_risk, 1])
-            hit, j, dt, paid = seg.locate(np.minimum(tau_i, tau_c))
-            settle = np.where(tau_i[hit] <= tau_c[hit], k_i[j], k_c[j])
-        if hit.size:
-            out[at_risk[hit]] = paid + settle * np.exp(log_scale[j] + slope[j] * dt)
+            # each name's own map, which needs no lookup on a flat curve
+            tau_i = sampler._inverse_survival(w[at_risk, 0])
+            tau_c = counterparty._inverse_survival(w[at_risk, 1])
+            j, dt, paid = seg.locate(np.minimum(tau_i, tau_c))
+            settle = settles[j + (tau_i <= tau_c) * len(k_c)]
+        out[at_risk] = paid + settle * np.exp(log_scale[j] + slope[j] * dt)
 
     return screens, block, bound
 
@@ -441,15 +477,16 @@ def _dependent_default(market, model, schedule, closeout):
     _require_finite(("log discount", grid, start), ("log discount", grid + seg.span, end))
     bound = _check_payoffs(seg, (k_c,), seg.log_vx - cum[0], seg.rate_x - rate[0])
     screen = _screen(model.counterparty, schedule.maturity)
+    levels = seg.levels(model.counterparty.intensity)
+    k_c, log_vx, rate_x = _survivor_row(k_c, seg.log_vx, seg.rate_x)
+    cum, rate = _survivor_row(*cum), _survivor_row(*rate)
 
     def block(w, out):
         out.fill(seg.paid_all)
         at_risk = np.flatnonzero(w[:, 0] >= screen)
-        tau_c = model.counterparty.inverse_survival(w[at_risk, 0])
-        hit, j, dt, paid = seg.locate(tau_c)
-        if hit.size:
-            log_w = log_weight(*(h[j] + lam[j] * dt for h, lam in zip(cum, rate)))
-            out[at_risk[hit]] = paid + k_c[j] * np.exp(seg.log_vx[j] + seg.rate_x[j] * dt + log_w)
+        j, dt, paid = levels(w[at_risk, 0])
+        log_w = log_weight(*(h[j] + lam[j] * dt for h, lam in zip(cum, rate)))
+        out[at_risk] = paid + k_c[j] * np.exp(log_vx[j] + rate_x[j] * dt + log_w)
 
     return (screen,), block, bound
 

@@ -119,6 +119,27 @@ class TestValidate:
         assert err["error"] == "config"
         assert "invalid JSON" in err["diagnostics"][0]
 
+    @pytest.mark.parametrize(
+        "raw, diagnostic",
+        [
+            (b'{"regime": "\xff"}', "cannot read config: 'utf-8' codec can't decode byte 0xff"),
+            (b"[" * 100000 + b"]" * 100000, "invalid JSON: maximum recursion depth exceeded"),
+        ],
+        ids=["not_utf8", "nested_100000_deep"],
+    )
+    def test_unreadable_config_rejected_by_both_commands(
+        self, tmp_path, capsys, raw, diagnostic
+    ):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(raw)
+        out = tmp_path / "out"
+        for command in (["validate"], ["run", "--mc", "--out", str(out)]):
+            assert main([*command, str(path)]) == EXIT_CONFIG
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "config"
+            assert err["diagnostics"][0].startswith(diagnostic)
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)
@@ -798,10 +819,8 @@ class TestRun:
         assert all(r.split(",")[1] == "0.0" for r in rows)
 
     def test_failed_write_keeps_the_old_reports(self, tmp_path, monkeypatch):
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "profiles.csv").write_text("old profiles\n")
-        (out / "summary.csv").write_text("old summary\n")
+        # both reports are written before either is renamed, so a failed
+        # write of either one leaves both old reports and no temporary file
         class Torn:
             """A file that takes half of what is written, then fails."""
 
@@ -818,13 +837,27 @@ class TestRun:
                 self.f.write(text[: len(text) // 2])
                 raise OSError("no space left on device")
 
-        monkeypatch.setattr(cli, "open", lambda path, mode: Torn(open(path, mode)), raising=False)
         cfg = load_config(write_config(tmp_path, base_config()))
-        with pytest.raises(OSError, match="no space"):
-            run_scenario(cfg, out_dir=out, echo=lambda _: None)
-        assert (out / "profiles.csv").read_text() == "old profiles\n"
-        assert (out / "summary.csv").read_text() == "old summary\n"
-        assert sorted(os.listdir(out)) == ["profiles.csv", "summary.csv"]
+        for torn, name in enumerate(("profiles.csv", "summary.csv")):
+            out = tmp_path / f"out{torn}"
+            out.mkdir()
+            (out / "profiles.csv").write_text("old profiles\n")
+            (out / "summary.csv").write_text("old summary\n")
+            opened = []
+
+            def opening(path, mode):
+                opened.append(path)
+                f = open(path, mode)
+                return Torn(f) if len(opened) == torn + 1 else f
+
+            monkeypatch.setattr(cli, "open", opening, raising=False)
+            match = f"cannot write {re.escape(str(out / name))}: no space"
+            with pytest.raises(OSError, match=match):
+                run_scenario(cfg, out_dir=out, echo=lambda _: None)
+            assert len(opened) == torn + 1
+            assert (out / "profiles.csv").read_text() == "old profiles\n"
+            assert (out / "summary.csv").read_text() == "old summary\n"
+            assert sorted(os.listdir(out)) == ["profiles.csv", "summary.csv"]
 
     def test_write_failure_exits_2_naming_the_path(self, tmp_path, capsys, monkeypatch):
         def refuse(src, dst):

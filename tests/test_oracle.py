@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from valadj import (
     mc_value_independent,
     sample_joint_defaults,
 )
-from valadj import as_curve, oracle
+from valadj import as_curve, cli, oracle
 from valadj.measure import internal_rate
 
 from _reference import chunked_mean_m2, naive_collateral_value, piecewise_integral
@@ -53,10 +54,10 @@ def sample_path_outcomes(
     the same block pipeline and payoff code, keeping each path's default
     times and payoff.
 
-    A block maps only the paths that can default to default times; every
-    path is mapped here, by the same inverse survival maps, and one whose
-    levels are all below their screens must default after maturity under
-    both names."""
+    A block locates only the paths that can default; every path is mapped
+    here by the inverse survival maps, which the block's level maps agree
+    with, and one whose levels are all below their screens must default
+    after maturity under both names."""
     screens, block, bound = oracle._first_default(
         market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
     )
@@ -504,7 +505,7 @@ class TestContiguousColumns:
     def test_simulator_columns_are_contiguous(self, monkeypatch):
         m = self.m
         monkeypatch.setattr(oracle, "_BLOCK", 1000)
-        seen = self.spy(monkeypatch, CreditCurve, "inverse_survival")
+        seen = self.spy(monkeypatch, CreditCurve, "_inverse_survival")
         mc_value_independent(
             m.market, m.investor, m.counterparty, 0.4, m.lambda_bar, m.schedule,
             m.closeout, 5000, 3,
@@ -682,9 +683,11 @@ class TestSegmentTable:
     not a flow date, at 0, at maturity, after the last flow, or ties
     between the two names.
 
-    The inverse survival map is replaced by the identity, so the
-    simulator's uniforms are the default times themselves; survival is
-    replaced by 0, which turns the screen off; and the simulation
+    The level maps are replaced by the identity on default times, so the
+    simulator's uniforms are the default times themselves: each name's
+    own inverse survival map, and a one-name simulator's hazard-level map,
+    which becomes the lookup of the default time in the grid.  Survival
+    is replaced by 0, which turns the screen off, and the simulation
     returns its payoff vector instead of the estimate.
     """
 
@@ -714,7 +717,8 @@ class TestSegmentTable:
             block(taus, out)
             return out
 
-        monkeypatch.setattr(CreditCurve, "inverse_survival", lambda self, w: np.array(w))
+        monkeypatch.setattr(CreditCurve, "_inverse_survival", lambda self, w: np.array(w))
+        monkeypatch.setattr(oracle._Segments, "levels", lambda seg, intensity: seg.locate)
         monkeypatch.setattr(CreditCurve, "survival", lambda self, t: 0.0)
         monkeypatch.setattr(oracle, "_simulate", payoff_vector)
         return simulate()
@@ -843,6 +847,136 @@ class TestSegmentTable:
         assert len(calls) == 2
 
 
+class TestLevelMap:
+    """A one-name simulator locates a path by one lookup of its hazard
+    level ``-log w`` among the name's cumulative hazards on the grid.
+    It agrees with the inverse survival map followed by the lookup of
+    the default time in the grid, and a level on a knot defaults exactly
+    at that grid point, the first one where zero hazard leaves several."""
+
+    m = TestMultiFlowPayoffs
+    LOG2 = math.log(2.0)  # -log(0.5), exactly
+
+    def segments(self, schedule, intensity):
+        collateral = self.m.market.collateral
+        grid = oracle._segment_grid(schedule, (collateral, intensity))
+        return oracle._Segments(schedule, collateral, grid, np.zeros(len(grid)))
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            [(0.0, 0.0), (1.25, 0.2), (3.0, 0.1)],
+            [(0.0, 0.1), (1.5, 0.0), (3.0, 0.2)],
+            [(0.0, 0.1), (3.5, 0.0)],
+            [(0.0, 0.15)],
+        ],
+        ids=["leading_zero", "interior_zero", "zero_tail", "flat"],
+    )
+    def test_agrees_with_inverse_survival(self, nodes):
+        curve = CreditCurve("N", TermCurve.from_nodes(nodes))
+        seg = self.segments(self.m.schedule, curve.intensity)
+        # enough levels for the bucket lookup, and the extreme draws
+        w = np.random.Generator(np.random.PCG64(5)).random(4000)
+        w[:3] = [0.0, 2.0**-53, 1.0 - 2.0**-53]
+        j, dt, paid = seg.levels(curve.intensity)(w)
+        want_j, want_dt, want_paid = seg.locate(curve.inverse_survival(w))
+        np.testing.assert_array_equal(j, want_j)
+        np.testing.assert_allclose(dt, want_dt, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(paid, want_paid)
+        survived = j == len(seg.grid)
+        assert survived[0] and 0 < np.count_nonzero(survived) < len(w)
+        assert np.all(dt[survived] == 0.0) and np.all(paid[survived] == seg.paid_all)
+
+    @pytest.mark.parametrize(
+        "nodes, at",
+        [
+            ([(0.0, LOG2)], 1.0),  # a flow date
+            ([(0.0, 0.0), (1.0, LOG2)], 2.0),  # an r_X node, past a leading zero run
+            ([(0.0, LOG2), (1.0, 0.0), (2.5, 0.2)], 1.0),  # the first point of a zero run
+            ([(0.0, 0.0), (2.5, LOG2), (3.5, 0.0)], 3.5),  # the first point of a zero tail
+        ],
+        ids=["flow_date", "after_leading_zero", "interior_zero", "zero_tail"],
+    )
+    def test_level_on_a_knot(self, nodes, at):
+        # H(at) = log 2 exactly, so level 0.5 defaults exactly at ``at``:
+        # paid the flows dated before it, where inverse_survival returns
+        # the same time up to rounding
+        curve = CreditCurve("N", TermCurve.from_nodes(nodes))
+        seg = self.segments(self.m.schedule, curve.intensity)
+        assert curve.intensity.cumulative(at) == -math.log(0.5)
+        j, dt, paid = seg.levels(curve.intensity)(np.array([0.5]))
+        assert (seg.grid[j[0]], dt[0], paid[0]) == (at, 0.0, seg.paid_before[j[0]])
+        assert curve.inverse_survival(0.5) == pytest.approx(at, abs=1e-12)
+
+    @pytest.mark.parametrize("maturity", [4.0, 8.0], ids=["at_last_flow", "after_last_flow"])
+    def test_default_at_maturity(self, maturity):
+        # lambda_bar = log 2 / maturity: U(maturity) = 0.5 exactly, so
+        # level 0.5 defaults at maturity and the level one ulp below it
+        # survives
+        m, table = self.m, TestSegmentTable()
+        schedule = CashflowSchedule.from_flows(m.flows, maturity=maturity)
+        lambda_bar = TermCurve.flat(self.LOG2 / maturity)
+        seg = self.segments(schedule, lambda_bar)
+        levels = np.array([0.5, np.nextafter(0.5, 0.0)])
+        j, dt, _ = seg.levels(lambda_bar)(levels)
+        n = len(seg.grid)
+        assert j[1] == n and dt[1] == 0.0
+        assert j[0] == n - 1 and seg.grid[-1] + dt[0] == pytest.approx(maturity, abs=1e-12)
+        assert (dt[0] == 0.0) == (seg.grid[-1] == maturity)
+        # the payoffs: the flows before maturity and the closeout there
+        screens, block, _ = oracle._first_default(
+            m.market, m.investor, None, 0.4, lambda_bar, schedule, m.closeout
+        )
+        assert screens[0] < levels[1]
+        got = np.empty(2)
+        block(levels[:, None], got)
+        r_bar = internal_rate(m.market, m.investor, 0.4, lambda_bar)
+        for tau, p in zip((maturity, math.inf), got):
+            expected = table.first_default_expected(schedule, tau, math.inf, r_bar)
+            assert p == pytest.approx(expected, abs=1e-12), tau
+        all_flows = table.first_default_expected(schedule, math.inf, math.inf, r_bar)
+        assert (got[0] == pytest.approx(all_flows, abs=1e-12)) == (maturity > m.flows[-1][0])
+
+    def test_survivor_pays_its_flows_to_the_bit(self):
+        # flows that sum to -0.0: a located survivor adds the survivor
+        # segment's closeout to them, and must keep the sign bit that a
+        # screened survivor's payoff has
+        m = self.m
+        schedule = CashflowSchedule.from_flows([(1.0, -0.0)])
+        for counterparty in (None, m.counterparty):
+            screens, block, _ = oracle._first_default(
+                m.market, m.investor, counterparty, 0.4, 0.02, schedule, m.closeout
+            )
+            w = np.array([screens, np.zeros(len(screens))])  # located, then screened
+            got = np.empty(2)
+            block(w, got)
+            assert got.tobytes() == np.array([-0.0, -0.0]).tobytes()
+
+    def test_level_zero_under_a_screen_of_zero(self):
+        # a hazard of 1e307 overflows long before maturity: the screen is
+        # 0, so level 0 reaches the level map, whose survivor segment pays
+        # every flow (0 * inf would be NaN); bond recovery 1 keeps r_bar
+        # off lambda_bar
+        m, table = self.m, TestSegmentTable()
+        r_bar = internal_rate(m.market, m.investor, 1.0, 1e307)
+        levels = np.array([[0.0, 0.0], [0.5, 0.0], [2.0**-53, 0.0], [0.0, 0.5]])
+        for counterparty in (None, CreditCurve("C", TermCurve.flat(1e307))):
+            with np.errstate(**cli._RUN_ERRSTATE):
+                screens, block, _ = oracle._first_default(
+                    m.market, m.investor, counterparty, 1.0, 1e307, m.schedule, m.closeout
+                )
+                assert screens == (0.0,) * len(screens)
+                w = np.ascontiguousarray(levels[:, : len(screens)])
+                got = np.empty(len(w))
+                block(w, got)
+            # both names' hazards are 1e307
+            taus = CreditCurve("N", TermCurve.flat(1e307)).inverse_survival(levels)
+            for (tau_i, tau_c), p in zip(taus.tolist(), got):
+                tau_c = math.inf if counterparty is None else tau_c
+                expected = table.first_default_expected(m.schedule, tau_i, tau_c, r_bar)
+                assert p == pytest.approx(expected, abs=1e-12), (tau_i, tau_c)
+
+
 class TestSetUpCheck:
     """Each simulator checks its segment table before drawing a path: a
     payoff that could overflow raises, naming the quantity and time."""
@@ -925,15 +1059,29 @@ def packed_levels(curve, maturity):
     return np.clip(out, 0.0, 1.0)
 
 
+@contextlib.contextmanager
 def spy_lengths(lengths):
-    """``CreditCurve.inverse_survival``, noting how many levels each call maps."""
-    original = CreditCurve.inverse_survival
+    """Note how many levels each call of a level map maps: each name's
+    own inverse survival map, and the hazard-level maps that one-name
+    simulators built while this is active return."""
+    own, levels = CreditCurve._inverse_survival, oracle._Segments.levels
 
-    def spying(curve, levels):
-        lengths.append(len(levels))
-        return original(curve, levels)
+    def spying_own(curve, w):
+        lengths.append(len(w))
+        return own(curve, w)
 
-    return spying
+    def spying_levels(seg, intensity):
+        level = levels(seg, intensity)
+
+        def spying(w):
+            lengths.append(len(w))
+            return level(w)
+
+        return spying
+
+    with mock.patch.object(CreditCurve, "_inverse_survival", spying_own):
+        with mock.patch.object(oracle._Segments, "levels", spying_levels):
+            yield
 
 
 class TestScreen:
@@ -971,16 +1119,16 @@ class TestScreen:
              (counterparty,), pairs[:, 1:]),
         ]
         for build, args, curves, w in simulators:
+            mapped = []
             try:
-                screens, block, _ = build(*args, schedule, self.closeout)
+                with spy_lengths(mapped):
+                    screens, block, _ = build(*args, schedule, self.closeout)
+                    out = self.run(block, w)
             except InvariantError:  # a hazard past the copula's range
                 continue
             with mock.patch.object(oracle, "_screen", lambda curve, maturity: 0.0):
                 screens_off, block_off, _ = build(*args, schedule, self.closeout)
             assert screens_off == (0.0,) * len(curves)  # every path is mapped
-            mapped = []
-            with mock.patch.object(CreditCurve, "inverse_survival", spy_lengths(mapped)):
-                out = self.run(block, w)
             assert out.tobytes() == self.run(block_off, w).tobytes()
             # the screened block maps the paths that reach a screen, and
             # only those; the others survive past maturity under each name
