@@ -404,12 +404,12 @@ def _first_default(
         at_risk = np.flatnonzero(can_default)
         # gathered levels are contiguous, and the maps run at unit stride
         if counterparty is None:
-            j, dt, paid = levels(w[at_risk, 0])
+            j, dt, paid = levels(w[:, 0][at_risk])
             settle = k_i[j]
         else:
             # each name's own map, which needs no lookup on a flat curve
-            tau_i = sampler._inverse_survival(w[at_risk, 0])
-            tau_c = counterparty._inverse_survival(w[at_risk, 1])
+            tau_i = sampler._inverse_survival(w[:, 0][at_risk])
+            tau_c = counterparty._inverse_survival(w[:, 1][at_risk])
             j, dt, paid = seg.locate(np.minimum(tau_i, tau_c))
             settle = settles[j + (tau_i <= tau_c) * len(k_c)]
         out[at_risk] = paid + settle * np.exp(log_scale[j] + slope[j] * dt)
@@ -484,7 +484,7 @@ def _dependent_default(market, model, schedule, closeout):
     def block(w, out):
         out.fill(seg.paid_all)
         at_risk = np.flatnonzero(w[:, 0] >= screen)
-        j, dt, paid = levels(w[at_risk, 0])
+        j, dt, paid = levels(w[:, 0][at_risk])
         log_w = log_weight(*(h[j] + lam[j] * dt for h, lam in zip(cum, rate)))
         out[at_risk] = paid + k_c[j] * np.exp(log_vx[j] + rate_x[j] * dt + log_w)
 
