@@ -12,13 +12,18 @@ It compares every CSV written, stdout, stderr and the exit code, prints
 one table row per run and exits 1 on any difference.  Under a run whose
 CSVs differ it names each differing cell by file, line and column, with
 both values and their relative change (at most ``MAX_CELLS`` per file).
-REV is checked out in a temporary ``git worktree``, removed when done.
+A closing line counts the runs that differ only in Monte Carlo estimates
+(``mc_mean``/``mc_stderr`` cells and the ``mc=`` text of stdout) and
+gives their largest relative change.  REV is checked out in a temporary
+``git worktree``, removed when done.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,6 +32,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 7)
 MAX_CELLS = 20
+MC_COLUMNS = ("mc_mean", "mc_stderr")
+MC_ECHO = re.compile(rb"mc=\S+")
 
 
 def config_paths(workdir: Path) -> list[Path]:
@@ -57,40 +64,68 @@ def run(src: Path, config: Path, mc: bool, cwd: Path) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr, files
 
 
-def relative_change(old: str, new: str) -> str:
+def relative(old: str, new: str) -> float | None:
+    """``|new - old| / |old|``, inf where ``old`` is 0; None where a value
+    is not a number."""
     try:
         a, b = float(old), float(new)
     except ValueError:
-        return "not numbers"
-    return f"rel {abs(b - a) / abs(a):.3g}" if a != 0.0 else "rel inf"
+        return None
+    return abs(b - a) / abs(a) if a != 0.0 else math.inf
 
 
-def cell_changes(before: dict, after: dict) -> list[str]:
-    """One line per differing cell of the CSVs of two runs, ``{file name:
-    bytes}``: the file, the line (the header is line 1), the column named
-    by the header, both values and their relative change."""
-    lines = []
+def csv_changes(before: dict, after: dict) -> tuple[list, list]:
+    """``(notes, cells)`` for the CSVs of two runs, ``{file name: bytes}``:
+    a note per file written by one side only or of another length, and
+    ``(file, line, column, old, new)`` per differing cell, the line
+    counted from the header as line 1 and the column named by it."""
+    notes, cells = [], []
     for name in sorted(before.keys() | after.keys()):
         if before.get(name) == after.get(name):
             continue
         if name not in before or name not in after:
-            lines.append(f"    {name}: written by one side only")
+            notes.append(f"{name}: written by one side only")
             continue
         old, new = (files[name].decode().splitlines() for files in (before, after))
         if len(old) != len(new):
-            lines.append(f"    {name}: {len(old)} lines, then {len(new)}")
+            notes.append(f"{name}: {len(old)} lines, then {len(new)}")
         header = old[0].split(",") if old else []
-        cells = [
-            (number, header[col] if col < len(header) else f"column {col + 1}", a, b)
+        cells += [
+            (name, number, header[col] if col < len(header) else f"column {col + 1}", a, b)
             for number, (row_a, row_b) in enumerate(zip(old, new), start=1)
             for col, (a, b) in enumerate(zip(row_a.split(","), row_b.split(",")))
             if a != b
         ]
-        for number, column, a, b in cells[:MAX_CELLS]:
-            lines.append(f"    {name} line {number} {column}: {a} -> {b} ({relative_change(a, b)})")
-        if len(cells) > MAX_CELLS:
-            lines.append(f"    {name}: {len(cells) - MAX_CELLS} more cells differ")
+    return notes, cells
+
+
+def cell_changes(notes: list, cells: list) -> list[str]:
+    """One line per note and per differing cell, with both values and
+    their relative change (at most ``MAX_CELLS`` cells per file)."""
+    lines = [f"    {note}" for note in notes]
+    for name in sorted({cell[0] for cell in cells}):
+        mine = [cell for cell in cells if cell[0] == name]
+        for _, number, column, a, b in mine[:MAX_CELLS]:
+            rel = relative(a, b)
+            change = "not numbers" if rel is None else f"rel {rel:.3g}"
+            lines.append(f"    {name} line {number} {column}: {a} -> {b} ({change})")
+        if len(mine) > MAX_CELLS:
+            lines.append(f"    {name}: {len(mine) - MAX_CELLS} more cells differ")
     return lines
+
+
+def mc_only_change(before: tuple, after: tuple, notes: list, cells: list) -> float | None:
+    """The largest relative change of two differing runs whose exit codes
+    and stderr agree, whose stdout differs at most in ``mc=`` text, and
+    whose CSVs differ only in ``MC_COLUMNS`` cells; None otherwise."""
+    code, _, stderr, _ = (a == b for a, b in zip(before, after))
+    echo = MC_ECHO.sub(b"mc=", before[1]) == MC_ECHO.sub(b"mc=", after[1])
+    if not (code and stderr and echo) or notes or not cells:
+        return None
+    if any(column not in MC_COLUMNS for _, _, column, _, _ in cells):
+        return None
+    changes = [relative(a, b) for *_, a, b in cells]
+    return None if None in changes else max(changes)
 
 
 def main() -> int:
@@ -111,6 +146,7 @@ def main() -> int:
             row = "{:<40} {:<8} {:>7} {:<6} {:<6} {:<6}"
             print(row.format("config", "mode", "exit", "stdout", "stderr", "csv"))
             differ = 0
+            mc_only = []
             for n, config in enumerate(configs):
                 name = str(config.relative_to(ROOT if config.is_relative_to(ROOT) else tmp))
                 for mc in (False, True):
@@ -128,10 +164,20 @@ def main() -> int:
                             *("same" if s else "DIFF" for s in same[1:]),
                         )
                     )
-                    for line in cell_changes(before[3], after[3]):
+                    notes, cells = csv_changes(before[3], after[3])
+                    for line in cell_changes(notes, cells):
                         print(line)
+                    if not all(same):
+                        change = mc_only_change(before, after, notes, cells)
+                        if change is not None:
+                            mc_only.append(change)
             runs = 2 * len(configs)
             print(f"{runs - differ} of {runs} runs identical to {args.rev}")
+            largest = f", largest relative change {max(mc_only):.3g}" if mc_only else ""
+            print(
+                f"{len(mc_only)} of {differ} differing runs differ only in "
+                f"{'/'.join(MC_COLUMNS)} cells and mc= text{largest}"
+            )
         finally:
             subprocess.run(
                 ["git", "-C", str(ROOT), "worktree", "remove", "--force", str(worktree)],

@@ -174,8 +174,14 @@ def _curve(raw) -> TermCurve:
     if _real(raw):
         return TermCurve.flat(raw)
     if isinstance(raw, list):
-        return TermCurve.from_nodes((node["t"], node["value"]) for node in raw)
+        return TermCurve.from_nodes(_node(k, node) for k, node in enumerate(raw))
     raise ValueError("expected a number or a list of {t, value} nodes")
+
+
+def _node(k: int, node) -> tuple:
+    if not (isinstance(node, dict) and "t" in node and "value" in node):
+        raise ValueError(f"node {k}: expected an object with t and value")
+    return node["t"], node["value"]
 
 
 def _credit(name: str, raw) -> CreditCurve:

@@ -13,31 +13,10 @@ per path: 2 for independent defaults, 1 without a counterparty or for
 dependent defaults), and ``PCG64`` emits one 64-bit word per double, so a
 worker owning paths ``[p0, p1)`` reproduces its slice exactly from
 ``PCG64(seed).advance(k * p0)``, for any ``p0``.  Each name's levels
-reach its level map as a contiguous array (gathered from the block's
+reach its payoff map as a contiguous row (gathered from the block's
 column), where the elementwise passes run at unit stride; their results
-do not depend on the stride, so the gather moves no bit.
-Antithetic or other variance-reduction couplings are deliberately not
-applied.
-
-Every simulator runs as one pipeline over blocks of ``_BLOCK`` paths
-(twice that where at most a quarter of the paths can default), sized so
-that a block's draws and temporaries stay in the L2 cache: draw the
-block's uniforms into one reused buffer (consecutive draws continue the
-stream, so each path sees the same uniforms for any block size), map
-them to default times, then to discounted payoffs, written straight
-into one reused buffer of ``_CHUNK`` paths.  Chunks are cut by path
-index, not by block.  Each chunk is reduced to ``(n, mean, M2)`` with
-the two passes of ``np.var`` (numpy's pairwise summation), and the
-chunks are merged in index order by the update of Chan, Golub & LeVeque
-(1979).  Memory is therefore ``O(chunk + block)`` whatever the path
-count, and a simulation of at most ``_CHUNK`` paths reduces exactly as
-``np.mean`` and ``np.std(ddof=1)`` over all its payoffs.  Where the
-set-up's bound on the payoffs means their squared deviations could
-overflow, the chunks are reduced scaled by a power of two, which the
-estimate undoes exactly; otherwise the scale is 1.  Each payoff
-comes from elementwise operations whose results do not depend on the
-length of the arrays they run over, so estimates do not depend on the
-block size: they are bit-identical, and the tests check it.
+do not depend on the stride, so the gather moves no bit.  Antithetic or
+other variance-reduction couplings are deliberately not applied.
 
 A path collects the flows dated strictly before its first default
 ``tau``; a default at ``tau <= maturity`` also settles against the
@@ -49,15 +28,30 @@ nodes of every curve the payoff reads (``_Segments``), and checked: a
 set-up whose payoffs could overflow raises ``InvariantError``, naming
 the quantity and the time, before any path is drawn.
 
-Each sampled name also gets a screen level: below it, the name's
-inverse survival map certainly returns a time past maturity.  A path
-whose levels are all below their screens survives: it costs one
-comparison per name and takes the full flow sum.  Every other path is
-located once, as it would be with no screen, so the screen moves no bit:
+Every simulator runs as one pipeline.  Blocks of ``_BLOCK`` paths only
+screen: each draws its uniforms into one reused buffer (consecutive
+draws continue the stream, so each path sees the same uniforms for any
+block size) and compares them with each name's screen level, below
+which the name's inverse survival map certainly returns a time past
+maturity.  A path below every screen survives: it is counted, not
+stored, and paid the full flow sum.  The other paths' levels gather in
+a pending batch of at most ``_BLOCK`` paths, whose payoff map then
+locates each as it would with no screen, so the screen moves no bit:
 one bucket lookup, of its hazard level with one sampled name or of its
 first default time with two, gives its segment of ``G`` (past maturity
 the survivor segment ``len(G)``: every flow, no closeout), then a few
 gathers and one ``exp`` its payoff: ``O(defaults)`` beyond the draws.
+
+A chunk of ``_CHUNK`` paths reduces its mapped payoffs, in path order,
+to ``(n, mean, M2)`` with the two passes of ``np.var`` (numpy's pairwise
+summation), and merges them with its survivors' group ``(n_s, paid_all,
+0)`` by the update of Chan, Golub & LeVeque (1979); chunks merge in
+index order the same way.  Memory is ``O(chunk + block)`` whatever the
+path count.  Payoffs whose squared deviations could overflow are
+reduced scaled by a power of two, which the estimate undoes exactly.
+Each payoff comes from elementwise operations whose results do not
+depend on the length of the arrays they run over, so estimates do not
+depend on the block size: they are bit-identical, and the tests check it.
 
 Default times map from uniforms through the inverse survival function;
 ``inf`` means the name never defaults on the path.  For dependent
@@ -71,6 +65,7 @@ with ``v = w2`` when ``theta = 0``.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -97,25 +92,19 @@ class McEstimate:
     seed: int
 
 
-# Paths per block: one float64 column of a block is 128 KiB, so a
-# block's draws and temporaries stay in a 2 MiB L2 cache, and a
-# simulation's heap peak stays under the trim threshold that _CHUNK's
-# buffer sets (below).  With 2**15-path blocks the long_mc configs of
-# seed 61 peaked at 4.42, 5.10 and 4.46 MiB (tracemalloc), past that
-# threshold, and each timed long_mc call of bench/run.py took ~1180
-# minor page faults and ~3.6 ms of system time; with 2**14 they peak at
-# 3.12, 3.53 and 3.30 MiB, and a call takes ~43 faults and ~0.9 ms of
-# system time (seed 132; 2-vCPU Xeon, numpy 2.4).
+# Paths per block, and most paths per mapping batch: a batch's levels and
+# temporaries stay in a 2 MiB L2 cache, and the heap peak under the trim
+# threshold that _CHUNK's buffer sets (below).  Past it (2**15-path blocks
+# peaked at 4.4-5.1 MiB), a timed long_mc call of bench/run.py took ~1180
+# minor page faults, not ~43 (2-vCPU Xeon, numpy 2.4).
 _BLOCK = 2**14
 
-# Paths per reduction chunk: a chunk's payoffs fill one 2 MiB buffer
-# before they are reduced.  glibc raises its mmap and trim thresholds
-# to the largest mapped block freed: freeing the 2 MiB buffer sets the
-# trim threshold to ~4 MiB, so a heap that peaks below it keeps the
-# block temporaries instead of trimming and refaulting them every block.
-# Smaller chunks leave the thresholds low (2**15-path chunks took 2.4k
-# faults a long_mc call, 2**17 4.1k); a paths-long payoff vector took
-# 3.3k on shipped_mc.
+# Paths per reduction chunk, whose mapped payoffs fill at most one 2 MiB
+# buffer.  glibc raises its mmap and trim thresholds to the largest mapped
+# block freed: freeing the buffer sets the trim threshold to ~4 MiB, so a
+# heap that peaks below it keeps the batch temporaries instead of trimming
+# and refaulting them every batch.  Smaller chunks leave the thresholds
+# low (2**15-path chunks took 2.4k faults a long_mc call, 2**17 4.1k).
 _CHUNK = 2**18
 
 
@@ -127,51 +116,54 @@ def _generator(paths: int, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _simulate(paths: int, seed: int, screens: tuple, block, bound: float) -> McEstimate:
+def _simulate(paths: int, seed: int, screens: tuple, payoffs, paid_all, bound) -> McEstimate:
     """The estimate from the discounted payoffs of ``paths`` paths, each
     at most ``bound`` in magnitude.
 
-    A path draws one uniform per name, and can default only where one
-    reaches its name's level in ``screens``.  Each block's ``(n,
-    len(screens))`` uniforms are drawn into one reused buffer, continuing
-    the generator's stream, so path ``i`` sees the same draws whatever
-    the block size; ``block(w, out)`` writes their payoffs into ``out``,
-    a slice of one reused chunk buffer.  Blocks never straddle a chunk
-    boundary.
+    A path draws one uniform per name, in blocks that continue the
+    generator's stream.  It survives, paid ``paid_all``, unless a level
+    reaches its name's screen in ``screens``; then its levels join a
+    pending batch, one row per name, and ``payoffs(levels, out)`` writes
+    the batch's payoffs into the next slice of one chunk buffer.
     """
     gen = _generator(paths, seed)
     scale = _scale(paths, bound)
-    size = _block_size(screens)
-    chunk = np.empty(min(_CHUNK, paths))
-    buf = np.empty((min(size, len(chunk)), len(screens)))
-    total = None
+    size = min(_BLOCK, paths)
+    draws = np.empty((size, len(screens)))
+    pending = np.empty((len(screens), size))
+    x = np.empty(min(_CHUNK, paths))
+    chunks = []
     for first in range(0, paths, _CHUNK):
-        x = chunk[: min(_CHUNK, paths - first)]
-        for start in range(0, len(x), size):
-            w = buf[: min(size, len(x) - start)]
+        n = min(_CHUNK, paths - first)
+        mapped = held = 0
+        for start in range(0, n, size):
+            w = draws[: min(size, n - start)]
             gen.random(out=w)
-            block(w, x[start : start + len(w)])
-        if scale != 1.0:
-            x *= scale
-        # np.var's two passes, in place; no BLAS dot, whose summation
-        # order depends on the machine
-        mean = float(np.mean(x))
-        x -= mean
-        np.square(x, out=x)
-        stats = (len(x), mean, float(np.sum(x)))
-        total = stats if total is None else _merge(total, stats)
-    n, mean, m2 = total
+            reached = (w[:, k] >= screen for k, screen in enumerate(screens))
+            at_risk = np.flatnonzero(functools.reduce(np.logical_or, reached))
+            if held + len(at_risk) > size:
+                payoffs(pending[:, :held], x[mapped : mapped + held])
+                mapped, held = mapped + held, 0
+            for k, row in enumerate(pending):
+                row[held : held + len(at_risk)] = w[:, k][at_risk]
+            held += len(at_risk)
+        if held:
+            payoffs(pending[:, :held], x[mapped : mapped + held])
+            mapped += held
+        groups = [(n - mapped, paid_all * scale, 0.0)] if mapped < n else []
+        if mapped:
+            y = x[:mapped]
+            y *= scale  # exact, 1 unless squares could overflow
+            # np.var's two passes, in place; no BLAS dot, whose summation
+            # order depends on the machine
+            mean = float(np.mean(y))
+            y -= mean
+            np.square(y, out=y)
+            groups.append((mapped, mean, float(np.sum(y))))
+        chunks.append(functools.reduce(_merge, groups))
+    n, mean, m2 = functools.reduce(_merge, chunks)
     std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return McEstimate(mean=mean / scale, std_error=std_error / scale, paths=n, seed=seed)
-
-
-def _block_size(screens: tuple) -> int:
-    """``_BLOCK`` paths, or twice that where at most a quarter of the
-    paths can default: a block's default work then stays below a full
-    ``_BLOCK``-path block's, and half as many blocks pay its fixed cost
-    of some 50 numpy calls.  The quarter is a reasoned cut-off, not a
-    measured optimum: the benchmark's workloads lie at 0-22% and ~79%."""
-    return 2 * _BLOCK if math.prod(screens) >= 0.75 else _BLOCK
 
 
 def _scale(paths: int, bound: float) -> float:
@@ -255,11 +247,12 @@ class _Segments:
 
         weighted = np.asarray(schedule.amounts) * np.exp(log_discount[flow_at])
         prefix = np.concatenate(([0.0], np.cumsum(weighted)))
-        self.paid_all = prefix[-1]
+        self.paid_all = float(prefix[-1])
         left = np.searchsorted(times, grid, side="left")
-        # the survivor segment starts just past maturity, paid every flow
+        # the survivor segment starts just past maturity, paid every flow;
+        # the lookup leaves its start out (see _survivors)
         self._starts = np.append(grid, np.nextafter(self.maturity, math.inf))
-        self._locate = _Locator(self._starts)
+        self._locate = _Locator(grid)
         self.paid_before, self.paid_upto = (np.append(prefix[k], prefix[-1]) for k in (left, upto))
 
         nxt = np.minimum(upto, len(times) - 1)  # first flow after g_j
@@ -275,7 +268,7 @@ class _Segments:
         clips ``tau`` in place."""
         # a finite dt keeps the survivor segment's -0.0 * dt from NaN
         np.minimum(tau, self._starts[-1], out=tau)
-        j = self._locate(tau, "right") - 1
+        j = self._survivors(self._locate(tau, "right") - 1, tau, self._starts[-1])
         dt = tau - self._starts[j]
         return j, dt, self._paid(j, dt)
 
@@ -293,17 +286,27 @@ class _Segments:
             # 0 where the hazard is 0; clipped where it is subnormal
             inv = np.append(np.minimum(np.where(lam > 0.0, 1.0 / lam, 0.0), top), 0.0)
             repeat = np.append(False, knots[1:] == knots[:-1]) & (knots < top)
-            locate = _Locator(np.where(repeat, np.nextafter(knots, math.inf), knots))
+            raised = np.where(repeat, np.nextafter(knots, math.inf), knots)
+            locate = _Locator(raised[:-1])
 
         def level(w):
             with np.errstate(divide="ignore"):
                 target = np.log(w)
             np.minimum(np.negative(target, out=target), top, out=target)
-            j = locate(target, "right") - 1
+            j = self._survivors(locate(target, "right") - 1, target, raised[-1])
             dt = (target - knots[j]) * inv[j]
             return j, dt, self._paid(j, dt)
 
         return level
+
+    def _survivors(self, j, keys, survivor):
+        """``j`` with the survivor segment where ``keys`` reach its knot
+        ``survivor``: in a bucket lookup, one ulp past the last grid
+        point's knot, it would cost every key a second fix-up pass."""
+        survived = keys >= survivor
+        if survived.any():
+            j[survived] = len(self.grid)
+        return j
 
     def _paid(self, j, dt):
         """The flows paid by a default ``dt`` into segment ``j``."""
@@ -346,11 +349,13 @@ def _screen(curve: CreditCurve, maturity: float) -> float:
     """A survival level below which ``curve.inverse_survival`` returns a
     time past ``maturity``: the survival a little after maturity, a
     little lowered, so that the rounding of the inverse map cannot
-    bring a level below it back to maturity.  A hazard that overflows
-    gives 0, which screens nothing."""
+    bring a level below it back to maturity.  A survival of 1 is kept,
+    above every draw; a hazard that overflows gives 0, which screens
+    nothing."""
     t = min(maturity + 2.0**-30 * max(1.0, maturity), sys.float_info.max)
     with np.errstate(over="ignore"):
-        return float(curve.survival(t)) * (1.0 - 2.0**-20)
+        survival = float(curve.survival(t))
+    return survival if survival == 1.0 else survival * (1.0 - 2.0**-20)
 
 
 def _first_default(
@@ -368,11 +373,11 @@ def _first_default(
     (if any; ``None`` never defaults) at its market intensity.  Payoffs
     are discounted at the deterministic internal rate ``r_bar``: flows
     are paid while both names are alive, then the closeout of whoever
-    defaults first (if before maturity).  Returns ``(screens, block,
-    bound)``: the screen level of each name a path draws a uniform for,
-    the map from a block of uniforms to their payoffs (see
-    :func:`_simulate`), and a bound on every payoff's magnitude.  A path
-    whose levels are below both names' screens survives past maturity.
+    defaults first (if before maturity).  Returns ``(screens, payoffs,
+    paid_all, bound)`` for :func:`_simulate`: the screen level of each
+    name a path draws a uniform for (a path below both survives past
+    maturity), the map from at-risk levels to payoffs, the survivors'
+    payoff and a bound on every payoff's magnitude.
 
     The closeout is positively homogeneous in ``v_X``, so on a segment
     it is the closeout of ``owed`` times one exponential, which also
@@ -394,27 +399,25 @@ def _first_default(
     k_i, k_c, log_scale, slope = _survivor_row(k_i, k_c, log_scale, slope)
     settles = np.concatenate((k_c, k_i))  # one gather beats np.where's mask
     # r_bar has lam_bar's nodes, so lam_bar is constant on each segment
-    levels = seg.levels(lam_bar) if counterparty is None else None
+    level_map = seg.levels(lam_bar) if counterparty is None else None
 
-    def block(w, out):
-        out.fill(seg.paid_all)
-        can_default = w[:, 0] >= screens[0]
-        if counterparty is not None:
-            can_default |= w[:, 1] >= screens[1]
-        at_risk = np.flatnonzero(can_default)
-        # gathered levels are contiguous, and the maps run at unit stride
+    def payoffs(levels, out):
         if counterparty is None:
-            j, dt, paid = levels(w[:, 0][at_risk])
+            j, dt, paid = level_map(levels[0])
             settle = k_i[j]
         else:
             # each name's own map, which needs no lookup on a flat curve
-            tau_i = sampler._inverse_survival(w[:, 0][at_risk])
-            tau_c = counterparty._inverse_survival(w[:, 1][at_risk])
-            j, dt, paid = seg.locate(np.minimum(tau_i, tau_c))
-            settle = settles[j + (tau_i <= tau_c) * len(k_c)]
-        out[at_risk] = paid + settle * np.exp(log_scale[j] + slope[j] * dt)
+            tau_i = sampler._inverse_survival(levels[0])
+            tau_c = counterparty._inverse_survival(levels[1])
+            first = (tau_i <= tau_c) * len(k_c)
+            j, dt, paid = seg.locate(np.minimum(tau_i, tau_c, out=tau_c))
+            del tau_i, tau_c  # before the heap peak below
+            settle = settles[first + j]
+        x = slope[j] * dt  # in place from here: the batch's heap peak
+        x += log_scale[j]
+        np.add(paid, np.multiply(settle, np.exp(x, out=x), out=x), out=out)
 
-    return screens, block, bound
+    return screens, payoffs, seg.paid_all, bound
 
 
 def mc_value_independent(
@@ -433,9 +436,8 @@ def mc_value_independent(
     intensity.  Two uniforms per path.
 
     ``counterparty=None`` never defaults (the ``riskfree_cpty`` regime)
-    and draws one uniform per path.  ``lambda_bar = 0`` then makes every
-    path identical and the standard error collapses to zero up to
-    summation rounding (below 1e-15 even at a million paths).
+    and draws one uniform per path.  ``lambda_bar = 0`` then screens
+    every path: the mean is the flow sum and the standard error 0.
     """
     return _simulate(
         paths, seed, *_first_default(
@@ -446,7 +448,7 @@ def mc_value_independent(
 
 def _dependent_default(market, model, schedule, closeout):
     """The dependent-default simulator, its constants built once; returns
-    ``(screens, block, bound)`` as :func:`_first_default` does.
+    ``(screens, payoffs, paid_all, bound)`` as :func:`_first_default` does.
 
     Only ``tau_C`` is random (its internal law equals the market one);
     the numeraire is the survival-contingent bank account, so a flow at
@@ -477,18 +479,16 @@ def _dependent_default(market, model, schedule, closeout):
     _require_finite(("log discount", grid, start), ("log discount", grid + seg.span, end))
     bound = _check_payoffs(seg, (k_c,), seg.log_vx - cum[0], seg.rate_x - rate[0])
     screen = _screen(model.counterparty, schedule.maturity)
-    levels = seg.levels(model.counterparty.intensity)
+    level_map = seg.levels(model.counterparty.intensity)
     k_c, log_vx, rate_x = _survivor_row(k_c, seg.log_vx, seg.rate_x)
     cum, rate = _survivor_row(*cum), _survivor_row(*rate)
 
-    def block(w, out):
-        out.fill(seg.paid_all)
-        at_risk = np.flatnonzero(w[:, 0] >= screen)
-        j, dt, paid = levels(w[:, 0][at_risk])
+    def payoffs(levels, out):
+        j, dt, paid = level_map(levels[0])
         log_w = log_weight(*(h[j] + lam[j] * dt for h, lam in zip(cum, rate)))
-        out[at_risk] = paid + k_c[j] * np.exp(log_vx[j] + rate_x[j] * dt + log_w)
+        np.add(paid, k_c[j] * np.exp(log_vx[j] + rate_x[j] * dt + log_w), out=out)
 
-    return (screen,), block, bound
+    return (screen,), payoffs, seg.paid_all, bound
 
 
 def mc_value_correlated(

@@ -140,6 +140,23 @@ class TestValidate:
             assert err["diagnostics"][0].startswith(diagnostic)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "curve, node", [([[0.01]], 0), ([{"t": 0.0, "value": 0.01}, {"t": 1.0}], 1)],
+        ids=["list_of_lists", "node_without_value"],
+    )
+    def test_bad_curve_node_named_by_both_commands(self, tmp_path, capsys, curve, node):
+        doc = base_config()
+        doc["market"]["risk_free"] = curve
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        for command in (["validate"], ["run", "--mc", "--out", str(out)]):
+            assert main([*command, str(path)]) == EXIT_CONFIG
+            err = json.loads(capsys.readouterr().err)
+            assert err["diagnostics"] == [
+                f"market.risk_free: node {node}: expected an object with t and value"
+            ]
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)

@@ -40,6 +40,7 @@ class PathOutcome:
     tau_investor: float
     tau_counterparty: float
     discounted_payoff: float
+    at_risk: bool  # a level reached its screen: the path was mapped
 
     @property
     def tau(self) -> float:
@@ -51,37 +52,67 @@ def sample_path_outcomes(
     market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout, paths, seed
 ) -> list[PathOutcome]:
     """Per-path view of the simulator behind :func:`mc_value_independent`:
-    the same block pipeline and payoff code, keeping each path's default
-    times and payoff.
+    the same pipeline and payoff map, keeping each path's default times
+    and payoff.
 
-    A block locates only the paths that can default; every path is mapped
-    here by the inverse survival maps, which the block's level maps agree
-    with, and one whose levels are all below their screens must default
-    after maturity under both names."""
-    screens, block, bound = oracle._first_default(
+    The pipeline maps only the paths whose levels reach a screen, and
+    must hand the map their levels in path order; the others are paid the
+    flow sum.  Every path is mapped here by the inverse survival maps,
+    which the level maps agree with, and one whose levels are all below
+    their screens must default after maturity under both names."""
+    screens, payoffs, paid_all, bound = oracle._first_default(
         market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
     )
+    batches = [(np.empty((len(screens), 0)), np.empty(0))]
+
+    def keep(levels, out):
+        payoffs(levels, out)
+        batches.append((levels.copy(), out.copy()))
+
+    oracle._simulate(paths, seed, screens, keep, paid_all, bound)
+    w = np.random.Generator(np.random.PCG64(seed)).random((paths, len(screens)))
+    at_risk = np.any(w >= np.array(screens), axis=1)
+    levels, mapped = (np.concatenate(cols, axis=-1) for cols in zip(*batches))
+    np.testing.assert_array_equal(levels, w[at_risk].T)
+    payoff = np.full(paths, paid_all)
+    payoff[at_risk] = mapped
     internal = CreditCurve("internal", as_curve(lambda_bar))
-    kept = []
-
-    def keep(w, out):
-        block(w, out)
-        all_i = internal.inverse_survival(np.ascontiguousarray(w[:, 0]))
-        all_c = (
-            np.full(len(w), np.inf) if counterparty is None
-            else counterparty.inverse_survival(np.ascontiguousarray(w[:, 1]))
-        )
-        skipped = np.all(w < np.array(screens), axis=1)
-        assert np.all(all_i[skipped] > schedule.maturity)
-        assert np.all(all_c[skipped] > schedule.maturity)
-        kept.append((all_i, all_c, out.copy()))
-
-    oracle._simulate(paths, seed, screens, keep, bound)
-    tau_i, tau_c, payoffs = (np.concatenate(cols) for cols in zip(*kept))
+    tau_i = internal.inverse_survival(np.ascontiguousarray(w[:, 0]))
+    tau_c = (
+        np.full(paths, np.inf) if counterparty is None
+        else counterparty.inverse_survival(np.ascontiguousarray(w[:, 1]))
+    )
+    assert np.all(tau_i[~at_risk] > schedule.maturity)
+    assert np.all(tau_c[~at_risk] > schedule.maturity)
     return [
-        PathOutcome(float(ti), float(tc), float(p))
-        for ti, tc, p in zip(tau_i, tau_c, payoffs)
+        PathOutcome(float(ti), float(tc), float(p), bool(r))
+        for ti, tc, p, r in zip(tau_i, tau_c, payoff, at_risk)
     ]
+
+
+def reference_estimate(outcomes, chunk=None):
+    """``(mean, std_error)`` of the outcomes' payoffs by the reference
+    fold: chunk by chunk, the survivors as one group, then the at-risk
+    payoffs in path order."""
+    n, mean, m2 = chunked_mean_m2(
+        [o.discounted_payoff for o in outcomes], [o.at_risk for o in outcomes],
+        chunk or oracle._CHUNK,
+    )
+    return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+
+
+def path_payoffs(simulator, w):
+    """The payoff the pipeline pays each path of levels ``w``, ``(paths,
+    names)``, for a simulator's ``(screens, payoffs, paid_all, bound)``:
+    the flow sum where every level is below its screen, the map's
+    payoff, in one batch, elsewhere."""
+    screens, payoffs, paid_all, _ = simulator
+    out = np.full(len(w), paid_all)
+    at_risk = np.flatnonzero(np.any(w >= np.array(screens), axis=1))
+    mapped = np.empty(len(at_risk))
+    payoffs(np.ascontiguousarray(w[at_risk].T), mapped)
+    out[at_risk] = mapped
+    return out
 
 
 class TestRandomnessContract:
@@ -124,10 +155,8 @@ class TestRandomnessContract:
         assert 0 < np.count_nonzero(tau_i <= m.schedule.maturity) < paths
         assert all(o.tau_counterparty == math.inf for o in outcomes)
         # the estimate reduces exactly these paths
-        payoffs = np.array([o.discounted_payoff for o in outcomes])
         mc = mc_value_independent(*args)
-        assert mc.mean == float(np.mean(payoffs))
-        assert mc.std_error == float(np.std(payoffs, ddof=1) / math.sqrt(paths))
+        assert (mc.mean, mc.std_error) == reference_estimate(outcomes)
 
     @pytest.mark.parametrize("per_path", [1, 2])
     @pytest.mark.parametrize("p0", [60, 61, 2**18 + 3])
@@ -172,6 +201,17 @@ class TestRiskfreeCptySimulator:
         assert mc.mean == pytest.approx(engine, abs=1e-12)
         assert mc.mean == pytest.approx(math.exp(-0.022 * 5.0), rel=1e-14)
 
+    @pytest.mark.parametrize("paths", [2, oracle._CHUNK + 3])
+    def test_all_survivor_limit_is_exact(self, flat_market, investor, closeout, bullet, paths):
+        # lam_bar = 0 screens every draw: each path is counted as a
+        # survivor, paid the flow sum, with no rounding left to collapse
+        args = (flat_market, investor, None, 0.4, 0.0, bullet, closeout)
+        simulator = oracle._first_default(*args)
+        assert simulator[0] == (1.0,)
+        mc = mc_value_independent(*args, paths, 5)
+        assert mc.mean == simulator[2]
+        assert mc.std_error == 0.0
+
     def test_estimate_metadata(self, flat_market, investor, closeout, bullet):
         mc = mc_value_independent(flat_market, investor, None, 0.4, 0.01, bullet, closeout, 2500, 8)
         assert mc.paths == 2500
@@ -211,9 +251,7 @@ class TestIndependentSimulator:
         outcomes = sample_path_outcomes(
             flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout, n, 21
         )
-        payoffs = np.array([o.discounted_payoff for o in outcomes])
-        assert mc.mean == float(np.mean(payoffs))
-        assert mc.std_error == float(np.std(payoffs, ddof=1) / math.sqrt(n))
+        assert (mc.mean, mc.std_error) == reference_estimate(outcomes)
 
 
 class TestCorrelatedSimulator:
@@ -484,6 +522,46 @@ class TestBlockSize:
         monkeypatch.setattr(oracle, "_CHUNK", 1000)
         self.test_results_do_not_depend_on_block_size(monkeypatch)
 
+    @pytest.mark.parametrize(
+        "lambda_bar, chunk, screen_off",
+        [(0.0, None, False), (0.0, 1000, False), (1e-4, 1000, False),
+         (TestMultiFlowPayoffs.lambda_bar, None, True),
+         (TestMultiFlowPayoffs.lambda_bar, 1000, True)],
+        ids=["none_at_risk", "none_at_risk_six_chunks", "a_chunk_without_risk_of_six",
+             "every_path_at_risk", "every_path_at_risk_six_chunks"],
+    )
+    def test_chunks_without_survivors_or_at_risk_paths(
+        self, monkeypatch, lambda_bar, chunk, screen_off
+    ):
+        # a chunk whose paths all survive is one group, and so is one
+        # whose paths are all mapped: a screen of 0 maps every path
+        m = TestMultiFlowPayoffs
+        paths, seed = 5003, 19
+        if chunk:
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        if screen_off:
+            monkeypatch.setattr(oracle, "_screen", lambda curve, maturity: 0.0)
+        counterparty = m.counterparty if screen_off else None
+        args = (m.market, m.investor, counterparty, 0.4, lambda_bar, m.schedule, m.closeout)
+        sims = {
+            "estimate": lambda: mc_value_independent(*args, paths, seed),
+            "path_outcomes": lambda: sample_path_outcomes(*args, paths, seed),
+        }
+        runs = {}
+        for block in (7, 4096, paths, 2**20):
+            monkeypatch.setattr(oracle, "_BLOCK", block)
+            runs[block] = {name: sim() for name, sim in sims.items()}
+        for block in (4096, paths, 2**20):
+            assert runs[block] == runs[7]
+        outcomes, mc = runs[7]["path_outcomes"], runs[7]["estimate"]
+        assert (mc.mean, mc.std_error) == reference_estimate(outcomes, chunk)
+        size = chunk or paths
+        at_risk = [sum(o.at_risk for o in outcomes[k : k + size]) for k in range(0, paths, size)]
+        if screen_off:
+            assert at_risk == [min(size, paths - k) for k in range(0, paths, size)]
+        else:
+            assert min(at_risk) == 0 and (sum(at_risk) > 0) == (lambda_bar > 0.0)
+
 
 class TestContiguousColumns:
     """Each name's levels reach the inverse survival maps as a contiguous
@@ -523,15 +601,15 @@ class TestContiguousColumns:
 
     def test_copy_moves_no_bit(self):
         m = self.m
-        _, block, _ = oracle._first_default(
+        _, payoffs, _, _ = oracle._first_default(
             m.market, m.investor, m.counterparty, 0.4, m.lambda_bar, m.schedule, m.closeout
         )
         wide = np.random.Generator(np.random.PCG64(8)).random((4000, 4))
         strided = wide[:, ::2]
         assert not strided.flags.c_contiguous
         got, want = np.empty(len(wide)), np.empty(len(wide))
-        block(strided, got)
-        block(np.ascontiguousarray(strided), want)
+        payoffs(strided.T, got)
+        payoffs(np.ascontiguousarray(strided.T), want)
         assert got.tobytes() == want.tobytes()
         # the maps themselves do not depend on the stride of their levels
         for curve in (m.investor, m.counterparty):
@@ -554,8 +632,9 @@ class TestChunkedReduction:
             m.closeout, self.paths, 29,
         )
         mc = mc_value_independent(*args)
-        payoffs = np.array([o.discounted_payoff for o in sample_path_outcomes(*args)])
-        n, mean, m2 = chunked_mean_m2(payoffs, 1000)
+        outcomes = sample_path_outcomes(*args)
+        payoffs = np.array([o.discounted_payoff for o in outcomes])
+        n, mean, m2 = chunked_mean_m2(payoffs, [o.at_risk for o in outcomes], 1000)
         assert (mc.paths, mc.mean) == (n, mean)
         assert mc.std_error == math.sqrt(m2 / (n - 1)) / math.sqrt(n)
         # the whole vector's statistics, up to the merge's rounding
@@ -573,14 +652,15 @@ class TestChunkedReduction:
         bound = float(np.max(np.abs(payoffs)))
 
         def simulate(factor):
+            # a screen of 0 maps every path
             done = [0]
 
-            def block(w, out):
+            def mapped(levels, out):
                 out[:] = payoffs[done[0] : done[0] + len(out)] * factor
                 done[0] += len(out)
 
             with np.errstate(over="raise", invalid="raise"):
-                return oracle._simulate(self.paths, 1, (0.0,), block, bound * factor)
+                return oracle._simulate(self.paths, 1, (0.0,), mapped, 0.0, bound * factor)
 
         small, large = simulate(1.0), simulate(2.0**exponent)
         assert large.mean == small.mean * 2.0**exponent
@@ -621,10 +701,10 @@ class TestChunkedReduction:
 class TestHeapPeak:
     """A simulation of ``_CHUNK`` paths keeps its heap peak under the
     ~4 MiB trim threshold that freeing the chunk buffer sets, so the heap
-    keeps the block temporaries instead of trimming and refaulting them
-    every block.  The trade is long_mc-shaped: 10-node curves, 120
-    quarterly flows and both names.  Where most paths default, blocks
-    are ``_BLOCK`` paths; where under a quarter can, twice that."""
+    keeps the block and batch temporaries instead of trimming and
+    refaulting them every batch.  The trade is long_mc-shaped: 10-node
+    curves, 120 quarterly flows and both names, where most paths default
+    and where just under a quarter can."""
 
     @staticmethod
     def curve(lo, hi):
@@ -633,10 +713,10 @@ class TestHeapPeak:
                                      enumerate(times)])
 
     @pytest.mark.parametrize(
-        "hazards, doubled", [((0.05, 0.07), False), ((0.0031, 0.0062), True)],
+        "hazards, most", [((0.05, 0.07), True), ((0.0031, 0.0062), False)],
         ids=["most_default", "just_under_a_quarter"],
     )
-    def test_peak_at_most_3_75_mib(self, hazards, doubled):
+    def test_peak_at_most_3_75_mib(self, hazards, most):
         market = MarketRates(self.curve(0.01, 0.04), self.curve(0.005, 0.03))
         investor = CreditCurve("I", self.curve(0.01, 0.025))
         counterparty = CreditCurve("C", self.curve(*hazards))
@@ -646,7 +726,7 @@ class TestHeapPeak:
         )
         closeout = CloseoutSpec(0.4, 0.3)
         model = JointDefaultModel(investor, counterparty, 1.5)
-        if not doubled:
+        if most:
             for curve in (lambda_bar, counterparty.intensity):
                 assert CreditCurve("N", curve).survival(schedule.maturity) < 0.25
         first = (market, investor, None, 0.2, lambda_bar, schedule, closeout)
@@ -659,14 +739,12 @@ class TestHeapPeak:
                 mc_value_correlated, (market, model, schedule, closeout),
             ),
         }
-        if doubled:
-            # with both names drawn, 24.3% of the paths can default: the
-            # most work a doubled block is given
-            (screens, _, _), _, _ = sims["independent"]
+        if not most:
+            # with both names drawn, 24.3% of the paths can default
+            (screens, _, _, _), _, _ = sims["independent"]
             assert 0.75 <= math.prod(screens) < 0.76
         peaks = {}
-        for name, ((screens, _, _), simulate, args) in sims.items():
-            assert (oracle._block_size(screens) == 2 * oracle._BLOCK) == doubled, name
+        for name, (_, simulate, args) in sims.items():
             simulate(*args, oracle._CHUNK, 5)  # warms one-time caches
             tracemalloc.start()
             try:
@@ -688,7 +766,8 @@ class TestSegmentTable:
     own inverse survival map, and a one-name simulator's hazard-level map,
     which becomes the lookup of the default time in the grid.  Survival
     is replaced by 0, which turns the screen off, and the simulation
-    returns its payoff vector instead of the estimate.
+    returns the payoff map's vector over every default time instead of
+    the estimate.
     """
 
     m = TestMultiFlowPayoffs
@@ -712,9 +791,9 @@ class TestSegmentTable:
     at_last_flow = CashflowSchedule.from_flows(list(zip(m.schedule.times, m.schedule.amounts)))
 
     def payoffs(self, monkeypatch, simulate, taus):
-        def payoff_vector(paths, seed, screens, block, bound):
+        def payoff_vector(paths, seed, screens, payoffs, paid_all, bound):
             out = np.empty(len(taus))
-            block(taus, out)
+            payoffs(taus.T.copy(), out)
             return out
 
         monkeypatch.setattr(CreditCurve, "_inverse_survival", lambda self, w: np.array(w))
@@ -924,12 +1003,11 @@ class TestLevelMap:
         assert j[0] == n - 1 and seg.grid[-1] + dt[0] == pytest.approx(maturity, abs=1e-12)
         assert (dt[0] == 0.0) == (seg.grid[-1] == maturity)
         # the payoffs: the flows before maturity and the closeout there
-        screens, block, _ = oracle._first_default(
+        simulator = oracle._first_default(
             m.market, m.investor, None, 0.4, lambda_bar, schedule, m.closeout
         )
-        assert screens[0] < levels[1]
-        got = np.empty(2)
-        block(levels[:, None], got)
+        assert simulator[0][0] < levels[1]
+        got = path_payoffs(simulator, levels[:, None])
         r_bar = internal_rate(m.market, m.investor, 0.4, lambda_bar)
         for tau, p in zip((maturity, math.inf), got):
             expected = table.first_default_expected(schedule, tau, math.inf, r_bar)
@@ -944,12 +1022,12 @@ class TestLevelMap:
         m = self.m
         schedule = CashflowSchedule.from_flows([(1.0, -0.0)])
         for counterparty in (None, m.counterparty):
-            screens, block, _ = oracle._first_default(
+            simulator = oracle._first_default(
                 m.market, m.investor, counterparty, 0.4, 0.02, schedule, m.closeout
             )
+            screens = simulator[0]
             w = np.array([screens, np.zeros(len(screens))])  # located, then screened
-            got = np.empty(2)
-            block(w, got)
+            got = path_payoffs(simulator, w)
             assert got.tobytes() == np.array([-0.0, -0.0]).tobytes()
 
     def test_level_zero_under_a_screen_of_zero(self):
@@ -962,19 +1040,72 @@ class TestLevelMap:
         levels = np.array([[0.0, 0.0], [0.5, 0.0], [2.0**-53, 0.0], [0.0, 0.5]])
         for counterparty in (None, CreditCurve("C", TermCurve.flat(1e307))):
             with np.errstate(**cli._RUN_ERRSTATE):
-                screens, block, _ = oracle._first_default(
+                simulator = oracle._first_default(
                     m.market, m.investor, counterparty, 1.0, 1e307, m.schedule, m.closeout
                 )
+                screens = simulator[0]
                 assert screens == (0.0,) * len(screens)
-                w = np.ascontiguousarray(levels[:, : len(screens)])
-                got = np.empty(len(w))
-                block(w, got)
+                got = path_payoffs(simulator, levels[:, : len(screens)])
             # both names' hazards are 1e307
             taus = CreditCurve("N", TermCurve.flat(1e307)).inverse_survival(levels)
             for (tau_i, tau_c), p in zip(taus.tolist(), got):
                 tau_c = math.inf if counterparty is None else tau_c
                 expected = table.first_default_expected(m.schedule, tau_i, tau_c, r_bar)
                 assert p == pytest.approx(expected, abs=1e-12), (tau_i, tau_c)
+
+
+class TestSurvivorKnot:
+    """The survivor segment starts one ulp past maturity (past ``H(T)``
+    for a level map).  Where maturity is a grid point, that knot would
+    share the last grid point's bucket and cost every key a second
+    fix-up pass, so the bucket lookups leave it out: one pass on a
+    long_mc-shaped trade, and survivors still pay every flow."""
+
+    def test_one_pass_per_key(self, monkeypatch):
+        t = TestHeapPeak
+        market = MarketRates(t.curve(0.01, 0.04), t.curve(0.005, 0.03))
+        investor = CreditCurve("I", t.curve(0.01, 0.025))
+        counterparty = CreditCurve("C", t.curve(0.05, 0.07))
+        # 120 quarterly flows: maturity 30 is the last flow date
+        schedule = CashflowSchedule.from_flows(
+            [(k / 4, 1.0 - (k <= 60) * 2.25) for k in range(1, 121)]
+        )
+        closeout = CloseoutSpec(0.4, 0.3)
+        built = []
+
+        class Recording(oracle._Locator):
+            def __init__(self, knots):
+                super().__init__(knots)
+                built.append(self)
+
+        monkeypatch.setattr(oracle, "_Locator", Recording)
+        for name in (None, counterparty):
+            oracle._first_default(
+                market, investor, name, 0.2, t.curve(0.05, 0.07), schedule, closeout
+            )
+        model = JointDefaultModel(investor, counterparty, 1.5)
+        oracle._dependent_default(market, model, schedule, closeout)
+        assert len(built) == 5  # one grid lookup per simulator, two level maps
+        assert [lookup._steps for lookup in built] == [1] * 5
+        # with the survivor knot, the grid lookup would take two passes
+        grid = built[0].knots
+        assert grid[-1] == schedule.maturity
+        assert oracle._Locator(np.append(grid, np.nextafter(grid[-1], math.inf)))._steps == 2
+
+    def test_survivors_pay_every_flow(self):
+        m = TestMultiFlowPayoffs
+        schedule = CashflowSchedule.from_flows(m.flows)  # maturity 4.0, the last flow
+        grid = oracle._segment_grid(schedule, (m.market.collateral,))
+        seg = oracle._Segments(schedule, m.market.collateral, grid, -0.01 * grid)
+        past = np.nextafter(4.0, math.inf)
+        tau = np.random.Generator(np.random.PCG64(2)).uniform(0.0, 4.5, 4096)
+        tau[:4] = [4.0, past, 4.5, math.inf]
+        want = np.searchsorted(np.append(grid, past), np.minimum(tau, past), "right") - 1
+        j, dt, paid = seg.locate(tau.copy())
+        np.testing.assert_array_equal(j, want)
+        survived = j == len(grid)
+        assert list(survived[:4]) == [False, True, True, True]
+        assert np.all(dt[survived] == 0.0) and np.all(paid[survived] == seg.paid_all)
 
 
 class TestSetUpCheck:
@@ -1085,18 +1216,13 @@ def spy_lengths(lengths):
 
 
 class TestScreen:
-    """A block maps to default times only the paths whose level reaches
-    some name's screen; every other path survives past maturity."""
+    """The pipeline maps to default times only the paths whose level
+    reaches some name's screen; every other path survives past maturity,
+    paid the flow sum that the map pays a located survivor."""
 
     market = MarketRates(TermCurve.flat(0.01), TermCurve.flat(0.005))
     investor = CreditCurve("I", TermCurve.flat(0.02))
     closeout = CloseoutSpec(0.4, 0.3)
-
-    @staticmethod
-    def run(block, w):
-        out = np.empty(len(w))
-        block(w, out)
-        return out
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), maturity=st.sampled_from([0.25, 1.0, 5.0, 30.0, 1e5]))
@@ -1122,14 +1248,15 @@ class TestScreen:
             mapped = []
             try:
                 with spy_lengths(mapped):
-                    screens, block, _ = build(*args, schedule, self.closeout)
-                    out = self.run(block, w)
+                    simulator = build(*args, schedule, self.closeout)
+                    out = path_payoffs(simulator, w)
             except InvariantError:  # a hazard past the copula's range
                 continue
+            screens = simulator[0]
             with mock.patch.object(oracle, "_screen", lambda curve, maturity: 0.0):
-                screens_off, block_off, _ = build(*args, schedule, self.closeout)
-            assert screens_off == (0.0,) * len(curves)  # every path is mapped
-            assert out.tobytes() == self.run(block_off, w).tobytes()
+                screen_off = build(*args, schedule, self.closeout)
+            assert screen_off[0] == (0.0,) * len(curves)  # every path is mapped
+            assert out.tobytes() == path_payoffs(screen_off, w).tobytes()
             # the screened block maps the paths that reach a screen, and
             # only those; the others survive past maturity under each name
             skipped = np.all(w < np.array(screens), axis=1)
