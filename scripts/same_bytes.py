@@ -5,9 +5,13 @@ revision REV's does.
     python3 scripts/same_bytes.py REV
 
 Runs ``valadj run`` with and without ``--mc`` on the shipped configs
-(``configs/*.json``) and on the ``long_mc`` benchmark configs of seeds 1,
-2, 3 and 7, built by importing ``bench/workloads.py``: 34 runs, each once
-with REV's ``src/`` and once with this tree's, on the same config files.
+(``configs/*.json``), on the ``long_mc`` benchmark configs of seeds 1, 2,
+3 and 7, built by importing ``bench/workloads.py``, and on two sweeps
+made from ``configs/independent_mixed.json`` (``SWEEPS``): a piecewise
+``lambda_bar`` sweep whose node times, and so panel grids, differ between
+points, and a flat sweep that repeats a point.  That is 38 runs, each
+once with REV's ``src/`` and once with this tree's, on the same config
+files.
 It compares every CSV written, stdout, stderr and the exit code, prints
 one table row per run and exits 1 on any difference.  Under a run whose
 CSVs differ it names each differing cell by file, line and column, with
@@ -21,6 +25,7 @@ gives their largest relative change.  REV is checked out in a temporary
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import re
@@ -36,6 +41,22 @@ MC_COLUMNS = ("mc_mean", "mc_stderr")
 MC_ECHO = re.compile(rb"mc=\S+")
 
 
+def _piecewise(*nodes):
+    return [{"t": t, "value": value} for t, value in nodes]
+
+
+# lambda_bar sweeps run on configs/independent_mixed.json at 2**16 paths
+SWEEPS = {
+    "piecewise_lambda_bar": [
+        _piecewise((0.0, 0.01), (1.3, 0.03)),
+        _piecewise((0.0, 0.01), (2.7, 0.03)),
+        _piecewise((0.0, 0.01), (1.3, 0.03), (2.7, 0.0)),
+        0.02,
+    ],
+    "repeated_flat_lambda_bar": [0.02, 0.02, 0.0, 0.0, 0.02],
+}
+
+
 def config_paths(workdir: Path) -> list[Path]:
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
@@ -45,6 +66,14 @@ def config_paths(workdir: Path) -> list[Path]:
         seed_dir = workdir / f"long_mc_seed{seed}"
         seed_dir.mkdir()
         paths += workloads.config_paths("long_mc", seed, False, ROOT, seed_dir)
+    (workdir / "sweeps").mkdir()
+    doc = json.loads((ROOT / "configs" / "independent_mixed.json").read_text())
+    doc["numerics"]["mc_paths"] = 2**16
+    for name, sweep in SWEEPS.items():
+        doc["sweep"] = {"lambda_bar": sweep}
+        path = workdir / "sweeps" / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(path)
     return paths
 
 

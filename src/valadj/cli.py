@@ -15,6 +15,8 @@ sweep point ``i`` is ``seed + i``.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -55,15 +57,18 @@ SUMMARY_COLUMNS = "regime,lambda_bar_I,theta,v_X0,u0,v0,mc_mean,mc_stderr,mc_pat
 
 
 # Memory per panel grid point: the engine's float64 arrays and
-# temporaries for one sweep point (tracemalloc: 163 bytes at peak), and
-# for every sweep point one profile row, held three times until written
-# (the row, the joined report and its encoded copy), each copy at most
-# the row's label plus _FLOAT_CHARS per value, plus _ROW_OVERHEAD_BYTES
-# of object headers and list slots.  Measured peaks of whole runs stay
-# under 500 bytes per row.
+# temporaries for one sweep point (tracemalloc: 163 bytes at peak); one
+# profile row of the point being written, held three times (the rows,
+# the point's text and its encoded copy), each copy at most the row's
+# label plus _FLOAT_CHARS per value, plus _ROW_OVERHEAD_BYTES of object
+# headers and list slots; and, in a sweep of several points, the t and
+# v_X texts that two points keep for reuse.  Measured peaks of whole
+# runs stay under 500 bytes per grid point with one sweep point, and
+# under 750 with several.
 _ENGINE_BYTES_PER_POINT = 256
 _FLOAT_CHARS = 25  # "-1.2345678901234567e-308" and its comma
 _ROW_OVERHEAD_BYTES = 64
+_KEPT_BYTES = 2 * 2 * 96  # per text: a str's header and _FLOAT_CHARS, its list slot, the double
 
 # a run's floating-point rules: an overflow or a NaN raises, so stderr holds
 # only the JSON error; underflow is legitimate (survival and discounts decay)
@@ -194,7 +199,7 @@ def _schedule(doc: dict) -> CashflowSchedule:
 
 
 def _output_name(name) -> str:
-    """``name`` if :func:`_write_reports` can write a report of that name
+    """``name`` if :func:`_write` can write a report of that name
     inside ``--out``."""
     # a bare name stays inside --out; Path("..").name is ".." itself
     if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
@@ -243,9 +248,10 @@ def _physical_memory() -> int:
 
 def _panel_grid_bytes(cfg: ScenarioConfig, panels_per_year: int) -> int:
     """Upper estimate of the memory a run's panel grids take: grid points
-    times the engine's bytes per point and one profile row per sweep
-    point.  The grid has ``ceil(maturity * panels_per_year) + 1`` uniform
-    points plus at most one per flow date and curve node."""
+    times the engine's bytes per point, one profile row of the largest
+    sweep point and the texts kept for reuse.  The grid has
+    ``ceil(maturity * panels_per_year) + 1`` uniform points plus at most
+    one per flow date and curve node."""
     curves = [cfg.market.risk_free, cfg.market.collateral, cfg.investor.intensity]
     curves += cfg.lambda_bar_sweep
     if cfg.counterparty is not None:
@@ -254,11 +260,10 @@ def _panel_grid_bytes(cfg: ScenarioConfig, panels_per_year: int) -> int:
     # keeps the product a float
     uniform = math.ceil(cfg.schedule.maturity * min(panels_per_year, 2**62))
     points = uniform + 1 + len(cfg.schedule.times) + sum(len(c.times) for c in curves)
-    row_bytes = sum(
-        3 * (len(f"{cfg.regime},{lam},{theta},,") + 6 * _FLOAT_CHARS) + _ROW_OVERHEAD_BYTES
-        for _, lam, theta, _ in _sweep_points(cfg)
-    )
-    return points * (_ENGINE_BYTES_PER_POINT + row_bytes)
+    labels = [len(f"{cfg.regime},{lam},{theta},,") for _, lam, theta, _ in _sweep_points(cfg)]
+    row_bytes = 3 * (max(labels) + 6 * _FLOAT_CHARS) + _ROW_OVERHEAD_BYTES
+    kept = _KEPT_BYTES if len(labels) > 1 else 0
+    return points * (_ENGINE_BYTES_PER_POINT + row_bytes + kept)
 
 
 def _panel_memory_problem(cfg: ScenarioConfig, panels_per_year: int) -> str | None:
@@ -413,17 +418,53 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _profile_rows(prefix: str, profile, mc_mean: str, mc_err: str) -> list[str]:
-    """One CSV row per grid time: ``prefix``, then ``t, v_X, u, v, alpha,
-    beta`` and the Monte Carlo columns, filled on the first row only.
+def _texts(values: np.ndarray):
+    """``repr`` of each value, lazily; a run of bitwise-equal values is
+    formatted once where runs are at most half the values, and a column
+    where most values change goes through plain ``map``."""
+    bits = values.view(np.int64)  # 0.0 and -0.0 differ here
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if 2 * (len(starts) + 1) > len(values):
+        return map(repr, values.tolist())
+    lengths = np.diff(starts, prepend=0, append=len(values))
+    firsts = values[np.insert(starts, 0, 0)]
+    return itertools.chain.from_iterable(
+        map(itertools.repeat, map(repr, firsts.tolist()), lengths.tolist())
+    )
 
-    ``tolist`` turns each column into Python floats in one pass, so each
-    value is formatted by ``repr`` without a numpy scalar per element.
-    """
-    columns = (profile.grid, profile.v_x, profile.u, profile.v, profile.alpha, profile.beta)
-    cells = zip(*(map(repr, c.tolist()) for c in columns))
+
+def _reused(values: np.ndarray, previous, keep: bool):
+    """The texts of ``values``, taken from the previous point's ``(values,
+    texts)`` wherever the two arrays are bitwise equal; a list where
+    ``keep`` asks for one, else maybe lazy."""
+    if previous is not None and len(previous[0]) == len(values):
+        old, texts = previous
+        same = values.view(np.int64) == old.view(np.int64)
+        if same.all():
+            return texts
+        return [t if s else repr(x) for x, s, t in zip(values.tolist(), same.tolist(), texts)]
+    texts = _texts(values)
+    return list(texts) if keep else texts
+
+
+def _profile_text(prefix: str, profile, mc_mean: str, mc_err: str, previous, keep: bool):
+    """A sweep point's profile rows as one text, and with ``keep`` its
+    ``t`` and ``v_X`` columns with their texts, for the next point.
+
+    Each row holds ``prefix``, then ``t, v_X, u, v, alpha, beta`` and
+    the Monte Carlo columns, filled on the first row only.  ``t`` and
+    ``v_X`` reuse ``previous``, the last point's columns, where they
+    agree bitwise; their texts are lists only while another point may
+    reuse them.  ``tolist`` turns each column into Python floats in one
+    pass, so ``repr`` makes no numpy scalar."""
+    fixed = (profile.grid, profile.v_x)
+    texts = [_reused(c, old, keep) for c, old in zip(fixed, previous or (None, None))]
+    rest = (_texts(c) for c in (profile.u, profile.v, profile.alpha, profile.beta))
+    cells = zip(*texts, *rest)
     tails = [f",{mc_mean},{mc_err}"] + [",,"] * (len(profile.grid) - 1)
-    return [f"{prefix},{','.join(values)}{tail}" for values, tail in zip(cells, tails)]
+    rows = [f"{prefix},{','.join(values)}{tail}\n" for values, tail in zip(cells, tails)]
+    del cells  # and the columns' Python floats, before the join
+    return "".join(rows), list(zip(fixed, texts)) if keep else None
 
 
 def _lambda_label(curve: TermCurve) -> str:
@@ -460,6 +501,38 @@ def _sweep_points(cfg: ScenarioConfig):
         yield f"sweep.lambda_bar[{i}]", _lambda_label(lam), "", args
 
 
+def _point(cfg: ScenarioConfig, i: int, point, with_mc: bool, ppy: int, previous, keep: bool):
+    """Solve sweep point ``i``, ``point`` from :func:`_sweep_points`, and
+    with ``with_mc`` simulate it; return its profile text, summary row,
+    echo line and the columns :func:`_profile_text` keeps for the next
+    point (``previous`` and ``keep`` are passed on to it).
+
+    A numeric failure is raised again with the point's config key in
+    front of its message."""
+    key, lam_label, theta_label, args = point
+    solve, simulate, *_ = _regime_functions(cfg.regime)
+    mc_mean = mc_err = mc_paths = mc_seed = ""
+    try:
+        profile = solve(*args, panels_per_year=ppy)
+        if with_mc:
+            est = simulate(*args, cfg.mc_paths, cfg.seed + i)
+            mc_mean, mc_err = _fmt(est.mean), _fmt(est.std_error)
+            mc_paths, mc_seed = str(est.paths), str(est.seed)
+    except (InvariantError, ArithmeticError) as exc:
+        raise type(exc)(f"{key}: {exc}") from exc
+    prefix = f"{cfg.regime},{lam_label},{theta_label}"
+    text, kept = _profile_text(prefix, profile, mc_mean, mc_err, previous, keep)
+    values = map(_fmt, (profile.v_x[0], profile.u[0], profile.v[0]))
+    row = ",".join((cfg.regime, lam_label, theta_label, *values, mc_mean, mc_err, mc_paths, mc_seed))
+    mc_note = f" mc={mc_mean}+-{mc_err}" if with_mc else ""
+    note = (
+        f"{cfg.regime} lambda_bar_I={lam_label}"
+        + (f" theta={theta_label}" if theta_label else "")
+        + f" u0={_fmt(profile.u[0])} v0={_fmt(profile.v[0])}{mc_note}"
+    )
+    return text, row + "\n", note, kept
+
+
 def run_scenario(
     cfg: ScenarioConfig,
     *,
@@ -473,65 +546,70 @@ def run_scenario(
     Returns the paths written.  Rows appear in config order; the Monte
     Carlo columns are populated on the ``t = 0`` profile row of each
     sweep point (the estimate targets the time-0 value) and stay empty
-    when simulation is off.  A numeric failure is raised again with the
-    failing point's config key in front of its message.
+    when simulation is off.  Each point's rows are written to both
+    reports' temporary files as soon as it is done, and the reports
+    replaced once every point is: a run that fails leaves the old
+    reports and no temporary file (:func:`_write`).  A numeric failure
+    is raised again with the failing point's config key in front of its
+    message.
     """
     ppy = panels_per_year if panels_per_year is not None else cfg.panels_per_year
     base = Path(out_dir) if out_dir is not None else Path(".")
     base.mkdir(parents=True, exist_ok=True)
-    profile_lines = [PROFILE_COLUMNS]
-    summary_lines = [SUMMARY_COLUMNS]
-
-    solve, simulate, *_ = _regime_functions(cfg.regime)
-    for i, (key, lam_label, theta_label, args) in enumerate(_sweep_points(cfg)):
-        mc_mean = mc_err = mc_paths = mc_seed = ""
-        try:
-            profile = solve(*args, panels_per_year=ppy)
-            if with_mc:
-                est = simulate(*args, cfg.mc_paths, cfg.seed + i)
-                mc_mean, mc_err = _fmt(est.mean), _fmt(est.std_error)
-                mc_paths, mc_seed = str(est.paths), str(est.seed)
-        except (InvariantError, ArithmeticError) as exc:
-            raise type(exc)(f"{key}: {exc}") from exc
-        profile_lines.extend(
-            _profile_rows(f"{cfg.regime},{lam_label},{theta_label}", profile, mc_mean, mc_err)
-        )
-        values = map(_fmt, (profile.v_x[0], profile.u[0], profile.v[0]))
-        row = (cfg.regime, lam_label, theta_label, *values, mc_mean, mc_err, mc_paths, mc_seed)
-        summary_lines.append(",".join(row))
-        mc_note = f" mc={mc_mean}+-{mc_err}" if with_mc else ""
-        echo(
-            f"{cfg.regime} lambda_bar_I={lam_label}"
-            + (f" theta={theta_label}" if theta_label else "")
-            + f" u0={_fmt(profile.u[0])} v0={_fmt(profile.v[0])}{mc_note}"
-        )
-
     paths = (base / cfg.profiles_out, base / cfg.summary_out)
-    _write_reports(paths, ["\n".join(lines) + "\n" for lines in (profile_lines, summary_lines)])
+    points = list(_sweep_points(cfg))
+    with _write(paths) as write:
+        write(PROFILE_COLUMNS + "\n", SUMMARY_COLUMNS + "\n")
+        kept = None
+        for i, point in enumerate(points):
+            keep = i + 1 < len(points)
+            text, row, note, kept = _point(cfg, i, point, with_mc, ppy, kept, keep)
+            write(text, row)
+            echo(note)
+            del text  # before the next point's rows
     return paths
 
 
 def _temporary_name(name: str) -> str:
-    """The fresh name :func:`_write_reports` writes report ``name`` under."""
+    """The fresh name :func:`_write` writes report ``name`` under."""
     return f".{name}.{os.urandom(6).hex()}.tmp"
 
 
-def _write_reports(paths, texts) -> None:
-    """Write each text to a fresh file beside its path (mode 0o666 less the
-    umask), then rename each onto its path: a failed write leaves the old
-    reports and no temporary file; only a failed rename leaves some new."""
-    tmps = []
+def _naming(path, action, *args):
+    """``action(*args)``, an ``OSError`` raised again naming report ``path``."""
     try:
-        for path, text in zip(paths, texts):
-            tmp = path.with_name(_temporary_name(path.name))
-            with open(tmp, "x") as f:
-                tmps.append(tmp)
-                f.write(text)
-        for path, tmp in zip(paths, tmps):
-            os.replace(tmp, path)
+        return action(*args)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _write(paths):
+    """Yield ``write(*texts)``, which appends each text to a fresh file
+    beside its path (mode 0o666 less the umask); rename each onto its
+    path once the block is done.  A block that raises, or a failed
+    write, leaves the old reports and no temporary file; only a failed
+    rename leaves some new."""
+    files, tmps = [], []
+
+    def write(*texts):
+        for path, f, text in zip(paths, files, texts):
+            _naming(path, f.write, text)
+
+    try:
+        for path in paths:
+            tmp = path.with_name(_temporary_name(path.name))
+            files.append(_naming(path, open, tmp, "x"))
+            tmps.append(tmp)
+        yield write
+        for path, f in zip(paths, files):
+            _naming(path, f.close)
+        for path, tmp in zip(paths, tmps):
+            _naming(path, os.replace, tmp, path)
     finally:
+        for f in files:
+            with contextlib.suppress(OSError):  # what failed is raised already
+                f.close()
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
 

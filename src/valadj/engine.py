@@ -194,7 +194,6 @@ def solve_linear_adjustment(
         edges, alpha, alpha_cumulative, beta
     )
     widths = np.diff(edges)
-    n_panels = len(widths)
 
     # overflow here is handled by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -202,11 +201,14 @@ def solve_linear_adjustment(
         w_end = np.exp(-a_full)
         local = (widths / 6.0) * (beta_edge[:-1] + 4.0 * beta_mid * w_mid + beta_end * w_end)
 
-        u = np.zeros(n_panels + 1)
-        acc = 0.0
-        for k in range(n_panels - 1, -1, -1):
-            acc = local[k] + w_end[k] * acc
-            u[k] = acc
+    # the recurrence on Python floats: the same IEEE doubles as numpy's
+    # scalars, without one per panel; an overflow gives inf silently
+    acc = 0.0
+    backward = [acc]
+    for loc, w in zip(reversed(local.tolist()), reversed(w_end.tolist())):
+        acc = loc + w * acc
+        backward.append(acc)
+    u = np.array(backward[::-1])
     if not np.all(np.isfinite(u)):
         # once non-finite, u stays so down to t = 0: name where it broke
         t = float(edges[np.flatnonzero(~np.isfinite(u))[-1]])

@@ -12,7 +12,10 @@ seed).  Path ``i`` consumes draws ``k*i .. k*i + k - 1`` (``k`` uniforms
 per path: 2 for independent defaults, 1 without a counterparty or for
 dependent defaults), and ``PCG64`` emits one 64-bit word per double, so a
 worker owning paths ``[p0, p1)`` reproduces its slice exactly from
-``PCG64(seed).advance(k * p0)``, for any ``p0``.  Each name's levels
+``PCG64(seed).advance(k * p0)``, for any ``p0``.  A simulation in which
+no name can default draws nothing, and the contract still holds: its
+draws would feed only the screens, which no draw in ``[0, 1)`` reaches,
+so every path's payoff is the same without them.  Each name's levels
 reach its payoff map as a contiguous row (gathered from the block's
 column), where the elementwise passes run at unit stride; their results
 do not depend on the stride, so the gather moves no bit.  Antithetic or
@@ -31,9 +34,10 @@ the quantity and the time, before any path is drawn.
 Every simulator runs as one pipeline.  Blocks of ``_BLOCK`` paths only
 screen: each draws its uniforms into one reused buffer (consecutive
 draws continue the stream, so each path sees the same uniforms for any
-block size) and compares them with each name's screen level, below
-which the name's inverse survival map certainly returns a time past
-maturity.  A path below every screen survives: it is counted, not
+block size) and compares them, as one contiguous run, with each name's
+screen level, below which the name's inverse survival map certainly
+returns a time past maturity; a name whose screen is 1 cannot default
+and is not compared.  A path below every screen survives: it is counted, not
 stored, and paid the full flow sum.  The other paths' levels gather in
 a pending batch of at most ``_BLOCK`` paths, whose payoff map then
 locates each as it would with no screen, so the screen moves no bit:
@@ -124,10 +128,13 @@ def _simulate(paths: int, seed: int, screens: tuple, payoffs, paid_all, bound) -
     generator's stream.  It survives, paid ``paid_all``, unless a level
     reaches its name's screen in ``screens``; then its levels join a
     pending batch, one row per name, and ``payoffs(levels, out)`` writes
-    the batch's payoffs into the next slice of one chunk buffer.
+    the batch's payoffs into the next slice of one chunk buffer.  Where
+    every screen is 1, no path can default and none draws: each chunk
+    is one survivor group, folded as with draws.
     """
     gen = _generator(paths, seed)
     scale = _scale(paths, bound)
+    screened = _screener(screens)
     size = min(_BLOCK, paths)
     draws = np.empty((size, len(screens)))
     pending = np.empty((len(screens), size))
@@ -136,11 +143,11 @@ def _simulate(paths: int, seed: int, screens: tuple, payoffs, paid_all, bound) -
     for first in range(0, paths, _CHUNK):
         n = min(_CHUNK, paths - first)
         mapped = held = 0
-        for start in range(0, n, size):
+        # no draw where no name can default: every path survives
+        for start in range(0, n, size) if screened is not None else ():
             w = draws[: min(size, n - start)]
             gen.random(out=w)
-            reached = (w[:, k] >= screen for k, screen in enumerate(screens))
-            at_risk = np.flatnonzero(functools.reduce(np.logical_or, reached))
+            at_risk = screened(w)
             if held + len(at_risk) > size:
                 payoffs(pending[:, :held], x[mapped : mapped + held])
                 mapped, held = mapped + held, 0
@@ -164,6 +171,30 @@ def _simulate(paths: int, seed: int, screens: tuple, payoffs, paid_all, bound) -
     n, mean, m2 = functools.reduce(_merge, chunks)
     std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return McEstimate(mean=mean / scale, std_error=std_error / scale, paths=n, seed=seed)
+
+
+def _screener(screens: tuple):
+    """A map from a block of levels, ``(paths, names)`` in C order, to the
+    indices of its paths where some level reaches its name's screen; None
+    where no screen is below 1, which no draw in ``[0, 1)`` reaches.
+
+    Only the names that can default are compared, each over the block's
+    flat levels at unit stride with its screen as a scalar.  With two
+    names, byte ``k`` of a path's ``uint16`` view of a comparison is name
+    ``k``'s; a mask built from bytes keeps it in either byte order."""
+    live = [(k, screen) for k, screen in enumerate(screens) if screen < 1.0]
+    if not live:
+        return None
+    if len(screens) == 1:
+        return lambda w: np.flatnonzero(w.reshape(-1) >= screens[0])
+    masks = np.eye(2, dtype=np.uint8).view(np.uint16)[:, 0]
+
+    def at_risk(w):
+        flat = w.reshape(-1)
+        hits = ((flat >= screen).view(np.uint16) & masks[k] for k, screen in live)
+        return np.flatnonzero(functools.reduce(np.bitwise_or, hits) != 0)
+
+    return at_risk
 
 
 def _scale(paths: int, bound: float) -> float:
@@ -252,7 +283,6 @@ class _Segments:
         # the survivor segment starts just past maturity, paid every flow;
         # the lookup leaves its start out (see _survivors)
         self._starts = np.append(grid, np.nextafter(self.maturity, math.inf))
-        self._locate = _Locator(grid)
         self.paid_before, self.paid_upto = (np.append(prefix[k], prefix[-1]) for k in (left, upto))
 
         nxt = np.minimum(upto, len(times) - 1)  # first flow after g_j
@@ -263,12 +293,17 @@ class _Segments:
         self.log_vx = np.where(done, 0.0, h_x - h_x[flow_at[nxt]])
         self.rate_x = np.where(done, 0.0, collateral.value(grid))
 
+    @functools.cached_property
+    def _lookup(self) -> _Locator:
+        # built on the first locate: the one-name simulators use levels
+        return _Locator(self.grid)
+
     def locate(self, tau: np.ndarray):
         """Default times' segments ``j``, times ``dt`` in them and flows paid;
         clips ``tau`` in place."""
         # a finite dt keeps the survivor segment's -0.0 * dt from NaN
         np.minimum(tau, self._starts[-1], out=tau)
-        j = self._survivors(self._locate(tau, "right") - 1, tau, self._starts[-1])
+        j = self._survivors(self._lookup(tau, "right") - 1, tau, self._starts[-1])
         dt = tau - self._starts[j]
         return j, dt, self._paid(j, dt)
 

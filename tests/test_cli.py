@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valadj import AdjustmentProfile, adjustment_independent, cli, mc_value_independent
+from valadj import AdjustmentProfile, McEstimate, adjustment_independent, cli, mc_value_independent
 from valadj.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -340,9 +340,9 @@ class TestValidate:
         cfg = load_config(write_config(tmp_path, doc))
         # 64 uniform panels + 1 edge, 1 flow date, 2 + 1 + 1 + 1 + 1 curve nodes
         points = 64 + 1 + 1 + 6
-        rows = [f"riskfree_cpty,{lam},,," for lam in ("0.0", "0.02")]
-        row_bytes = sum(3 * (len(r) + 6 * 25) + 64 for r in rows)
-        need = points * (256 + row_bytes)
+        # one row of the longest label, and the t and v_X texts of two points
+        row_bytes = 3 * (len("riskfree_cpty,0.02,,,") + 6 * 25) + 64
+        need = points * (256 + row_bytes + 2 * 2 * 96)
         assert cli._panel_grid_bytes(cfg, 64) == need
         monkeypatch.setattr(cli, "_physical_memory", lambda: need)
         assert cli._panel_memory_problem(cfg, 64) is None
@@ -754,7 +754,7 @@ class TestRun:
         for name in ("profiles.csv", "summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_profile_rows_match_naive_formatting(self):
+    def test_profile_rows_match_naive_formatting(self, tmp_path, monkeypatch):
         values = np.array(
             [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 0.1, -1.0 / 3.0, 1e16, 123456.789, 2.0**60]
         )
@@ -767,15 +767,8 @@ class TestRun:
             alpha=-values,
             beta=values * 0.5,
         )
-        naive = []
-        for j in range(n):
-            cells = [
-                repr(float(a[j]))
-                for a in (profile.grid, profile.v_x, profile.u, profile.v, profile.alpha, profile.beta)
-            ]
-            mc = ["1.5", "0.25"] if j == 0 else ["", ""]
-            naive.append(",".join(["riskfree_cpty", "0.02", ""] + cells + mc))
-        assert cli._profile_rows("riskfree_cpty,0.02,", profile, "1.5", "0.25") == naive
+        naive = naive_rows(profile, "1.5", "0.25")
+        assert point_texts(tmp_path, monkeypatch, [profile], with_mc=True) == ["".join(naive)]
         assert "-0.0" in naive[1] and "5e-324" in naive[2]
 
     def test_bad_panels_override(self, tmp_path, capsys):
@@ -836,45 +829,36 @@ class TestRun:
         assert all(r.split(",")[1] == "0.0" for r in rows)
 
     def test_failed_write_keeps_the_old_reports(self, tmp_path, monkeypatch):
-        # both reports are written before either is renamed, so a failed
-        # write of either one leaves both old reports and no temporary file
-        class Torn:
-            """A file that takes half of what is written, then fails."""
+        # each point is written to both temporary files as it is done, and
+        # neither is renamed before the last point: a failed write of
+        # either one leaves both old reports and no temporary file
+        tear_each_report(tmp_path, monkeypatch, after_points=0)
 
-            def __init__(self, f):
-                self.f = f
+    def test_write_torn_after_the_first_point_keeps_the_old_reports(self, tmp_path, monkeypatch):
+        tear_each_report(tmp_path, monkeypatch, after_points=1)
 
-            def __enter__(self):
-                return self
+    def test_numeric_failure_after_the_first_point_keeps_the_old_reports(self, tmp_path, monkeypatch):
+        doc = base_config(sweep={"lambda_bar": [0.0, 0.02]})
+        cfg = load_config(write_config(tmp_path, doc))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "profiles.csv").write_text("old profiles\n")
+        (out / "summary.csv").write_text("old summary\n")
+        solve = cli.adjustment_independent
+        calls = []
 
-            def __exit__(self, *exc):
-                self.f.close()
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise cli.InvariantError("non-finite u at t = 0.5")
+            return solve(*args, **kwargs)
 
-            def write(self, text):
-                self.f.write(text[: len(text) // 2])
-                raise OSError("no space left on device")
-
-        cfg = load_config(write_config(tmp_path, base_config()))
-        for torn, name in enumerate(("profiles.csv", "summary.csv")):
-            out = tmp_path / f"out{torn}"
-            out.mkdir()
-            (out / "profiles.csv").write_text("old profiles\n")
-            (out / "summary.csv").write_text("old summary\n")
-            opened = []
-
-            def opening(path, mode):
-                opened.append(path)
-                f = open(path, mode)
-                return Torn(f) if len(opened) == torn + 1 else f
-
-            monkeypatch.setattr(cli, "open", opening, raising=False)
-            match = f"cannot write {re.escape(str(out / name))}: no space"
-            with pytest.raises(OSError, match=match):
-                run_scenario(cfg, out_dir=out, echo=lambda _: None)
-            assert len(opened) == torn + 1
-            assert (out / "profiles.csv").read_text() == "old profiles\n"
-            assert (out / "summary.csv").read_text() == "old summary\n"
-            assert sorted(os.listdir(out)) == ["profiles.csv", "summary.csv"]
+        monkeypatch.setattr(cli, "adjustment_independent", failing)
+        with pytest.raises(cli.InvariantError, match=r"sweep\.lambda_bar\[1\]: non-finite"):
+            run_scenario(cfg, out_dir=out, echo=lambda _: None)
+        assert (out / "profiles.csv").read_text() == "old profiles\n"
+        assert (out / "summary.csv").read_text() == "old summary\n"
+        assert sorted(os.listdir(out)) == ["profiles.csv", "summary.csv"]
 
     def test_write_failure_exits_2_naming_the_path(self, tmp_path, capsys, monkeypatch):
         def refuse(src, dst):
@@ -906,6 +890,175 @@ class TestRun:
         assert p.name == "p.csv" and p.exists()
         assert s.name == "s.csv" and s.exists()
         assert len(notes) == 2
+
+
+def tear_each_report(tmp_path, monkeypatch, after_points):
+    """Run a two-point config with each report in turn torn after
+    ``after_points`` points: ``run_scenario`` raises, naming the torn
+    report, and the old reports remain with no temporary file."""
+
+    class Torn:
+        """A file that takes the header and ``after_points`` points, then
+        half of what is written next, and fails."""
+
+        def __init__(self, f):
+            self.f = f
+            self.writes = 0
+
+        def close(self):
+            self.f.close()
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes <= 1 + after_points:
+                return self.f.write(text)
+            self.f.write(text[: len(text) // 2])
+            raise OSError("no space left on device")
+
+    cfg = load_config(write_config(tmp_path, base_config()))
+    for torn, name in enumerate(("profiles.csv", "summary.csv")):
+        out = tmp_path / f"out{torn}"
+        out.mkdir()
+        (out / "profiles.csv").write_text("old profiles\n")
+        (out / "summary.csv").write_text("old summary\n")
+        opened = []
+
+        def opening(path, mode):
+            opened.append(path)
+            f = open(path, mode)
+            return Torn(f) if len(opened) == torn + 1 else f
+
+        monkeypatch.setattr(cli, "open", opening, raising=False)
+        notes = []
+        match = f"cannot write {re.escape(str(out / name))}: no space"
+        with pytest.raises(OSError, match=match):
+            run_scenario(cfg, out_dir=out, echo=notes.append)
+        assert len(opened) == 2
+        assert len(notes) == after_points  # the points done before the tear
+        assert (out / "profiles.csv").read_text() == "old profiles\n"
+        assert (out / "summary.csv").read_text() == "old summary\n"
+        assert sorted(os.listdir(out)) == ["profiles.csv", "summary.csv"]
+
+
+def naive_rows(profile, mc_mean="", mc_err="", prefix=("riskfree_cpty", "0.02", "")):
+    """A point's profile rows, each value formatted by its own ``repr``."""
+    columns = (profile.grid, profile.v_x, profile.u, profile.v, profile.alpha, profile.beta)
+    rows = []
+    for j in range(len(profile.grid)):
+        cells = [repr(float(a[j])) for a in columns]
+        mc = [mc_mean, mc_err] if j == 0 else ["", ""]
+        rows.append(",".join([*prefix, *cells, *mc]) + "\n")
+    return rows
+
+
+def point_texts(tmp_path, monkeypatch, profiles, with_mc=False, kept=None):
+    """The profile texts ``cli._point`` gives for ``profiles``, solved in
+    turn at the points of a riskfree_cpty sweep of ``lambda_bar = 0.02``,
+    each point passed the columns the one before kept; ``kept`` collects
+    those columns."""
+    doc = base_config(sweep={"lambda_bar": [0.02] * len(profiles)})
+    cfg = load_config(write_config(tmp_path, doc, "points.json"))
+    solved = iter(profiles)
+    monkeypatch.setattr(cli, "adjustment_independent", lambda *a, **k: next(solved))
+    monkeypatch.setattr(cli, "mc_value_independent", lambda *a: McEstimate(1.5, 0.25, 4000, 7))
+    points = list(cli._sweep_points(cfg))
+    texts, previous = [], None
+    for i, point in enumerate(points):
+        keep = i + 1 < len(points)
+        text, _, _, previous = cli._point(cfg, i, point, with_mc, 64, previous, keep)
+        texts.append(text)
+        if kept is not None:
+            kept.append(previous)
+    assert previous is None  # the last point keeps nothing
+    return texts
+
+
+def profile_of(**columns):
+    """A profile of the given columns; the others count up from 0.5."""
+    n = len(next(iter(columns.values())))
+    filler = np.arange(n) + 0.5
+    names = ("grid", "v_x", "u", "v", "alpha", "beta")
+    return AdjustmentProfile(
+        **{name: np.asarray(columns.get(name, filler + k), dtype=float) for k, name in enumerate(names)}
+    )
+
+
+class TestTextReuse:
+    """A point's text formats with ``repr`` only the values that can
+    differ: ``t`` and ``v_X`` reuse the last point's texts where their
+    bits agree, and a run of bitwise-equal values in a column is
+    formatted once.  Every text equals naive formatting."""
+
+    def test_signed_zeros_side_by_side_and_across_points(self, tmp_path, monkeypatch):
+        zeros = [0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0]
+        flipped = [-z if k % 3 == 0 else z for k, z in enumerate(zeros)]
+        first = profile_of(grid=np.linspace(0.0, 1.0, 8), v_x=zeros, alpha=zeros, beta=zeros)
+        same = profile_of(grid=np.linspace(0.0, 1.0, 8), v_x=zeros, alpha=flipped, beta=zeros)
+        other = profile_of(grid=np.linspace(0.0, 1.0, 8), v_x=flipped, alpha=zeros, beta=flipped)
+        kept = []
+        texts = point_texts(tmp_path, monkeypatch, [first, same, other], kept=kept)
+        assert texts == ["".join(naive_rows(p)) for p in (first, same, other)]
+        assert ",-0.0," in texts[2].splitlines()[0]
+        # bitwise-equal columns pass the very texts on; -0.0 is not 0.0
+        assert kept[1][0][1] is kept[0][0][1] and kept[1][1][1] is kept[0][1][1]
+
+    def test_columns_one_ulp_apart(self, tmp_path, monkeypatch):
+        grid = np.linspace(0.0, 2.0, 9)
+        base = np.full(9, 0.1)
+        up = base.copy()
+        up[4] = np.nextafter(0.1, 1.0)  # one ulp: a run of its own
+        down = np.nextafter(up, 0.0)
+        profiles = [
+            profile_of(grid=grid, v_x=base, alpha=up, beta=base),
+            profile_of(grid=np.nextafter(grid, 3.0), v_x=up, alpha=base, beta=down),
+            profile_of(grid=np.nextafter(grid, 3.0), v_x=down, alpha=down, beta=up),
+        ]
+        texts = point_texts(tmp_path, monkeypatch, profiles)
+        assert texts == ["".join(naive_rows(p)) for p in profiles]
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [1.5] * 6 + [0.25, 0.5, 0.75, 1.0],  # a run at the start
+            [0.25, 0.5, 0.75, 1.0] + [1.5] * 6,  # at the end
+            [1.5] * 3 + [0.25, 0.5, 0.75, 1.0] + [-1.5] * 3,  # at both
+            [2.0] * 10,  # one run
+            [0.25 * k for k in range(10)],  # no run
+            [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0, 5.0, 5.0],  # pairs
+        ],
+    )
+    def test_runs(self, tmp_path, monkeypatch, column):
+        grid = np.linspace(0.0, 1.0, len(column))
+        profiles = [
+            profile_of(grid=grid, v_x=column, u=column, v=column, alpha=column, beta=column),
+            profile_of(grid=grid, v_x=column[::-1], alpha=column[::-1]),
+        ]
+        texts = point_texts(tmp_path, monkeypatch, profiles, with_mc=True)
+        assert texts == ["".join(naive_rows(p, "1.5", "0.25")) for p in profiles]
+
+    def test_piecewise_sweep_changes_the_grid(self, tmp_path):
+        # nodes off the uniform grid add a point; two sweep points with one
+        # node each have grids of one length that differ at that node
+        sweep = [
+            0.02,
+            [{"t": 0.0, "value": 0.01}, {"t": 0.3, "value": 0.03}],
+            [{"t": 0.0, "value": 0.01}, {"t": 0.7, "value": 0.03}],
+            [{"t": 0.0, "value": 0.01}, {"t": 0.3, "value": 0.03}, {"t": 0.7, "value": 0.0}],
+            0.0,
+            0.0,
+        ]
+        schedule = {"flows": [{"t": 0.5, "amount": -1.0}, {"t": 1.0, "amount": 2.0}]}
+        doc = base_config(sweep={"lambda_bar": sweep}, schedule=schedule)
+        cfg = load_config(write_config(tmp_path, doc))
+        profiles_path, _ = run_scenario(cfg, out_dir=tmp_path / "out", echo=lambda _: None)
+        naive = [PROFILE_COLUMNS + "\n"]
+        lengths = []
+        for _, label, _, args in cli._sweep_points(cfg):
+            profile = adjustment_independent(*args, panels_per_year=64)
+            naive += naive_rows(profile, prefix=("riskfree_cpty", label, ""))
+            lengths.append(len(profile.grid))
+        assert lengths == [65, 66, 66, 67, 65, 65]
+        assert profiles_path.read_text() == "".join(naive)
 
 
 def _curve_docs(values):

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -216,6 +217,43 @@ class TestRiskfreeCptySimulator:
         mc = mc_value_independent(flat_market, investor, None, 0.4, 0.01, bullet, closeout, 2500, 8)
         assert mc.paths == 2500
         assert mc.seed == 8
+
+
+class TestDrawless:
+    """Where no name can default, every screen is 1, above every draw: the
+    simulation draws nothing, and its estimate is the fold of one
+    survivor group per chunk."""
+
+    @pytest.mark.parametrize("paths", [2, oracle._CHUNK + 3])
+    def test_no_uniform_drawn(self, monkeypatch, flat_market, investor, closeout, mixed, paths):
+        calls = []
+
+        class Spy(np.random.Generator):
+            def random(self, *args, **kwargs):
+                calls.append(kwargs)
+                return super().random(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Spy)
+        zero = CreditCurve("C", TermCurve.flat(0.0))
+        cases = [
+            ("riskfree_cpty", oracle._first_default, mc_value_independent,
+             (flat_market, investor, None, 0.4, 0.0, mixed, closeout)),
+            ("independent", oracle._first_default, mc_value_independent,
+             (flat_market, investor, zero, 0.4, 0.0, mixed, closeout)),
+            ("correlated", oracle._dependent_default, mc_value_correlated,
+             (flat_market, JointDefaultModel(investor, zero, 1.5), mixed, closeout)),
+        ]
+        for name, build, simulate, args in cases:
+            screens, _, paid_all, bound = build(*args)
+            assert set(screens) == {1.0}, name
+            est = simulate(*args, paths, 11)
+            assert calls == [], name
+            scale = oracle._scale(paths, bound)
+            n, mean, m2 = chunked_mean_m2([paid_all * scale] * paths, [False] * paths, oracle._CHUNK)
+            assert (est.mean, est.std_error, est.paths) == (mean / scale, 0.0, n) == (paid_all, 0.0, paths)
+        # the spy sees the draws of a name that can default
+        mc_value_independent(flat_market, investor, zero, 0.4, 0.02, mixed, closeout, 2, 11)
+        assert len(calls) == 1
 
 
 class TestIndependentSimulator:
@@ -1079,16 +1117,22 @@ class TestSurvivorKnot:
                 built.append(self)
 
         monkeypatch.setattr(oracle, "_Locator", Recording)
-        for name in (None, counterparty):
+        simulators = [
             oracle._first_default(
                 market, investor, name, 0.2, t.curve(0.05, 0.07), schedule, closeout
             )
+            for name in (None, counterparty)
+        ]
         model = JointDefaultModel(investor, counterparty, 1.5)
-        oracle._dependent_default(market, model, schedule, closeout)
-        assert len(built) == 5  # one grid lookup per simulator, two level maps
-        assert [lookup._steps for lookup in built] == [1] * 5
+        simulators.append(oracle._dependent_default(market, model, schedule, closeout))
+        assert len(built) == 2  # the two level maps; no grid lookup yet
+        for screens, payoffs, _, _ in simulators:
+            payoffs(np.full((len(screens), 3), 0.5), np.empty(3))
+        # the grid lookup, built by the one simulator that locates times
+        assert len(built) == 3
+        assert [lookup._steps for lookup in built] == [1] * 3
         # with the survivor knot, the grid lookup would take two passes
-        grid = built[0].knots
+        grid = built[-1].knots
         assert grid[-1] == schedule.maturity
         assert oracle._Locator(np.append(grid, np.nextafter(grid[-1], math.inf)))._steps == 2
 
@@ -1223,6 +1267,26 @@ class TestScreen:
     market = MarketRates(TermCurve.flat(0.01), TermCurve.flat(0.005))
     investor = CreditCurve("I", TermCurve.flat(0.02))
     closeout = CloseoutSpec(0.4, 0.3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), maturity=st.sampled_from([0.25, 1.0, 5.0, 30.0, 1e5]))
+    def test_flat_screen_matches_strided_columns(self, data, maturity):
+        curves = [data.draw(screened_curves(maturity)) for _ in range(2)]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        w = np.column_stack([rng.choice(packed_levels(c, maturity), 400) for c in curves])
+        w[rng.random(400) < 0.5] = 0.0  # survivors between the paths at risk
+        np.minimum(w, 1.0 - 2.0**-53, out=w)  # the largest draw: no level of 1
+        screens = tuple(oracle._screen(c, maturity) for c in curves)
+        for names in ([0], [1], [0, 1]):
+            block = np.ascontiguousarray(w[:, names])
+            chosen = tuple(screens[k] for k in names)
+            reached = [block[:, k] >= screen for k, screen in enumerate(chosen)]
+            want = np.flatnonzero(functools.reduce(np.logical_or, reached))
+            at_risk = oracle._screener(chosen)
+            if all(screen == 1.0 for screen in chosen):
+                assert at_risk is None and len(want) == 0  # no draw reaches 1
+            else:
+                np.testing.assert_array_equal(at_risk(block), want)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), maturity=st.sampled_from([0.25, 1.0, 5.0, 30.0, 1e5]))
