@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -61,14 +60,11 @@ SUMMARY_COLUMNS = "regime,lambda_bar_I,theta,v_X0,u0,v0,mc_mean,mc_stderr,mc_pat
 # profile row of the point being written, held three times (the rows,
 # the point's text and its encoded copy), each copy at most the row's
 # label plus _FLOAT_CHARS per value, plus _ROW_OVERHEAD_BYTES of object
-# headers and list slots; and, in a sweep of several points, the t and
-# v_X texts that two points keep for reuse.  Measured peaks of whole
-# runs stay under 500 bytes per grid point with one sweep point, and
-# under 750 with several.
+# headers and list slots.  Measured peaks of whole runs stay under 500
+# bytes per grid point.
 _ENGINE_BYTES_PER_POINT = 256
 _FLOAT_CHARS = 25  # "-1.2345678901234567e-308" and its comma
 _ROW_OVERHEAD_BYTES = 64
-_KEPT_BYTES = 2 * 2 * 96  # per text: a str's header and _FLOAT_CHARS, its list slot, the double
 
 # a run's floating-point rules: an overflow or a NaN raises, so stderr holds
 # only the JSON error; underflow is legitimate (survival and discounts decay)
@@ -248,8 +244,8 @@ def _physical_memory() -> int:
 
 def _panel_grid_bytes(cfg: ScenarioConfig, panels_per_year: int) -> int:
     """Upper estimate of the memory a run's panel grids take: grid points
-    times the engine's bytes per point, one profile row of the largest
-    sweep point and the texts kept for reuse.  The grid has
+    times the engine's bytes per point and one profile row of the largest
+    sweep point.  The grid has
     ``ceil(maturity * panels_per_year) + 1`` uniform points plus at most
     one per flow date and curve node."""
     curves = [cfg.market.risk_free, cfg.market.collateral, cfg.investor.intensity]
@@ -262,8 +258,7 @@ def _panel_grid_bytes(cfg: ScenarioConfig, panels_per_year: int) -> int:
     points = uniform + 1 + len(cfg.schedule.times) + sum(len(c.times) for c in curves)
     labels = [len(f"{cfg.regime},{lam},{theta},,") for _, lam, theta, _ in _sweep_points(cfg)]
     row_bytes = 3 * (max(labels) + 6 * _FLOAT_CHARS) + _ROW_OVERHEAD_BYTES
-    kept = _KEPT_BYTES if len(labels) > 1 else 0
-    return points * (_ENGINE_BYTES_PER_POINT + row_bytes + kept)
+    return points * (_ENGINE_BYTES_PER_POINT + row_bytes)
 
 
 def _panel_memory_problem(cfg: ScenarioConfig, panels_per_year: int) -> str | None:
@@ -418,53 +413,20 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _texts(values: np.ndarray):
-    """``repr`` of each value, lazily; a run of bitwise-equal values is
-    formatted once where runs are at most half the values, and a column
-    where most values change goes through plain ``map``."""
-    bits = values.view(np.int64)  # 0.0 and -0.0 differ here
-    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    if 2 * (len(starts) + 1) > len(values):
-        return map(repr, values.tolist())
-    lengths = np.diff(starts, prepend=0, append=len(values))
-    firsts = values[np.insert(starts, 0, 0)]
-    return itertools.chain.from_iterable(
-        map(itertools.repeat, map(repr, firsts.tolist()), lengths.tolist())
-    )
+def _profile_text(prefix: str, profile, mc_mean: str, mc_err: str) -> str:
+    """A sweep point's profile rows as one text: per grid time ``prefix``,
+    then ``t, v_X, u, v, alpha, beta`` and the Monte Carlo columns,
+    filled on the first row only.
 
-
-def _reused(values: np.ndarray, previous, keep: bool):
-    """The texts of ``values``, taken from the previous point's ``(values,
-    texts)`` wherever the two arrays are bitwise equal; a list where
-    ``keep`` asks for one, else maybe lazy."""
-    if previous is not None and len(previous[0]) == len(values):
-        old, texts = previous
-        same = values.view(np.int64) == old.view(np.int64)
-        if same.all():
-            return texts
-        return [t if s else repr(x) for x, s, t in zip(values.tolist(), same.tolist(), texts)]
-    texts = _texts(values)
-    return list(texts) if keep else texts
-
-
-def _profile_text(prefix: str, profile, mc_mean: str, mc_err: str, previous, keep: bool):
-    """A sweep point's profile rows as one text, and with ``keep`` its
-    ``t`` and ``v_X`` columns with their texts, for the next point.
-
-    Each row holds ``prefix``, then ``t, v_X, u, v, alpha, beta`` and
-    the Monte Carlo columns, filled on the first row only.  ``t`` and
-    ``v_X`` reuse ``previous``, the last point's columns, where they
-    agree bitwise; their texts are lists only while another point may
-    reuse them.  ``tolist`` turns each column into Python floats in one
-    pass, so ``repr`` makes no numpy scalar."""
-    fixed = (profile.grid, profile.v_x)
-    texts = [_reused(c, old, keep) for c, old in zip(fixed, previous or (None, None))]
-    rest = (_texts(c) for c in (profile.u, profile.v, profile.alpha, profile.beta))
-    cells = zip(*texts, *rest)
+    ``tolist`` turns each column into Python floats in one pass, so each
+    value is formatted by ``repr`` without a numpy scalar per element.
+    """
+    columns = (profile.grid, profile.v_x, profile.u, profile.v, profile.alpha, profile.beta)
+    cells = zip(*(map(repr, c.tolist()) for c in columns))
     tails = [f",{mc_mean},{mc_err}"] + [",,"] * (len(profile.grid) - 1)
     rows = [f"{prefix},{','.join(values)}{tail}\n" for values, tail in zip(cells, tails)]
     del cells  # and the columns' Python floats, before the join
-    return "".join(rows), list(zip(fixed, texts)) if keep else None
+    return "".join(rows)
 
 
 def _lambda_label(curve: TermCurve) -> str:
@@ -501,11 +463,10 @@ def _sweep_points(cfg: ScenarioConfig):
         yield f"sweep.lambda_bar[{i}]", _lambda_label(lam), "", args
 
 
-def _point(cfg: ScenarioConfig, i: int, point, with_mc: bool, ppy: int, previous, keep: bool):
+def _point(cfg: ScenarioConfig, i: int, point, with_mc: bool, ppy: int):
     """Solve sweep point ``i``, ``point`` from :func:`_sweep_points`, and
-    with ``with_mc`` simulate it; return its profile text, summary row,
-    echo line and the columns :func:`_profile_text` keeps for the next
-    point (``previous`` and ``keep`` are passed on to it).
+    with ``with_mc`` simulate it; return its profile text, summary row
+    and echo line.
 
     A numeric failure is raised again with the point's config key in
     front of its message."""
@@ -521,7 +482,7 @@ def _point(cfg: ScenarioConfig, i: int, point, with_mc: bool, ppy: int, previous
     except (InvariantError, ArithmeticError) as exc:
         raise type(exc)(f"{key}: {exc}") from exc
     prefix = f"{cfg.regime},{lam_label},{theta_label}"
-    text, kept = _profile_text(prefix, profile, mc_mean, mc_err, previous, keep)
+    text = _profile_text(prefix, profile, mc_mean, mc_err)
     values = map(_fmt, (profile.v_x[0], profile.u[0], profile.v[0]))
     row = ",".join((cfg.regime, lam_label, theta_label, *values, mc_mean, mc_err, mc_paths, mc_seed))
     mc_note = f" mc={mc_mean}+-{mc_err}" if with_mc else ""
@@ -530,7 +491,7 @@ def _point(cfg: ScenarioConfig, i: int, point, with_mc: bool, ppy: int, previous
         + (f" theta={theta_label}" if theta_label else "")
         + f" u0={_fmt(profile.u[0])} v0={_fmt(profile.v[0])}{mc_note}"
     )
-    return text, row + "\n", note, kept
+    return text, row + "\n", note
 
 
 def run_scenario(
@@ -557,13 +518,10 @@ def run_scenario(
     base = Path(out_dir) if out_dir is not None else Path(".")
     base.mkdir(parents=True, exist_ok=True)
     paths = (base / cfg.profiles_out, base / cfg.summary_out)
-    points = list(_sweep_points(cfg))
     with _write(paths) as write:
         write(PROFILE_COLUMNS + "\n", SUMMARY_COLUMNS + "\n")
-        kept = None
-        for i, point in enumerate(points):
-            keep = i + 1 < len(points)
-            text, row, note, kept = _point(cfg, i, point, with_mc, ppy, kept, keep)
+        for i, point in enumerate(_sweep_points(cfg)):
+            text, row, note = _point(cfg, i, point, with_mc, ppy)
             write(text, row)
             echo(note)
             del text  # before the next point's rows

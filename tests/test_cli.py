@@ -340,9 +340,9 @@ class TestValidate:
         cfg = load_config(write_config(tmp_path, doc))
         # 64 uniform panels + 1 edge, 1 flow date, 2 + 1 + 1 + 1 + 1 curve nodes
         points = 64 + 1 + 1 + 6
-        # one row of the longest label, and the t and v_X texts of two points
+        # one row of the point with the longest label
         row_bytes = 3 * (len("riskfree_cpty,0.02,,,") + 6 * 25) + 64
-        need = points * (256 + row_bytes + 2 * 2 * 96)
+        need = points * (256 + row_bytes)
         assert cli._panel_grid_bytes(cfg, 64) == need
         monkeypatch.setattr(cli, "_physical_memory", lambda: need)
         assert cli._panel_memory_problem(cfg, 64) is None
@@ -951,26 +951,16 @@ def naive_rows(profile, mc_mean="", mc_err="", prefix=("riskfree_cpty", "0.02", 
     return rows
 
 
-def point_texts(tmp_path, monkeypatch, profiles, with_mc=False, kept=None):
+def point_texts(tmp_path, monkeypatch, profiles, with_mc=False):
     """The profile texts ``cli._point`` gives for ``profiles``, solved in
-    turn at the points of a riskfree_cpty sweep of ``lambda_bar = 0.02``,
-    each point passed the columns the one before kept; ``kept`` collects
-    those columns."""
+    turn at the points of a riskfree_cpty sweep of ``lambda_bar = 0.02``."""
     doc = base_config(sweep={"lambda_bar": [0.02] * len(profiles)})
     cfg = load_config(write_config(tmp_path, doc, "points.json"))
     solved = iter(profiles)
     monkeypatch.setattr(cli, "adjustment_independent", lambda *a, **k: next(solved))
     monkeypatch.setattr(cli, "mc_value_independent", lambda *a: McEstimate(1.5, 0.25, 4000, 7))
-    points = list(cli._sweep_points(cfg))
-    texts, previous = [], None
-    for i, point in enumerate(points):
-        keep = i + 1 < len(points)
-        text, _, _, previous = cli._point(cfg, i, point, with_mc, 64, previous, keep)
-        texts.append(text)
-        if kept is not None:
-            kept.append(previous)
-    assert previous is None  # the last point keeps nothing
-    return texts
+    points = enumerate(cli._sweep_points(cfg))
+    return [cli._point(cfg, i, point, with_mc, 64)[0] for i, point in points]
 
 
 def profile_of(**columns):
@@ -983,11 +973,10 @@ def profile_of(**columns):
     )
 
 
-class TestTextReuse:
-    """A point's text formats with ``repr`` only the values that can
-    differ: ``t`` and ``v_X`` reuse the last point's texts where their
-    bits agree, and a run of bitwise-equal values in a column is
-    formatted once.  Every text equals naive formatting."""
+class TestPointText:
+    """Each point's text equals naive formatting, whatever the points
+    before it held: signed zeros, values one ulp apart, runs of equal
+    values and grids that change between points."""
 
     def test_signed_zeros_side_by_side_and_across_points(self, tmp_path, monkeypatch):
         zeros = [0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0]
@@ -995,18 +984,15 @@ class TestTextReuse:
         first = profile_of(grid=np.linspace(0.0, 1.0, 8), v_x=zeros, alpha=zeros, beta=zeros)
         same = profile_of(grid=np.linspace(0.0, 1.0, 8), v_x=zeros, alpha=flipped, beta=zeros)
         other = profile_of(grid=np.linspace(0.0, 1.0, 8), v_x=flipped, alpha=zeros, beta=flipped)
-        kept = []
-        texts = point_texts(tmp_path, monkeypatch, [first, same, other], kept=kept)
+        texts = point_texts(tmp_path, monkeypatch, [first, same, other])
         assert texts == ["".join(naive_rows(p)) for p in (first, same, other)]
         assert ",-0.0," in texts[2].splitlines()[0]
-        # bitwise-equal columns pass the very texts on; -0.0 is not 0.0
-        assert kept[1][0][1] is kept[0][0][1] and kept[1][1][1] is kept[0][1][1]
 
     def test_columns_one_ulp_apart(self, tmp_path, monkeypatch):
         grid = np.linspace(0.0, 2.0, 9)
         base = np.full(9, 0.1)
         up = base.copy()
-        up[4] = np.nextafter(0.1, 1.0)  # one ulp: a run of its own
+        up[4] = np.nextafter(0.1, 1.0)  # one ulp above its neighbours
         down = np.nextafter(up, 0.0)
         profiles = [
             profile_of(grid=grid, v_x=base, alpha=up, beta=base),
