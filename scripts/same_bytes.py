@@ -9,9 +9,10 @@ Runs ``valadj run`` with and without ``--mc`` on the shipped configs
 3 and 7, built by importing ``bench/workloads.py``, and on two sweeps
 made from ``configs/independent_mixed.json`` (``SWEEPS``): a piecewise
 ``lambda_bar`` sweep whose node times, and so panel grids, differ between
-points, and a flat sweep that repeats a point.  That is 38 runs, each
-once with REV's ``src/`` and once with this tree's, on the same config
-files.
+points, and a flat sweep that repeats a point.  The shipped configs are
+also run with ``--panels 64`` (``PANELS``) and without ``--mc``, which
+checks the override path.  That is 43 runs, each once with REV's
+``src/`` and once with this tree's, on the same config files.
 It compares every CSV written, stdout, stderr and the exit code, prints
 one table row per run and exits 1 on any difference.  Under a run whose
 CSVs differ it names each differing cell by file, line and column, with
@@ -39,6 +40,7 @@ SEEDS = (1, 2, 3, 7)
 MAX_CELLS = 20
 MC_COLUMNS = ("mc_mean", "mc_stderr")
 MC_ECHO = re.compile(rb"mc=\S+")
+PANELS = ["--panels", "64"]
 
 
 def _piecewise(*nodes):
@@ -77,13 +79,20 @@ def config_paths(workdir: Path) -> list[Path]:
     return paths
 
 
-def run(src: Path, config: Path, mc: bool, cwd: Path) -> tuple:
-    """``(exit code, stdout, stderr, {file name: bytes})`` of one run,
-    started in a fresh ``cwd`` with ``--out out``."""
+def modes(config: Path) -> list[list[str]]:
+    """The flags of each run of ``config``: none and ``--mc``, and for a
+    shipped config also ``PANELS``."""
+    shipped = config.parent == ROOT / "configs"
+    return [[], ["--mc"], PANELS] if shipped else [[], ["--mc"]]
+
+
+def run(src: Path, config: Path, flags: list, cwd: Path) -> tuple:
+    """``(exit code, stdout, stderr, {file name: bytes})`` of one run with
+    ``flags``, started in a fresh ``cwd`` with ``--out out``."""
     cwd.mkdir(parents=True)
     command = [sys.executable, "-m", "valadj.cli", "run", str(config), "--out", "out"]
     proc = subprocess.run(
-        command + (["--mc"] if mc else []),
+        command + flags,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
@@ -172,15 +181,16 @@ def main() -> int:
         )
         try:
             configs = config_paths(tmp)
-            row = "{:<40} {:<8} {:>7} {:<6} {:<6} {:<6}"
+            row = "{:<40} {:<11} {:>7} {:<6} {:<6} {:<6}"
             print(row.format("config", "mode", "exit", "stdout", "stderr", "csv"))
-            differ = 0
+            differ = runs = 0
             mc_only = []
             for n, config in enumerate(configs):
                 name = str(config.relative_to(ROOT if config.is_relative_to(ROOT) else tmp))
-                for mc in (False, True):
+                for m, flags in enumerate(modes(config)):
+                    runs += 1
                     before, after = (
-                        run(src, config, mc, tmp / side / f"{n}{'_mc' * mc}")
+                        run(src, config, flags, tmp / side / f"{n}_{m}")
                         for side, src in (("rev", worktree / "src"), ("tree", ROOT / "src"))
                     )
                     same = [a == b for a, b in zip(before, after)]
@@ -188,7 +198,7 @@ def main() -> int:
                     print(
                         row.format(
                             name,
-                            "--mc" if mc else "",
+                            " ".join(flags),
                             f"{before[0]}/{after[0]}",
                             *("same" if s else "DIFF" for s in same[1:]),
                         )
@@ -200,7 +210,6 @@ def main() -> int:
                         change = mc_only_change(before, after, notes, cells)
                         if change is not None:
                             mc_only.append(change)
-            runs = 2 * len(configs)
             print(f"{runs - differ} of {runs} runs identical to {args.rev}")
             largest = f", largest relative change {max(mc_only):.3g}" if mc_only else ""
             print(

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -175,14 +175,18 @@ def _curve(raw) -> TermCurve:
     if _real(raw):
         return TermCurve.flat(raw)
     if isinstance(raw, list):
-        return TermCurve.from_nodes(_node(k, node) for k, node in enumerate(raw))
+        return TermCurve.from_nodes(_node(k, node, "value") for k, node in enumerate(raw))
     raise ValueError("expected a number or a list of {t, value} nodes")
 
 
-def _node(k: int, node) -> tuple:
-    if not (isinstance(node, dict) and "t" in node and "value" in node):
-        raise ValueError(f"node {k}: expected an object with t and value")
-    return node["t"], node["value"]
+def _node(k: int, node, key: str) -> tuple:
+    """``(t, node[key])`` of node ``k`` of a curve (``value``) or of flows (``amount``)."""
+    if not (isinstance(node, dict) and "t" in node and key in node):
+        raise ValueError(f"node {k}: expected an object with t and {key}")
+    try:
+        return _number(node["t"]), _number(node[key])
+    except TypeError as exc:
+        raise TypeError(f"node {k}: {exc}") from None
 
 
 def _credit(name: str, raw) -> CreditCurve:
@@ -190,8 +194,11 @@ def _credit(name: str, raw) -> CreditCurve:
 
 
 def _schedule(doc: dict) -> CashflowSchedule:
-    flows = [(f["t"], f["amount"]) for f in doc.get("flows", [])]
-    return CashflowSchedule.from_flows(flows, doc.get("maturity"))
+    flows, maturity = doc.get("flows", []), doc.get("maturity")
+    if not isinstance(flows, list):
+        raise ValueError("flows: expected a list of {t, amount} nodes")
+    pairs = (_node(k, flow, "amount") for k, flow in enumerate(flows))
+    return CashflowSchedule.from_flows(pairs, None if maturity is None else _number(maturity))
 
 
 def _output_name(name) -> str:
@@ -242,7 +249,7 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _panel_grid_bytes(cfg: ScenarioConfig, panels_per_year: int) -> int:
+def _panel_grid_bytes(cfg: ScenarioConfig) -> int:
     """Upper estimate of the memory a run's panel grids take: grid points
     times the engine's bytes per point and one profile row of the largest
     sweep point.  The grid has
@@ -254,20 +261,20 @@ def _panel_grid_bytes(cfg: ScenarioConfig, panels_per_year: int) -> int:
         curves.append(cfg.counterparty.intensity)
     # any rate past 2**62 panels a year is as far out of reach; the cap
     # keeps the product a float
-    uniform = math.ceil(cfg.schedule.maturity * min(panels_per_year, 2**62))
+    uniform = math.ceil(cfg.schedule.maturity * min(cfg.panels_per_year, 2**62))
     points = uniform + 1 + len(cfg.schedule.times) + sum(len(c.times) for c in curves)
     labels = [len(f"{cfg.regime},{lam},{theta},,") for _, lam, theta, _ in _sweep_points(cfg)]
     row_bytes = 3 * (max(labels) + 6 * _FLOAT_CHARS) + _ROW_OVERHEAD_BYTES
     return points * (_ENGINE_BYTES_PER_POINT + row_bytes)
 
 
-def _panel_memory_problem(cfg: ScenarioConfig, panels_per_year: int) -> str | None:
-    need = _panel_grid_bytes(cfg, panels_per_year)
+def _panel_memory_problem(cfg: ScenarioConfig) -> str | None:
+    need = _panel_grid_bytes(cfg)
     have = _physical_memory()
     if need <= have:
         return None
     return (
-        f"{panels_per_year} panels per year over {cfg.schedule.maturity} years need "
+        f"{cfg.panels_per_year} panels per year over {cfg.schedule.maturity} years need "
         f"about {need} bytes for the panel grid and its profile rows, more than the "
         f"{have} bytes of physical memory"
     )
@@ -294,7 +301,7 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
     bond_recovery = _field(diags, "bond_recovery", lambda: _check_recovery(_number(raw)))
     closeout_doc = _section(doc, "closeout", diags)
     recoveries = [closeout_doc.get(key, 0.0) for key in ("recovery_investor", "recovery_counterparty")]
-    closeout = _field(diags, "closeout", CloseoutSpec, *recoveries)
+    closeout = _field(diags, "closeout", lambda: CloseoutSpec(*map(_number, recoveries)))
     schedule = _field(diags, "schedule", _schedule, _section(doc, "schedule", diags))
 
     regime = doc.get("regime")
@@ -368,8 +375,7 @@ def _parse_config_dict(doc: dict) -> ScenarioConfig:
         summary_out=summary_out,
     )
     diags = _set_up_problems(cfg)
-    problem = _panel_memory_problem(cfg, panels)
-    if problem is not None:
+    if (problem := _panel_memory_problem(cfg)) is not None:
         diags.append(f"numerics.panels_per_year: {problem}")
     if diags:
         raise ConfigError(diags)
@@ -463,7 +469,7 @@ def _sweep_points(cfg: ScenarioConfig):
         yield f"sweep.lambda_bar[{i}]", _lambda_label(lam), "", args
 
 
-def _point(cfg: ScenarioConfig, i: int, point, with_mc: bool, ppy: int):
+def _point(cfg: ScenarioConfig, i: int, point, with_mc: bool):
     """Solve sweep point ``i``, ``point`` from :func:`_sweep_points`, and
     with ``with_mc`` simulate it; return its profile text, summary row
     and echo line.
@@ -474,7 +480,7 @@ def _point(cfg: ScenarioConfig, i: int, point, with_mc: bool, ppy: int):
     solve, simulate, *_ = _regime_functions(cfg.regime)
     mc_mean = mc_err = mc_paths = mc_seed = ""
     try:
-        profile = solve(*args, panels_per_year=ppy)
+        profile = solve(*args, panels_per_year=cfg.panels_per_year)
         if with_mc:
             est = simulate(*args, cfg.mc_paths, cfg.seed + i)
             mc_mean, mc_err = _fmt(est.mean), _fmt(est.std_error)
@@ -495,12 +501,7 @@ def _point(cfg: ScenarioConfig, i: int, point, with_mc: bool, ppy: int):
 
 
 def run_scenario(
-    cfg: ScenarioConfig,
-    *,
-    with_mc: bool = False,
-    out_dir=None,
-    panels_per_year: int | None = None,
-    echo=print,
+    cfg: ScenarioConfig, *, with_mc: bool = False, out_dir=None, echo=print
 ) -> tuple[Path, Path]:
     """Solve every sweep point and write the profile and summary CSVs.
 
@@ -514,14 +515,13 @@ def run_scenario(
     is raised again with the failing point's config key in front of its
     message.
     """
-    ppy = panels_per_year if panels_per_year is not None else cfg.panels_per_year
     base = Path(out_dir) if out_dir is not None else Path(".")
     base.mkdir(parents=True, exist_ok=True)
     paths = (base / cfg.profiles_out, base / cfg.summary_out)
     with _write(paths) as write:
         write(PROFILE_COLUMNS + "\n", SUMMARY_COLUMNS + "\n")
         for i, point in enumerate(_sweep_points(cfg)):
-            text, row, note = _point(cfg, i, point, with_mc, ppy)
+            text, row, note = _point(cfg, i, point, with_mc)
             write(text, row)
             echo(note)
             del text  # before the next point's rows
@@ -611,8 +611,8 @@ def main(argv=None) -> int:
     if args.panels is not None:
         if args.panels < 1:
             return _fail(EXIT_CONFIG, "config", "--panels must be a positive integer")
-        problem = _panel_memory_problem(cfg, args.panels)
-        if problem is not None:
+        cfg = replace(cfg, panels_per_year=args.panels)
+        if (problem := _panel_memory_problem(cfg)) is not None:
             return _fail(EXIT_CONFIG, "config", f"--panels: {problem}")
     if args.out is not None:
         try:
@@ -621,7 +621,7 @@ def main(argv=None) -> int:
             return _fail(EXIT_CONFIG, "config", f"--out: cannot create the directory: {exc}")
     try:
         with np.errstate(**_RUN_ERRSTATE):
-            run_scenario(cfg, with_mc=args.mc, out_dir=args.out, panels_per_year=args.panels)
+            run_scenario(cfg, with_mc=args.mc, out_dir=args.out)
     except (InvariantError, ArithmeticError) as exc:
         return _fail(EXIT_NUMERIC, "numeric", str(exc))
     except ValueError as exc:

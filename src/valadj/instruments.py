@@ -148,7 +148,7 @@ class CloseoutSpec:
     def __post_init__(self):
         for label in ("recovery_investor", "recovery_counterparty"):
             try:
-                _check_recovery(getattr(self, label))
+                object.__setattr__(self, label, _check_recovery(getattr(self, label)))
             except ValueError as exc:
                 raise ValueError(f"{label}: {exc}") from None
 

@@ -141,20 +141,73 @@ class TestValidate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "curve, node", [([[0.01]], 0), ([{"t": 0.0, "value": 0.01}, {"t": 1.0}], 1)],
-        ids=["list_of_lists", "node_without_value"],
+        "where, value, diagnostic",
+        [
+            ("market.risk_free", [[0.01]], "node 0: expected an object with t and value"),
+            (
+                "market.risk_free",
+                [{"t": 0.0, "value": 0.01}, {"t": 1.0}],
+                "node 1: expected an object with t and value",
+            ),
+            ("schedule.flows", [{"t": 5}], "node 0: expected an object with t and amount"),
+            ("schedule.flows", [5], "node 0: expected an object with t and amount"),
+            (
+                "schedule.flows",
+                {"t": 5, "amount": 1.0},
+                "flows: expected a list of {t, amount} nodes",
+            ),
+        ],
+        ids=[
+            "list_of_lists", "node_without_value", "flow_without_amount", "flow_not_an_object",
+            "flows_not_a_list",
+        ],
     )
-    def test_bad_curve_node_named_by_both_commands(self, tmp_path, capsys, curve, node):
+    def test_bad_curve_node_named_by_both_commands(
+        self, tmp_path, capsys, where, value, diagnostic
+    ):
         doc = base_config()
-        doc["market"]["risk_free"] = curve
+        section, key = where.split(".")
+        doc[section][key] = value
         path = write_config(tmp_path, doc)
         out = tmp_path / "out"
+        # a curve is its own field; flows are read as part of the schedule
+        field = where if section == "market" else section
         for command in (["validate"], ["run", "--mc", "--out", str(out)]):
             assert main([*command, str(path)]) == EXIT_CONFIG
             err = json.loads(capsys.readouterr().err)
-            assert err["diagnostics"] == [
-                f"market.risk_free: node {node}: expected an object with t and value"
-            ]
+            assert err["diagnostics"] == [f"{field}: {diagnostic}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["0.5", True], ids=["string", "bool"])
+    @pytest.mark.parametrize(
+        "path, diagnostic",
+        [
+            (("market", "risk_free", 0, "t"), "market.risk_free: node 0: must be a number"),
+            (("market", "risk_free", 0, "value"), "market.risk_free: node 0: must be a number"),
+            (("schedule", "flows", 0, "t"), "schedule: node 0: must be a number"),
+            (("schedule", "flows", 0, "amount"), "schedule: node 0: must be a number"),
+            (("schedule", "maturity"), "schedule: must be a number"),
+            (("bond_recovery",), "bond_recovery: must be a number"),
+            (("closeout", "recovery_investor"), "closeout: must be a number"),
+            (("closeout", "recovery_counterparty"), "closeout: must be a number"),
+        ],
+        ids=["curve_t", "curve_value", "flow_t", "flow_amount", "maturity", "bond_recovery",
+             "recovery_investor", "recovery_counterparty"],
+    )
+    def test_numeric_leaf_must_be_a_json_number(self, tmp_path, capsys, path, diagnostic, bad):
+        doc = base_config()
+        doc["market"]["risk_free"] = [{"t": 0.0, "value": 0.01}]
+        *parents, leaf = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] = bad
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        for command in (["validate"], ["run", "--mc", "--out", str(out)]):
+            assert main([*command, str(config)]) == EXIT_CONFIG
+            err = json.loads(capsys.readouterr().err)
+            assert err["diagnostics"] == [diagnostic]
         assert not out.exists()
 
     def test_missing_file(self, tmp_path, capsys):
@@ -343,11 +396,11 @@ class TestValidate:
         # one row of the point with the longest label
         row_bytes = 3 * (len("riskfree_cpty,0.02,,,") + 6 * 25) + 64
         need = points * (256 + row_bytes)
-        assert cli._panel_grid_bytes(cfg, 64) == need
+        assert cli._panel_grid_bytes(cfg) == need
         monkeypatch.setattr(cli, "_physical_memory", lambda: need)
-        assert cli._panel_memory_problem(cfg, 64) is None
+        assert cli._panel_memory_problem(cfg) is None
         monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
-        assert str(need) in cli._panel_memory_problem(cfg, 64)
+        assert str(need) in cli._panel_memory_problem(cfg)
 
     @pytest.mark.parametrize(
         "investor, counterparty, theta, code",
@@ -720,6 +773,19 @@ class TestRun:
         rows = (tmp_path / "out" / "profiles.csv").read_text().splitlines()
         assert len(rows) == 1 + 9
 
+    def test_panels_override_writes_the_bytes_of_the_config_value(self, tmp_path, capsys):
+        doc = base_config()
+        flagged = write_config(tmp_path, doc, "flagged.json")
+        doc["numerics"]["panels_per_year"] = 8
+        configured = write_config(tmp_path, doc, "configured.json")
+        run = ["run", "--mc", "--out"]
+        assert main([*run, str(tmp_path / "a"), "--panels", "8", str(flagged)]) == EXIT_OK
+        echo = capsys.readouterr().out
+        assert main([*run, str(tmp_path / "b"), str(configured)]) == EXIT_OK
+        assert capsys.readouterr().out == echo
+        for name in ("profiles.csv", "summary.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_panels_override_beyond_physical_memory(self, tmp_path, capsys):
         # checked by arithmetic only: nothing of this size is allocated
         path = write_config(tmp_path, base_config())
@@ -960,7 +1026,7 @@ def point_texts(tmp_path, monkeypatch, profiles, with_mc=False):
     monkeypatch.setattr(cli, "adjustment_independent", lambda *a, **k: next(solved))
     monkeypatch.setattr(cli, "mc_value_independent", lambda *a: McEstimate(1.5, 0.25, 4000, 7))
     points = enumerate(cli._sweep_points(cfg))
-    return [cli._point(cfg, i, point, with_mc, 64)[0] for i, point in points]
+    return [cli._point(cfg, i, point, with_mc)[0] for i, point in points]
 
 
 def profile_of(**columns):

@@ -149,6 +149,13 @@ class TestCloseout:
         with pytest.raises(ValueError):
             CloseoutSpec(0.4, 1.1)
 
+    @pytest.mark.parametrize("recovery", [True, 1, np.float32(1.0)], ids=["bool", "int", "float32"])
+    def test_recoveries_stored_as_floats(self, recovery):
+        spec = CloseoutSpec(recovery, 0)
+        assert (spec.recovery_investor, spec.recovery_counterparty) == (1.0, 0.0)
+        assert type(spec.recovery_investor) is float
+        assert type(spec.recovery_counterparty) is float
+
     def test_positive_mark(self):
         k_i, k_c = closeout_values(CloseoutSpec(0.4, 0.4), 1.0)
         assert k_i == 1.0
