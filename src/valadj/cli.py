@@ -70,21 +70,6 @@ _ROW_OVERHEAD_BYTES = 64
 # only the JSON error; underflow is legitimate (survival and discounts decay)
 _RUN_ERRSTATE = {"divide": "raise", "over": "raise", "invalid": "raise"}
 
-# Every key a config may hold; a list holds items of its one element's
-# schema, None is a leaf.  Curves are a number or a list of nodes.
-_CURVE = [{"t": None, "value": None}]
-_SCHEMA = {
-    "market": {"risk_free": _CURVE, "collateral": _CURVE},
-    "credit": {"investor": _CURVE, "counterparty": _CURVE},
-    "bond_recovery": None,
-    "closeout": {"recovery_investor": None, "recovery_counterparty": None},
-    "schedule": {"flows": [{"t": None, "amount": None}], "maturity": None},
-    "regime": None,
-    "sweep": {"lambda_bar": [_CURVE], "theta": None},
-    "numerics": {"panels_per_year": None, "mc_paths": None, "seed": None},
-    "output": {"profiles": None, "summary": None},
-}
-
 
 class ConfigError(ValueError):
     """Config rejected; ``diagnostics`` lists every problem found."""
@@ -171,12 +156,51 @@ def _number(raw):
     return raw
 
 
+def _integer(low: int):
+    """A reader of a JSON integer ``>= low``."""
+
+    def read(raw) -> int:
+        if not isinstance(raw, int) or isinstance(raw, bool) or raw < low:
+            raise ValueError(f"must be an integer >= {low}")
+        return raw
+
+    return read
+
+
+def _recovery(raw) -> float:
+    return _check_recovery(_number(raw))
+
+
+def _theta(raw) -> float:
+    return _check_theta(_number(raw))
+
+
+def _regime(raw) -> str:
+    if raw not in REGIMES:
+        raise ValueError(f"must be one of {', '.join(REGIMES)}")
+    return raw
+
+
 def _curve(raw) -> TermCurve:
     if _real(raw):
         return TermCurve.flat(raw)
     if isinstance(raw, list):
         return TermCurve.from_nodes(_node(k, node, "value") for k, node in enumerate(raw))
     raise ValueError("expected a number or a list of {t, value} nodes")
+
+
+def _investor(raw) -> CreditCurve:
+    return CreditCurve("I", _curve(raw))
+
+
+def _counterparty(raw) -> CreditCurve:
+    return CreditCurve("C", _curve(raw))
+
+
+def _flows(raw) -> list:
+    if not isinstance(raw, list):
+        raise ValueError("expected a list of {t, amount} nodes")
+    return [_node(k, flow, "amount") for k, flow in enumerate(raw)]
 
 
 def _node(k: int, node, key: str) -> tuple:
@@ -187,18 +211,6 @@ def _node(k: int, node, key: str) -> tuple:
         return _number(node["t"]), _number(node[key])
     except TypeError as exc:
         raise TypeError(f"node {k}: {exc}") from None
-
-
-def _credit(name: str, raw) -> CreditCurve:
-    return CreditCurve(name, _curve(raw))
-
-
-def _schedule(doc: dict) -> CashflowSchedule:
-    flows, maturity = doc.get("flows", []), doc.get("maturity")
-    if not isinstance(flows, list):
-        raise ValueError("flows: expected a list of {t, amount} nodes")
-    pairs = (_node(k, flow, "amount") for k, flow in enumerate(flows))
-    return CashflowSchedule.from_flows(pairs, None if maturity is None else _number(maturity))
 
 
 def _output_name(name) -> str:
@@ -219,30 +231,64 @@ def _output_name(name) -> str:
     return name
 
 
-def _unknown_keys(doc, schema, path: str = ""):
-    """Dotted paths of the keys in ``doc`` that ``schema`` does not
-    know; values of the wrong type are left to the parser."""
-    if isinstance(schema, dict) and isinstance(doc, dict):
-        for key, value in doc.items():
-            where = f"{path}.{key}" if path else str(key)
-            if key in schema:
-                yield from _unknown_keys(value, schema[key], where)
-            else:
-                yield where
-    elif isinstance(schema, list) and isinstance(doc, list):
-        for i, item in enumerate(doc):
-            yield from _unknown_keys(item, schema[0], f"{path}[{i}]")
+# Every key a config may hold, and each leaf's ``(read, default)``:
+# ``read(raw)`` returns its value or raises; an absent or null leaf takes
+# ``default``, but a _REQUIRED one has none, so its reader sees the null.
+# A list ``[read]`` holds items that ``read`` reads.
+_REQUIRED = object()
+_SCHEMA = {
+    "market": {"risk_free": (_curve, _REQUIRED), "collateral": (_curve, _REQUIRED)},
+    "credit": {"investor": (_investor, _REQUIRED), "counterparty": (_counterparty, None)},
+    "bond_recovery": (_recovery, 0.0),
+    "closeout": {"recovery_investor": (_recovery, 0.0), "recovery_counterparty": (_recovery, 0.0)},
+    "schedule": {"flows": (_flows, _REQUIRED), "maturity": (_number, None)},
+    "regime": (_regime, _REQUIRED),
+    "sweep": {"lambda_bar": ([_curve], []), "theta": ([_theta], [])},
+    "numerics": {
+        "panels_per_year": (_integer(1), DEFAULT_PANELS_PER_YEAR),
+        "mc_paths": (_integer(2), 100_000),
+        "seed": (_integer(0), 0),
+    },
+    "output": {"profiles": (_output_name, "profiles.csv"), "summary": (_output_name, "summary.csv")},
+}
+
+# The value key of the {t, ...} nodes inside a leaf that these read
+_NODE_KEYS = {_curve: "value", _investor: "value", _counterparty: "value", _flows: "amount"}
 
 
-def _section(doc: dict, key: str, diags: list) -> dict:
-    """The object under ``key``; an absent or null section is empty."""
-    value = doc.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        diags.append(f"{key}: must be a JSON object")
-        return {}
-    return value
+def _read(diags: list, where: str, read, raw):
+    """``raw`` read by ``read`` as config field ``where``, or None if it
+    fails; a list reader ``[read]`` reads each item as ``where[i]``."""
+    if isinstance(read, list):
+        if not isinstance(raw, list):
+            diags.append(f"{where}: must be a list")
+            return None
+        return [_read(diags, f"{where}[{i}]", read[0], item) for i, item in enumerate(raw)]
+    if read in _NODE_KEYS and isinstance(raw, list):
+        diags += [f"{where}[{k}].{key}: unknown key" for k, node in enumerate(raw)
+                  if isinstance(node, dict) for key in node if key not in ("t", _NODE_KEYS[read])]
+    return _field(diags, where, read, raw)
+
+
+def _walk(doc: dict, schema: dict, diags: list, path: str = "") -> dict:
+    """The values of config section ``doc`` read by ``schema``, keyed like
+    it.  An unknown key, a section that is not an object (read as empty,
+    like an absent or null one) and a leaf that fails to read, which has
+    no value, join ``diags`` under their dotted paths."""
+    diags += [f"{path}{key}: unknown key" for key in doc if key not in schema]
+    values = {}
+    for key, entry in schema.items():
+        where, raw = f"{path}{key}", doc.get(key)
+        if isinstance(entry, dict):
+            if raw is not None and not isinstance(raw, dict):
+                diags.append(f"{where}: must be a JSON object")
+                raw = None
+            values[key] = _walk(raw or {}, entry, diags, f"{where}.")
+        elif raw is None and entry[1] is not _REQUIRED:
+            values[key] = entry[1]
+        elif (value := _read(diags, where, entry[0], raw)) is not None:
+            values[key] = value
+    return values
 
 
 def _physical_memory() -> int:
@@ -283,96 +329,45 @@ def _panel_memory_problem(cfg: ScenarioConfig) -> str | None:
 def _parse_config_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["config root must be a JSON object"])
-    diags = [f"{where}: unknown key" for where in _unknown_keys(doc, _SCHEMA)]
+    diags = []
+    values = _walk(doc, _SCHEMA, diags)
+    credit, schedule, sweep, output = (values[k] for k in ("credit", "schedule", "sweep", "output"))
+    if "flows" in schedule:
+        flows, maturity = schedule["flows"], schedule.get("maturity")
+        schedule = _field(diags, "schedule", CashflowSchedule.from_flows, flows, maturity)
 
-    market_doc = _section(doc, "market", diags)
-    risk_free = _field(diags, "market.risk_free", _curve, market_doc.get("risk_free"))
-    collateral = _field(diags, "market.collateral", _curve, market_doc.get("collateral"))
-
-    credit_doc = _section(doc, "credit", diags)
-    investor = _field(diags, "credit.investor", _credit, "I", credit_doc.get("investor"))
-    # a listed counterparty that fails to parse has its own diagnostic
-    listed = credit_doc.get("counterparty") is not None
-    counterparty = None
-    if listed:
-        counterparty = _field(diags, "credit.counterparty", _credit, "C", credit_doc["counterparty"])
-
-    raw = doc.get("bond_recovery", 0.0)
-    bond_recovery = _field(diags, "bond_recovery", lambda: _check_recovery(_number(raw)))
-    closeout_doc = _section(doc, "closeout", diags)
-    recoveries = [closeout_doc.get(key, 0.0) for key in ("recovery_investor", "recovery_counterparty")]
-    closeout = _field(diags, "closeout", lambda: CloseoutSpec(*map(_number, recoveries)))
-    schedule = _field(diags, "schedule", _schedule, _section(doc, "schedule", diags))
-
-    regime = doc.get("regime")
-    if regime not in REGIMES:
-        diags.append(f"regime: must be one of {', '.join(REGIMES)}")
-
-    # the regime's sweep key, whose entries are read by ``read``; the
-    # other key must be empty
-    sweep_doc = _section(doc, "sweep", diags)
-    sweeps = {"lambda_bar": [], "theta": []}
-    if regime in REGIMES:
-        used, unused, read, kind = (
-            ("theta", "lambda_bar", lambda th: _check_theta(_number(th)), "numbers")
-            if regime == REGIME_CORRELATED
-            else ("lambda_bar", "theta", _curve, "curves")
-        )
-        if sweep_doc.get(unused):
+    # the rules across leaves see only the values read: a leaf that failed
+    # has its diagnostic already, and an absent or null one its default
+    regime = values.get("regime")
+    if regime is not None:
+        used, unused = ("theta", "lambda_bar") if regime == REGIME_CORRELATED else ("lambda_bar", "theta")
+        if sweep.get(unused):
             diags.append(f"sweep.{unused}: not used by the {regime} regime")
-        raws = sweep_doc.get(used)
-        if raws is not None and not isinstance(raws, list):
-            diags.append(f"sweep.{used}: must be a list of {kind}")
-        elif not raws:
+        if sweep.get(used) == []:
             diags.append(f"sweep.{used}: the {regime} regime needs at least one {used}")
-        else:
-            # the set-up rejects a negative lambda_bar (measure.internal_rate)
-            sweeps[used] = [
-                _field(diags, f"sweep.{used}[{i}]", read, raw) for i, raw in enumerate(raws)
-            ]
-    if regime == REGIME_CORRELATED and bond_recovery:
+    if regime == REGIME_CORRELATED and values.get("bond_recovery"):
         diags.append("bond_recovery: correlated regime requires zero bond recovery")
-    if regime in (REGIME_INDEPENDENT, REGIME_CORRELATED) and not listed:
+    if regime in (REGIME_INDEPENDENT, REGIME_CORRELATED) and credit.get("counterparty", 0) is None:
         diags.append(f"credit.counterparty: required by the {regime} regime")
-
-    numerics = _section(doc, "numerics", diags)
-    panels = numerics.get("panels_per_year", DEFAULT_PANELS_PER_YEAR)
-    if not isinstance(panels, int) or isinstance(panels, bool) or panels < 1:
-        diags.append("numerics.panels_per_year: must be a positive integer")
-    mc_paths = numerics.get("mc_paths", 100_000)
-    if not isinstance(mc_paths, int) or isinstance(mc_paths, bool) or mc_paths < 2:
-        diags.append("numerics.mc_paths: must be an integer >= 2")
-    seed = numerics.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        diags.append("numerics.seed: must be a non-negative integer")
-
-    output = _section(doc, "output", diags)
-    profiles_out = output.get("profiles", "profiles.csv")
-    summary_out = output.get("summary", "summary.csv")
-    _field(diags, "output.profiles", _output_name, profiles_out)
-    _field(diags, "output.summary", _output_name, summary_out)
-    if profiles_out == summary_out:
+    profiles = output.get("profiles")
+    if profiles is not None and profiles == output.get("summary"):
         diags.append("output.summary: must differ from output.profiles")
-
-    # every field that failed to build has its diagnostic
     if diags:
         raise ConfigError(diags)
 
     cfg = ScenarioConfig(
-        market=MarketRates(risk_free, collateral),
-        investor=investor,
-        counterparty=counterparty,
-        bond_recovery=bond_recovery,
-        closeout=closeout,
+        market=MarketRates(**values["market"]),
+        investor=credit["investor"],
+        counterparty=credit["counterparty"],
+        bond_recovery=values["bond_recovery"],
+        closeout=CloseoutSpec(**values["closeout"]),
         schedule=schedule,
         regime=regime,
-        lambda_bar_sweep=tuple(sweeps["lambda_bar"]),
-        theta_sweep=tuple(sweeps["theta"]),
-        panels_per_year=panels,
-        mc_paths=mc_paths,
-        seed=seed,
-        profiles_out=profiles_out,
-        summary_out=summary_out,
+        lambda_bar_sweep=tuple(sweep["lambda_bar"]),
+        theta_sweep=tuple(sweep["theta"]),
+        **values["numerics"],
+        profiles_out=profiles,
+        summary_out=output["summary"],
     )
     diags = _set_up_problems(cfg)
     if (problem := _panel_memory_problem(cfg)) is not None:
@@ -609,10 +604,13 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if args.panels is not None:
-        if args.panels < 1:
-            return _fail(EXIT_CONFIG, "config", "--panels must be a positive integer")
-        cfg = replace(cfg, panels_per_year=args.panels)
-        if (problem := _panel_memory_problem(cfg)) is not None:
+        read_panels, _ = _SCHEMA["numerics"]["panels_per_year"]
+        try:
+            cfg = replace(cfg, panels_per_year=read_panels(args.panels))
+            problem = _panel_memory_problem(cfg)
+        except ValueError as exc:
+            problem = str(exc)
+        if problem is not None:
             return _fail(EXIT_CONFIG, "config", f"--panels: {problem}")
     if args.out is not None:
         try:

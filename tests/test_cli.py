@@ -85,18 +85,44 @@ def correlated_config(**overrides):
 
 
 def overflowing_integer_docs():
-    """``(key, config)`` pairs: each config holds one JSON integer past the
-    range of a double, 10**400, in the field ``key`` names."""
+    """``(name, key, config)`` triples: each config holds one JSON integer
+    past the range of a double, 10**400, in the field ``key`` names; the
+    case is called ``name``, the key or, for a closeout recovery, its
+    section."""
     big = 10**400
     closeout = {"recovery_investor": big, "recovery_counterparty": 0.4}
-    return [
+    docs = [
         ("market.risk_free", base_config(market={"risk_free": big, "collateral": 0.005})),
         ("bond_recovery", base_config(bond_recovery=big)),
-        ("closeout", base_config(closeout=closeout)),
+        ("closeout.recovery_investor", base_config(closeout=closeout)),
+        # a flow's amount turns float in the schedule, which is one field
         ("schedule", base_config(schedule={"flows": [{"t": 1.0, "amount": big}]})),
         ("sweep.lambda_bar[1]", base_config(sweep={"lambda_bar": [0.0, big]})),
         ("sweep.theta[0]", correlated_config(sweep={"theta": [big]})),
     ]
+    return [(key.removesuffix(".recovery_investor"), key, doc) for key, doc in docs]
+
+
+# JSON values that are false but not absent, null or an empty list
+FALSY = {"zero": 0, "false": False, "empty_string": ""}
+
+
+def schema_leaves(schema, path=""):
+    """The dotted path of every leaf of a config schema."""
+    for key, entry in schema.items():
+        if isinstance(entry, dict):
+            yield from schema_leaves(entry, f"{path}{key}.")
+        else:
+            yield f"{path}{key}"
+
+
+def holds(doc, path):
+    """Whether config ``doc`` gives the leaf at dotted ``path``."""
+    for key in path.split("."):
+        if not isinstance(doc, dict) or key not in doc:
+            return False
+        doc = doc[key]
+    return True
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -151,11 +177,7 @@ class TestValidate:
             ),
             ("schedule.flows", [{"t": 5}], "node 0: expected an object with t and amount"),
             ("schedule.flows", [5], "node 0: expected an object with t and amount"),
-            (
-                "schedule.flows",
-                {"t": 5, "amount": 1.0},
-                "flows: expected a list of {t, amount} nodes",
-            ),
+            ("schedule.flows", {"t": 5, "amount": 1.0}, "expected a list of {t, amount} nodes"),
         ],
         ids=[
             "list_of_lists", "node_without_value", "flow_without_amount", "flow_not_an_object",
@@ -170,12 +192,10 @@ class TestValidate:
         doc[section][key] = value
         path = write_config(tmp_path, doc)
         out = tmp_path / "out"
-        # a curve is its own field; flows are read as part of the schedule
-        field = where if section == "market" else section
         for command in (["validate"], ["run", "--mc", "--out", str(out)]):
             assert main([*command, str(path)]) == EXIT_CONFIG
             err = json.loads(capsys.readouterr().err)
-            assert err["diagnostics"] == [f"{field}: {diagnostic}"]
+            assert err["diagnostics"] == [f"{where}: {diagnostic}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["0.5", True], ids=["string", "bool"])
@@ -184,12 +204,15 @@ class TestValidate:
         [
             (("market", "risk_free", 0, "t"), "market.risk_free: node 0: must be a number"),
             (("market", "risk_free", 0, "value"), "market.risk_free: node 0: must be a number"),
-            (("schedule", "flows", 0, "t"), "schedule: node 0: must be a number"),
-            (("schedule", "flows", 0, "amount"), "schedule: node 0: must be a number"),
-            (("schedule", "maturity"), "schedule: must be a number"),
+            (("schedule", "flows", 0, "t"), "schedule.flows: node 0: must be a number"),
+            (("schedule", "flows", 0, "amount"), "schedule.flows: node 0: must be a number"),
+            (("schedule", "maturity"), "schedule.maturity: must be a number"),
             (("bond_recovery",), "bond_recovery: must be a number"),
-            (("closeout", "recovery_investor"), "closeout: must be a number"),
-            (("closeout", "recovery_counterparty"), "closeout: must be a number"),
+            (("closeout", "recovery_investor"), "closeout.recovery_investor: must be a number"),
+            (
+                ("closeout", "recovery_counterparty"),
+                "closeout.recovery_counterparty: must be a number",
+            ),
         ],
         ids=["curve_t", "curve_value", "flow_t", "flow_amount", "maturity", "bond_recovery",
              "recovery_investor", "recovery_counterparty"],
@@ -501,7 +524,7 @@ class TestValidate:
             # JSON integers past the range of a double, one field each
             *(
                 (doc, [f"{key}: int too large to convert to float"], None)
-                for key, doc in overflowing_integer_docs()
+                for _, key, doc in overflowing_integer_docs()
             ),
             # names run could not write: open() rejects a NUL byte, and the
             # temporary name of a 244-byte name passes 255 bytes
@@ -517,7 +540,7 @@ class TestValidate:
             ),
         ],
         ids=["lambda_bar", "risk_free", "theta", "independent_1e307", "beta_at_0", "correlated_1e307",
-             "node_integral", *(f"overflow_{key}" for key, _ in overflowing_integer_docs()),
+             "node_integral", *(f"overflow_{name}" for name, _, _ in overflowing_integer_docs()),
              "output_nul", "output_244_bytes"],
     )
     def test_rejected_by_both_commands(self, tmp_path, capsys, doc, diagnostics, closed_forms):
@@ -580,7 +603,7 @@ class TestConfigParsing:
             ),
             (
                 base_config(closeout={"recovery_investor": 1.5, "recovery_counterparty": 0.4}),
-                ["closeout: recovery_investor: recovery out of range [0, 1]"],
+                ["closeout.recovery_investor: recovery out of range [0, 1]"],
             ),
             (
                 correlated_config(sweep={"theta": [0.0], "lambda_bar": [0.02]}),
@@ -596,14 +619,67 @@ class TestConfigParsing:
                  "sweep.theta[2]: must be a number",
                  "sweep.theta[3]: must be a number"],
             ),
+            # the regime's other sweep key may only be absent, null or []
+            *(
+                (base_config(sweep={"lambda_bar": [0.02], "theta": falsy}),
+                 ["sweep.theta: must be a list"])
+                for falsy in FALSY.values()
+            ),
+            *(
+                (correlated_config(sweep={"theta": [0.0], "lambda_bar": falsy}),
+                 ["sweep.lambda_bar: must be a list"])
+                for falsy in FALSY.values()
+            ),
+            # names that fail to read are not compared
+            (
+                base_config(output={"profiles": 5, "summary": 5}),
+                [f"output.{key}: must be a plain file name inside --out (non-empty, no directory "
+                 "part, not '.' or '..')" for key in ("profiles", "summary")],
+            ),
         ],
         ids=["negative_intensity", "closeout_recovery", "lambda_bar_under_correlated",
-             "empty_theta", "invalid_theta"],
+             "empty_theta", "invalid_theta", *(f"theta_{name}_under_riskfree_cpty" for name in FALSY),
+             *(f"lambda_bar_{name}_under_correlated" for name in FALSY), "two_bad_output_names"],
     )
     def test_rejected_field_named_by_key(self, tmp_path, doc, diagnostics):
         with pytest.raises(ConfigError) as info:
             load_config(write_config(tmp_path, doc))
         assert info.value.diagnostics == diagnostics
+
+    @pytest.mark.parametrize("empty", [None, []])
+    def test_unused_sweep_key_absent_null_or_empty(self, tmp_path, empty):
+        for doc, unused in (
+            (base_config(sweep={"lambda_bar": [0.02]}), "theta"),
+            (correlated_config(sweep={"theta": [1.0]}), "lambda_bar"),
+        ):
+            cfg = load_config(write_config(tmp_path, doc))
+            doc["sweep"][unused] = empty
+            assert load_config(write_config(tmp_path, doc)) == cfg
+
+    def test_null_leaf_takes_its_default(self, tmp_path):
+        doc = base_config(bond_recovery=None, closeout={"recovery_investor": None})
+        doc["numerics"] = {"panels_per_year": None, "mc_paths": None, "seed": None}
+        doc["output"] = {"profiles": None}
+        doc["schedule"]["maturity"] = None
+        cfg = load_config(write_config(tmp_path, doc))
+        for key in ("bond_recovery", "closeout", "numerics", "output"):
+            del doc[key]
+        del doc["schedule"]["maturity"]
+        assert cfg == load_config(write_config(tmp_path, doc))
+        assert cfg.bond_recovery == 0.0 and cfg.panels_per_year == 512
+
+    def test_readme_config_example_names_every_leaf(self):
+        # the README's schema section shows one config, which validates and
+        # holds every leaf of cli._SCHEMA but the two its prose names
+        readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config schema\n", 1)[1].split("\n### ", 1)[0]
+        example, prose = re.fullmatch(r"\s*```json\n(.*?)```(.*)", section, re.S).groups()
+        doc = json.loads(example)
+        cli._parse_config_dict(doc)
+        missing = {leaf for leaf in schema_leaves(cli._SCHEMA) if not holds(doc, leaf)}
+        assert missing == {"schedule.maturity", "sweep.theta"}
+        for leaf in missing:
+            assert f"`{leaf}`" in prose
 
     def test_scalar_curve_becomes_flat(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config()))
@@ -840,7 +916,10 @@ class TestRun:
     def test_bad_panels_override(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         assert main(["run", str(path), "--panels", "0"]) == EXIT_CONFIG
-        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        # read by the config's own numerics.panels_per_year reader
+        assert err["detail"] == "--panels: must be an integer >= 1"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(regime="nope"))
@@ -1185,3 +1264,16 @@ def test_validated_configs_run(doc):
     assert code in (EXIT_OK, EXIT_NUMERIC), sink.getvalue() + err.getvalue()
     if code == EXIT_NUMERIC:
         assert "during panel propagation at t = " in json.loads(err.getvalue())["detail"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=scenario_docs())
+def test_canonical_json_round_trips(doc):
+    """Whatever ``load_config`` accepts, ``to_json_dict`` writes as a
+    config that loads back equal."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            cfg = load_config(write_config(Path(tmp), doc))
+        except ConfigError:
+            return
+        assert load_config(write_config(Path(tmp), cfg.to_json_dict(), "again.json")) == cfg
