@@ -6,21 +6,6 @@ default times and averaging discounted payoffs (``riskfree_cpty`` is
 statistical error is the package's main correctness check, because the
 two routes share no numerics beyond the curve classes.
 
-Randomness contract: draws come from numpy's ``PCG64`` generator seeded
-with the seed (through ``SeedSequence``, so any non-negative integer is a
-seed).  Path ``i`` consumes draws ``k*i .. k*i + k - 1`` (``k`` uniforms
-per path: 2 for independent defaults, 1 without a counterparty or for
-dependent defaults), and ``PCG64`` emits one 64-bit word per double, so a
-worker owning paths ``[p0, p1)`` reproduces its slice exactly from
-``PCG64(seed).advance(k * p0)``, for any ``p0``.  A simulation in which
-no name can default draws nothing, and the contract still holds: its
-draws would feed only the screens, which no draw in ``[0, 1)`` reaches,
-so every path's payoff is the same without them.  Each name's levels
-reach its payoff map as a contiguous row (gathered from the block's
-column), where the elementwise passes run at unit stride; their results
-do not depend on the stride, so the gather moves no bit.  Antithetic or
-other variance-reduction couplings are deliberately not applied.
-
 A path collects the flows dated strictly before its first default
 ``tau``; a default at ``tau <= maturity`` also settles against the
 ex-dividend mark ``v_X(tau)``, so a flow dated exactly ``tau`` is
@@ -31,31 +16,47 @@ nodes of every curve the payoff reads (``_Segments``), and checked: a
 set-up whose payoffs could overflow raises ``InvariantError``, naming
 the quantity and the time, before any path is drawn.
 
-Every simulator runs as one pipeline.  Blocks of ``_BLOCK`` paths only
-screen: each draws its uniforms into one reused buffer (consecutive
-draws continue the stream, so each path sees the same uniforms for any
-block size) and compares them, as one contiguous run, with each name's
-screen level, below which the name's inverse survival map certainly
-returns a time past maturity; a name whose screen is 1 cannot default
-and is not compared.  A path below every screen survives: it is counted, not
-stored, and paid the full flow sum.  The other paths' levels gather in
-a pending batch of at most ``_BLOCK`` paths, whose payoff map then
-locates each as it would with no screen, so the screen moves no bit:
-one bucket lookup, of its hazard level with one sampled name or of its
-first default time with two, gives its segment of ``G`` (past maturity
-the survivor segment ``len(G)``: every flow, no closeout), then a few
-gathers and one ``exp`` its payoff: ``O(defaults)`` beyond the draws.
+Paths are stratified (proportional allocation: Glasserman, *Monte Carlo
+Methods in Financial Engineering*, 2003, section 4.3) on each sampled
+name's survival boundary ``b_k``: the least double in ``[0, 1]`` that the
+name's own map sends to a default by maturity, found by a search over
+the doubles; every level below it survives.  The survivor stratum,
+every name below its boundary, has probability ``prod b_k`` and pays
+every flow, with no draw.  Stratum ``k``, of probability ``p_k =
+prod_{j<k} b_j (1 - b_k)``, sets names ``j < k`` to level 0 (certain
+survival), name ``k`` to ``b_k + (1 - b_k) u`` (at most 1, a default at
+time 0) and draws names ``j > k`` freely; if ``p_k > 0`` it draws
+``n_k = max(2, round(paths * p_k))`` paths.  The estimate is ``prod b_k
+* paid_all + sum p_k mean_k``, with standard error ``sqrt(sum p_k**2
+M2_k / (n_k - 1) / n_k)``; ``McEstimate.paths`` stays ``paths``.  Where
+no name can default every boundary is 1: nothing is drawn, and the
+estimate is the flow sum with a standard error of 0.  Stratification is
+the one variance reduction applied: its strata read only the credit
+curves, never the solver's numerics, so the oracle stays independent of
+the engine it checks.
 
-A chunk of ``_CHUNK`` paths reduces its mapped payoffs, in path order,
-to ``(n, mean, M2)`` with the two passes of ``np.var`` (numpy's pairwise
-summation), and merges them with its survivors' group ``(n_s, paid_all,
-0)`` by the update of Chan, Golub & LeVeque (1979); chunks merge in
-index order the same way.  Memory is ``O(chunk + block)`` whatever the
-path count.  Payoffs whose squared deviations could overflow are
-reduced scaled by a power of two, which the estimate undoes exactly.
-Each payoff comes from elementwise operations whose results do not
-depend on the length of the arrays they run over, so estimates do not
-depend on the block size: they are bit-identical, and the tests check it.
+Randomness contract: draws come from numpy's ``PCG64`` generator seeded
+with the seed (through ``SeedSequence``, so any non-negative integer is a
+seed).  The strata draw in turn from the one stream, path by path: with
+``N`` names, path ``i`` of stratum ``k`` consumes draws ``o_k + (N-k)*i
+.. o_k + (N-k)*(i+1) - 1``, after the ``o_k`` draws of the strata before
+it.  ``PCG64`` emits one 64-bit word per double, so a worker owning
+paths ``[p0, p1)`` of stratum ``k`` reproduces its slice exactly from
+``PCG64(seed).advance(o_k + (N-k) * p0)``, for any ``p0``.
+
+Blocks of ``_BLOCK`` paths draw into one reused buffer, continuing the
+stream, and write each name's levels as a contiguous row.  The payoff
+map locates each path by one bucket lookup, of its hazard level with one
+sampled name or of its first default time with two, in ``G`` (past
+maturity the survivor segment ``len(G)``: every flow, no closeout); a
+few gathers and one ``exp`` give its payoff, written into one chunk
+buffer.  A chunk of ``_CHUNK`` paths reduces, in path order, to ``(n,
+mean, M2)`` with the two passes of ``np.var``, and a stratum's chunks
+merge in index order by the update of Chan, Golub & LeVeque (1979):
+memory is ``O(chunk + block)``.  Payoffs whose squares could overflow
+are reduced scaled by a power of two, undone exactly.  Payoffs come from
+elementwise operations that do not depend on the length or stride of
+their arrays, so estimates are bit-identical for every block size.
 
 Default times map from uniforms through the inverse survival function;
 ``inf`` means the name never defaults on the path.  For dependent
@@ -96,18 +97,17 @@ class McEstimate:
     seed: int
 
 
-# Paths per block, and most paths per mapping batch: a batch's levels and
-# temporaries stay in a 2 MiB L2 cache, and the heap peak under the trim
-# threshold that _CHUNK's buffer sets (below).  Past it (2**15-path blocks
-# peaked at 4.4-5.1 MiB), a timed long_mc call of bench/run.py took ~1180
-# minor page faults, not ~43 (2-vCPU Xeon, numpy 2.4).
+# Paths per block: a block's levels and temporaries stay in a 2 MiB L2
+# cache, and the heap peak under the trim threshold that _CHUNK's buffer
+# sets (below).  2**15-path blocks peaked at 4.4-5.1 MiB, and a timed
+# long_mc call took ~1180 minor page faults, not ~43 (2-vCPU Xeon).
 _BLOCK = 2**14
 
 # Paths per reduction chunk, whose mapped payoffs fill at most one 2 MiB
 # buffer.  glibc raises its mmap and trim thresholds to the largest mapped
 # block freed: freeing the buffer sets the trim threshold to ~4 MiB, so a
-# heap that peaks below it keeps the batch temporaries instead of trimming
-# and refaulting them every batch.  Smaller chunks leave the thresholds
+# heap that peaks below it keeps the block temporaries instead of trimming
+# and refaulting them every block.  Smaller chunks leave the thresholds
 # low (2**15-path chunks took 2.4k faults a long_mc call, 2**17 4.1k).
 _CHUNK = 2**18
 
@@ -120,81 +120,91 @@ def _generator(paths: int, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _simulate(paths: int, seed: int, screens: tuple, payoffs, paid_all, bound) -> McEstimate:
-    """The estimate from the discounted payoffs of ``paths`` paths, each
-    at most ``bound`` in magnitude.
+def _strata(paths: int, boundaries: tuple) -> list:
+    """``(k, p_k, n_k)`` for each stratum ``k`` of positive probability
+    ``p_k``: the paths on which name ``k`` is the first to reach its
+    boundary, of which ``n_k`` are drawn."""
+    strata, below = [], 1.0
+    for k, b in enumerate(boundaries):
+        p = below * (1.0 - b)
+        if p > 0.0:
+            strata.append((k, p, max(2, round(paths * p))))
+        below *= b
+    return strata
 
-    A path draws one uniform per name, in blocks that continue the
-    generator's stream.  It survives, paid ``paid_all``, unless a level
-    reaches its name's screen in ``screens``; then its levels join a
-    pending batch, one row per name, and ``payoffs(levels, out)`` writes
-    the batch's payoffs into the next slice of one chunk buffer.  Where
-    every screen is 1, no path can default and none draws: each chunk
-    is one survivor group, folded as with draws.
-    """
+
+def _simulate(paths: int, seed: int, boundaries: tuple, payoffs, paid_all, bound) -> McEstimate:
+    """The estimate from the discounted payoffs of ``paths`` paths, each
+    at most ``bound`` in magnitude, stratified on ``boundaries``: each
+    stratum's paths draw, in blocks that continue the generator's stream,
+    one uniform per name from its own on, and ``payoffs(levels, out)``
+    writes a block's payoffs, from its levels (a row per name), into the
+    next slice of one chunk buffer."""
     gen = _generator(paths, seed)
     scale = _scale(paths, bound)
-    screened = _screener(screens)
-    size = min(_BLOCK, paths)
-    draws = np.empty((size, len(screens)))
-    pending = np.empty((len(screens), size))
-    x = np.empty(min(_CHUNK, paths))
-    chunks = []
-    for first in range(0, paths, _CHUNK):
-        n = min(_CHUNK, paths - first)
-        mapped = held = 0
-        # no draw where no name can default: every path survives
-        for start in range(0, n, size) if screened is not None else ():
-            w = draws[: min(size, n - start)]
-            gen.random(out=w)
-            at_risk = screened(w)
-            if held + len(at_risk) > size:
-                payoffs(pending[:, :held], x[mapped : mapped + held])
-                mapped, held = mapped + held, 0
-            for k, row in enumerate(pending):
-                row[held : held + len(at_risk)] = w[:, k][at_risk]
-            held += len(at_risk)
-        if held:
-            payoffs(pending[:, :held], x[mapped : mapped + held])
-            mapped += held
-        groups = [(n - mapped, paid_all * scale, 0.0)] if mapped < n else []
-        if mapped:
-            y = x[:mapped]
+    strata = _strata(paths, boundaries)
+    x = np.empty(min(_CHUNK, max((n for _, _, n in strata), default=0)))
+    size = min(_BLOCK, len(x))  # blocks end at chunk ends
+    names = len(boundaries)
+    draws = np.empty(size * names)
+    levels = np.empty((names, size))
+    mean, variance = math.prod(boundaries) * paid_all, 0.0
+    for k, p, n_k in strata:
+        b = boundaries[k]
+        levels[:k] = 0.0  # the names before k survive
+        chunks = []
+        for first in range(0, n_k, _CHUNK):
+            n = min(_CHUNK, n_k - first)
+            for start in range(0, n, size):
+                m = min(size, n - start)
+                w = draws[: m * (names - k)].reshape(m, names - k)
+                gen.random(out=w)
+                row = np.multiply(w[:, 0], 1.0 - b, out=levels[k, :m])
+                row += b
+                levels[k + 1 :, :m] = w[:, 1:].T
+                payoffs(levels[:, :m], x[start : start + m])
+            y = x[:n]
             y *= scale  # exact, 1 unless squares could overflow
-            # np.var's two passes, in place; no BLAS dot, whose summation
-            # order depends on the machine
-            mean = float(np.mean(y))
-            y -= mean
+            # np.var's two passes, in place: no BLAS dot, whose order varies
+            chunk_mean = float(np.mean(y))
+            y -= chunk_mean
             np.square(y, out=y)
-            groups.append((mapped, mean, float(np.sum(y))))
-        chunks.append(functools.reduce(_merge, groups))
-    n, mean, m2 = functools.reduce(_merge, chunks)
-    std_error = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-    return McEstimate(mean=mean / scale, std_error=std_error / scale, paths=n, seed=seed)
+            chunks.append((n, chunk_mean, float(np.sum(y))))
+        n, chunk_mean, m2 = functools.reduce(_merge, chunks)
+        mean += p * (chunk_mean / scale)
+        variance += p * p * (m2 / (n - 1) / n)
+    return McEstimate(mean=mean, std_error=math.sqrt(variance) / scale, paths=paths, seed=seed)
 
 
-def _screener(screens: tuple):
-    """A map from a block of levels, ``(paths, names)`` in C order, to the
-    indices of its paths where some level reaches its name's screen; None
-    where no screen is below 1, which no draw in ``[0, 1)`` reaches.
+def _boundary(curve: CreditCurve, seg: _Segments, level_map) -> float:
+    """The least level ``b`` in ``[0, 1]`` that ``level_map``, from an
+    array of ``curve``'s levels to their segments of ``seg`` (the first
+    of what it returns), keeps out of the survivor segment: the double
+    below ``b`` survives maturity.
 
-    Only the names that can default are compared, each over the block's
-    flat levels at unit stride with its screen as a scalar.  With two
-    names, byte ``k`` of a path's ``uint16`` view of a comparison is name
-    ``k``'s; a mask built from bytes keeps it in either byte order."""
-    live = [(k, screen) for k, screen in enumerate(screens) if screen < 1.0]
-    if not live:
-        return None
-    if len(screens) == 1:
-        return lambda w: np.flatnonzero(w.reshape(-1) >= screens[0])
-    masks = np.eye(2, dtype=np.uint8).view(np.uint16)[:, 0]
+    Level 0 survives and level 1 defaults (at time 0) under every map; the
+    search brackets ``b`` between their bit patterns, which order the
+    doubles in ``[0, 1]``.  One vectorised call places it among levels 0,
+    1, 2, 4, ... ulps either side of ``curve``'s survival at maturity,
+    within a few ulps of ``b``, and each further call among 63 levels
+    evenly spaced in the bracket, down to adjacent doubles."""
+    lo, hi = 0, int(_ONE_BITS)
+    with np.errstate(over="ignore"):
+        guess = np.float64(curve.survival(seg.maturity)).view(np.int64)
+    bits = np.unique(np.clip(guess + _LADDER, lo + 1, hi - 1))
+    while hi - lo > 1:
+        alive = level_map(bits.view(np.float64))[0] == len(seg.grid)
+        first = int(np.argmin(alive)) if not alive.all() else len(bits)  # first default
+        lo = int(bits[first - 1]) if first > 0 else lo
+        hi = int(bits[first]) if first < len(bits) else hi
+        step = max((hi - lo) // 64, 1)
+        bits = np.arange(lo + step, hi, step, dtype=np.int64)
+    return float(np.int64(hi).view(np.float64))
 
-    def at_risk(w):
-        flat = w.reshape(-1)
-        hits = ((flat >= screen).view(np.uint16) & masks[k] for k, screen in live)
-        return np.flatnonzero(functools.reduce(np.bitwise_or, hits) != 0)
 
-    return at_risk
+_ONE_BITS = np.float64(1.0).view(np.int64)
+# offsets in ulps from the guess: 0 and +-2**i, up to half the bits of [0, 1]
+_LADDER = np.concatenate((-(2 ** np.arange(62)), [0], 2 ** np.arange(62)))
 
 
 def _scale(paths: int, bound: float) -> float:
@@ -380,19 +390,6 @@ def _check_payoffs(seg: _Segments, settles, log_scale, slope) -> float:
     return max(float(np.max(np.abs(values))) for _, _, values in checks)
 
 
-def _screen(curve: CreditCurve, maturity: float) -> float:
-    """A survival level below which ``curve.inverse_survival`` returns a
-    time past ``maturity``: the survival a little after maturity, a
-    little lowered, so that the rounding of the inverse map cannot
-    bring a level below it back to maturity.  A survival of 1 is kept,
-    above every draw; a hazard that overflows gives 0, which screens
-    nothing."""
-    t = min(maturity + 2.0**-30 * max(1.0, maturity), sys.float_info.max)
-    with np.errstate(over="ignore"):
-        survival = float(curve.survival(t))
-    return survival if survival == 1.0 else survival * (1.0 - 2.0**-20)
-
-
 def _first_default(
     market: MarketRates,
     investor: CreditCurve,
@@ -408,10 +405,9 @@ def _first_default(
     (if any; ``None`` never defaults) at its market intensity.  Payoffs
     are discounted at the deterministic internal rate ``r_bar``: flows
     are paid while both names are alive, then the closeout of whoever
-    defaults first (if before maturity).  Returns ``(screens, payoffs,
-    paid_all, bound)`` for :func:`_simulate`: the screen level of each
-    name a path draws a uniform for (a path below both survives past
-    maturity), the map from at-risk levels to payoffs, the survivors'
+    defaults first (if before maturity).  Returns ``(boundaries, payoffs,
+    paid_all, bound)`` for :func:`_simulate`: each sampled name's
+    survival boundary, the map from levels to payoffs, a survivor's
     payoff and a bound on every payoff's magnitude.
 
     The closeout is positively homogeneous in ``v_X``, so on a segment
@@ -429,12 +425,15 @@ def _first_default(
         log_scale = seg.log_vx + log_discount
         slope = seg.rate_x - np.asarray(r_bar.value(grid))
     bound = _check_payoffs(seg, (k_i,) if counterparty is None else (k_i, k_c), log_scale, slope)
-    names = (sampler,) if counterparty is None else (sampler, counterparty)
-    screens = tuple(_screen(name, schedule.maturity) for name in names)
-    k_i, k_c, log_scale, slope = _survivor_row(k_i, k_c, log_scale, slope)
-    settles = np.concatenate((k_c, k_i))  # one gather beats np.where's mask
     # r_bar has lam_bar's nodes, so lam_bar is constant on each segment
     level_map = seg.levels(lam_bar) if counterparty is None else None
+    names = (sampler,) if counterparty is None else (sampler, counterparty)
+    maps = [level_map] if counterparty is None else [
+        lambda w, n=n: seg.locate(n._inverse_survival(w)) for n in names
+    ]
+    boundaries = tuple(_boundary(n, seg, m) for n, m in zip(names, maps))
+    k_i, k_c, log_scale, slope = _survivor_row(k_i, k_c, log_scale, slope)
+    settles = np.concatenate((k_c, k_i))  # one gather beats np.where's mask
 
     def payoffs(levels, out):
         if counterparty is None:
@@ -448,11 +447,11 @@ def _first_default(
             j, dt, paid = seg.locate(np.minimum(tau_i, tau_c, out=tau_c))
             del tau_i, tau_c  # before the heap peak below
             settle = settles[first + j]
-        x = slope[j] * dt  # in place from here: the batch's heap peak
+        x = slope[j] * dt  # in place from here: the block's heap peak
         x += log_scale[j]
         np.add(paid, np.multiply(settle, np.exp(x, out=x), out=x), out=out)
 
-    return screens, payoffs, seg.paid_all, bound
+    return boundaries, payoffs, seg.paid_all, bound
 
 
 def mc_value_independent(
@@ -468,11 +467,9 @@ def mc_value_independent(
 ) -> McEstimate:
     """Simulate v(0) with both names defaulting independently: the
     investor at its internal intensity, the counterparty at its market
-    intensity.  Two uniforms per path.
-
-    ``counterparty=None`` never defaults (the ``riskfree_cpty`` regime)
-    and draws one uniform per path.  ``lambda_bar = 0`` then screens
-    every path: the mean is the flow sum and the standard error 0.
+    intensity.  ``counterparty=None`` never defaults (the ``riskfree_cpty``
+    regime) and draws no uniform; with ``lambda_bar = 0`` nothing is then
+    drawn, and the mean is the flow sum with a standard error of 0.
     """
     return _simulate(
         paths, seed, *_first_default(
@@ -483,7 +480,7 @@ def mc_value_independent(
 
 def _dependent_default(market, model, schedule, closeout):
     """The dependent-default simulator, its constants built once; returns
-    ``(screens, payoffs, paid_all, bound)`` as :func:`_first_default` does.
+    ``(boundaries, payoffs, paid_all, bound)`` as :func:`_first_default` does.
 
     Only ``tau_C`` is random (its internal law equals the market one);
     the numeraire is the survival-contingent bank account, so a flow at
@@ -513,8 +510,8 @@ def _dependent_default(market, model, schedule, closeout):
         end = log_weight(*(h + lam * seg.span for h, lam in zip(cum, rate)))
     _require_finite(("log discount", grid, start), ("log discount", grid + seg.span, end))
     bound = _check_payoffs(seg, (k_c,), seg.log_vx - cum[0], seg.rate_x - rate[0])
-    screen = _screen(model.counterparty, schedule.maturity)
     level_map = seg.levels(model.counterparty.intensity)
+    boundary = _boundary(model.counterparty, seg, level_map)
     k_c, log_vx, rate_x = _survivor_row(k_c, seg.log_vx, seg.rate_x)
     cum, rate = _survivor_row(*cum), _survivor_row(*rate)
 
@@ -523,7 +520,7 @@ def _dependent_default(market, model, schedule, closeout):
         log_w = log_weight(*(h[j] + lam[j] * dt for h, lam in zip(cum, rate)))
         np.add(paid, k_c[j] * np.exp(log_vx[j] + rate_x[j] * dt + log_w), out=out)
 
-    return (screen,), payoffs, seg.paid_all, bound
+    return (boundary,), payoffs, seg.paid_all, bound
 
 
 def mc_value_correlated(

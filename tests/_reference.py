@@ -128,39 +128,26 @@ def central_difference(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def chunked_mean_m2(payoffs, at_risk, chunk):
+def chunked_mean_m2(payoffs, chunk):
     """``(n, mean, M2)`` of ``payoffs``, folded chunk by chunk in order.
 
-    Within each chunk of ``chunk`` paths, the paths not ``at_risk`` all
-    have one payoff, and form one group ``(count, payoff, 0)``.  The
-    at-risk payoffs, in path order, take ``np.var``'s two passes: their
-    mean, then the sum of their squared deviations from it.  The chunk's
-    group of survivors absorbs its at-risk group, and the running totals
-    absorb each chunk, by the update of Chan, Golub & LeVeque (1979).
+    Each chunk of ``chunk`` payoffs, in path order, takes ``np.var``'s two
+    passes: its mean, then the sum of its squared deviations from it.  The
+    running totals absorb each chunk by the update of Chan, Golub &
+    LeVeque (1979).
     """
-
-    def merge(a, b):
-        if a is None:
-            return b
-        n_a, mean_a, m2_a = a
-        n_b, mean_b, m2_b = b
-        total = n_a + n_b
-        delta = mean_b - mean_a
-        m2 = m2_a + m2_b + delta * delta * (n_a * n_b / total)
-        return total, mean_a + delta * (n_b / total), m2
-
     totals = None
     for start in range(0, len(payoffs), chunk):
         x = np.asarray(payoffs[start : start + chunk], dtype=float)
-        risky = np.asarray(at_risk[start : start + chunk], dtype=bool)
-        group = None
-        survivors = x[~risky]
-        if len(survivors):
-            assert np.all(survivors == survivors[0])
-            group = (len(survivors), float(survivors[0]), 0.0)
-        mapped = x[risky]
-        if len(mapped):
-            mean = float(np.mean(mapped))
-            group = merge(group, (len(mapped), mean, float(np.sum((mapped - mean) ** 2))))
-        totals = merge(totals, group)
+        mean = float(np.mean(x))
+        group = (len(x), mean, float(np.sum((x - mean) ** 2)))
+        if totals is None:
+            totals = group
+            continue
+        n_a, mean_a, m2_a = totals
+        n_b, mean_b, m2_b = group
+        total = n_a + n_b
+        delta = mean_b - mean_a
+        m2 = m2_a + m2_b + delta * delta * (n_a * n_b / total)
+        totals = total, mean_a + delta * (n_b / total), m2
     return totals

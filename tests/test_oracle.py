@@ -1,8 +1,8 @@
-import contextlib
-import functools
 import math
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -31,17 +31,19 @@ from valadj.measure import internal_rate
 from _reference import chunked_mean_m2, naive_collateral_value, piecewise_integral
 
 N = 200_000
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @dataclass(frozen=True)
 class PathOutcome:
-    """One simulated path: default times (``inf`` = never) and the
-    payoff discounted to time 0."""
+    """One drawn path: default times (``inf`` = never), the payoff
+    discounted to time 0 and its stratum, the first name whose level
+    reached its boundary."""
 
     tau_investor: float
     tau_counterparty: float
     discounted_payoff: float
-    at_risk: bool  # a level reached its screen: the path was mapped
+    stratum: int
 
     @property
     def tau(self) -> float:
@@ -49,70 +51,105 @@ class PathOutcome:
         return min(self.tau_investor, self.tau_counterparty)
 
 
+class Sample(NamedTuple):
+    """Every drawn path, stratum by stratum, with what the estimate adds
+    for the paths it does not draw."""
+
+    outcomes: list
+    boundaries: tuple
+    paid_all: float
+
+
+def stratified_levels(paths, seed, boundaries):
+    """Each drawn path's levels, one row per name, and its stratum.
+
+    Strata come in name order, one per name ``k`` of positive
+    probability ``p = prod_{j<k} b_j (1 - b_k)``, and draw ``max(2,
+    round(paths * p))`` paths from one ``PCG64`` stream: path by path, one
+    uniform per name from ``k`` on.  Names before ``k`` take level 0 and
+    name ``k`` takes ``b_k + (1 - b_k) u``."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    rows, strata, below = [np.empty((len(boundaries), 0))], [], 1.0
+    for k, b in enumerate(boundaries):
+        p = below * (1.0 - b)
+        below *= b
+        if p == 0.0:
+            continue
+        n = max(2, round(paths * p))
+        u = gen.random((n, len(boundaries) - k))
+        w = np.zeros((len(boundaries), n))
+        w[k] = b + (1.0 - b) * u[:, 0]
+        w[k + 1 :] = u[:, 1:].T
+        rows.append(w)
+        strata += [k] * n
+    return np.concatenate(rows, axis=1), strata
+
+
 def sample_path_outcomes(
     market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout, paths, seed
-) -> list[PathOutcome]:
+) -> Sample:
     """Per-path view of the simulator behind :func:`mc_value_independent`:
-    the same pipeline and payoff map, keeping each path's default times
-    and payoff.
+    the same pipeline and payoff map, keeping each drawn path's default
+    times and payoff.
 
-    The pipeline maps only the paths whose levels reach a screen, and
-    must hand the map their levels in path order; the others are paid the
-    flow sum.  Every path is mapped here by the inverse survival maps,
-    which the level maps agree with, and one whose levels are all below
-    their screens must default after maturity under both names."""
-    screens, payoffs, paid_all, bound = oracle._first_default(
+    The pipeline must hand the map the levels of :func:`stratified_levels`
+    in their order.  The default times come from each name's inverse
+    survival map, which the level maps agree with."""
+    boundaries, payoffs, paid_all, bound = oracle._first_default(
         market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
     )
-    batches = [(np.empty((len(screens), 0)), np.empty(0))]
+    batches = [(np.empty((len(boundaries), 0)), np.empty(0))]
 
     def keep(levels, out):
         payoffs(levels, out)
         batches.append((levels.copy(), out.copy()))
 
-    oracle._simulate(paths, seed, screens, keep, paid_all, bound)
-    w = np.random.Generator(np.random.PCG64(seed)).random((paths, len(screens)))
-    at_risk = np.any(w >= np.array(screens), axis=1)
-    levels, mapped = (np.concatenate(cols, axis=-1) for cols in zip(*batches))
-    np.testing.assert_array_equal(levels, w[at_risk].T)
-    payoff = np.full(paths, paid_all)
-    payoff[at_risk] = mapped
+    oracle._simulate(paths, seed, boundaries, keep, paid_all, bound)
+    w, strata = stratified_levels(paths, seed, boundaries)
+    levels, payoff = (np.concatenate(cols, axis=-1) for cols in zip(*batches))
+    np.testing.assert_array_equal(levels, w)
     internal = CreditCurve("internal", as_curve(lambda_bar))
-    tau_i = internal.inverse_survival(np.ascontiguousarray(w[:, 0]))
-    tau_c = (
-        np.full(paths, np.inf) if counterparty is None
-        else counterparty.inverse_survival(np.ascontiguousarray(w[:, 1]))
-    )
-    assert np.all(tau_i[~at_risk] > schedule.maturity)
-    assert np.all(tau_c[~at_risk] > schedule.maturity)
-    return [
-        PathOutcome(float(ti), float(tc), float(p), bool(r))
-        for ti, tc, p, r in zip(tau_i, tau_c, payoff, at_risk)
+    names = (internal,) if counterparty is None else (internal, counterparty)
+    taus = [c.inverse_survival(np.ascontiguousarray(x)) for c, x in zip(names, w)]
+    tau_i, tau_c = taus if counterparty else (taus[0], np.full(len(strata), np.inf))
+    outcomes = [
+        PathOutcome(float(ti), float(tc), float(p), k)
+        for ti, tc, p, k in zip(tau_i, tau_c, payoff, strata)
     ]
+    return Sample(outcomes, boundaries, paid_all)
 
 
-def reference_estimate(outcomes, chunk=None):
-    """``(mean, std_error)`` of the outcomes' payoffs by the reference
-    fold: chunk by chunk, the survivors as one group, then the at-risk
-    payoffs in path order."""
-    n, mean, m2 = chunked_mean_m2(
-        [o.discounted_payoff for o in outcomes], [o.at_risk for o in outcomes],
-        chunk or oracle._CHUNK,
-    )
-    return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+def reference_estimate(sample, chunk=None):
+    """``(mean, std_error)`` of a sample by the reference fold: each
+    stratum's payoffs chunk by chunk, in path order, then ``prod b *
+    paid_all + sum p_k mean_k`` and ``sqrt(sum p_k**2 M2_k / (n_k - 1) /
+    n_k)``."""
+    mean, variance, below = math.prod(sample.boundaries) * sample.paid_all, 0.0, 1.0
+    for k, b in enumerate(sample.boundaries):
+        p = below * (1.0 - b)
+        below *= b
+        payoffs = [o.discounted_payoff for o in sample.outcomes if o.stratum == k]
+        if payoffs:
+            n, stratum_mean, m2 = chunked_mean_m2(payoffs, chunk or oracle._CHUNK)
+            mean += p * stratum_mean
+            variance += p * p * (m2 / (n - 1) / n)
+    return mean, math.sqrt(variance)
 
 
 def path_payoffs(simulator, w):
     """The payoff the pipeline pays each path of levels ``w``, ``(paths,
-    names)``, for a simulator's ``(screens, payoffs, paid_all, bound)``:
-    the flow sum where every level is below its screen, the map's
-    payoff, in one batch, elsewhere."""
-    screens, payoffs, paid_all, _ = simulator
+    names)``, for a simulator's ``(boundaries, payoffs, paid_all,
+    bound)``: the flow sum where every level is below its boundary;
+    elsewhere the map's payoff, in one batch, with the names before the
+    first that reaches its boundary at level 0, as in that stratum."""
+    boundaries, payoffs, paid_all, _ = simulator
     out = np.full(len(w), paid_all)
-    at_risk = np.flatnonzero(np.any(w >= np.array(screens), axis=1))
-    mapped = np.empty(len(at_risk))
-    payoffs(np.ascontiguousarray(w[at_risk].T), mapped)
-    out[at_risk] = mapped
+    reached = w >= np.array(boundaries)
+    drawn = np.flatnonzero(reached.any(axis=1))
+    levels = np.where(np.cumsum(reached, axis=1) > 0, w, 0.0)[drawn]
+    mapped = np.empty(len(drawn))
+    payoffs(np.ascontiguousarray(levels.T), mapped)
+    out[drawn] = mapped
     return out
 
 
@@ -130,34 +167,48 @@ class TestRandomnessContract:
         assert a.mean != b.mean
 
     def test_prefix_paths_are_a_substream(self, flat_market, investor, counterparty, closeout, mixed):
-        # first 1000 paths of a 5000-path run are the 1000-path run
-        big = sample_path_outcomes(
-            flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout, 5000, 17
-        )
-        small = sample_path_outcomes(
-            flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout, 1000, 17
-        )
-        assert big[:1000] == small
+        # the first stratum's paths in a 1000-path run are the first ones
+        # of a 5000-path run; a later stratum continues the stream where
+        # the strata before it ended, so a worker owning its paths from
+        # p0 on jumps the stream by the draws before them
+        args = (flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout)
+        big, small = (sample_path_outcomes(*args, paths, 17) for paths in (5000, 1000))
+        first = [[o for o in s.outcomes if o.stratum == 0] for s in (big, small)]
+        assert 0 < len(first[1]) < len(first[0])
+        assert first[0][: len(first[1])] == first[1]
+        b = big.boundaries[1]
+        for sample in (big, small):
+            second = [o for o in sample.outcomes if o.stratum == 1]
+            assert len(second) > 40
+            for p0 in (0, len(second) - 40):
+                bit = np.random.PCG64(17)
+                bit.advance(2 * len(first[sample is small]) + p0)
+                w = b + (1.0 - b) * np.random.Generator(bit).random(40)
+                taus = [o.tau_counterparty for o in second[p0 : p0 + 40]]
+                np.testing.assert_array_equal(taus, counterparty.inverse_survival(w))
+                assert all(o.tau_investor == math.inf for o in second)
 
     def test_no_counterparty_draws_one_uniform_per_path(self):
-        # path i's tau_I is the internal curve's inverse survival of draw
-        # i of the seed's PCG64 stream: one uniform per path, none spent
-        # on the counterparty that never defaults
+        # drawn path i's tau_I is the internal curve's inverse survival of
+        # b + (1 - b) u, u draw i of the seed's PCG64 stream: one uniform
+        # per path, none spent on the counterparty that never defaults
         m = TestMultiFlowPayoffs
         paths, seed = 5003, 23
         args = (
             m.market, m.investor, None, 0.4, m.lambda_bar, m.schedule, m.closeout, paths, seed
         )
-        outcomes = sample_path_outcomes(*args)
-        w = np.random.Generator(np.random.PCG64(seed)).random(paths)
+        sample = sample_path_outcomes(*args)
+        (b,) = sample.boundaries
+        assert len(sample.outcomes) == round(paths * (1.0 - b))
+        w = b + (1.0 - b) * np.random.Generator(np.random.PCG64(seed)).random(len(sample.outcomes))
         internal = CreditCurve("internal", m.lambda_bar)
-        tau_i = np.array([o.tau_investor for o in outcomes])
+        tau_i = np.array([o.tau_investor for o in sample.outcomes])
         np.testing.assert_array_equal(tau_i, internal.inverse_survival(w))
-        assert 0 < np.count_nonzero(tau_i <= m.schedule.maturity) < paths
-        assert all(o.tau_counterparty == math.inf for o in outcomes)
+        assert np.all(tau_i <= m.schedule.maturity)
+        assert all(o.tau_counterparty == math.inf for o in sample.outcomes)
         # the estimate reduces exactly these paths
         mc = mc_value_independent(*args)
-        assert (mc.mean, mc.std_error) == reference_estimate(outcomes)
+        assert (mc.mean, mc.std_error, mc.paths) == (*reference_estimate(sample), paths)
 
     @pytest.mark.parametrize("per_path", [1, 2])
     @pytest.mark.parametrize("p0", [60, 61, 2**18 + 3])
@@ -204,8 +255,8 @@ class TestRiskfreeCptySimulator:
 
     @pytest.mark.parametrize("paths", [2, oracle._CHUNK + 3])
     def test_all_survivor_limit_is_exact(self, flat_market, investor, closeout, bullet, paths):
-        # lam_bar = 0 screens every draw: each path is counted as a
-        # survivor, paid the flow sum, with no rounding left to collapse
+        # lam_bar = 0: the boundary is 1, every path is in the survivor
+        # stratum, paid the flow sum, with no rounding left to collapse
         args = (flat_market, investor, None, 0.4, 0.0, bullet, closeout)
         simulator = oracle._first_default(*args)
         assert simulator[0] == (1.0,)
@@ -220,9 +271,8 @@ class TestRiskfreeCptySimulator:
 
 
 class TestDrawless:
-    """Where no name can default, every screen is 1, above every draw: the
-    simulation draws nothing, and its estimate is the fold of one
-    survivor group per chunk."""
+    """Where no name can default, every boundary is 1: the simulation
+    draws nothing, and its estimate is the flow sum."""
 
     @pytest.mark.parametrize("paths", [2, oracle._CHUNK + 3])
     def test_no_uniform_drawn(self, monkeypatch, flat_market, investor, closeout, mixed, paths):
@@ -244,13 +294,11 @@ class TestDrawless:
              (flat_market, JointDefaultModel(investor, zero, 1.5), mixed, closeout)),
         ]
         for name, build, simulate, args in cases:
-            screens, _, paid_all, bound = build(*args)
-            assert set(screens) == {1.0}, name
+            boundaries, _, paid_all, _ = build(*args)
+            assert set(boundaries) == {1.0}, name
             est = simulate(*args, paths, 11)
             assert calls == [], name
-            scale = oracle._scale(paths, bound)
-            n, mean, m2 = chunked_mean_m2([paid_all * scale] * paths, [False] * paths, oracle._CHUNK)
-            assert (est.mean, est.std_error, est.paths) == (mean / scale, 0.0, n) == (paid_all, 0.0, paths)
+            assert (est.mean, est.std_error, est.paths) == (paid_all, 0.0, paths)
         # the spy sees the draws of a name that can default
         mc_value_independent(flat_market, investor, zero, 0.4, 0.02, mixed, closeout, 2, 11)
         assert len(calls) == 1
@@ -286,10 +334,10 @@ class TestIndependentSimulator:
         mc = mc_value_independent(
             flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout, n, 21
         )
-        outcomes = sample_path_outcomes(
+        sample = sample_path_outcomes(
             flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout, n, 21
         )
-        assert (mc.mean, mc.std_error) == reference_estimate(outcomes)
+        assert (mc.mean, mc.std_error) == reference_estimate(sample)
 
 
 class TestCorrelatedSimulator:
@@ -408,13 +456,14 @@ class TestPathOutcomes:
     def test_payoff_reconstruction(
         self, flat_market, investor, counterparty, closeout, mixed
     ):
-        outcomes = sample_path_outcomes(
+        sample = sample_path_outcomes(
             flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout, 500, 33
         )
         # r_bar = 0.01 for this configuration
         from valadj import collateral_value
 
-        for o in outcomes:
+        assert {o.stratum for o in sample.outcomes} == {0, 1}
+        for o in sample.outcomes:
             assert o.tau == min(o.tau_investor, o.tau_counterparty)
             expected = sum(
                 a * math.exp(-0.01 * t)
@@ -431,13 +480,18 @@ class TestPathOutcomes:
     def test_survivor_paths_collect_all_flows(
         self, flat_market, investor, counterparty, closeout, bullet
     ):
-        outcomes = sample_path_outcomes(
-            flat_market, investor, counterparty, 0.4, 0.02, bullet, closeout, 500, 4
-        )
-        survivors = [o for o in outcomes if o.tau > 5.0]
-        assert survivors
-        for o in survivors:
-            assert o.discounted_payoff == pytest.approx(math.exp(-0.01 * 5.0), rel=1e-14)
+        # survivors are not drawn: the survivor stratum, every level
+        # below its boundary, is paid the flow sum, as the map pays the
+        # levels just below the boundaries
+        args = (flat_market, investor, counterparty, 0.4, 0.02, bullet, closeout)
+        sample = sample_path_outcomes(*args, 500, 4)
+        assert all(o.tau <= 5.0 for o in sample.outcomes)
+        assert sample.paid_all == pytest.approx(math.exp(-0.01 * 5.0), rel=1e-14)
+        below = np.nextafter(np.array(sample.boundaries), 0.0)
+        _, payoffs, _, _ = oracle._first_default(*args)
+        out = np.empty(1)
+        payoffs(below[:, None], out)
+        assert out[0] == sample.paid_all
 
 
 class TestMultiFlowPayoffs:
@@ -460,14 +514,16 @@ class TestMultiFlowPayoffs:
     flows = list(zip(schedule.times, schedule.amounts))
 
     def test_path_outcomes_reconstruction(self):
-        outcomes = sample_path_outcomes(
+        sample = sample_path_outcomes(
             self.market, self.investor, self.counterparty, 0.4, self.lambda_bar,
             self.schedule, self.closeout, 3000, 41,
         )
         r_bar = internal_rate(self.market, self.investor, 0.4, self.lambda_bar)
         all_flows = sum(a * math.exp(-r_bar.integrated_rate(0.0, t)) for t, a in self.flows)
-        kinds = {"survivor": 0, "before_last_flow": 0, "after_last_flow": 0}
-        for o in outcomes:
+        # the survivor stratum, not drawn
+        assert sample.paid_all == pytest.approx(all_flows, abs=1e-15)
+        kinds = {"before_last_flow": 0, "after_last_flow": 0}
+        for o in sample.outcomes:
             expected = sum(
                 a * math.exp(-r_bar.integrated_rate(0.0, t)) for t, a in self.flows if o.tau > t
             )
@@ -477,10 +533,8 @@ class TestMultiFlowPayoffs:
                 settle = k_i if o.tau_investor <= o.tau_counterparty else k_c
                 expected += settle * math.exp(-r_bar.integrated_rate(0.0, o.tau))
             assert o.discounted_payoff == pytest.approx(expected, abs=1e-12)
-            if o.tau > self.schedule.maturity:
-                kinds["survivor"] += 1
-                assert o.discounted_payoff == pytest.approx(all_flows, abs=1e-15)
-            elif o.tau > self.schedule.times[-1]:
+            assert o.tau <= self.schedule.maturity
+            if o.tau > self.schedule.times[-1]:
                 # every flow paid, nothing left to close out
                 kinds["after_last_flow"] += 1
                 assert o.discounted_payoff == pytest.approx(all_flows, abs=1e-15)
@@ -493,7 +547,11 @@ class TestMultiFlowPayoffs:
         paths, seed = 4000, 29
         mc = mc_value_correlated(self.market, model, self.schedule, self.closeout, paths, seed)
 
-        w = np.random.Generator(np.random.PCG64(seed)).random(paths)
+        # the survivor stratum below b pays every flow; the paths drawn
+        # above it default by maturity
+        (b,), _, _, _ = oracle._dependent_default(self.market, model, self.schedule, self.closeout)
+        n = round(paths * (1.0 - b))
+        w = b + (1.0 - b) * np.random.Generator(np.random.PCG64(seed)).random(n)
         taus = model.counterparty.inverse_survival(w)
         r = self.market.risk_free
 
@@ -512,12 +570,13 @@ class TestMultiFlowPayoffs:
                 p += closeout_values(self.closeout, vx)[1] * weight(tau)
             payoffs.append(p)
         payoffs = np.array(payoffs)
-        hit = taus <= self.schedule.maturity
-        assert 0 < np.count_nonzero(hit) < paths
-        assert np.count_nonzero(hit & (taus > self.schedule.times[-1])) > 0
-        assert mc.mean == pytest.approx(float(np.mean(payoffs)), abs=1e-12)
+        assert np.all(taus <= self.schedule.maturity)
+        assert np.count_nonzero(taus > self.schedule.times[-1]) > 0
+        all_flows = sum(a * weight(t) for t, a in self.flows)
+        mean = b * all_flows + (1.0 - b) * float(np.mean(payoffs))
+        assert mc.mean == pytest.approx(mean, abs=1e-12)
         assert mc.std_error == pytest.approx(
-            float(np.std(payoffs, ddof=1) / math.sqrt(paths)), abs=1e-12
+            (1.0 - b) * float(np.std(payoffs, ddof=1) / math.sqrt(n)), abs=1e-12
         )
 
 
@@ -550,18 +609,21 @@ class TestBlockSize:
             runs[block] = {name: sim() for name, sim in sims.items()}
         for block in (4096, paths, 2**20):
             assert runs[block] == runs[7]
-        outcomes = runs[7]["path_outcomes"]
-        assert len(outcomes) == paths
-        assert 0 < sum(o.tau <= m.schedule.maturity for o in outcomes) < paths
+        sample = runs[7]["path_outcomes"]
+        strata = oracle._strata(paths, sample.boundaries)
+        assert [n for _, _, n in strata] == [1999, 1331]
+        assert [o.stratum for o in sample.outcomes] == [0] * 1999 + [1] * 1331
+        assert all(o.tau <= m.schedule.maturity for o in sample.outcomes)
 
     def test_chunked_results_do_not_depend_on_block_size(self, monkeypatch):
-        # six chunks of 1000 paths, the last one partial; blocks of 7 and
-        # 4096 paths divide neither, 2**20 is cut down to a chunk
+        # strata of 1999 and 1331 paths in chunks of 1000, the last of
+        # each partial; blocks of 7 and 4096 paths divide neither, 2**20
+        # is cut down to a chunk
         monkeypatch.setattr(oracle, "_CHUNK", 1000)
         self.test_results_do_not_depend_on_block_size(monkeypatch)
 
     @pytest.mark.parametrize(
-        "lambda_bar, chunk, screen_off",
+        "lambda_bar, chunk, boundary_off",
         [(0.0, None, False), (0.0, 1000, False), (1e-4, 1000, False),
          (TestMultiFlowPayoffs.lambda_bar, None, True),
          (TestMultiFlowPayoffs.lambda_bar, 1000, True)],
@@ -569,17 +631,19 @@ class TestBlockSize:
              "every_path_at_risk", "every_path_at_risk_six_chunks"],
     )
     def test_chunks_without_survivors_or_at_risk_paths(
-        self, monkeypatch, lambda_bar, chunk, screen_off
+        self, monkeypatch, lambda_bar, chunk, boundary_off
     ):
-        # a chunk whose paths all survive is one group, and so is one
-        # whose paths are all mapped: a screen of 0 maps every path
+        # where no path can default nothing is drawn; where one in 1700
+        # can, one stratum of 3 paths is, where most of a crude run's six
+        # chunks would hold none; a boundary of 0 draws every path in one
+        # stratum, survivors too, as crude sampling does
         m = TestMultiFlowPayoffs
         paths, seed = 5003, 19
         if chunk:
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        if screen_off:
-            monkeypatch.setattr(oracle, "_screen", lambda curve, maturity: 0.0)
-        counterparty = m.counterparty if screen_off else None
+        if boundary_off:
+            monkeypatch.setattr(oracle, "_boundary", lambda curve, seg, level_map: 0.0)
+        counterparty = m.counterparty if boundary_off else None
         args = (m.market, m.investor, counterparty, 0.4, lambda_bar, m.schedule, m.closeout)
         sims = {
             "estimate": lambda: mc_value_independent(*args, paths, seed),
@@ -591,14 +655,15 @@ class TestBlockSize:
             runs[block] = {name: sim() for name, sim in sims.items()}
         for block in (4096, paths, 2**20):
             assert runs[block] == runs[7]
-        outcomes, mc = runs[7]["path_outcomes"], runs[7]["estimate"]
-        assert (mc.mean, mc.std_error) == reference_estimate(outcomes, chunk)
-        size = chunk or paths
-        at_risk = [sum(o.at_risk for o in outcomes[k : k + size]) for k in range(0, paths, size)]
-        if screen_off:
-            assert at_risk == [min(size, paths - k) for k in range(0, paths, size)]
+        sample, mc = runs[7]["path_outcomes"], runs[7]["estimate"]
+        assert (mc.mean, mc.std_error, mc.paths) == (*reference_estimate(sample, chunk), paths)
+        strata = [o.stratum for o in sample.outcomes]
+        if boundary_off:
+            assert strata == [0] * paths
+            survived = sum(o.tau > m.schedule.maturity for o in sample.outcomes)
+            assert 0 < survived < paths
         else:
-            assert min(at_risk) == 0 and (sum(at_risk) > 0) == (lambda_bar > 0.0)
+            assert strata == [0] * (3 if lambda_bar > 0.0 else 0)
 
 
 class TestContiguousColumns:
@@ -621,13 +686,16 @@ class TestContiguousColumns:
     def test_simulator_columns_are_contiguous(self, monkeypatch):
         m = self.m
         monkeypatch.setattr(oracle, "_BLOCK", 1000)
+        args = (m.market, m.investor, m.counterparty, 0.4, m.lambda_bar, m.schedule, m.closeout)
+        boundaries = oracle._first_default(*args)[0]
         seen = self.spy(monkeypatch, CreditCurve, "_inverse_survival")
-        mc_value_independent(
-            m.market, m.investor, m.counterparty, 0.4, m.lambda_bar, m.schedule,
-            m.closeout, 5000, 3,
-        )
-        assert len(seen) == 10  # two names, five blocks
+        mc_value_independent(*args, 5000, 3)
         assert all(w.ndim == 1 and w.flags.c_contiguous for w in seen)
+        # two names in each block of each stratum, after the searches
+        strata = oracle._strata(5000, boundaries)
+        blocks = [min(1000, n - start) for _, _, n in strata for start in range(0, n, 1000)]
+        mapped = [size for size in blocks for _ in range(2)]
+        assert [len(w) for w in seen[-len(mapped) :]] == mapped and len(seen) > len(mapped)
 
     def test_joint_sampling_columns_are_contiguous(self, monkeypatch):
         m = self.m
@@ -670,15 +738,15 @@ class TestChunkedReduction:
             m.closeout, self.paths, 29,
         )
         mc = mc_value_independent(*args)
-        outcomes = sample_path_outcomes(*args)
-        payoffs = np.array([o.discounted_payoff for o in outcomes])
-        n, mean, m2 = chunked_mean_m2(payoffs, [o.at_risk for o in outcomes], 1000)
-        assert (mc.paths, mc.mean) == (n, mean)
-        assert mc.std_error == math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-        # the whole vector's statistics, up to the merge's rounding
-        std_error = float(np.std(payoffs, ddof=1) / math.sqrt(n))
-        for got, want in ((mc.mean, float(np.mean(payoffs))), (mc.std_error, std_error)):
-            assert abs(got - want) <= 4 * np.spacing(abs(want))
+        sample = sample_path_outcomes(*args)
+        assert (mc.paths, mc.mean, mc.std_error) == (self.paths, *reference_estimate(sample, 1000))
+        for k in (0, 1):
+            payoffs = np.array([o.discounted_payoff for o in sample.outcomes if o.stratum == k])
+            assert len(payoffs) > 1000  # two chunks or more
+            n, mean, m2 = chunked_mean_m2(payoffs, 1000)
+            # the whole stratum's statistics, up to the merge's rounding
+            for got, want in ((mean, np.mean(payoffs)), (m2 / (n - 1), np.var(payoffs, ddof=1))):
+                assert abs(got - want) <= 4 * np.spacing(abs(want))
 
     @pytest.mark.parametrize("exponent", [400, 600, 1000])
     def test_scaled_reduction_is_exact(self, monkeypatch, exponent):
@@ -690,7 +758,7 @@ class TestChunkedReduction:
         bound = float(np.max(np.abs(payoffs)))
 
         def simulate(factor):
-            # a screen of 0 maps every path
+            # a boundary of 0 draws every path in one stratum
             done = [0]
 
             def mapped(levels, out):
@@ -779,8 +847,8 @@ class TestHeapPeak:
         }
         if not most:
             # with both names drawn, 24.3% of the paths can default
-            (screens, _, _, _), _, _ = sims["independent"]
-            assert 0.75 <= math.prod(screens) < 0.76
+            (boundaries, _, _, _), _, _ = sims["independent"]
+            assert 0.75 <= math.prod(boundaries) < 0.76
         peaks = {}
         for name, (_, simulate, args) in sims.items():
             simulate(*args, oracle._CHUNK, 5)  # warms one-time caches
@@ -802,10 +870,9 @@ class TestSegmentTable:
     The level maps are replaced by the identity on default times, so the
     simulator's uniforms are the default times themselves: each name's
     own inverse survival map, and a one-name simulator's hazard-level map,
-    which becomes the lookup of the default time in the grid.  Survival
-    is replaced by 0, which turns the screen off, and the simulation
-    returns the payoff map's vector over every default time instead of
-    the estimate.
+    which becomes the lookup of the default time in the grid.  The
+    simulation returns the payoff map's vector over every default time
+    instead of the estimate.
     """
 
     m = TestMultiFlowPayoffs
@@ -829,14 +896,13 @@ class TestSegmentTable:
     at_last_flow = CashflowSchedule.from_flows(list(zip(m.schedule.times, m.schedule.amounts)))
 
     def payoffs(self, monkeypatch, simulate, taus):
-        def payoff_vector(paths, seed, screens, payoffs, paid_all, bound):
+        def payoff_vector(paths, seed, boundaries, payoffs, paid_all, bound):
             out = np.empty(len(taus))
             payoffs(taus.T.copy(), out)
             return out
 
         monkeypatch.setattr(CreditCurve, "_inverse_survival", lambda self, w: np.array(w))
         monkeypatch.setattr(oracle._Segments, "levels", lambda seg, intensity: seg.locate)
-        monkeypatch.setattr(CreditCurve, "survival", lambda self, t: 0.0)
         monkeypatch.setattr(oracle, "_simulate", payoff_vector)
         return simulate()
 
@@ -1040,11 +1106,12 @@ class TestLevelMap:
         assert j[1] == n and dt[1] == 0.0
         assert j[0] == n - 1 and seg.grid[-1] + dt[0] == pytest.approx(maturity, abs=1e-12)
         assert (dt[0] == 0.0) == (seg.grid[-1] == maturity)
-        # the payoffs: the flows before maturity and the closeout there
+        # the boundary is 0.5 itself, and the payoffs are the flows
+        # before maturity and the closeout there, or every flow below it
         simulator = oracle._first_default(
             m.market, m.investor, None, 0.4, lambda_bar, schedule, m.closeout
         )
-        assert simulator[0][0] < levels[1]
+        assert simulator[0] == (0.5,)
         got = path_payoffs(simulator, levels[:, None])
         r_bar = internal_rate(m.market, m.investor, 0.4, lambda_bar)
         for tau, p in zip((maturity, math.inf), got):
@@ -1054,36 +1121,39 @@ class TestLevelMap:
         assert (got[0] == pytest.approx(all_flows, abs=1e-12)) == (maturity > m.flows[-1][0])
 
     def test_survivor_pays_its_flows_to_the_bit(self):
-        # flows that sum to -0.0: a located survivor adds the survivor
-        # segment's closeout to them, and must keep the sign bit that a
-        # screened survivor's payoff has
+        # flows that sum to -0.0: the map adds the survivor segment's
+        # closeout to them for a level below the boundary, or for level
+        # 0, and must keep the sign bit of the survivor stratum's payoff
         m = self.m
         schedule = CashflowSchedule.from_flows([(1.0, -0.0)])
         for counterparty in (None, m.counterparty):
-            simulator = oracle._first_default(
+            boundaries, payoffs, paid_all, _ = oracle._first_default(
                 m.market, m.investor, counterparty, 0.4, 0.02, schedule, m.closeout
             )
-            screens = simulator[0]
-            w = np.array([screens, np.zeros(len(screens))])  # located, then screened
-            got = path_payoffs(simulator, w)
-            assert got.tobytes() == np.array([-0.0, -0.0]).tobytes()
+            below = np.nextafter(boundaries, 0.0)
+            levels = np.array([below, np.zeros(len(boundaries))]).T.copy()
+            got = np.empty(2)
+            payoffs(levels, got)
+            assert got.tobytes() == np.array([paid_all, paid_all]).tobytes()
+            assert np.array(paid_all).tobytes() == np.array(-0.0).tobytes()
 
-    def test_level_zero_under_a_screen_of_zero(self):
-        # a hazard of 1e307 overflows long before maturity: the screen is
-        # 0, so level 0 reaches the level map, whose survivor segment pays
-        # every flow (0 * inf would be NaN); bond recovery 1 keeps r_bar
-        # off lambda_bar
+    def test_level_zero_under_a_boundary_of_one_ulp(self):
+        # a hazard of 1e307 overflows long before maturity: only level 0
+        # survives, so the boundary is the least positive double, and the
+        # level map's survivor segment pays level 0 every flow (0 * inf
+        # would be NaN); bond recovery 1 keeps r_bar off lambda_bar
         m, table = self.m, TestSegmentTable()
         r_bar = internal_rate(m.market, m.investor, 1.0, 1e307)
         levels = np.array([[0.0, 0.0], [0.5, 0.0], [2.0**-53, 0.0], [0.0, 0.5]])
         for counterparty in (None, CreditCurve("C", TermCurve.flat(1e307))):
             with np.errstate(**cli._RUN_ERRSTATE):
-                simulator = oracle._first_default(
+                boundaries, payoffs, _, _ = oracle._first_default(
                     m.market, m.investor, counterparty, 1.0, 1e307, m.schedule, m.closeout
                 )
-                screens = simulator[0]
-                assert screens == (0.0,) * len(screens)
-                got = path_payoffs(simulator, levels[:, : len(screens)])
+                assert boundaries == (5e-324,) * len(boundaries)
+                w = levels[:, : len(boundaries)]
+                got = np.empty(len(w))
+                payoffs(np.ascontiguousarray(w.T), got)
             # both names' hazards are 1e307
             taus = CreditCurve("N", TermCurve.flat(1e307)).inverse_survival(levels)
             for (tau_i, tau_c), p in zip(taus.tolist(), got):
@@ -1125,14 +1195,15 @@ class TestSurvivorKnot:
         ]
         model = JointDefaultModel(investor, counterparty, 1.5)
         simulators.append(oracle._dependent_default(market, model, schedule, closeout))
-        assert len(built) == 2  # the two level maps; no grid lookup yet
-        for screens, payoffs, _, _ in simulators:
-            payoffs(np.full((len(screens), 3), 0.5), np.empty(3))
-        # the grid lookup, built by the one simulator that locates times
+        # the two level maps, and the grid lookup of the one simulator
+        # that locates times, which its boundary search built
+        assert len(built) == 3
+        for boundaries, payoffs, _, _ in simulators:
+            payoffs(np.full((len(boundaries), 3), 0.5), np.empty(3))
         assert len(built) == 3
         assert [lookup._steps for lookup in built] == [1] * 3
         # with the survivor knot, the grid lookup would take two passes
-        grid = built[-1].knots
+        grid = built[1].knots  # built second, by the independent simulator
         assert grid[-1] == schedule.maturity
         assert oracle._Locator(np.append(grid, np.nextafter(grid[-1], math.inf)))._steps == 2
 
@@ -1204,7 +1275,7 @@ def ulps_from(x: float, steps: int) -> float:
 
 
 @st.composite
-def screened_curves(draw, maturity):
+def credit_curves(draw, maturity):
     """Piecewise intensities with nodes at maturity, within ulps of it
     and elsewhere."""
     near = [ulps_from(maturity, k) for k in (-3, -1, 0, 1, 3)]
@@ -1222,47 +1293,24 @@ def screened_curves(draw, maturity):
         assume(False)
 
 
-def packed_levels(curve, maturity):
-    """Levels packed around the survival at maturity and the screen:
-    40 ulps either side, and 2**-20 relative either side."""
-    out = [0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53]
+def packed_levels(curve, maturity, boundary, rng):
+    """Levels packed around the survival at maturity and the boundary:
+    40 ulps either side, and 2**-20 relative either side; the ends of
+    ``[0, 1]``, and random levels."""
+    out = [0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53, *rng.random(200)]
     with np.errstate(over="ignore"):
         at_maturity = float(curve.survival(maturity))
-    for centre in (at_maturity, oracle._screen(curve, maturity)):
+    for centre in (at_maturity, boundary):
         out += [ulps_from(centre, k) for k in range(-40, 41)]
         out += [centre * (1.0 - 2.0**-20), centre * (1.0 + 2.0**-20)]
     return np.clip(out, 0.0, 1.0)
 
 
-@contextlib.contextmanager
-def spy_lengths(lengths):
-    """Note how many levels each call of a level map maps: each name's
-    own inverse survival map, and the hazard-level maps that one-name
-    simulators built while this is active return."""
-    own, levels = CreditCurve._inverse_survival, oracle._Segments.levels
-
-    def spying_own(curve, w):
-        lengths.append(len(w))
-        return own(curve, w)
-
-    def spying_levels(seg, intensity):
-        level = levels(seg, intensity)
-
-        def spying(w):
-            lengths.append(len(w))
-            return level(w)
-
-        return spying
-
-    with mock.patch.object(CreditCurve, "_inverse_survival", spying_own):
-        with mock.patch.object(oracle._Segments, "levels", spying_levels):
-            yield
-
-
-class TestScreen:
-    """The pipeline maps to default times only the paths whose level
-    reaches some name's screen; every other path survives past maturity,
-    paid the flow sum that the map pays a located survivor."""
+class TestBoundary:
+    """Each sampled name's survival boundary is exact under the map that
+    locates its levels, a one-name simulator's hazard-level map or a
+    two-name simulator's inverse survival maps: the double below it, and
+    every level below that, survives maturity, and it defaults."""
 
     market = MarketRates(TermCurve.flat(0.01), TermCurve.flat(0.005))
     investor = CreditCurve("I", TermCurve.flat(0.02))
@@ -1270,60 +1318,62 @@ class TestScreen:
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), maturity=st.sampled_from([0.25, 1.0, 5.0, 30.0, 1e5]))
-    def test_flat_screen_matches_strided_columns(self, data, maturity):
-        curves = [data.draw(screened_curves(maturity)) for _ in range(2)]
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        w = np.column_stack([rng.choice(packed_levels(c, maturity), 400) for c in curves])
-        w[rng.random(400) < 0.5] = 0.0  # survivors between the paths at risk
-        np.minimum(w, 1.0 - 2.0**-53, out=w)  # the largest draw: no level of 1
-        screens = tuple(oracle._screen(c, maturity) for c in curves)
-        for names in ([0], [1], [0, 1]):
-            block = np.ascontiguousarray(w[:, names])
-            chosen = tuple(screens[k] for k in names)
-            reached = [block[:, k] >= screen for k, screen in enumerate(chosen)]
-            want = np.flatnonzero(functools.reduce(np.logical_or, reached))
-            at_risk = oracle._screener(chosen)
-            if all(screen == 1.0 for screen in chosen):
-                assert at_risk is None and len(want) == 0  # no draw reaches 1
-            else:
-                np.testing.assert_array_equal(at_risk(block), want)
-
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), maturity=st.sampled_from([0.25, 1.0, 5.0, 30.0, 1e5]))
-    def test_screened_blocks_match_screen_off(self, data, maturity):
-        sampled = data.draw(screened_curves(maturity))
-        counterparty = data.draw(screened_curves(maturity))
+    def test_levels_below_the_boundary_survive(self, data, maturity):
+        sampled = data.draw(credit_curves(maturity))
+        counterparty = data.draw(credit_curves(maturity))
         schedule = CashflowSchedule.from_flows([(0.5 * maturity, -1.0), (maturity, 2.0)])
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        levels = [packed_levels(c, maturity) for c in (sampled, counterparty)]
-        pairs = np.column_stack([rng.choice(x, 400) for x in levels])
+        level_maps = []
+        levels = oracle._Segments.levels
+
+        def keep(seg, intensity):
+            level_maps.append((seg, levels(seg, intensity)))
+            return level_maps[-1][1]
+
         # bond recovery 1 keeps r_bar off lambda_bar, whatever its size
         simulators = [
             (oracle._first_default, (self.market, self.investor, None, 1.0, sampled.intensity),
-             (sampled,), pairs[:, :1]),
+             (sampled,)),
             (oracle._first_default,
              (self.market, self.investor, counterparty, 1.0, sampled.intensity),
-             (sampled, counterparty), pairs),
+             (sampled, counterparty)),
             (oracle._dependent_default,
              (self.market, JointDefaultModel(self.investor, counterparty, 0.0)),
-             (counterparty,), pairs[:, 1:]),
+             (counterparty,)),
         ]
-        for build, args, curves, w in simulators:
-            mapped = []
+        for build, args, curves in simulators:
+            level_maps.clear()
             try:
-                with spy_lengths(mapped):
-                    simulator = build(*args, schedule, self.closeout)
-                    out = path_payoffs(simulator, w)
+                with mock.patch.object(oracle._Segments, "levels", keep):
+                    boundaries = build(*args, schedule, self.closeout)[0]
             except InvariantError:  # a hazard past the copula's range
                 continue
-            screens = simulator[0]
-            with mock.patch.object(oracle, "_screen", lambda curve, maturity: 0.0):
-                screen_off = build(*args, schedule, self.closeout)
-            assert screen_off[0] == (0.0,) * len(curves)  # every path is mapped
-            assert out.tobytes() == path_payoffs(screen_off, w).tobytes()
-            # the screened block maps the paths that reach a screen, and
-            # only those; the others survive past maturity under each name
-            skipped = np.all(w < np.array(screens), axis=1)
-            assert mapped == [np.count_nonzero(~skipped)] * len(curves)
-            for n, curve in enumerate(curves):
-                assert np.all(curve.inverse_survival(w[skipped, n]) > maturity)
+            if len(curves) == 1:
+                ((seg, level),) = level_maps
+                maps = [lambda w: level(w)[0] == len(seg.grid)]
+            else:
+                maps = [lambda w, c=c: c.inverse_survival(w) > maturity for c in curves]
+            for curve, b, survives in zip(curves, boundaries, maps):
+                w = packed_levels(curve, maturity, b, rng)
+                assert survives(np.array([np.nextafter(b, 0.0), b])).tolist() == [True, False]
+                assert survives(w[w < b]).all()
+                if len(curves) == 1:
+                    # a hazard-level map is monotone; an inverse map can
+                    # round a level above b past a node at maturity, and
+                    # such a path is drawn and located as a survivor
+                    np.testing.assert_array_equal(survives(w), w < b)
+
+    def test_zero_recovery_bullet_is_exact(self):
+        # zero recoveries and one flow: every default pays exactly 0 and
+        # every survivor the flow, so strata on exact boundaries leave no
+        # variance, and the mean is v0 to rounding, for every seed; a
+        # boundary a little below the exact one draws survivors in the
+        # defaulting stratum
+        cfg = cli.load_config(ROOT / "configs" / "correlated_bond.json")
+        for theta in cfg.theta_sweep:
+            args = (cfg.market, JointDefaultModel(cfg.investor, cfg.counterparty, theta),
+                    cfg.schedule, cfg.closeout)
+            v0 = adjustment_correlated(*args, panels_per_year=cfg.panels_per_year).value()
+            for seed in range(17, 57):
+                mc = mc_value_correlated(*args, cfg.mc_paths, seed)
+                assert mc.std_error <= 1e-15 and abs(mc.mean - v0) <= 1e-12, (theta, seed, mc)
