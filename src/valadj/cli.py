@@ -56,7 +56,7 @@ SUMMARY_COLUMNS = "regime,lambda_bar_I,theta,v_X0,u0,v0,mc_mean,mc_stderr,mc_pat
 
 
 # Memory per panel grid point: the engine's float64 arrays and
-# temporaries for one sweep point (tracemalloc: 163 bytes at peak); one
+# temporaries for one sweep point (tracemalloc: 200 bytes at peak); one
 # profile row of the point being written, held three times (the rows,
 # the point's text and its encoded copy), each copy at most the row's
 # label plus _FLOAT_CHARS per value, plus _ROW_OVERHEAD_BYTES of object

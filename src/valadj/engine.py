@@ -13,11 +13,11 @@ The engine evaluates that integral directly rather than time-stepping
 the ODE: the time line is cut into panels at every curve node and flow
 date plus a uniform refinement (at least ``panels_per_year`` panels per
 year), the inner exponential is computed from exact cumulative
-integrals of ``alpha``, and the outer integral uses Simpson's rule
-inside each panel, where the integrand is smooth.  Panels are then
-chained backward with exact exponential propagation.  A flow exactly on
-a panel boundary still belongs to the future of the panel on its left,
-so right-endpoint evaluations use left limits of ``beta``.
+integrals of ``alpha``, and the outer integral uses the three-point
+Gauss-Legendre rule inside each panel, where the integrand is smooth.
+Panels are then chained backward with exact exponential propagation.
+The Gauss nodes lie inside the panels, so a flow or curve node on a
+panel edge, where ``beta`` jumps, is never read there.
 
 Two coefficient families are provided:
 
@@ -57,6 +57,10 @@ __all__ = [
 ]
 
 DEFAULT_PANELS_PER_YEAR = 512
+
+# three-point Gauss-Legendre rule on [0, 1]: exact for quintics
+_GAUSS_NODES = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
+_GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,37 +102,43 @@ def panel_grid(
     return np.union1d(base, inner) if inner else base
 
 
-def _coefficients(edges: np.ndarray, alpha, alpha_cumulative, beta) -> tuple:
+def _coefficients(edges: np.ndarray, alpha, alpha_cumulative, beta, left_ends=False) -> tuple:
     """What the solver reads on the panels between ``edges``: ``alpha`` and
-    ``(beta, v_X)`` on the edges, ``beta`` at the midpoints and its left
-    limits at the right ends, and ``int alpha`` over each panel's first
-    half and whole.  Raises :class:`InvariantError` where one is not finite."""
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    ``(beta, v_X)`` on the edges, ``beta`` and ``int alpha`` from each
+    panel's left edge at its Gauss nodes (one row per node) and ``int
+    alpha`` over each panel.  Raises :class:`InvariantError` where one is
+    not finite, or, with ``left_ends``, where ``beta``'s left limit at a
+    right end is not."""
+    # one node of every panel per row: each row is in time order, so the
+    # finiteness check names the earliest failure, and each call on a row
+    # holds temporaries of one grid's size
+    nodes = edges[:-1] + np.outer(_GAUSS_NODES, np.diff(edges))
     # an overflow shows as inf or NaN, which the check below names
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         alpha_edge = np.asarray(alpha(edges), dtype=float)
         beta_edge, vx_edge = np.asarray(beta(edges, False), dtype=float)
-        beta_mid = np.asarray(beta(mids, False)[0], dtype=float)
-        beta_end = np.asarray(beta(edges[1:], True)[0], dtype=float)
+        beta_node = np.array([beta(row, False)[0] for row in nodes], dtype=float)
         a_edge = np.asarray(alpha_cumulative(edges), dtype=float)
-        a_half = np.asarray(alpha_cumulative(mids), dtype=float) - a_edge[:-1]
+        a_node = np.array([alpha_cumulative(row) for row in nodes], dtype=float) - a_edge[:-1]
         a_full = a_edge[1:] - a_edge[:-1]
+        ends = beta(edges[1:], True)[0] if left_ends else ()
     _require_finite(
         ("alpha coefficient", edges, alpha_edge),
         ("beta coefficient", edges, beta_edge),
-        ("beta coefficient", mids, beta_mid),
-        ("beta coefficient", edges[1:], beta_end),
-        ("integrated alpha", mids, a_half),
+        *(("beta coefficient", row, values) for row, values in zip(nodes, beta_node)),
+        ("beta coefficient", edges[1:len(ends) + 1], np.asarray(ends, dtype=float)),
+        *(("integrated alpha", row, values) for row, values in zip(nodes, a_node)),
         ("integrated alpha", edges[1:], a_full),
     )
-    return alpha_edge, beta_edge, vx_edge, beta_mid, beta_end, a_half, a_full
+    return alpha_edge, beta_edge, vx_edge, beta_node, a_node, a_full
 
 
 def _check_coefficients(alpha, alpha_cumulative, beta, breakpoints, *, maturity: float) -> None:
-    """:func:`_coefficients` on 0, the breakpoints and ``maturity`` only.
-    Between breakpoints each coefficient is constant, linear or one
-    exponential (the first-to-default factors are monotone), so where it
-    is finite at both ends it is on every panel grid.
+    """:func:`_coefficients` on 0, the breakpoints and ``maturity`` only,
+    with ``beta``'s left limits at the right ends.  Between breakpoints
+    each coefficient is constant, linear or one exponential (the
+    first-to-default factors are monotone), so where it is finite at both
+    ends it is on every panel grid.
 
     Where one is not, the error names the time it breaks: the first
     double after the last edge before the failing point at which a
@@ -138,7 +148,7 @@ def _check_coefficients(alpha, alpha_cumulative, beta, breakpoints, *, maturity:
 
     def check(panel):
         try:
-            _coefficients(panel, alpha, alpha_cumulative, beta)
+            _coefficients(panel, alpha, alpha_cumulative, beta, left_ends=True)
         except InvariantError as exc:
             return exc
         return None
@@ -182,24 +192,22 @@ def solve_linear_adjustment(
     beta : callable
         ``(t, left) -> (beta(t), v_X(t))``: the coefficient and the
         collateral-rate value it is built from, right-continuous, or
-        their left limits when ``left`` is true (used at panel
-        right-endpoints).  The right-continuous ``v_X`` on the panel
-        edges is reported alongside ``u``.
+        their left limits when ``left`` is true (read only by
+        :func:`_check_coefficients`).  The ``v_X`` on the panel edges is
+        reported alongside ``u``.
 
     Every callable accepts numpy arrays of times; the coefficients may
     jump only at ``breakpoints``.
     """
     edges = panel_grid(maturity, breakpoints, panels_per_year)
-    alpha_edge, beta_edge, vx_edge, beta_mid, beta_end, a_half, a_full = _coefficients(
+    alpha_edge, beta_edge, vx_edge, beta_node, a_node, a_full = _coefficients(
         edges, alpha, alpha_cumulative, beta
     )
-    widths = np.diff(edges)
 
     # overflow here is handled by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        w_mid = np.exp(-a_half)
         w_end = np.exp(-a_full)
-        local = (widths / 6.0) * (beta_edge[:-1] + 4.0 * beta_mid * w_mid + beta_end * w_end)
+        local = np.diff(edges) * (_GAUSS_WEIGHTS @ (beta_node * np.exp(-a_node)))
 
     # the recurrence on Python floats: the same IEEE doubles as numpy's
     # scalars, without one per panel; an overflow gives inf silently

@@ -180,7 +180,8 @@ def _boundary(curve: CreditCurve, seg: _Segments, level_map) -> float:
     """The least level ``b`` in ``[0, 1]`` that ``level_map``, from an
     array of ``curve``'s levels to their segments of ``seg`` (the first
     of what it returns), keeps out of the survivor segment: the double
-    below ``b`` survives maturity.
+    below ``b`` survives maturity.  The search reads the map only at the
+    levels it samples, so every level below ``b`` survives if it is monotone.
 
     Level 0 survives and level 1 defaults (at time 0) under every map; the
     search brackets ``b`` between their bit patterns, which order the

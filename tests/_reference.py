@@ -1,6 +1,6 @@
 """Independent reference computations used as test oracles.
 
-Nothing here touches the engine's panel/Simpson machinery: flat-curve
+Nothing here touches the engine's panel/quadrature machinery: flat-curve
 scenarios integrate the adjustment interval by interval in closed form,
 and the general case uses a dense trapezoid rule with a cumulative
 inner integral.  Agreement between these routes and the engine is the

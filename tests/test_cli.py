@@ -68,9 +68,13 @@ def shipped_config(name, counterparty=None, flows=None, theta=None, amount=1.0):
 
 def propagation_overflow_doc():
     """A config whose set-up is finite, so it validates, and whose run
-    overflows in panel propagation: with a counterparty hazard of 9e307,
-    Simpson's ``4 * beta_mid`` term is past the largest double."""
-    return shipped_config("correlated_bond", counterparty=9e307, flows=[1.0], theta=[0.0])
+    overflows in panel propagation: the risk-free rate is 800 until 0.5
+    and -1600 after, so the flow discounted to 0 is about ``exp(400)``,
+    but to a time ``t`` after 0.5 it is ``exp(1600 (1 - t))``, past the
+    largest double before ``t = 0.557``."""
+    doc = shipped_config("correlated_bond", flows=[1.0], theta=[0.0])
+    doc["market"]["risk_free"] = [{"t": 0.0, "value": 800.0}, {"t": 0.5, "value": -1600.0}]
+    return doc
 
 
 def correlated_config(**overrides):
@@ -817,8 +821,9 @@ class TestRun:
     def test_payoffs_whose_squares_overflow(self, tmp_path, capsys):
         # no path defaults, and each is paid exp(-int r_bar) = exp(399.988)
         # ~ 5.2e173, whose square overflows: the simulation reduces the
-        # payoffs scaled by a power of two.  The solver's Simpson panels
-        # are off by (h alpha)**4 / 2880 relative, 3e-8 at 4096 a year
+        # payoffs scaled by a power of two.  The solver's Gauss panels
+        # are off by about (h alpha)**6 / 2016000 relative, 6e-13 at
+        # 4096 a year
         doc = base_config(
             market={"risk_free": -400.0, "collateral": 0.005},
             sweep={"lambda_bar": [0.0]},

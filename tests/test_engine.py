@@ -90,8 +90,8 @@ class TestSolver:
 
     def test_non_finite_coefficient_names_its_first_time(self):
         # beta is NaN after 0.6: with four panels a year the edges 0.75
-        # and 1 fail, and so do the midpoints 0.625 and 0.875; the error
-        # names the earliest of them, a midpoint
+        # and 1 fail, and so do the Gauss nodes past 0.6; the error names
+        # the earliest of them, the midpoint of [0.5, 0.75]
         def beta(t, left):
             t = np.asarray(t, float)
             return np.where(t > 0.6, np.nan, 0.01), np.zeros_like(t)
@@ -134,8 +134,9 @@ class TestSolver:
 def test_collateral_value_once_per_coefficient_grid(
     regime, monkeypatch, flat_market, investor, counterparty, closeout, mixed
 ):
-    # edges, midpoints and left limits at the right ends: the reported
-    # v_X on the edges is the one beta was built from, not a fourth call
+    # the edges, then each of the three Gauss nodes of every panel: the
+    # reported v_X on the edges is the one beta was built from, not a
+    # fifth call
     points = []
 
     def counted(schedule, collateral, t, left=False):
@@ -152,7 +153,7 @@ def test_collateral_value_once_per_coefficient_grid(
         model = JointDefaultModel(investor, counterparty, 1.0)
         prof = adjustment_correlated(flat_market, model, mixed, closeout)
     n = len(prof.grid)
-    assert points == [(n, False), (n - 1, False), (n - 1, True)]
+    assert points == [(n, False)] + [(n - 1, False)] * 3
     np.testing.assert_array_equal(prof.v_x, real(mixed, flat_market.collateral, prof.grid))
 
 
@@ -318,6 +319,25 @@ class TestCorrelatedRegime:
         )
         np.testing.assert_array_equal(a.grid, b.grid)
         assert abs(a.adjustment() - b.adjustment()) <= 1e-15
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 3.0])
+    def test_zero_recovery_bullet_at_sixteen_panels_a_year(self, theta):
+        # correlated_bond.json: the flow is paid only if neither name has
+        # defaulted, so v0 = exp(-r T) U(T, T).  The Monte Carlo oracle is
+        # exact there, with a standard error of 0, so the engine must be
+        # within 1e-12 of it at any grid the benchmark runs, 16 panels a
+        # year included (Simpson's rule was 1.03e-12 off at theta = 3)
+        market = MarketRates(TermCurve.flat(0.01), TermCurve.flat(0.005))
+        model = JointDefaultModel(
+            CreditCurve("I", TermCurve.flat(0.02)), CreditCurve("C", TermCurve.flat(0.03)), theta
+        )
+        prof = adjustment_correlated(
+            market, model, CashflowSchedule.from_flows([(1.0, 1.0)]),
+            CloseoutSpec(recovery_investor=0.0, recovery_counterparty=0.0), panels_per_year=16,
+        )
+        assert prof.value() == pytest.approx(
+            math.exp(-0.01) * float(model.joint_survival(1.0, 1.0)), abs=1e-14
+        )
 
     @pytest.mark.parametrize("theta", [5e-324, 1e-300, 1e-22])
     def test_product_law_below_threshold(self, counterparty, closeout, mixed, theta):
