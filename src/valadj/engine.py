@@ -16,8 +16,8 @@ year), the inner exponential is computed from exact cumulative
 integrals of ``alpha``, and the outer integral uses the three-point
 Gauss-Legendre rule inside each panel, where the integrand is smooth.
 Panels are then chained backward with exact exponential propagation.
-The Gauss nodes lie inside the panels, so a flow or curve node on a
-panel edge, where ``beta`` jumps, is never read there.
+The Gauss nodes lie inside the panels, so the integral never reads
+``beta`` on a panel edge, where a flow or curve node can make it jump.
 
 Two coefficient families are provided:
 
@@ -121,12 +121,12 @@ def _coefficients(edges: np.ndarray, alpha, alpha_cumulative, beta, left_ends=Fa
         a_edge = np.asarray(alpha_cumulative(edges), dtype=float)
         a_node = np.array([alpha_cumulative(row) for row in nodes], dtype=float) - a_edge[:-1]
         a_full = a_edge[1:] - a_edge[:-1]
-        ends = beta(edges[1:], True)[0] if left_ends else ()
+        ends = np.asarray(beta(edges[1:], True)[0] if left_ends else beta_edge[1:], dtype=float)
     _require_finite(
         ("alpha coefficient", edges, alpha_edge),
         ("beta coefficient", edges, beta_edge),
         *(("beta coefficient", row, values) for row, values in zip(nodes, beta_node)),
-        ("beta coefficient", edges[1:len(ends) + 1], np.asarray(ends, dtype=float)),
+        ("beta coefficient", edges[1:], ends),
         *(("integrated alpha", row, values) for row, values in zip(nodes, a_node)),
         ("integrated alpha", edges[1:], a_full),
     )

@@ -326,7 +326,7 @@ class TestCorrelatedRegime:
         # defaulted, so v0 = exp(-r T) U(T, T).  The Monte Carlo oracle is
         # exact there, with a standard error of 0, so the engine must be
         # within 1e-12 of it at any grid the benchmark runs, 16 panels a
-        # year included (Simpson's rule was 1.03e-12 off at theta = 3)
+        # year included
         market = MarketRates(TermCurve.flat(0.01), TermCurve.flat(0.005))
         model = JointDefaultModel(
             CreditCurve("I", TermCurve.flat(0.02)), CreditCurve("C", TermCurve.flat(0.03)), theta
