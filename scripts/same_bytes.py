@@ -17,15 +17,19 @@ It compares every CSV written, stdout, stderr and the exit code, prints
 one table row per run and exits 1 on any difference.  Under a run whose
 CSVs differ it names each differing cell by file, line and column, with
 both values and their relative change (at most ``MAX_CELLS`` per file).
-A closing line counts the runs that differ only in Monte Carlo estimates
-(``mc_mean``/``mc_stderr`` cells and the ``mc=`` text of stdout) and
-gives their largest relative change.  REV is checked out in a temporary
+Under each run that differs only in Monte Carlo estimates
+(``mc_mean``/``mc_stderr`` cells and the ``mc=`` text of stdout) it
+prints the largest ``|mc_mean - v0| / mc_stderr`` of its summary rows,
+with REV's ``src/`` and with this tree's, and a closing line counts those
+runs and gives their largest relative change.  REV is checked out in a temporary
 ``git worktree``, removed when done.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -166,6 +170,18 @@ def mc_only_change(before: tuple, after: tuple, notes: list, cells: list) -> flo
     return None if None in changes else max(changes)
 
 
+def worst_z(files: dict) -> float:
+    """The largest ``|mc_mean - v0| / mc_stderr`` over the summary rows
+    of a run's CSVs, ``{file name: bytes}``, whose standard error is
+    positive; nan where no row has one."""
+    zs = []
+    for data in files.values():
+        for row in csv.DictReader(io.StringIO(data.decode())):
+            if row.get("v0") and row.get("mc_stderr") and float(row["mc_stderr"]) > 0.0:
+                zs.append(abs(float(row["mc_mean"]) - float(row["v0"])) / float(row["mc_stderr"]))
+    return max(zs, default=math.nan)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the git revision to compare with, e.g. HEAD~1")
@@ -210,6 +226,9 @@ def main() -> int:
                         change = mc_only_change(before, after, notes, cells)
                         if change is not None:
                             mc_only.append(change)
+                            z_rev, z_tree = (worst_z(side[3]) for side in (before, after))
+                            print(f"    worst |mc_mean - v0| / mc_stderr: {z_rev:.3g} at "
+                                  f"{args.rev}, {z_tree:.3g} in the tree")
             print(f"{runs - differ} of {runs} runs identical to {args.rev}")
             largest = f", largest relative change {max(mc_only):.3g}" if mc_only else ""
             print(

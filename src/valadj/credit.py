@@ -32,11 +32,11 @@ is identical at double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TermCurve, _Locator
+from .curves import TermCurve
 
 __all__ = [
     "CreditCurve",
@@ -60,17 +60,12 @@ class CreditCurve:
 
     name: str
     intensity: TermCurve
-    # the cumulative hazard at the nodes after 0, which inverse_survival
-    # locates levels among; None on a flat curve
-    _levels: _Locator | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("credit curve needs a name")
         if any(v < 0.0 for v in self.intensity.values):
             raise ValueError("default intensity must be non-negative")
-        cum = self.intensity._cum
-        object.__setattr__(self, "_levels", _Locator(cum[1:]) if len(cum) > 1 else None)
 
     def cumulative_hazard(self, t):
         return self.intensity.cumulative(t)
@@ -88,20 +83,16 @@ class CreditCurve:
         (e.g. a tail intensity of zero, or ``w = 0``).
 
         Each level takes only its own branch: on a flat curve
-        ``tau = -log(w) / lam`` with no lookup; on a piecewise curve a
-        bucket lookup among the cumulative hazards at the nodes picks the
-        segment, whose constants are gathered once, and the tail past the
-        last node is the unbounded last segment.  NaN levels are rejected
-        with the out-of-range ones.
+        ``tau = -log(w) / lam``; on a piecewise curve a search among the
+        cumulative hazards at the nodes picks the segment, whose time is
+        clamped at its end node (the formula can overshoot it by a few
+        ulps), and the tail past the last node is the unbounded last
+        segment.  NaN levels are rejected with the out-of-range ones.
         """
         w_arr = np.asarray(w, dtype=float)
         # NaN fails both comparisons
         if w_arr.size and not (w_arr.min() >= 0.0 and w_arr.max() <= 1.0):
             raise ValueError("survival levels must lie in [0, 1]")
-        return _scalar(self._inverse_survival(w_arr))
-
-    def _inverse_survival(self, w_arr: np.ndarray) -> np.ndarray:
-        """:meth:`inverse_survival` of a float array already in [0, 1]."""
         with np.errstate(divide="ignore"):
             # 0.0 - log(w) is +0.0 at w = 1, where -log(w) is -0.0
             target = 0.0 - np.log(w_arr)
@@ -114,19 +105,20 @@ class CreditCurve:
             with np.errstate(over="ignore"):  # a subnormal intensity: tau = inf
                 out = target / lam[0]
         else:
-            cum = self.intensity._cum
-            k = self._levels(target, "left")
+            times, cum = self.intensity._times, self.intensity._cum
+            k = np.searchsorted(cum[1:], target, side="left")
             # a zero-intensity segment spans no levels (a leading one is
             # reached only at w = 1): it adds 0 to its start time
             rate = np.where(lam > 0.0, lam, np.inf)
+            end = np.append(times[1:], np.inf)
             # inf/inf at w = 0 and on a zero tail; a subnormal intensity
             # overflows to tau = inf
             with np.errstate(over="ignore", invalid="ignore"):
-                out = self.intensity._times[k] + (target - cum[k]) / rate[k]
+                out = np.minimum(times[k] + (target - cum[k]) / rate[k], end[k])
             if lam[-1] == 0.0:
                 # a zero tail never reaches the levels past the last node
                 out = np.where(k < nseg, out, np.inf)
-        return out
+        return _scalar(out)
 
 
 def _log_clayton(h_i, h_c, theta: float):

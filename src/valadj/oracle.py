@@ -16,51 +16,52 @@ nodes of every curve the payoff reads (``_Segments``), and checked: a
 set-up whose payoffs could overflow raises ``InvariantError``, naming
 the quantity and the time, before any path is drawn.
 
+Every simulator samples one time, ``tau``, from one hazard that is
+constant on each segment of ``G``.  Independent defaults are competing
+risks: the first default arrives at ``lambda_bar + lambda_C``, and it is
+the counterparty's with probability ``lambda_C / (lambda_bar +
+lambda_C)``, so a default settles that mix of the two closeouts, the
+payoff's conditional expectation given ``tau``.  Dependent defaults
+sample ``tau_C`` alone.
+
 Paths are stratified (proportional allocation: Glasserman, *Monte Carlo
-Methods in Financial Engineering*, 2003, section 4.3) on each sampled
-name's survival boundary ``b_k``: the least double in ``[0, 1]`` that the
-name's own map sends to a default by maturity, found by a search over
-the doubles; every level below it survives.  The survivor stratum,
-every name below its boundary, has probability ``prod b_k`` and pays
-every flow, with no draw.  Stratum ``k``, of probability ``p_k =
-prod_{j<k} b_j (1 - b_k)``, sets names ``j < k`` to level 0 (certain
-survival), name ``k`` to ``b_k + (1 - b_k) u`` (at most 1, a default at
-time 0) and draws names ``j > k`` freely; if ``p_k > 0`` it draws
-``n_k = max(2, round(paths * p_k))`` paths.  The estimate is ``prod b_k
-* paid_all + sum p_k mean_k``, with standard error ``sqrt(sum p_k**2
-M2_k / (n_k - 1) / n_k)``; ``McEstimate.paths`` stays ``paths``.  Where
-no name can default every boundary is 1: nothing is drawn, and the
-estimate is the flow sum with a standard error of 0.  Stratification is
-the one variance reduction applied: its strata read only the credit
-curves, never the solver's numerics, so the oracle stays independent of
-the engine it checks.
+Methods in Financial Engineering*, 2003, section 4.3) on the survival
+boundary ``b``: the least double in ``[0, 1]`` that the level map sends
+to a default by maturity, found by a search over the doubles; every
+level below it survives.  The survivor stratum, of probability ``b``,
+pays every flow with no draw.  The at-risk stratum, of probability ``p
+= 1 - b``, draws ``n = max(2, round(paths * p))`` paths, each at level
+``b + p u`` (at most 1, a default at time 0).  The estimate is ``b *
+paid_all + p * mean``, with standard error ``p * sqrt(M2 / (n - 1) /
+n)``; ``McEstimate.paths`` stays ``paths``.  Where nothing can default
+``b`` is 1: nothing is drawn, and the estimate is the flow sum with a
+standard error of 0.  Stratification is the one variance reduction
+applied: it reads only the credit curves, never the solver's numerics,
+so the oracle stays independent of the engine it checks.
 
 Randomness contract: draws come from numpy's ``PCG64`` generator seeded
 with the seed (through ``SeedSequence``, so any non-negative integer is a
-seed).  The strata draw in turn from the one stream, path by path: with
-``N`` names, path ``i`` of stratum ``k`` consumes draws ``o_k + (N-k)*i
-.. o_k + (N-k)*(i+1) - 1``, after the ``o_k`` draws of the strata before
-it.  ``PCG64`` emits one 64-bit word per double, so a worker owning
-paths ``[p0, p1)`` of stratum ``k`` reproduces its slice exactly from
-``PCG64(seed).advance(o_k + (N-k) * p0)``, for any ``p0``.
+seed).  Path ``i`` of the at-risk stratum takes draw ``i`` of the stream.
+``PCG64`` emits one 64-bit word per double, so a worker owning paths
+``[p0, p1)`` reproduces its slice exactly from ``PCG64(seed).advance(p0)``,
+for any ``p0``.
 
 Blocks of ``_BLOCK`` paths draw into one reused buffer, continuing the
-stream, and write each name's levels as a contiguous row.  The payoff
-map locates each path by one bucket lookup, of its hazard level with one
-sampled name or of its first default time with two, in ``G`` (past
-maturity the survivor segment ``len(G)``: every flow, no closeout); a
-few gathers and one ``exp`` give its payoff, written into one chunk
-buffer.  A chunk of ``_CHUNK`` paths reduces, in path order, to ``(n,
-mean, M2)`` with the two passes of ``np.var``, and a stratum's chunks
-merge in index order by the update of Chan, Golub & LeVeque (1979):
-memory is ``O(chunk + block)``.  Payoffs whose squares could overflow
-are reduced scaled by a power of two, undone exactly.  Payoffs come from
-elementwise operations that do not depend on the length or stride of
-their arrays, so estimates are bit-identical for every block size.
+stream.  The payoff map locates each path by one bucket lookup of its
+hazard level in ``G`` (past maturity the survivor segment ``len(G)``:
+every flow, no closeout); a few gathers and one ``exp`` give its payoff,
+written into one chunk buffer.  A chunk of ``_CHUNK`` paths reduces, in
+path order, to ``(n, mean, M2)`` with the two passes of ``np.var``, and
+the chunks merge in index order by the update of Chan, Golub & LeVeque
+(1979): memory is ``O(chunk + block)``.  Payoffs whose squares could
+overflow are reduced scaled by a power of two, undone exactly.  Payoffs
+come from elementwise operations that do not depend on the length or
+stride of their arrays, so estimates are bit-identical for every block
+size.
 
-Default times map from uniforms through the inverse survival function;
-``inf`` means the name never defaults on the path.  For dependent
-defaults the copula is sampled by conditional inversion:
+:func:`sample_joint_defaults` maps uniforms to default times through the
+inverse survival function; ``inf`` means the name never defaults on the
+path.  It samples the copula by conditional inversion:
 
     u = w1
     v = ((w2**(-theta/(1+theta)) - 1) * u**-theta + 1)**(-1/theta)
@@ -78,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .credit import CreditCurve, JointDefaultModel, _conditional_inverse, _log_clayton
-from .curves import MarketRates, TermCurve, _Locator, as_curve
+from .curves import MarketRates, TermCurve, _Locator, as_curve, combined
 from .errors import _require_finite
 from .instruments import CashflowSchedule, CloseoutSpec, closeout_values, collateral_value
 from .measure import internal_rate
@@ -120,78 +121,59 @@ def _generator(paths: int, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _strata(paths: int, boundaries: tuple) -> list:
-    """``(k, p_k, n_k)`` for each stratum ``k`` of positive probability
-    ``p_k``: the paths on which name ``k`` is the first to reach its
-    boundary, of which ``n_k`` are drawn."""
-    strata, below = [], 1.0
-    for k, b in enumerate(boundaries):
-        p = below * (1.0 - b)
-        if p > 0.0:
-            strata.append((k, p, max(2, round(paths * p))))
-        below *= b
-    return strata
-
-
-def _simulate(paths: int, seed: int, boundaries: tuple, payoffs, paid_all, bound) -> McEstimate:
+def _simulate(paths: int, seed: int, boundary: float, payoffs, paid_all, bound) -> McEstimate:
     """The estimate from the discounted payoffs of ``paths`` paths, each
-    at most ``bound`` in magnitude, stratified on ``boundaries``: each
-    stratum's paths draw, in blocks that continue the generator's stream,
-    one uniform per name from its own on, and ``payoffs(levels, out)``
-    writes a block's payoffs, from its levels (a row per name), into the
-    next slice of one chunk buffer."""
+    at most ``bound`` in magnitude, stratified on ``boundary``: the
+    at-risk stratum's paths draw one uniform each, in blocks that continue
+    the generator's stream, and ``payoffs(levels, out)`` writes a block's
+    payoffs, from its levels, into the next slice of one chunk buffer."""
     gen = _generator(paths, seed)
     scale = _scale(paths, bound)
-    strata = _strata(paths, boundaries)
-    x = np.empty(min(_CHUNK, max((n for _, _, n in strata), default=0)))
+    p = 1.0 - boundary
+    at_risk = max(2, round(paths * p)) if p > 0.0 else 0
+    x = np.empty(min(_CHUNK, at_risk))
     size = min(_BLOCK, len(x))  # blocks end at chunk ends
-    names = len(boundaries)
-    draws = np.empty(size * names)
-    levels = np.empty((names, size))
-    mean, variance = math.prod(boundaries) * paid_all, 0.0
-    for k, p, n_k in strata:
-        b = boundaries[k]
-        levels[:k] = 0.0  # the names before k survive
-        chunks = []
-        for first in range(0, n_k, _CHUNK):
-            n = min(_CHUNK, n_k - first)
-            for start in range(0, n, size):
-                m = min(size, n - start)
-                w = draws[: m * (names - k)].reshape(m, names - k)
-                gen.random(out=w)
-                row = np.multiply(w[:, 0], 1.0 - b, out=levels[k, :m])
-                row += b
-                levels[k + 1 :, :m] = w[:, 1:].T
-                payoffs(levels[:, :m], x[start : start + m])
-            y = x[:n]
-            y *= scale  # exact, 1 unless squares could overflow
-            # np.var's two passes, in place: no BLAS dot, whose order varies
-            chunk_mean = float(np.mean(y))
-            y -= chunk_mean
-            np.square(y, out=y)
-            chunks.append((n, chunk_mean, float(np.sum(y))))
+    levels = np.empty(size)
+    chunks = []
+    for first in range(0, at_risk, _CHUNK):
+        n = min(_CHUNK, at_risk - first)
+        for start in range(0, n, size):
+            w = gen.random(out=levels[: min(size, n - start)])
+            w *= p
+            w += boundary
+            payoffs(w, x[start : start + len(w)])
+        y = x[:n]
+        y *= scale  # exact, 1 unless squares could overflow
+        # np.var's two passes, in place: no BLAS dot, whose order varies
+        chunk_mean = float(np.mean(y))
+        y -= chunk_mean
+        np.square(y, out=y)
+        chunks.append((n, chunk_mean, float(np.sum(y))))
+    mean, variance = boundary * paid_all, 0.0
+    if chunks:
         n, chunk_mean, m2 = functools.reduce(_merge, chunks)
         mean += p * (chunk_mean / scale)
         variance += p * p * (m2 / (n - 1) / n)
     return McEstimate(mean=mean, std_error=math.sqrt(variance) / scale, paths=paths, seed=seed)
 
 
-def _boundary(curve: CreditCurve, seg: _Segments, level_map) -> float:
+def _boundary(intensity: TermCurve, seg: _Segments, level_map) -> float:
     """The least level ``b`` in ``[0, 1]`` that ``level_map``, from an
-    array of ``curve``'s levels to their segments of ``seg`` (the first
-    of what it returns), keeps out of the survivor segment: the double
-    below ``b`` survives maturity.  The search reads the map only at the
-    levels it samples, so every level below ``b`` survives if it is monotone.
+    array of levels of the hazard ``intensity`` to their segments of
+    ``seg`` (the first of what it returns), keeps out of the survivor
+    segment: the double below ``b`` survives maturity.  The search reads
+    the map only at the levels it samples, so every level below ``b``
+    survives if it is monotone.
 
     Level 0 survives and level 1 defaults (at time 0) under every map; the
     search brackets ``b`` between their bit patterns, which order the
     doubles in ``[0, 1]``.  One vectorised call places it among levels 0,
-    1, 2, 4, ... ulps either side of ``curve``'s survival at maturity,
-    within a few ulps of ``b``, and each further call among 63 levels
-    evenly spaced in the bracket, down to adjacent doubles."""
+    1, 2, 4, ... ulps either side of the survival at maturity, within a
+    few ulps of ``b``, and each further call among 63 levels evenly spaced
+    in the bracket, down to adjacent doubles."""
     lo, hi = 0, int(_ONE_BITS)
     with np.errstate(over="ignore"):
-        guess = np.float64(curve.survival(seg.maturity)).view(np.int64)
+        guess = np.exp(-np.float64(intensity.cumulative(seg.maturity))).view(np.int64)
     bits = np.unique(np.clip(guess + _LADDER, lo + 1, hi - 1))
     while hi - lo > 1:
         alive = level_map(bits.view(np.float64))[0] == len(seg.grid)
@@ -273,9 +255,9 @@ class _Segments:
       a long segment.
 
     ``log_discount`` is the log of the weight of a flow paid at each
-    grid time.  A path is located by one bucket lookup
-    (:class:`~valadj.curves._Locator`), past maturity in the survivor
-    segment ``len(grid)`` (see :func:`_survivor_row`).
+    grid time.  A path is located by one bucket lookup of its hazard
+    level (:meth:`levels`), past maturity in the survivor segment
+    ``len(grid)`` (see :func:`_survivor_row`).
     """
 
     def __init__(self, schedule: CashflowSchedule, collateral, grid, log_discount):
@@ -291,9 +273,7 @@ class _Segments:
         prefix = np.concatenate(([0.0], np.cumsum(weighted)))
         self.paid_all = float(prefix[-1])
         left = np.searchsorted(times, grid, side="left")
-        # the survivor segment starts just past maturity, paid every flow;
-        # the lookup leaves its start out (see _survivors)
-        self._starts = np.append(grid, np.nextafter(self.maturity, math.inf))
+        # the survivor segment, past maturity, is paid every flow
         self.paid_before, self.paid_upto = (np.append(prefix[k], prefix[-1]) for k in (left, upto))
 
         nxt = np.minimum(upto, len(times) - 1)  # first flow after g_j
@@ -304,26 +284,13 @@ class _Segments:
         self.log_vx = np.where(done, 0.0, h_x - h_x[flow_at[nxt]])
         self.rate_x = np.where(done, 0.0, collateral.value(grid))
 
-    @functools.cached_property
-    def _lookup(self) -> _Locator:
-        # built on the first locate: the one-name simulators use levels
-        return _Locator(self.grid)
-
-    def locate(self, tau: np.ndarray):
-        """Default times' segments ``j``, times ``dt`` in them and flows paid;
-        clips ``tau`` in place."""
-        # a finite dt keeps the survivor segment's -0.0 * dt from NaN
-        np.minimum(tau, self._starts[-1], out=tau)
-        j = self._survivors(self._lookup(tau, "right") - 1, tau, self._starts[-1])
-        dt = tau - self._starts[j]
-        return j, dt, self._paid(j, dt)
-
     def levels(self, intensity: TermCurve):
-        """Levels ``w`` to :meth:`locate` of their default times, for a name
-        whose ``intensity`` is constant on each segment: ``-log w`` (at
-        most the largest double) is looked up among its cumulative hazards
-        ``H`` on the grid and just past ``H(maturity)``, a knot repeated by
-        zero hazard raised one ulp, then ``dt = (-log w - H[j]) / lam_j``."""
+        """The map from survival levels ``w`` of a hazard ``intensity``,
+        constant on each segment, to their default times' segments ``j``,
+        times ``dt`` in them and flows paid: ``-log w`` (at most the
+        largest double) is looked up among the cumulative hazards ``H`` on
+        the grid and just past ``H(maturity)``, a knot repeated by zero
+        hazard raised one ulp, then ``dt = (-log w - H[j]) / lam_j``."""
         top = sys.float_info.max
         with np.errstate(over="ignore", divide="ignore"):
             past = np.nextafter(intensity.cumulative(self.maturity), math.inf)
@@ -369,22 +336,20 @@ def _survivor_row(*columns):
     return [np.append(c, -0.0) for c in columns]
 
 
-def _check_payoffs(seg: _Segments, settles, log_scale, slope) -> float:
+def _check_payoffs(seg: _Segments, settle, log_scale, slope) -> float:
     """Raise :class:`InvariantError` where a payoff of ``seg`` is not
     finite, and return a bound on every payoff's magnitude.  A default
     ``dt`` into segment ``j`` is paid its flows and ``settle[j] *
-    exp(log_scale[j] + slope[j] * dt)`` for one of ``settles`` (the
-    exponent may be an upper bound): monotone in ``dt``, so the payoffs
-    at a segment's two ends bound those inside it."""
+    exp(log_scale[j] + slope[j] * dt)`` (the exponent may be an upper
+    bound): monotone in ``dt``, so the payoffs at a segment's two ends
+    bound those inside it."""
     at = (seg.grid, seg.grid, seg.grid + seg.span)
     paid = (seg.paid_before[:-1], seg.paid_upto[:-1], seg.paid_upto[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
         start = np.exp(log_scale)
         growth = (start, start, np.exp(log_scale + slope * seg.span))
         closeouts = [
-            ("discounted closeout", t, p + k * g)
-            for k in settles
-            for t, p, g in zip(at, paid, growth)
+            ("discounted closeout", t, p + settle * g) for t, p, g in zip(at, paid, growth)
         ]
     checks = [("discounted flows", seg.grid, paid[1]), *closeouts]
     _require_finite(*checks)
@@ -402,14 +367,18 @@ def _first_default(
 ):
     """The first-default simulator, its constants built once.
 
-    The investor defaults at its internal intensity, the counterparty
-    (if any; ``None`` never defaults) at its market intensity.  Payoffs
-    are discounted at the deterministic internal rate ``r_bar``: flows
-    are paid while both names are alive, then the closeout of whoever
-    defaults first (if before maturity).  Returns ``(boundaries, payoffs,
-    paid_all, bound)`` for :func:`_simulate`: each sampled name's
-    survival boundary, the map from levels to payoffs, a survivor's
-    payoff and a bound on every payoff's magnitude.
+    The investor defaults at its internal intensity ``lambda_bar``, the
+    counterparty (if any; ``None`` never defaults) independently at its
+    market intensity ``lambda_C``.  Payoffs are discounted at the
+    deterministic internal rate ``r_bar``: flows are paid while both
+    names are alive, then the closeout of whoever defaults first (if
+    before maturity).  The first default arrives at the hazard
+    ``lambda_bar + lambda_C`` and is the counterparty's with probability
+    ``s = lambda_C / (lambda_bar + lambda_C)``, so a default settles ``k_I
+    + s (k_C - k_I)``, the closeout's expectation given the time.
+    Returns ``(boundary, payoffs, paid_all, bound)`` for
+    :func:`_simulate`: the survival boundary, the map from levels to
+    payoffs, a survivor's payoff and a bound on every payoff's magnitude.
 
     The closeout is positively homogeneous in ``v_X``, so on a segment
     it is the closeout of ``owed`` times one exponential, which also
@@ -417,42 +386,30 @@ def _first_default(
     """
     lam_bar = as_curve(lambda_bar)
     r_bar = internal_rate(market, investor, recovery_bond, lam_bar)
-    sampler = CreditCurve(name="internal:" + investor.name, intensity=lam_bar)
-    grid = _segment_grid(schedule, (market.collateral, r_bar))
+    lam_c = TermCurve.flat(0.0) if counterparty is None else counterparty.intensity
+    hazard = combined((lam_bar, lam_c), np.add)
+    # r_bar has lam_bar's nodes: with lam_c's, the hazard is constant on each segment
+    grid = _segment_grid(schedule, (market.collateral, r_bar, lam_c))
     with np.errstate(over="ignore", invalid="ignore"):
         log_discount = -np.asarray(r_bar.cumulative(grid))
         seg = _Segments(schedule, market.collateral, grid, log_discount)
         k_i, k_c = closeout_values(closeout, seg.owed)
+        share = np.asarray(lam_c.value(grid)) / np.asarray(hazard.value(grid))  # NaN at 0 / 0
+        settle = np.where(share > 0.0, k_i + share * (k_c - k_i), k_i)
         log_scale = seg.log_vx + log_discount
         slope = seg.rate_x - np.asarray(r_bar.value(grid))
-    bound = _check_payoffs(seg, (k_i,) if counterparty is None else (k_i, k_c), log_scale, slope)
-    # r_bar has lam_bar's nodes, so lam_bar is constant on each segment
-    level_map = seg.levels(lam_bar) if counterparty is None else None
-    names = (sampler,) if counterparty is None else (sampler, counterparty)
-    maps = [level_map] if counterparty is None else [
-        lambda w, n=n: seg.locate(n._inverse_survival(w)) for n in names
-    ]
-    boundaries = tuple(_boundary(n, seg, m) for n, m in zip(names, maps))
-    k_i, k_c, log_scale, slope = _survivor_row(k_i, k_c, log_scale, slope)
-    settles = np.concatenate((k_c, k_i))  # one gather beats np.where's mask
+    bound = _check_payoffs(seg, settle, log_scale, slope)
+    level_map = seg.levels(hazard)
+    boundary = _boundary(hazard, seg, level_map)
+    settle, log_scale, slope = _survivor_row(settle, log_scale, slope)
 
     def payoffs(levels, out):
-        if counterparty is None:
-            j, dt, paid = level_map(levels[0])
-            settle = k_i[j]
-        else:
-            # each name's own map, which needs no lookup on a flat curve
-            tau_i = sampler._inverse_survival(levels[0])
-            tau_c = counterparty._inverse_survival(levels[1])
-            first = (tau_i <= tau_c) * len(k_c)
-            j, dt, paid = seg.locate(np.minimum(tau_i, tau_c, out=tau_c))
-            del tau_i, tau_c  # before the heap peak below
-            settle = settles[first + j]
+        j, dt, paid = level_map(levels)
         x = slope[j] * dt  # in place from here: the block's heap peak
         x += log_scale[j]
-        np.add(paid, np.multiply(settle, np.exp(x, out=x), out=x), out=out)
+        np.add(paid, np.multiply(settle[j], np.exp(x, out=x), out=x), out=out)
 
-    return boundaries, payoffs, seg.paid_all, bound
+    return boundary, payoffs, seg.paid_all, bound
 
 
 def mc_value_independent(
@@ -469,8 +426,9 @@ def mc_value_independent(
     """Simulate v(0) with both names defaulting independently: the
     investor at its internal intensity, the counterparty at its market
     intensity.  ``counterparty=None`` never defaults (the ``riskfree_cpty``
-    regime) and draws no uniform; with ``lambda_bar = 0`` nothing is then
-    drawn, and the mean is the flow sum with a standard error of 0.
+    regime), as a counterparty of zero hazard does, with the same
+    estimate; with ``lambda_bar = 0`` nothing is then drawn, and the mean
+    is the flow sum with a standard error of 0.
     """
     return _simulate(
         paths, seed, *_first_default(
@@ -481,7 +439,7 @@ def mc_value_independent(
 
 def _dependent_default(market, model, schedule, closeout):
     """The dependent-default simulator, its constants built once; returns
-    ``(boundaries, payoffs, paid_all, bound)`` as :func:`_first_default` does.
+    ``(boundary, payoffs, paid_all, bound)`` as :func:`_first_default` does.
 
     Only ``tau_C`` is random (its internal law equals the market one);
     the numeraire is the survival-contingent bank account, so a flow at
@@ -510,18 +468,18 @@ def _dependent_default(market, model, schedule, closeout):
         _, k_c = closeout_values(closeout, seg.owed)
         end = log_weight(*(h + lam * seg.span for h, lam in zip(cum, rate)))
     _require_finite(("log discount", grid, start), ("log discount", grid + seg.span, end))
-    bound = _check_payoffs(seg, (k_c,), seg.log_vx - cum[0], seg.rate_x - rate[0])
+    bound = _check_payoffs(seg, k_c, seg.log_vx - cum[0], seg.rate_x - rate[0])
     level_map = seg.levels(model.counterparty.intensity)
-    boundary = _boundary(model.counterparty, seg, level_map)
+    boundary = _boundary(model.counterparty.intensity, seg, level_map)
     k_c, log_vx, rate_x = _survivor_row(k_c, seg.log_vx, seg.rate_x)
     cum, rate = _survivor_row(*cum), _survivor_row(*rate)
 
     def payoffs(levels, out):
-        j, dt, paid = level_map(levels[0])
+        j, dt, paid = level_map(levels)
         log_w = log_weight(*(h[j] + lam[j] * dt for h, lam in zip(cum, rate)))
         np.add(paid, k_c[j] * np.exp(log_vx[j] + rate_x[j] * dt + log_w), out=out)
 
-    return (boundary,), payoffs, seg.paid_all, bound
+    return boundary, payoffs, seg.paid_all, bound
 
 
 def mc_value_correlated(

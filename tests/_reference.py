@@ -119,9 +119,23 @@ def naive_inverse_survival(nodes, w):
             return start if target <= acc else math.inf
         level = acc + lam * (end - start)
         if target <= level:
-            return start + (target - acc) / lam if lam > 0.0 else start
+            return min(start + (target - acc) / lam, end) if lam > 0.0 else start
         acc = level
     raise AssertionError("unreachable: the last segment is unbounded")
+
+
+def naive_locate(seg, tau):
+    """``(j, dt, paid)`` of default times ``tau`` on an oracle segment
+    table ``seg``: the segment ``j`` of the last grid point at or before
+    each time (``len(seg.grid)`` past maturity, a survivor), the time
+    ``dt`` into it, and the flows paid, without those dated ``tau``."""
+    tau = np.asarray(tau, dtype=float)
+    survived = tau > seg.maturity
+    j = np.searchsorted(seg.grid, np.where(survived, 0.0, tau), side="right") - 1
+    j[survived] = len(seg.grid)
+    dt = np.where(survived, 0.0, tau - seg.grid[np.minimum(j, len(seg.grid) - 1)])
+    paid = np.where(dt == 0.0, seg.paid_before[j], seg.paid_upto[j])
+    return j, dt, paid
 
 
 def central_difference(f, x, h=1e-5):

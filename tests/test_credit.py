@@ -362,6 +362,23 @@ def test_inverse_survival_matches_naive_walk(nodes, draws):
     assert [curve.inverse_survival(float(x)) for x in w[:3]] == list(got[:3])
 
 
+def test_monotone_at_a_node():
+    # H(1) lies on the last bounded segment's end: the formula there
+    # overshoots the node 1.0 by an ulp for the levels whose -log is H(1),
+    # where lower levels map to exactly 1.0; each time is clamped at its
+    # segment's end node, so the map stays monotone
+    nodes = [(0.0, 2.0), (0.8612847118503352, 0.0625), (1.0, 1e300)]
+    curve = CreditCurve("N", TermCurve.from_nodes(nodes))
+    w = float(np.exp(-curve.intensity.cumulative(1.0)))
+    levels = [w]
+    for _ in range(4):
+        levels = [np.nextafter(levels[0], 0.0), *levels, np.nextafter(levels[-1], 1.0)]
+    taus = curve.inverse_survival(np.array(levels))
+    assert list(taus[:6]) == [1.0] * 6
+    assert np.all(np.diff(taus) <= 0.0)
+    assert [naive_inverse_survival(nodes, x) for x in levels] == list(taus)
+
+
 def test_levels_on_node_hazards():
     # survival levels whose -log is exactly the cumulative hazard at a
     # node, with a zero-intensity span and a zero tail: each inverts to

@@ -21,6 +21,7 @@ from valadj import (
     adjustment_correlated,
     adjustment_independent,
     closeout_values,
+    combined,
     mc_value_correlated,
     mc_value_independent,
     sample_joint_defaults,
@@ -28,7 +29,7 @@ from valadj import (
 from valadj import as_curve, cli, oracle
 from valadj.measure import internal_rate
 
-from _reference import chunked_mean_m2, naive_collateral_value, piecewise_integral
+from _reference import chunked_mean_m2, naive_collateral_value, naive_locate, piecewise_integral
 
 N = 200_000
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,119 +37,106 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @dataclass(frozen=True)
 class PathOutcome:
-    """One drawn path: default times (``inf`` = never), the payoff
-    discounted to time 0 and its stratum, the first name whose level
-    reached its boundary."""
+    """One drawn path: its level, its first default time (``inf`` =
+    never) and the payoff discounted to time 0."""
 
-    tau_investor: float
-    tau_counterparty: float
+    level: float
+    tau: float
     discounted_payoff: float
-    stratum: int
-
-    @property
-    def tau(self) -> float:
-        """First default time on the path."""
-        return min(self.tau_investor, self.tau_counterparty)
 
 
 class Sample(NamedTuple):
-    """Every drawn path, stratum by stratum, with what the estimate adds
-    for the paths it does not draw."""
+    """Every drawn path, with what the estimate adds for the paths it
+    does not draw."""
 
     outcomes: list
-    boundaries: tuple
+    boundary: float
     paid_all: float
 
 
-def stratified_levels(paths, seed, boundaries):
-    """Each drawn path's levels, one row per name, and its stratum.
+def first_default_curve(counterparty, lambda_bar):
+    """The first default's law: its hazard ``lambda_bar + lambda_C``."""
+    lam_c = TermCurve.flat(0.0) if counterparty is None else counterparty.intensity
+    return CreditCurve("first", combined((as_curve(lambda_bar), lam_c), np.add))
 
-    Strata come in name order, one per name ``k`` of positive
-    probability ``p = prod_{j<k} b_j (1 - b_k)``, and draw ``max(2,
-    round(paths * p))`` paths from one ``PCG64`` stream: path by path, one
-    uniform per name from ``k`` on.  Names before ``k`` take level 0 and
-    name ``k`` takes ``b_k + (1 - b_k) u``."""
-    gen = np.random.Generator(np.random.PCG64(seed))
-    rows, strata, below = [np.empty((len(boundaries), 0))], [], 1.0
-    for k, b in enumerate(boundaries):
-        p = below * (1.0 - b)
-        below *= b
-        if p == 0.0:
-            continue
-        n = max(2, round(paths * p))
-        u = gen.random((n, len(boundaries) - k))
-        w = np.zeros((len(boundaries), n))
-        w[k] = b + (1.0 - b) * u[:, 0]
-        w[k + 1 :] = u[:, 1:].T
-        rows.append(w)
-        strata += [k] * n
-    return np.concatenate(rows, axis=1), strata
+
+def counterparty_share(counterparty, lambda_bar, tau):
+    """``lambda_C / (lambda_bar + lambda_C)`` at ``tau``: the probability
+    that a first default at ``tau`` is the counterparty's."""
+    if counterparty is None:
+        return 0.0
+    lam_c = counterparty.intensity.value(tau)
+    total = as_curve(lambda_bar).value(tau) + lam_c
+    return lam_c / total if total > 0.0 else 0.0
+
+
+def stratified_levels(paths, seed, boundary):
+    """The levels of the at-risk stratum's paths: ``max(2, round(paths *
+    p))`` of them where ``p = 1 - boundary`` is positive, path ``i`` at
+    ``boundary + p u_i`` for draw ``u_i`` of one ``PCG64`` stream."""
+    p = 1.0 - boundary
+    n = max(2, round(paths * p)) if p > 0.0 else 0
+    return boundary + p * np.random.Generator(np.random.PCG64(seed)).random(n)
+
+
+def drawn_levels(simulator, paths, seed):
+    """``(levels, payoffs)`` of every path the pipeline draws for a
+    simulator's ``(boundary, payoffs, paid_all, bound)``, in its order."""
+    boundary, payoffs, paid_all, bound = simulator
+    batches = [(np.empty(0), np.empty(0))]
+
+    def keep(levels, out):
+        payoffs(levels, out)
+        batches.append((levels.copy(), out.copy()))
+
+    oracle._simulate(paths, seed, boundary, keep, paid_all, bound)
+    return tuple(np.concatenate(cols) for cols in zip(*batches))
 
 
 def sample_path_outcomes(
     market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout, paths, seed
 ) -> Sample:
     """Per-path view of the simulator behind :func:`mc_value_independent`:
-    the same pipeline and payoff map, keeping each drawn path's default
-    times and payoff.
+    the same pipeline and payoff map, keeping each drawn path's first
+    default time and payoff.
 
     The pipeline must hand the map the levels of :func:`stratified_levels`
-    in their order.  The default times come from each name's inverse
-    survival map, which the level maps agree with."""
-    boundaries, payoffs, paid_all, bound = oracle._first_default(
+    in their order.  The default times come from the inverse survival map
+    of the first default's hazard, which the level map agrees with."""
+    simulator = oracle._first_default(
         market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
     )
-    batches = [(np.empty((len(boundaries), 0)), np.empty(0))]
-
-    def keep(levels, out):
-        payoffs(levels, out)
-        batches.append((levels.copy(), out.copy()))
-
-    oracle._simulate(paths, seed, boundaries, keep, paid_all, bound)
-    w, strata = stratified_levels(paths, seed, boundaries)
-    levels, payoff = (np.concatenate(cols, axis=-1) for cols in zip(*batches))
-    np.testing.assert_array_equal(levels, w)
-    internal = CreditCurve("internal", as_curve(lambda_bar))
-    names = (internal,) if counterparty is None else (internal, counterparty)
-    taus = [c.inverse_survival(np.ascontiguousarray(x)) for c, x in zip(names, w)]
-    tau_i, tau_c = taus if counterparty else (taus[0], np.full(len(strata), np.inf))
-    outcomes = [
-        PathOutcome(float(ti), float(tc), float(p), k)
-        for ti, tc, p, k in zip(tau_i, tau_c, payoff, strata)
-    ]
-    return Sample(outcomes, boundaries, paid_all)
+    boundary, _, paid_all, _ = simulator
+    levels, payoff = drawn_levels(simulator, paths, seed)
+    np.testing.assert_array_equal(levels, stratified_levels(paths, seed, boundary))
+    taus = first_default_curve(counterparty, lambda_bar).inverse_survival(levels)
+    outcomes = [PathOutcome(float(w), float(t), float(x)) for w, t, x in zip(levels, taus, payoff)]
+    return Sample(outcomes, boundary, paid_all)
 
 
 def reference_estimate(sample, chunk=None):
-    """``(mean, std_error)`` of a sample by the reference fold: each
-    stratum's payoffs chunk by chunk, in path order, then ``prod b *
-    paid_all + sum p_k mean_k`` and ``sqrt(sum p_k**2 M2_k / (n_k - 1) /
-    n_k)``."""
-    mean, variance, below = math.prod(sample.boundaries) * sample.paid_all, 0.0, 1.0
-    for k, b in enumerate(sample.boundaries):
-        p = below * (1.0 - b)
-        below *= b
-        payoffs = [o.discounted_payoff for o in sample.outcomes if o.stratum == k]
-        if payoffs:
-            n, stratum_mean, m2 = chunked_mean_m2(payoffs, chunk or oracle._CHUNK)
-            mean += p * stratum_mean
-            variance += p * p * (m2 / (n - 1) / n)
+    """``(mean, std_error)`` of a sample by the reference fold: the drawn
+    payoffs chunk by chunk, in path order, then ``b * paid_all + p *
+    mean`` and ``sqrt(p**2 M2 / (n - 1) / n)`` with ``p = 1 - b``."""
+    b, p = sample.boundary, 1.0 - sample.boundary
+    mean, variance = b * sample.paid_all, 0.0
+    payoffs = [o.discounted_payoff for o in sample.outcomes]
+    if payoffs:
+        n, drawn_mean, m2 = chunked_mean_m2(payoffs, chunk or oracle._CHUNK)
+        mean += p * drawn_mean
+        variance += p * p * (m2 / (n - 1) / n)
     return mean, math.sqrt(variance)
 
 
 def path_payoffs(simulator, w):
-    """The payoff the pipeline pays each path of levels ``w``, ``(paths,
-    names)``, for a simulator's ``(boundaries, payoffs, paid_all,
-    bound)``: the flow sum where every level is below its boundary;
-    elsewhere the map's payoff, in one batch, with the names before the
-    first that reaches its boundary at level 0, as in that stratum."""
-    boundaries, payoffs, paid_all, _ = simulator
+    """The payoff the pipeline pays each path of levels ``w`` for a
+    simulator's ``(boundary, payoffs, paid_all, bound)``: the flow sum
+    below the boundary, elsewhere the map's payoff, in one batch."""
+    boundary, payoffs, paid_all, _ = simulator
     out = np.full(len(w), paid_all)
-    reached = w >= np.array(boundaries)
-    drawn = np.flatnonzero(reached.any(axis=1))
-    levels = np.where(np.cumsum(reached, axis=1) > 0, w, 0.0)[drawn]
+    drawn = np.flatnonzero(w >= boundary)
     mapped = np.empty(len(drawn))
-    payoffs(np.ascontiguousarray(levels.T), mapped)
+    payoffs(np.ascontiguousarray(w[drawn]), mapped)
     out[drawn] = mapped
     return out
 
@@ -167,29 +155,24 @@ class TestRandomnessContract:
         assert a.mean != b.mean
 
     def test_prefix_paths_are_a_substream(self, flat_market, investor, counterparty, closeout, mixed):
-        # the first stratum's paths in a 1000-path run are the first ones
-        # of a 5000-path run; a later stratum continues the stream where
-        # the strata before it ended, so a worker owning its paths from
-        # p0 on jumps the stream by the draws before them
+        # the paths a 1000-path run draws are the first ones of a
+        # 5000-path run, and path i takes draw i, so a worker owning its
+        # paths from p0 on jumps the stream by p0 draws
         args = (flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout)
         big, small = (sample_path_outcomes(*args, paths, 17) for paths in (5000, 1000))
-        first = [[o for o in s.outcomes if o.stratum == 0] for s in (big, small)]
-        assert 0 < len(first[1]) < len(first[0])
-        assert first[0][: len(first[1])] == first[1]
-        b = big.boundaries[1]
-        for sample in (big, small):
-            second = [o for o in sample.outcomes if o.stratum == 1]
-            assert len(second) > 40
-            for p0 in (0, len(second) - 40):
-                bit = np.random.PCG64(17)
-                bit.advance(2 * len(first[sample is small]) + p0)
-                w = b + (1.0 - b) * np.random.Generator(bit).random(40)
-                taus = [o.tau_counterparty for o in second[p0 : p0 + 40]]
-                np.testing.assert_array_equal(taus, counterparty.inverse_survival(w))
-                assert all(o.tau_investor == math.inf for o in second)
+        assert 40 < len(small.outcomes) < len(big.outcomes)
+        assert big.outcomes[: len(small.outcomes)] == small.outcomes
+        b = big.boundary
+        first = first_default_curve(counterparty, 0.02)
+        for p0 in (0, len(small.outcomes) - 40, len(big.outcomes) - 40):
+            bit = np.random.PCG64(17)
+            bit.advance(p0)
+            w = b + (1.0 - b) * np.random.Generator(bit).random(40)
+            taus = [o.tau for o in big.outcomes[p0 : p0 + 40]]
+            np.testing.assert_array_equal(taus, first.inverse_survival(w))
 
     def test_no_counterparty_draws_one_uniform_per_path(self):
-        # drawn path i's tau_I is the internal curve's inverse survival of
+        # drawn path i's tau is the internal curve's inverse survival of
         # b + (1 - b) u, u draw i of the seed's PCG64 stream: one uniform
         # per path, none spent on the counterparty that never defaults
         m = TestMultiFlowPayoffs
@@ -198,30 +181,37 @@ class TestRandomnessContract:
             m.market, m.investor, None, 0.4, m.lambda_bar, m.schedule, m.closeout, paths, seed
         )
         sample = sample_path_outcomes(*args)
-        (b,) = sample.boundaries
+        b = sample.boundary
         assert len(sample.outcomes) == round(paths * (1.0 - b))
         w = b + (1.0 - b) * np.random.Generator(np.random.PCG64(seed)).random(len(sample.outcomes))
         internal = CreditCurve("internal", m.lambda_bar)
-        tau_i = np.array([o.tau_investor for o in sample.outcomes])
-        np.testing.assert_array_equal(tau_i, internal.inverse_survival(w))
-        assert np.all(tau_i <= m.schedule.maturity)
-        assert all(o.tau_counterparty == math.inf for o in sample.outcomes)
+        tau = np.array([o.tau for o in sample.outcomes])
+        np.testing.assert_array_equal(tau, internal.inverse_survival(w))
+        assert np.all(tau <= m.schedule.maturity)
         # the estimate reduces exactly these paths
         mc = mc_value_independent(*args)
         assert (mc.mean, mc.std_error, mc.paths) == (*reference_estimate(sample), paths)
 
-    @pytest.mark.parametrize("per_path", [1, 2])
+    @pytest.mark.parametrize("names", [1, 2])
     @pytest.mark.parametrize("p0", [60, 61, 2**18 + 3])
-    def test_worker_partition_by_advance(self, per_path, p0):
-        # path i draws per_path*i .. and PCG64 spends one word per
-        # double, so a worker owning paths [p0, p0 + 40) jumps the stream
-        # by per_path * p0 draws, for any p0, and sees identical draws
+    def test_worker_partition_by_advance(self, monkeypatch, names, p0):
+        # path i of the at-risk stratum takes draw i, with one name that
+        # can default or two, and PCG64 spends one word per double, so a
+        # worker owning paths [p0, p0 + 40) jumps the stream by p0 draws,
+        # for any p0, and sees identical levels; a boundary of 0 draws
+        # every path at its draw
+        m = TestMultiFlowPayoffs
+        monkeypatch.setattr(oracle, "_boundary", lambda intensity, seg, level_map: 0.0)
+        counterparty = m.counterparty if names == 2 else None
+        simulator = oracle._first_default(
+            m.market, m.investor, counterparty, 0.4, m.lambda_bar, m.schedule, m.closeout
+        )
         seed, paths = 123, p0 + 40
-        full = oracle._generator(paths, seed).random((paths, per_path))
+        levels, _ = drawn_levels(simulator, paths, seed)
+        assert len(levels) == paths
         bit = np.random.PCG64(seed)
-        bit.advance(per_path * p0)
-        part = np.random.Generator(bit).random((40, per_path))
-        np.testing.assert_array_equal(full[p0:], part)
+        bit.advance(p0)
+        np.testing.assert_array_equal(levels[p0:], np.random.Generator(bit).random(40))
 
     def test_input_validation(self, flat_market, investor, closeout, mixed):
         with pytest.raises(ValueError):
@@ -259,7 +249,7 @@ class TestRiskfreeCptySimulator:
         # stratum, paid the flow sum, with no rounding left to collapse
         args = (flat_market, investor, None, 0.4, 0.0, bullet, closeout)
         simulator = oracle._first_default(*args)
-        assert simulator[0] == (1.0,)
+        assert simulator[0] == 1.0
         mc = mc_value_independent(*args, paths, 5)
         assert mc.mean == simulator[2]
         assert mc.std_error == 0.0
@@ -269,10 +259,30 @@ class TestRiskfreeCptySimulator:
         assert mc.paths == 2500
         assert mc.seed == 8
 
+    def test_zero_hazard_counterparty_is_none(self):
+        # riskfree_cpty is independent with lambda_C = 0: a counterparty
+        # of zero hazard samples the same time from the same draws as none,
+        # on every point of the shipped sweep and on a piecewise lambda_bar
+        cfg = cli.load_config(ROOT / "configs" / "independent_nocpty_bullet.json")
+        zero = cfg.counterparty
+        assert zero.intensity == TermCurve.flat(0.0)
+        piecewise = TermCurve.from_nodes([(0.0, 0.01), (0.3, 0.05), (0.7, 0.0)])
+        for seed, lambda_bar in enumerate([*cfg.lambda_bar_sweep, piecewise]):
+            estimates = [
+                mc_value_independent(
+                    cfg.market, cfg.investor, counterparty, cfg.bond_recovery, lambda_bar,
+                    cfg.schedule, cfg.closeout, 20_000, seed,
+                )
+                for counterparty in (None, zero)
+            ]
+            assert [(e.mean, e.std_error) for e in estimates[1:]] == [
+                (estimates[0].mean, estimates[0].std_error)
+            ]
+
 
 class TestDrawless:
-    """Where no name can default, every boundary is 1: the simulation
-    draws nothing, and its estimate is the flow sum."""
+    """Where nothing can default, the boundary is 1: the simulation draws
+    nothing, and its estimate is the flow sum."""
 
     @pytest.mark.parametrize("paths", [2, oracle._CHUNK + 3])
     def test_no_uniform_drawn(self, monkeypatch, flat_market, investor, closeout, mixed, paths):
@@ -294,8 +304,8 @@ class TestDrawless:
              (flat_market, JointDefaultModel(investor, zero, 1.5), mixed, closeout)),
         ]
         for name, build, simulate, args in cases:
-            boundaries, _, paid_all, _ = build(*args)
-            assert set(boundaries) == {1.0}, name
+            boundary, _, paid_all, _ = build(*args)
+            assert boundary == 1.0, name
             est = simulate(*args, paths, 11)
             assert calls == [], name
             assert (est.mean, est.std_error, est.paths) == (paid_all, 0.0, paths)
@@ -338,6 +348,25 @@ class TestIndependentSimulator:
             flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout, n, 21
         )
         assert (mc.mean, mc.std_error) == reference_estimate(sample)
+
+    def test_agrees_with_two_sampled_names(self):
+        # competing risks: sampling both default times and settling the
+        # closeout of whoever defaults first has the same mean as the
+        # first default of lambda_bar + lambda_C settling the mix of the
+        # two closeouts; crude two-name paths, paid flow by flow
+        m, table = TestMultiFlowPayoffs, TestSegmentTable()
+        args = (m.market, m.investor, m.counterparty, 0.4, m.lambda_bar, m.schedule, m.closeout)
+        mc = mc_value_independent(*args, 100_000, 3)
+        w = np.random.Generator(np.random.PCG64(4)).random((2, 8000))
+        tau_i = CreditCurve("internal", m.lambda_bar).inverse_survival(w[0])
+        tau_c = m.counterparty.inverse_survival(w[1])
+        r_bar = internal_rate(m.market, m.investor, 0.4, m.lambda_bar)
+        crude = [
+            table.first_default_expected(m.schedule, min(ti, tc), r_bar, share=float(tc < ti))
+            for ti, tc in zip(tau_i.tolist(), tau_c.tolist())
+        ]
+        se = math.hypot(mc.std_error, float(np.std(crude, ddof=1)) / math.sqrt(len(crude)))
+        assert abs(mc.mean - float(np.mean(crude))) <= 3.0 * se
 
 
 class TestCorrelatedSimulator:
@@ -459,12 +488,12 @@ class TestPathOutcomes:
         sample = sample_path_outcomes(
             flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout, 500, 33
         )
-        # r_bar = 0.01 for this configuration
+        # r_bar = 0.01 for this configuration; a default is the
+        # counterparty's with probability 0.03 / (0.02 + 0.03)
         from valadj import collateral_value
 
-        assert {o.stratum for o in sample.outcomes} == {0, 1}
+        share = 0.03 / (0.02 + 0.03)
         for o in sample.outcomes:
-            assert o.tau == min(o.tau_investor, o.tau_counterparty)
             expected = sum(
                 a * math.exp(-0.01 * t)
                 for t, a in zip(mixed.times, mixed.amounts)
@@ -473,24 +502,23 @@ class TestPathOutcomes:
             if o.tau <= mixed.maturity:
                 vx = collateral_value(mixed, flat_market.collateral, o.tau)
                 k_i, k_c = closeout_values(closeout, vx)
-                settle = k_i if o.tau_investor <= o.tau_counterparty else k_c
-                expected += settle * math.exp(-0.01 * o.tau)
+                expected += (k_i + share * (k_c - k_i)) * math.exp(-0.01 * o.tau)
             assert o.discounted_payoff == pytest.approx(expected, abs=1e-12)
 
     def test_survivor_paths_collect_all_flows(
         self, flat_market, investor, counterparty, closeout, bullet
     ):
         # survivors are not drawn: the survivor stratum, every level
-        # below its boundary, is paid the flow sum, as the map pays the
-        # levels just below the boundaries
+        # below the boundary, is paid the flow sum, as the map pays the
+        # level just below the boundary
         args = (flat_market, investor, counterparty, 0.4, 0.02, bullet, closeout)
         sample = sample_path_outcomes(*args, 500, 4)
         assert all(o.tau <= 5.0 for o in sample.outcomes)
         assert sample.paid_all == pytest.approx(math.exp(-0.01 * 5.0), rel=1e-14)
-        below = np.nextafter(np.array(sample.boundaries), 0.0)
+        below = np.nextafter(sample.boundary, 0.0)
         _, payoffs, _, _ = oracle._first_default(*args)
         out = np.empty(1)
-        payoffs(below[:, None], out)
+        payoffs(np.array([below]), out)
         assert out[0] == sample.paid_all
 
 
@@ -530,8 +558,10 @@ class TestMultiFlowPayoffs:
             if o.tau <= self.schedule.maturity:
                 vx = naive_collateral_value(self.flows, self.market.collateral, o.tau)
                 k_i, k_c = closeout_values(self.closeout, vx)
-                settle = k_i if o.tau_investor <= o.tau_counterparty else k_c
-                expected += settle * math.exp(-r_bar.integrated_rate(0.0, o.tau))
+                share = counterparty_share(self.counterparty, self.lambda_bar, o.tau)
+                expected += (k_i + share * (k_c - k_i)) * math.exp(
+                    -r_bar.integrated_rate(0.0, o.tau)
+                )
             assert o.discounted_payoff == pytest.approx(expected, abs=1e-12)
             assert o.tau <= self.schedule.maturity
             if o.tau > self.schedule.times[-1]:
@@ -549,7 +579,7 @@ class TestMultiFlowPayoffs:
 
         # the survivor stratum below b pays every flow; the paths drawn
         # above it default by maturity
-        (b,), _, _, _ = oracle._dependent_default(self.market, model, self.schedule, self.closeout)
+        b, _, _, _ = oracle._dependent_default(self.market, model, self.schedule, self.closeout)
         n = round(paths * (1.0 - b))
         w = b + (1.0 - b) * np.random.Generator(np.random.PCG64(seed)).random(n)
         taus = model.counterparty.inverse_survival(w)
@@ -610,15 +640,12 @@ class TestBlockSize:
         for block in (4096, paths, 2**20):
             assert runs[block] == runs[7]
         sample = runs[7]["path_outcomes"]
-        strata = oracle._strata(paths, sample.boundaries)
-        assert [n for _, _, n in strata] == [1999, 1331]
-        assert [o.stratum for o in sample.outcomes] == [0] * 1999 + [1] * 1331
+        assert len(sample.outcomes) == round(paths * (1.0 - sample.boundary)) == 3329
         assert all(o.tau <= m.schedule.maturity for o in sample.outcomes)
 
     def test_chunked_results_do_not_depend_on_block_size(self, monkeypatch):
-        # strata of 1999 and 1331 paths in chunks of 1000, the last of
-        # each partial; blocks of 7 and 4096 paths divide neither, 2**20
-        # is cut down to a chunk
+        # 3329 at-risk paths in chunks of 1000, the last partial; blocks
+        # of 7 and 4096 paths divide neither, 2**20 is cut down to a chunk
         monkeypatch.setattr(oracle, "_CHUNK", 1000)
         self.test_results_do_not_depend_on_block_size(monkeypatch)
 
@@ -634,15 +661,15 @@ class TestBlockSize:
         self, monkeypatch, lambda_bar, chunk, boundary_off
     ):
         # where no path can default nothing is drawn; where one in 1700
-        # can, one stratum of 3 paths is, where most of a crude run's six
-        # chunks would hold none; a boundary of 0 draws every path in one
-        # stratum, survivors too, as crude sampling does
+        # can, 3 paths are, where most of a crude run's six chunks would
+        # hold none; a boundary of 0 draws every path, survivors too, as
+        # crude sampling does
         m = TestMultiFlowPayoffs
         paths, seed = 5003, 19
         if chunk:
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
         if boundary_off:
-            monkeypatch.setattr(oracle, "_boundary", lambda curve, seg, level_map: 0.0)
+            monkeypatch.setattr(oracle, "_boundary", lambda intensity, seg, level_map: 0.0)
         counterparty = m.counterparty if boundary_off else None
         args = (m.market, m.investor, counterparty, 0.4, lambda_bar, m.schedule, m.closeout)
         sims = {
@@ -657,18 +684,18 @@ class TestBlockSize:
             assert runs[block] == runs[7]
         sample, mc = runs[7]["path_outcomes"], runs[7]["estimate"]
         assert (mc.mean, mc.std_error, mc.paths) == (*reference_estimate(sample, chunk), paths)
-        strata = [o.stratum for o in sample.outcomes]
         if boundary_off:
-            assert strata == [0] * paths
+            assert len(sample.outcomes) == paths
             survived = sum(o.tau > m.schedule.maturity for o in sample.outcomes)
             assert 0 < survived < paths
         else:
-            assert strata == [0] * (3 if lambda_bar > 0.0 else 0)
+            assert len(sample.outcomes) == (3 if lambda_bar > 0.0 else 0)
 
 
 class TestContiguousColumns:
-    """Each name's levels reach the inverse survival maps as a contiguous
-    column, where the elementwise passes run at unit stride."""
+    """The levels reach the level map, and each name's levels the inverse
+    survival maps, as a contiguous column, where the elementwise passes
+    run at unit stride."""
 
     m = TestMultiFlowPayoffs
 
@@ -687,15 +714,27 @@ class TestContiguousColumns:
         m = self.m
         monkeypatch.setattr(oracle, "_BLOCK", 1000)
         args = (m.market, m.investor, m.counterparty, 0.4, m.lambda_bar, m.schedule, m.closeout)
-        boundaries = oracle._first_default(*args)[0]
-        seen = self.spy(monkeypatch, CreditCurve, "_inverse_survival")
+        seen = []
+        levels = oracle._Segments.levels
+
+        def spying(seg, intensity):
+            level_map = levels(seg, intensity)
+
+            def level(w):
+                seen.append(w)
+                return level_map(w)
+
+            return level
+
+        monkeypatch.setattr(oracle._Segments, "levels", spying)
+        boundary = oracle._first_default(*args)[0]
+        seen.clear()
         mc_value_independent(*args, 5000, 3)
         assert all(w.ndim == 1 and w.flags.c_contiguous for w in seen)
-        # two names in each block of each stratum, after the searches
-        strata = oracle._strata(5000, boundaries)
-        blocks = [min(1000, n - start) for _, _, n in strata for start in range(0, n, 1000)]
-        mapped = [size for size in blocks for _ in range(2)]
-        assert [len(w) for w in seen[-len(mapped) :]] == mapped and len(seen) > len(mapped)
+        # the at-risk stratum's blocks, after the boundary search
+        n = round(5000 * (1.0 - boundary))
+        blocks = [min(1000, n - start) for start in range(0, n, 1000)]
+        assert [len(w) for w in seen[-len(blocks) :]] == blocks and len(seen) > len(blocks)
 
     def test_joint_sampling_columns_are_contiguous(self, monkeypatch):
         m = self.m
@@ -712,10 +751,10 @@ class TestContiguousColumns:
         )
         wide = np.random.Generator(np.random.PCG64(8)).random((4000, 4))
         strided = wide[:, ::2]
-        assert not strided.flags.c_contiguous
+        assert not strided[:, 0].flags.c_contiguous
         got, want = np.empty(len(wide)), np.empty(len(wide))
-        payoffs(strided.T, got)
-        payoffs(np.ascontiguousarray(strided.T), want)
+        payoffs(strided[:, 0], got)
+        payoffs(strided[:, 0].copy(), want)
         assert got.tobytes() == want.tobytes()
         # the maps themselves do not depend on the stride of their levels
         for curve in (m.investor, m.counterparty):
@@ -740,13 +779,12 @@ class TestChunkedReduction:
         mc = mc_value_independent(*args)
         sample = sample_path_outcomes(*args)
         assert (mc.paths, mc.mean, mc.std_error) == (self.paths, *reference_estimate(sample, 1000))
-        for k in (0, 1):
-            payoffs = np.array([o.discounted_payoff for o in sample.outcomes if o.stratum == k])
-            assert len(payoffs) > 1000  # two chunks or more
-            n, mean, m2 = chunked_mean_m2(payoffs, 1000)
-            # the whole stratum's statistics, up to the merge's rounding
-            for got, want in ((mean, np.mean(payoffs)), (m2 / (n - 1), np.var(payoffs, ddof=1))):
-                assert abs(got - want) <= 4 * np.spacing(abs(want))
+        payoffs = np.array([o.discounted_payoff for o in sample.outcomes])
+        assert len(payoffs) > 3000  # four chunks
+        n, mean, m2 = chunked_mean_m2(payoffs, 1000)
+        # the whole stratum's statistics, up to the merge's rounding
+        for got, want in ((mean, np.mean(payoffs)), (m2 / (n - 1), np.var(payoffs, ddof=1))):
+            assert abs(got - want) <= 4 * np.spacing(abs(want))
 
     @pytest.mark.parametrize("exponent", [400, 600, 1000])
     def test_scaled_reduction_is_exact(self, monkeypatch, exponent):
@@ -758,7 +796,7 @@ class TestChunkedReduction:
         bound = float(np.max(np.abs(payoffs)))
 
         def simulate(factor):
-            # a boundary of 0 draws every path in one stratum
+            # a boundary of 0 draws every path
             done = [0]
 
             def mapped(levels, out):
@@ -766,7 +804,7 @@ class TestChunkedReduction:
                 done[0] += len(out)
 
             with np.errstate(over="raise", invalid="raise"):
-                return oracle._simulate(self.paths, 1, (0.0,), mapped, 0.0, bound * factor)
+                return oracle._simulate(self.paths, 1, 0.0, mapped, 0.0, bound * factor)
 
         small, large = simulate(1.0), simulate(2.0**exponent)
         assert large.mean == small.mean * 2.0**exponent
@@ -846,9 +884,9 @@ class TestHeapPeak:
             ),
         }
         if not most:
-            # with both names drawn, 24.3% of the paths can default
-            (boundaries, _, _, _), _, _ = sims["independent"]
-            assert 0.75 <= math.prod(boundaries) < 0.76
+            # with both names' hazards, 24.3% of the paths can default
+            (boundary, _, _, _), _, _ = sims["independent"]
+            assert 0.75 <= boundary < 0.76
         peaks = {}
         for name, (_, simulate, args) in sims.items():
             simulate(*args, oracle._CHUNK, 5)  # warms one-time caches
@@ -864,15 +902,12 @@ class TestHeapPeak:
 class TestSegmentTable:
     """Per-path payoffs at chosen default times, against a flow-by-flow
     rebuild: each default lands on a flow date, on a curve node that is
-    not a flow date, at 0, at maturity, after the last flow, or ties
-    between the two names.
+    not a flow date, at 0, at maturity or after the last flow.
 
-    The level maps are replaced by the identity on default times, so the
-    simulator's uniforms are the default times themselves: each name's
-    own inverse survival map, and a one-name simulator's hazard-level map,
-    which becomes the lookup of the default time in the grid.  The
-    simulation returns the payoff map's vector over every default time
-    instead of the estimate.
+    The level map is replaced by a plain lookup of default times in the
+    grid, so the simulator's uniforms are the default times themselves.
+    The simulation returns the payoff map's vector over every default
+    time instead of the estimate.
     """
 
     m = TestMultiFlowPayoffs
@@ -896,27 +931,28 @@ class TestSegmentTable:
     at_last_flow = CashflowSchedule.from_flows(list(zip(m.schedule.times, m.schedule.amounts)))
 
     def payoffs(self, monkeypatch, simulate, taus):
-        def payoff_vector(paths, seed, boundaries, payoffs, paid_all, bound):
+        def payoff_vector(paths, seed, boundary, payoffs, paid_all, bound):
             out = np.empty(len(taus))
-            payoffs(taus.T.copy(), out)
+            payoffs(np.array(taus), out)
             return out
 
-        monkeypatch.setattr(CreditCurve, "_inverse_survival", lambda self, w: np.array(w))
-        monkeypatch.setattr(oracle._Segments, "levels", lambda seg, intensity: seg.locate)
+        monkeypatch.setattr(
+            oracle._Segments, "levels", lambda seg, intensity: lambda tau: naive_locate(seg, tau)
+        )
         monkeypatch.setattr(oracle, "_simulate", payoff_vector)
         return simulate()
 
-    def first_default_expected(self, schedule, tau_i, tau_c, r_bar, market=m.market):
+    def first_default_expected(self, schedule, tau, r_bar, share=0.0, market=m.market):
+        """Flows before a first default at ``tau``, and the closeout
+        ``k_I + share (k_C - k_I)`` if it is by maturity."""
         flows = list(zip(schedule.times, schedule.amounts))
-        tau = min(tau_i, tau_c)
         out = sum(
             a * math.exp(-piecewise_integral(r_bar, 0.0, t)) for t, a in flows if t < tau
         )
         if tau <= schedule.maturity:
             vx = naive_collateral_value(flows, market.collateral, tau)
             k_i, k_c = closeout_values(self.m.closeout, vx)
-            settle = k_i if tau_i <= tau_c else k_c
-            out += settle * math.exp(-piecewise_integral(r_bar, 0.0, tau))
+            out += (k_i + share * (k_c - k_i)) * math.exp(-piecewise_integral(r_bar, 0.0, tau))
         return out
 
     def correlated_expected(self, schedule, tau):
@@ -941,50 +977,54 @@ class TestSegmentTable:
     def test_riskfree_cpty(self, monkeypatch, maturity_after_last_flow):
         m = self.m
         schedule = m.schedule if maturity_after_last_flow else self.at_last_flow
-        taus = np.array(self.taus)[:, None]
         got = self.payoffs(
             monkeypatch,
             lambda: mc_value_independent(
                 m.market, self.investor, None, 0.4, self.lambda_bar, schedule, m.closeout,
-                len(taus), 1,
+                len(self.taus), 1,
             ),
-            taus,
+            self.taus,
         )
         r_bar = internal_rate(m.market, self.investor, 0.4, self.lambda_bar)
         for tau, p in zip(self.taus, got):
-            expected = self.first_default_expected(schedule, tau, math.inf, r_bar)
+            expected = self.first_default_expected(schedule, tau, r_bar)
             assert p == pytest.approx(expected, abs=1e-12), tau
 
     @pytest.mark.parametrize("maturity_after_last_flow", [True, False])
-    def test_independent_with_ties(self, monkeypatch, maturity_after_last_flow):
+    def test_independent(self, monkeypatch, maturity_after_last_flow):
+        # a first default settles the closeouts mixed by the names' shares
+        # of the hazard there, right-continuous at a node, so lambda_C's
+        # node at 3.5 moves the share but no flow or v_X
         m = self.m
         schedule = m.schedule if maturity_after_last_flow else self.at_last_flow
-        pairs = [(t, t) for t in self.taus]  # ties: the investor's closeout
-        pairs += [(t, t + 0.5) for t in self.taus] + [(t + 0.5, t) for t in self.taus]
-        pairs += [(math.inf, t) for t in self.taus]
         got = self.payoffs(
             monkeypatch,
             lambda: mc_value_independent(
                 m.market, self.investor, self.counterparty, 0.4, self.lambda_bar,
-                schedule, m.closeout, len(pairs), 1,
+                schedule, m.closeout, len(self.taus), 1,
             ),
-            np.array(pairs),
+            self.taus,
         )
         r_bar = internal_rate(m.market, self.investor, 0.4, self.lambda_bar)
-        for (tau_i, tau_c), p in zip(pairs, got):
-            expected = self.first_default_expected(schedule, tau_i, tau_c, r_bar)
-            assert p == pytest.approx(expected, abs=1e-12), (tau_i, tau_c)
+        shares = set()
+        for tau, p in zip(self.taus, got):
+            share = 0.0  # no closeout past maturity
+            if tau <= schedule.maturity:
+                share = counterparty_share(self.counterparty, self.lambda_bar, tau)
+                shares.add(share)
+            expected = self.first_default_expected(schedule, tau, r_bar, share)
+            assert p == pytest.approx(expected, abs=1e-12), tau
+        assert len(shares) == 3  # the hazard mixes before 0.8, before 3.5 and after
 
     @pytest.mark.parametrize("maturity_after_last_flow", [True, False])
     def test_correlated(self, monkeypatch, maturity_after_last_flow):
         m = self.m
         schedule = m.schedule if maturity_after_last_flow else self.at_last_flow
         model = JointDefaultModel(self.investor, self.counterparty, self.theta)
-        taus = np.array(self.taus)[:, None]
         got = self.payoffs(
             monkeypatch,
-            lambda: mc_value_correlated(m.market, model, schedule, m.closeout, len(taus), 1),
-            taus,
+            lambda: mc_value_correlated(m.market, model, schedule, m.closeout, len(self.taus), 1),
+            self.taus,
         )
         for tau, p in zip(self.taus, got):
             assert p == pytest.approx(self.correlated_expected(schedule, tau), abs=1e-12), tau
@@ -1002,12 +1042,12 @@ class TestSegmentTable:
             lambda: mc_value_independent(
                 market, investor, None, 0.4, 0.02, schedule, self.m.closeout, len(taus), 1
             ),
-            np.array(taus)[:, None],
+            taus,
         )
         r_bar = internal_rate(market, investor, 0.4, 0.02)
         assert got[1] > 1e-6
         for tau, p in zip(taus, got):
-            expected = self.first_default_expected(schedule, tau, math.inf, r_bar, market)
+            expected = self.first_default_expected(schedule, tau, r_bar, market=market)
             assert p == pytest.approx(expected, abs=1e-12), tau
 
     def test_one_collateral_value_per_simulation(self, monkeypatch):
@@ -1031,9 +1071,9 @@ class TestSegmentTable:
 
 
 class TestLevelMap:
-    """A one-name simulator locates a path by one lookup of its hazard
-    level ``-log w`` among the name's cumulative hazards on the grid.
-    It agrees with the inverse survival map followed by the lookup of
+    """A simulator locates a path by one lookup of its hazard level ``-log
+    w`` among the sampled hazard's cumulative values on the grid.  It
+    agrees with the inverse survival map followed by a plain lookup of
     the default time in the grid, and a level on a knot defaults exactly
     at that grid point, the first one where zero hazard leaves several."""
 
@@ -1062,7 +1102,7 @@ class TestLevelMap:
         w = np.random.Generator(np.random.PCG64(5)).random(4000)
         w[:3] = [0.0, 2.0**-53, 1.0 - 2.0**-53]
         j, dt, paid = seg.levels(curve.intensity)(w)
-        want_j, want_dt, want_paid = seg.locate(curve.inverse_survival(w))
+        want_j, want_dt, want_paid = naive_locate(seg, curve.inverse_survival(w))
         np.testing.assert_array_equal(j, want_j)
         np.testing.assert_allclose(dt, want_dt, rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(paid, want_paid)
@@ -1111,13 +1151,13 @@ class TestLevelMap:
         simulator = oracle._first_default(
             m.market, m.investor, None, 0.4, lambda_bar, schedule, m.closeout
         )
-        assert simulator[0] == (0.5,)
-        got = path_payoffs(simulator, levels[:, None])
+        assert simulator[0] == 0.5
+        got = path_payoffs(simulator, levels)
         r_bar = internal_rate(m.market, m.investor, 0.4, lambda_bar)
         for tau, p in zip((maturity, math.inf), got):
-            expected = table.first_default_expected(schedule, tau, math.inf, r_bar)
+            expected = table.first_default_expected(schedule, tau, r_bar)
             assert p == pytest.approx(expected, abs=1e-12), tau
-        all_flows = table.first_default_expected(schedule, math.inf, math.inf, r_bar)
+        all_flows = table.first_default_expected(schedule, math.inf, r_bar)
         assert (got[0] == pytest.approx(all_flows, abs=1e-12)) == (maturity > m.flows[-1][0])
 
     def test_survivor_pays_its_flows_to_the_bit(self):
@@ -1127,11 +1167,10 @@ class TestLevelMap:
         m = self.m
         schedule = CashflowSchedule.from_flows([(1.0, -0.0)])
         for counterparty in (None, m.counterparty):
-            boundaries, payoffs, paid_all, _ = oracle._first_default(
+            boundary, payoffs, paid_all, _ = oracle._first_default(
                 m.market, m.investor, counterparty, 0.4, 0.02, schedule, m.closeout
             )
-            below = np.nextafter(boundaries, 0.0)
-            levels = np.array([below, np.zeros(len(boundaries))]).T.copy()
+            levels = np.array([np.nextafter(boundary, 0.0), 0.0])
             got = np.empty(2)
             payoffs(levels, got)
             assert got.tobytes() == np.array([paid_all, paid_all]).tobytes()
@@ -1144,30 +1183,28 @@ class TestLevelMap:
         # would be NaN); bond recovery 1 keeps r_bar off lambda_bar
         m, table = self.m, TestSegmentTable()
         r_bar = internal_rate(m.market, m.investor, 1.0, 1e307)
-        levels = np.array([[0.0, 0.0], [0.5, 0.0], [2.0**-53, 0.0], [0.0, 0.5]])
+        levels = np.array([0.0, 0.5, 2.0**-53])
         for counterparty in (None, CreditCurve("C", TermCurve.flat(1e307))):
             with np.errstate(**cli._RUN_ERRSTATE):
-                boundaries, payoffs, _, _ = oracle._first_default(
+                boundary, payoffs, _, _ = oracle._first_default(
                     m.market, m.investor, counterparty, 1.0, 1e307, m.schedule, m.closeout
                 )
-                assert boundaries == (5e-324,) * len(boundaries)
-                w = levels[:, : len(boundaries)]
-                got = np.empty(len(w))
-                payoffs(np.ascontiguousarray(w.T), got)
-            # both names' hazards are 1e307
-            taus = CreditCurve("N", TermCurve.flat(1e307)).inverse_survival(levels)
-            for (tau_i, tau_c), p in zip(taus.tolist(), got):
-                tau_c = math.inf if counterparty is None else tau_c
-                expected = table.first_default_expected(m.schedule, tau_i, tau_c, r_bar)
-                assert p == pytest.approx(expected, abs=1e-12), (tau_i, tau_c)
+                assert boundary == 5e-324
+                got = np.empty(len(levels))
+                payoffs(levels, got)
+            taus = first_default_curve(counterparty, 1e307).inverse_survival(levels)
+            share = 0.0 if counterparty is None else 0.5  # the names' hazards are equal
+            for tau, p in zip(taus.tolist(), got):
+                expected = table.first_default_expected(m.schedule, tau, r_bar, share)
+                assert p == pytest.approx(expected, abs=1e-12), tau
 
 
 class TestSurvivorKnot:
-    """The survivor segment starts one ulp past maturity (past ``H(T)``
-    for a level map).  Where maturity is a grid point, that knot would
-    share the last grid point's bucket and cost every key a second
-    fix-up pass, so the bucket lookups leave it out: one pass on a
-    long_mc-shaped trade, and survivors still pay every flow."""
+    """The survivor segment starts one ulp past ``H(maturity)`` in a level
+    map.  Where maturity is a grid point, that knot can share the last
+    grid point's bucket and cost every key a second fix-up pass, so the
+    bucket lookups leave it out: one pass on a long_mc-shaped trade, and
+    survivors still pay every flow."""
 
     def test_one_pass_per_key(self, monkeypatch):
         t = TestHeapPeak
@@ -1195,29 +1232,30 @@ class TestSurvivorKnot:
         ]
         model = JointDefaultModel(investor, counterparty, 1.5)
         simulators.append(oracle._dependent_default(market, model, schedule, closeout))
-        # the two level maps, and the grid lookup of the one simulator
-        # that locates times, which its boundary search built
+        # one level map per simulator, and no other lookup
         assert len(built) == 3
-        for boundaries, payoffs, _, _ in simulators:
-            payoffs(np.full((len(boundaries), 3), 0.5), np.empty(3))
+        for _, payoffs, _, _ in simulators:
+            payoffs(np.full(3, 0.5), np.empty(3))
         assert len(built) == 3
         assert [lookup._steps for lookup in built] == [1] * 3
-        # with the survivor knot, the grid lookup would take two passes
-        grid = built[1].knots  # built second, by the independent simulator
-        assert grid[-1] == schedule.maturity
-        assert oracle._Locator(np.append(grid, np.nextafter(grid[-1], math.inf)))._steps == 2
+        # the last knot is the hazard at maturity, a grid point, not the
+        # survivor knot one ulp past it
+        hazard = combined((t.curve(0.05, 0.07), counterparty.intensity), np.add)
+        assert built[1].knots[-1] == hazard.cumulative(schedule.maturity)
 
     def test_survivors_pay_every_flow(self):
         m = TestMultiFlowPayoffs
         schedule = CashflowSchedule.from_flows(m.flows)  # maturity 4.0, the last flow
-        grid = oracle._segment_grid(schedule, (m.market.collateral,))
+        grid = oracle._segment_grid(schedule, (m.market.collateral, m.lambda_bar))
         seg = oracle._Segments(schedule, m.market.collateral, grid, -0.01 * grid)
-        past = np.nextafter(4.0, math.inf)
-        tau = np.random.Generator(np.random.PCG64(2)).uniform(0.0, 4.5, 4096)
-        tau[:4] = [4.0, past, 4.5, math.inf]
-        want = np.searchsorted(np.append(grid, past), np.minimum(tau, past), "right") - 1
-        j, dt, paid = seg.locate(tau.copy())
-        np.testing.assert_array_equal(j, want)
+        level = seg.levels(m.lambda_bar)
+        b = oracle._boundary(m.lambda_bar, seg, level)
+        w = np.random.Generator(np.random.PCG64(2)).random(4096)
+        w[:4] = [b, np.nextafter(b, 0.0), b * 0.5, 0.0]
+        j, dt, paid = level(w)
+        # away from the boundary, where the two maps round apart
+        tau = CreditCurve("N", m.lambda_bar).inverse_survival(w[2:])
+        np.testing.assert_array_equal(j[2:], naive_locate(seg, tau)[0])
         survived = j == len(grid)
         assert list(survived[:4]) == [False, True, True, True]
         assert np.all(dt[survived] == 0.0) and np.all(paid[survived] == seg.paid_all)
@@ -1307,10 +1345,9 @@ def packed_levels(curve, maturity, boundary, rng):
 
 
 class TestBoundary:
-    """Each sampled name's survival boundary is exact under the map that
-    locates its levels, a one-name simulator's hazard-level map or a
-    two-name simulator's inverse survival maps: the double below it, and
-    every level below that, survives maturity, and it defaults."""
+    """The survival boundary is exact under the level map of the sampled
+    hazard: the double below it, and every level below that, survives
+    maturity, and it and every level above it defaults."""
 
     market = MarketRates(TermCurve.flat(0.01), TermCurve.flat(0.005))
     investor = CreditCurve("I", TermCurve.flat(0.02))
@@ -1327,41 +1364,35 @@ class TestBoundary:
         levels = oracle._Segments.levels
 
         def keep(seg, intensity):
-            level_maps.append((seg, levels(seg, intensity)))
-            return level_maps[-1][1]
+            level_maps.append((seg, intensity, levels(seg, intensity)))
+            return level_maps[-1][2]
 
         # bond recovery 1 keeps r_bar off lambda_bar, whatever its size
         simulators = [
-            (oracle._first_default, (self.market, self.investor, None, 1.0, sampled.intensity),
-             (sampled,)),
+            (oracle._first_default, (self.market, self.investor, None, 1.0, sampled.intensity)),
             (oracle._first_default,
-             (self.market, self.investor, counterparty, 1.0, sampled.intensity),
-             (sampled, counterparty)),
+             (self.market, self.investor, counterparty, 1.0, sampled.intensity)),
             (oracle._dependent_default,
-             (self.market, JointDefaultModel(self.investor, counterparty, 0.0)),
-             (counterparty,)),
+             (self.market, JointDefaultModel(self.investor, counterparty, 0.0))),
         ]
-        for build, args, curves in simulators:
+        for build, args in simulators:
             level_maps.clear()
             try:
                 with mock.patch.object(oracle._Segments, "levels", keep):
-                    boundaries = build(*args, schedule, self.closeout)[0]
+                    b = build(*args, schedule, self.closeout)[0]
             except InvariantError:  # a hazard past the copula's range
                 continue
-            if len(curves) == 1:
-                ((seg, level),) = level_maps
-                maps = [lambda w: level(w)[0] == len(seg.grid)]
-            else:
-                maps = [lambda w, c=c: c.inverse_survival(w) > maturity for c in curves]
-            for curve, b, survives in zip(curves, boundaries, maps):
-                w = packed_levels(curve, maturity, b, rng)
-                assert survives(np.array([np.nextafter(b, 0.0), b])).tolist() == [True, False]
-                assert survives(w[w < b]).all()
-                if len(curves) == 1:
-                    # a hazard-level map is monotone; an inverse map can
-                    # round a level above b past a node at maturity, and
-                    # such a path is drawn and located as a survivor
-                    np.testing.assert_array_equal(survives(w), w < b)
+            except ValueError:  # the two hazards' sum past the largest double
+                assert build is oracle._first_default and args[2] is not None
+                continue
+            ((seg, intensity, level),) = level_maps
+
+            def survives(w):
+                return level(w)[0] == len(seg.grid)
+
+            w = packed_levels(CreditCurve("N", intensity), maturity, b, rng)
+            assert survives(np.array([np.nextafter(b, 0.0), b])).tolist() == [True, False]
+            np.testing.assert_array_equal(survives(w), w < b)
 
     def test_zero_recovery_bullet_is_exact(self):
         # zero recoveries and one flow: every default pays exactly 0 and
