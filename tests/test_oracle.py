@@ -1193,7 +1193,7 @@ class TestLevelMap:
                 got = np.empty(len(levels))
                 payoffs(levels, got)
             taus = first_default_curve(counterparty, 1e307).inverse_survival(levels)
-            share = 0.0 if counterparty is None else 0.5  # the names' hazards are equal
+            share = counterparty_share(counterparty, 1e307, 0.0)  # 0.5 with the counterparty
             for tau, p in zip(taus.tolist(), got):
                 expected = table.first_default_expected(m.schedule, tau, r_bar, share)
                 assert p == pytest.approx(expected, abs=1e-12), tau
@@ -1396,7 +1396,7 @@ class TestBoundary:
 
     def test_zero_recovery_bullet_is_exact(self):
         # zero recoveries and one flow: every default pays exactly 0 and
-        # every survivor the flow, so strata on exact boundaries leave no
+        # every survivor the flow, so strata on the exact boundary leave no
         # variance, and the mean is v0 to rounding, for every seed; a
         # boundary a little below the exact one draws survivors in the
         # defaulting stratum
