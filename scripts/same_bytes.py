@@ -19,9 +19,10 @@ CSVs differ it names each differing cell by file, line and column, with
 both values and their relative change (at most ``MAX_CELLS`` per file).
 Under each run that differs only in Monte Carlo estimates
 (``mc_mean``/``mc_stderr`` cells and the ``mc=`` text of stdout) it
-prints the largest ``|mc_mean - v0| / mc_stderr`` of its summary rows,
-with REV's ``src/`` and with this tree's, and a closing line counts those
-runs and gives their largest relative change.  REV is checked out in a temporary
+prints the largest ``|mc_mean - v0| / mc_stderr`` of its summary rows
+and their largest ``mc_stderr``, with REV's ``src/`` and with this
+tree's, and a closing line counts those runs and gives their largest
+relative change.  REV is checked out in a temporary
 ``git worktree``, removed when done.
 """
 
@@ -170,16 +171,21 @@ def mc_only_change(before: tuple, after: tuple, notes: list, cells: list) -> flo
     return None if None in changes else max(changes)
 
 
-def worst_z(files: dict) -> float:
-    """The largest ``|mc_mean - v0| / mc_stderr`` over the summary rows
-    of a run's CSVs, ``{file name: bytes}``, whose standard error is
-    positive; nan where no row has one."""
-    zs = []
+def mc_extremes(files: dict) -> tuple[float, float]:
+    """``(worst z, largest stderr)`` over the summary rows of a run's
+    CSVs, ``{file name: bytes}``: the largest ``|mc_mean - v0| /
+    mc_stderr`` of the rows whose standard error is positive, and the
+    largest ``mc_stderr``; nan where no row has one."""
+    zs, errors = [], []
     for data in files.values():
         for row in csv.DictReader(io.StringIO(data.decode())):
-            if row.get("v0") and row.get("mc_stderr") and float(row["mc_stderr"]) > 0.0:
-                zs.append(abs(float(row["mc_mean"]) - float(row["v0"])) / float(row["mc_stderr"]))
-    return max(zs, default=math.nan)
+            if not (row.get("v0") and row.get("mc_stderr")):
+                continue
+            se = float(row["mc_stderr"])
+            errors.append(se)
+            if se > 0.0:
+                zs.append(abs(float(row["mc_mean"]) - float(row["v0"])) / se)
+    return max(zs, default=math.nan), max(errors, default=math.nan)
 
 
 def main() -> int:
@@ -226,9 +232,12 @@ def main() -> int:
                         change = mc_only_change(before, after, notes, cells)
                         if change is not None:
                             mc_only.append(change)
-                            z_rev, z_tree = (worst_z(side[3]) for side in (before, after))
+                            (z_rev, se_rev), (z_tree, se_tree) = (
+                                mc_extremes(side[3]) for side in (before, after)
+                            )
                             print(f"    worst |mc_mean - v0| / mc_stderr: {z_rev:.3g} at "
-                                  f"{args.rev}, {z_tree:.3g} in the tree")
+                                  f"{args.rev}, {z_tree:.3g} in the tree; largest mc_stderr: "
+                                  f"{se_rev:.3g} at {args.rev}, {se_tree:.3g} in the tree")
             print(f"{runs - differ} of {runs} runs identical to {args.rev}")
             largest = f", largest relative change {max(mc_only):.3g}" if mc_only else ""
             print(

@@ -24,36 +24,40 @@ lambda_C)``, so a default settles that mix of the two closeouts, the
 payoff's conditional expectation given ``tau``.  Dependent defaults
 sample ``tau_C`` alone.
 
-Paths are stratified (proportional allocation: Glasserman, *Monte Carlo
-Methods in Financial Engineering*, 2003, section 4.3) on the survival
-boundary ``b``: the least double in ``[0, 1]`` that the level map sends
-to a default by maturity, found by a search over the doubles; every
-level below it survives.  The survivor stratum, of probability ``b``,
-pays every flow with no draw.  The at-risk stratum, of probability ``p
-= 1 - b``, draws ``n = max(2, round(paths * p))`` paths, each at level
-``b + p u`` (at most 1, a default at time 0).  The estimate is ``b *
-paid_all + p * mean``, with standard error ``p * sqrt(M2 / (n - 1) /
-n)``; ``McEstimate.paths`` stays ``paths``.  Where nothing can default
-``b`` is 1: nothing is drawn, and the estimate is the flow sum with a
-standard error of 0.  Stratification is the one variance reduction
-applied: it reads only the credit curves, never the solver's numerics,
-so the oracle stays independent of the engine it checks.
+Paths are stratified on the segments of ``G`` (Glasserman, *Monte Carlo
+Methods in Financial Engineering*, 2003, section 4.3).  With ``S`` the
+survival of the sampled hazard, segment ``j`` holds a default with
+probability ``p_j = S(g_j) (1 - exp(-lam_j span_j))`` and no path
+defaults by maturity with probability ``S(T)``; the survivors pay every
+flow with no draw.  Segment ``j`` gets ``m_j = max(1, round(paths p_j /
+2))`` pairs of draws (none where ``p_j = 0``), pair ``k`` of them in the
+``k``-th of its ``m_j`` sub-strata of equal probability: a draw ``u``
+maps to ``q = (k + u) / m_j`` and the time ``dt = -log1p(q expm1(-lam_j
+span_j)) / lam_j`` into the segment, at most ``span_j``.  The segment
+of a draw is known before the draw, and a flow date is always a stratum
+edge, so no stratum straddles a jump of the payoff.  With ``w_j = p_j /
+m_j`` the estimate is ``S(T) paid_all + sum w_j (x_1 + x_2) / 2`` over
+the pairs' payoffs, with variance ``sum w_j**2 (x_1 - x_2)**2 / 4``,
+unbiased within each sub-stratum; ``McEstimate.paths`` stays ``paths``.
+Where nothing can default ``S(T)`` is 1: nothing is drawn, and the
+estimate is the flow sum with a standard error of 0.  The strata read
+only the hazard and ``G``, never the solver's numerics, so the oracle
+stays independent of the engine it checks.
 
 Randomness contract: draws come from numpy's ``PCG64`` generator seeded
 with the seed (through ``SeedSequence``, so any non-negative integer is a
-seed).  Path ``i`` of the at-risk stratum takes draw ``i`` of the stream.
-``PCG64`` emits one 64-bit word per double, so a worker owning paths
-``[p0, p1)`` reproduces its slice exactly from ``PCG64(seed).advance(p0)``,
-for any ``p0``.
+seed).  Pair ``s``, counted over the segments in order, takes draws
+``2s`` and ``2s + 1`` of the stream.  ``PCG64`` emits one 64-bit word per
+double, so a worker owning the pairs from ``s`` on reproduces its draws
+exactly from ``PCG64(seed).advance(2s)``.
 
-Blocks of ``_BLOCK`` paths draw into one reused buffer, continuing the
-stream.  The payoff map locates each path by one bucket lookup of its
-hazard level in ``G`` (past maturity the survivor segment ``len(G)``:
-every flow, no closeout); a few gathers and one ``exp`` give its payoff,
-written into one chunk buffer.  A chunk of ``_CHUNK`` paths reduces, in
-path order, to ``(n, mean, M2)`` with the two passes of ``np.var``, and
-the chunks merge in index order by the update of Chan, Golub & LeVeque
-(1979): memory is ``O(chunk + block)``.  Payoffs whose squares could
+Blocks of ``_BLOCK`` draws fill one reused buffer, continuing the
+stream; each draw's segment and sub-stratum come from its index in the
+stream, so a block may split a pair.  A few gathers and one ``exp`` give
+each draw's payoff, written into one chunk buffer.  A chunk of
+``_CHUNK`` draws reduces to its two weighted sums by ``np.add.reduceat``
+over the segments' offsets in it, and the chunks' sums are added in
+index order: memory is ``O(chunk + block)``.  Payoffs whose squares could
 overflow are reduced scaled by a power of two, undone exactly.  Payoffs
 come from elementwise operations that do not depend on the length or
 stride of their arrays, so estimates are bit-identical for every block
@@ -71,15 +75,13 @@ with ``v = w2`` when ``theta = 0``.
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .credit import CreditCurve, JointDefaultModel, _conditional_inverse, _log_clayton
-from .curves import MarketRates, TermCurve, _Locator, as_curve, combined
+from .curves import MarketRates, TermCurve, as_curve, combined
 from .errors import _require_finite
 from .instruments import CashflowSchedule, CloseoutSpec, closeout_values, collateral_value
 from .measure import internal_rate
@@ -98,18 +100,19 @@ class McEstimate:
     seed: int
 
 
-# Paths per block: a block's levels and temporaries stay in a 2 MiB L2
+# Draws per block: a block's draws and temporaries stay in a 2 MiB L2
 # cache, and the heap peak under the trim threshold that _CHUNK's buffer
 # sets (below).  2**15-path blocks peaked at 4.4-5.1 MiB, and a timed
 # long_mc call took ~1180 minor page faults, not ~43 (2-vCPU Xeon).
 _BLOCK = 2**14
 
-# Paths per reduction chunk, whose mapped payoffs fill at most one 2 MiB
-# buffer.  glibc raises its mmap and trim thresholds to the largest mapped
-# block freed: freeing the buffer sets the trim threshold to ~4 MiB, so a
-# heap that peaks below it keeps the block temporaries instead of trimming
-# and refaulting them every block.  Smaller chunks leave the thresholds
-# low (2**15-path chunks took 2.4k faults a long_mc call, 2**17 4.1k).
+# Draws per reduction chunk, an even number so that no pair straddles two
+# chunks, whose mapped payoffs fill at most one 2 MiB buffer.  glibc
+# raises its mmap and trim thresholds to the largest mapped block freed:
+# freeing the buffer sets the trim threshold to ~4 MiB, so a heap that
+# peaks below it keeps the block temporaries instead of trimming and
+# refaulting them every block.  Smaller chunks leave the thresholds low
+# (2**15-path chunks took 2.4k faults a long_mc call, 2**17 4.1k).
 _CHUNK = 2**18
 
 
@@ -121,93 +124,57 @@ def _generator(paths: int, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _simulate(paths: int, seed: int, boundary: float, payoffs, paid_all, bound) -> McEstimate:
-    """The estimate from the discounted payoffs of ``paths`` paths, each
-    at most ``bound`` in magnitude, stratified on ``boundary``: the
-    at-risk stratum's paths draw one uniform each, in blocks that continue
-    the generator's stream, and ``payoffs(levels, out)`` writes a block's
-    payoffs, from its levels, into the next slice of one chunk buffer."""
+def _simulate(paths: int, seed: int, seg: _Segments, payoffs, bound) -> McEstimate:
+    """The estimate from the discounted payoffs, each at most ``bound``
+    in magnitude, of ``paths`` nominal paths stratified on the segments
+    of ``seg``: the pairs' draws come in blocks that continue the
+    generator's stream, and ``payoffs(j, dt, out)`` writes the payoffs of
+    a block's defaults, ``dt`` into segments ``j``, into the next slice
+    of one chunk buffer."""
     gen = _generator(paths, seed)
-    scale = _scale(paths, bound)
-    p = 1.0 - boundary
-    at_risk = max(2, round(paths * p)) if p > 0.0 else 0
-    x = np.empty(min(_CHUNK, at_risk))
+    pairs = np.where(seg.prob > 0.0, np.maximum(np.rint(paths * seg.prob / 2), 1.0), 0.0)
+    first = np.concatenate(([0], np.cumsum(pairs.astype(np.int64))))  # each segment's first pair
+    weight = np.divide(seg.prob, pairs, out=np.zeros_like(pairs), where=pairs > 0.0)
+    draws = 2 * int(first[-1])
+    scale = _scale(draws, bound)
+    x = np.empty(min(_CHUNK, draws))
     size = min(_BLOCK, len(x))  # blocks end at chunk ends
-    levels = np.empty(size)
-    chunks = []
-    for first in range(0, at_risk, _CHUNK):
-        n = min(_CHUNK, at_risk - first)
-        for start in range(0, n, size):
-            w = gen.random(out=levels[: min(size, n - start)])
-            w *= p
-            w += boundary
-            payoffs(w, x[start : start + len(w)])
+    u = np.empty(size)
+    mean, variance = seg.survival * seg.paid_all, 0.0
+    for start in range(0, draws, _CHUNK):
+        n = min(_CHUNK, draws - start)
+        for at in range(start, start + n, size):
+            w = gen.random(out=u[: min(size, start + n - at)])
+            payoffs(*seg.times(pairs, first, at, w), x[at - start : at - start + len(w)])
         y = x[:n]
         y *= scale  # exact, 1 unless squares could overflow
-        # np.var's two passes, in place: no BLAS dot, whose order varies
-        chunk_mean = float(np.mean(y))
-        y -= chunk_mean
-        np.square(y, out=y)
-        chunks.append((n, chunk_mean, float(np.sum(y))))
-    mean, variance = boundary * paid_all, 0.0
-    if chunks:
-        n, chunk_mean, m2 = functools.reduce(_merge, chunks)
-        mean += p * (chunk_mean / scale)
-        variance += p * p * (m2 / (n - 1) / n)
+        # the segments with pairs in the chunk, and where each starts in it
+        edges = np.clip(first, start // 2, (start + n) // 2) - start // 2
+        held = np.flatnonzero(np.diff(edges))
+        total, squares = _weighted_sums(y, edges[held], weight[held])
+        mean += total / 2 / scale
+        variance += squares / 4
     return McEstimate(mean=mean, std_error=math.sqrt(variance) / scale, paths=paths, seed=seed)
 
 
-def _boundary(intensity: TermCurve, seg: _Segments, level_map) -> float:
-    """The least level ``b`` in ``[0, 1]`` that ``level_map``, from an
-    array of levels of the hazard ``intensity`` to their segments of
-    ``seg`` (the first of what it returns), keeps out of the survivor
-    segment: the double below ``b`` survives maturity.  The search reads
-    the map only at the levels it samples, so every level below ``b``
-    survives if it is monotone.
-
-    Level 0 survives and level 1 defaults (at time 0) under every map; the
-    search brackets ``b`` between their bit patterns, which order the
-    doubles in ``[0, 1]``.  One vectorised call places it among levels 0,
-    1, 2, 4, ... ulps either side of the survival at maturity, within a
-    few ulps of ``b``, and each further call among 63 levels evenly spaced
-    in the bracket, down to adjacent doubles."""
-    lo, hi = 0, int(_ONE_BITS)
-    with np.errstate(over="ignore"):
-        guess = np.exp(-np.float64(intensity.cumulative(seg.maturity))).view(np.int64)
-    bits = np.unique(np.clip(guess + _LADDER, lo + 1, hi - 1))
-    while hi - lo > 1:
-        alive = level_map(bits.view(np.float64))[0] == len(seg.grid)
-        first = int(np.argmin(alive)) if not alive.all() else len(bits)  # first default
-        lo = int(bits[first - 1]) if first > 0 else lo
-        hi = int(bits[first]) if first < len(bits) else hi
-        step = max((hi - lo) // 64, 1)
-        bits = np.arange(lo + step, hi, step, dtype=np.int64)
-    return float(np.int64(hi).view(np.float64))
+def _weighted_sums(x, offsets, weight) -> tuple[float, float]:
+    """``sum w (x_1 + x_2)`` and ``sum w**2 (x_1 - x_2)**2`` over the pairs
+    ``(x_1, x_2)`` of ``x``, each weighted by the ``w`` of its segment: the
+    pairs from ``offsets[i]`` on have weight ``weight[i]``."""
+    total = float(np.sum(weight * np.add.reduceat(x, 2 * offsets)))
+    d = x[0::2] - x[1::2]
+    np.square(d, out=d)
+    return total, float(np.sum(weight * weight * np.add.reduceat(d, offsets)))
 
 
-_ONE_BITS = np.float64(1.0).view(np.int64)
-# offsets in ulps from the guess: 0 and +-2**i, up to half the bits of [0, 1]
-_LADDER = np.concatenate((-(2 ** np.arange(62)), [0], 2 ** np.arange(62)))
-
-
-def _scale(paths: int, bound: float) -> float:
-    """A power of two that keeps the squared deviations of ``paths``
+def _scale(draws: int, bound: float) -> float:
+    """A power of two that keeps the squared differences of ``draws``
     payoffs of magnitude at most ``bound``, and their sum, finite: 1
     unless they could overflow.  Scaling by it, and back, is exact."""
-    # paths * (2 * bound)**2 <= 2**1023 once bound <= 2**limit
-    limit = (1021 - paths.bit_length()) // 2
+    # draws * (2 * bound)**2 <= 2**1023 once bound <= 2**limit
+    limit = (1021 - draws.bit_length()) // 2
     exponent = math.frexp(bound)[1]  # bound < 2**exponent
     return 1.0 if exponent <= limit else math.ldexp(1.0, limit - exponent)
-
-
-def _merge(a: tuple, b: tuple) -> tuple:
-    """``(n, mean, M2)`` of two samples, from each one's: Chan, Golub &
-    LeVeque (1979)."""
-    n_a, mean_a, m2_a = a
-    n_b, mean_b, m2_b = b
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
 
 
 def sample_joint_defaults(
@@ -239,11 +206,13 @@ def _segment_grid(schedule: CashflowSchedule, curves) -> np.ndarray:
 
 
 class _Segments:
-    """One simulation's payoff constants on the segments of ``grid``.
+    """One simulation's strata and payoff constants on the segments of
+    ``grid``.
 
     ``grid`` comes from :func:`_segment_grid` over ``r_X`` and every
-    other curve the payoff reads.  On a segment ``[g_j, g_{j+1})`` each
-    of them is constant and no flow falls strictly inside, so:
+    other curve the payoff reads, the sampled ``hazard`` among them.  On
+    a segment ``[g_j, g_{j+1})`` each of them is constant and no flow
+    falls strictly inside, so:
 
     * the flows a default in the segment has been paid are fixed, with a
       separate sum for a default exactly at ``g_j``, which does not
@@ -252,15 +221,17 @@ class _Segments:
       ``owed`` the value of the remaining flows at the next flow date
       (all three are 0 once no flow is left).  Anchoring ``v_X`` there
       rather than at ``g_j`` keeps it from underflowing at the start of
-      a long segment.
+      a long segment;
+    * the hazard is ``lam[j]``, and a default falls in the segment with
+      probability ``prob[j] = S(g_j) * -expm1(-lam[j] span[j])``, a
+      product in which no two survival levels cancel.  No default comes
+      by maturity with probability ``survival``, ``S(T)``.
 
     ``log_discount`` is the log of the weight of a flow paid at each
-    grid time.  A path is located by one bucket lookup of its hazard
-    level (:meth:`levels`), past maturity in the survivor segment
-    ``len(grid)`` (see :func:`_survivor_row`).
+    grid time.
     """
 
-    def __init__(self, schedule: CashflowSchedule, collateral, grid, log_discount):
+    def __init__(self, schedule: CashflowSchedule, collateral, grid, log_discount, hazard):
         times = np.asarray(schedule.times)
         self.grid = grid
         self.maturity = schedule.maturity
@@ -272,9 +243,8 @@ class _Segments:
         weighted = np.asarray(schedule.amounts) * np.exp(log_discount[flow_at])
         prefix = np.concatenate(([0.0], np.cumsum(weighted)))
         self.paid_all = float(prefix[-1])
-        left = np.searchsorted(times, grid, side="left")
-        # the survivor segment, past maturity, is paid every flow
-        self.paid_before, self.paid_upto = (np.append(prefix[k], prefix[-1]) for k in (left, upto))
+        self.paid_before = prefix[np.searchsorted(times, grid, side="left")]
+        self.paid_upto = prefix[upto]
 
         nxt = np.minimum(upto, len(times) - 1)  # first flow after g_j
         done = upto == len(times)  # no flow left after g_j
@@ -284,44 +254,31 @@ class _Segments:
         self.log_vx = np.where(done, 0.0, h_x - h_x[flow_at[nxt]])
         self.rate_x = np.where(done, 0.0, collateral.value(grid))
 
-    def levels(self, intensity: TermCurve):
-        """The map from survival levels ``w`` of a hazard ``intensity``,
-        constant on each segment, to their default times' segments ``j``,
-        times ``dt`` in them and flows paid: ``-log w`` (at most the
-        largest double) is looked up among the cumulative hazards ``H`` on
-        the grid and just past ``H(maturity)``, a knot repeated by zero
-        hazard raised one ulp, then ``dt = (-log w - H[j]) / lam_j``."""
-        top = sys.float_info.max
-        with np.errstate(over="ignore", divide="ignore"):
-            past = np.nextafter(intensity.cumulative(self.maturity), math.inf)
-            knots = np.minimum(np.append(intensity.cumulative(self.grid), past), top)
-            lam = np.asarray(intensity.value(self.grid))
-            # 0 where the hazard is 0; clipped where it is subnormal
-            inv = np.append(np.minimum(np.where(lam > 0.0, 1.0 / lam, 0.0), top), 0.0)
-            repeat = np.append(False, knots[1:] == knots[:-1]) & (knots < top)
-            raised = np.where(repeat, np.nextafter(knots, math.inf), knots)
-            locate = _Locator(raised[:-1])
+        self.lam = np.asarray(hazard.value(grid))
+        self.shrink = np.expm1(-self.lam * self.span)  # S(g_{j+1}) / S(g_j) - 1
+        self.prob = np.exp(-np.asarray(hazard.cumulative(grid))) * -self.shrink
+        self.survival = float(np.exp(-hazard.cumulative(self.maturity)))
 
-        def level(w):
-            with np.errstate(divide="ignore"):
-                target = np.log(w)
-            np.minimum(np.negative(target, out=target), top, out=target)
-            j = self._survivors(locate(target, "right") - 1, target, raised[-1])
-            dt = (target - knots[j]) * inv[j]
-            return j, dt, self._paid(j, dt)
+    def times(self, pairs, first, at, u):
+        """The segments ``j`` and times ``dt`` into them of the draws
+        ``u``, draws ``at, at + 1, ...`` of the stream, where segment
+        ``j`` holds ``pairs[j]`` pairs from pair ``first[j]`` on; ``u`` is
+        overwritten with ``dt``."""
+        ends = np.clip(2 * first, at, at + len(u))
+        j = np.repeat(np.arange(len(pairs)), np.diff(ends))
+        index = np.arange(at, at + len(u))
+        index >>= 1  # the draw's pair, and from it the pair's sub-stratum k
+        index -= first[j]
+        q = np.add(index, u, out=u)
+        q /= pairs[j]
+        q *= self.shrink[j]
+        with np.errstate(divide="ignore"):  # q rounded up to 1 under a shrink of -1
+            dt = np.log1p(q, out=q)
+        dt /= self.lam[j]
+        np.negative(dt, out=dt)
+        return j, np.minimum(dt, self.span[j], out=dt)
 
-        return level
-
-    def _survivors(self, j, keys, survivor):
-        """``j`` with the survivor segment where ``keys`` reach its knot
-        ``survivor``: in a bucket lookup, one ulp past the last grid
-        point's knot, it would cost every key a second fix-up pass."""
-        survived = keys >= survivor
-        if survived.any():
-            j[survived] = len(self.grid)
-        return j
-
-    def _paid(self, j, dt):
+    def paid(self, j, dt):
         """The flows paid by a default ``dt`` into segment ``j``."""
         paid = self.paid_upto[j]
         on_node = dt == 0.0
@@ -330,21 +287,16 @@ class _Segments:
         return paid
 
 
-def _survivor_row(*columns):
-    """Each column with the survivor segment's entry -0.0: a surviving
-    path's closeout ``-0.0 * exp(-0.0)`` leaves its flows' every bit."""
-    return [np.append(c, -0.0) for c in columns]
-
-
 def _check_payoffs(seg: _Segments, settle, log_scale, slope) -> float:
     """Raise :class:`InvariantError` where a payoff of ``seg`` is not
     finite, and return a bound on every payoff's magnitude.  A default
     ``dt`` into segment ``j`` is paid its flows and ``settle[j] *
     exp(log_scale[j] + slope[j] * dt)`` (the exponent may be an upper
     bound): monotone in ``dt``, so the payoffs at a segment's two ends
-    bound those inside it."""
+    bound those inside it, and a survivor is paid every flow, the flows
+    paid up to the last grid point."""
     at = (seg.grid, seg.grid, seg.grid + seg.span)
-    paid = (seg.paid_before[:-1], seg.paid_upto[:-1], seg.paid_upto[:-1])
+    paid = (seg.paid_before, seg.paid_upto, seg.paid_upto)
     with np.errstate(over="ignore", invalid="ignore"):
         start = np.exp(log_scale)
         growth = (start, start, np.exp(log_scale + slope * seg.span))
@@ -376,9 +328,9 @@ def _first_default(
     ``lambda_bar + lambda_C`` and is the counterparty's with probability
     ``s = lambda_C / (lambda_bar + lambda_C)``, so a default settles ``k_I
     + s (k_C - k_I)``, the closeout's expectation given the time.
-    Returns ``(boundary, payoffs, paid_all, bound)`` for
-    :func:`_simulate`: the survival boundary, the map from levels to
-    payoffs, a survivor's payoff and a bound on every payoff's magnitude.
+    Returns ``(seg, payoffs, bound)`` for :func:`_simulate`: the segment
+    table, stratified on ``lambda_bar + lambda_C``, the map from defaults
+    to payoffs and a bound on every payoff's magnitude.
 
     The closeout is positively homogeneous in ``v_X``, so on a segment
     it is the closeout of ``owed`` times one exponential, which also
@@ -392,24 +344,20 @@ def _first_default(
     grid = _segment_grid(schedule, (market.collateral, r_bar, lam_c))
     with np.errstate(over="ignore", invalid="ignore"):
         log_discount = -np.asarray(r_bar.cumulative(grid))
-        seg = _Segments(schedule, market.collateral, grid, log_discount)
+        seg = _Segments(schedule, market.collateral, grid, log_discount, hazard)
         k_i, k_c = closeout_values(closeout, seg.owed)
         share = np.asarray(lam_c.value(grid)) / np.asarray(hazard.value(grid))  # NaN at 0 / 0
         settle = np.where(share > 0.0, k_i + share * (k_c - k_i), k_i)
         log_scale = seg.log_vx + log_discount
         slope = seg.rate_x - np.asarray(r_bar.value(grid))
     bound = _check_payoffs(seg, settle, log_scale, slope)
-    level_map = seg.levels(hazard)
-    boundary = _boundary(hazard, seg, level_map)
-    settle, log_scale, slope = _survivor_row(settle, log_scale, slope)
 
-    def payoffs(levels, out):
-        j, dt, paid = level_map(levels)
+    def payoffs(j, dt, out):
         x = slope[j] * dt  # in place from here: the block's heap peak
         x += log_scale[j]
-        np.add(paid, np.multiply(settle[j], np.exp(x, out=x), out=x), out=out)
+        np.add(seg.paid(j, dt), np.multiply(settle[j], np.exp(x, out=x), out=x), out=out)
 
-    return boundary, payoffs, seg.paid_all, bound
+    return seg, payoffs, bound
 
 
 def mc_value_independent(
@@ -439,7 +387,8 @@ def mc_value_independent(
 
 def _dependent_default(market, model, schedule, closeout):
     """The dependent-default simulator, its constants built once; returns
-    ``(boundary, payoffs, paid_all, bound)`` as :func:`_first_default` does.
+    ``(seg, payoffs, bound)`` as :func:`_first_default` does, stratified
+    on ``lambda_C``.
 
     Only ``tau_C`` is random (its internal law equals the market one);
     the numeraire is the survival-contingent bank account, so a flow at
@@ -464,22 +413,18 @@ def _dependent_default(market, model, schedule, closeout):
         cum = [np.asarray(c.cumulative(grid)) for c in curves]
         rate = [np.asarray(c.value(grid)) for c in curves]
         start = log_weight(*cum)
-        seg = _Segments(schedule, market.collateral, grid, start)
+        seg = _Segments(schedule, market.collateral, grid, start, model.counterparty.intensity)
         _, k_c = closeout_values(closeout, seg.owed)
         end = log_weight(*(h + lam * seg.span for h, lam in zip(cum, rate)))
     _require_finite(("log discount", grid, start), ("log discount", grid + seg.span, end))
     bound = _check_payoffs(seg, k_c, seg.log_vx - cum[0], seg.rate_x - rate[0])
-    level_map = seg.levels(model.counterparty.intensity)
-    boundary = _boundary(model.counterparty.intensity, seg, level_map)
-    k_c, log_vx, rate_x = _survivor_row(k_c, seg.log_vx, seg.rate_x)
-    cum, rate = _survivor_row(*cum), _survivor_row(*rate)
 
-    def payoffs(levels, out):
-        j, dt, paid = level_map(levels)
+    def payoffs(j, dt, out):
         log_w = log_weight(*(h[j] + lam[j] * dt for h, lam in zip(cum, rate)))
-        np.add(paid, k_c[j] * np.exp(log_vx[j] + rate_x[j] * dt + log_w), out=out)
+        x = seg.log_vx[j] + seg.rate_x[j] * dt + log_w
+        np.add(seg.paid(j, dt), k_c[j] * np.exp(x), out=out)
 
-    return boundary, payoffs, seg.paid_all, bound
+    return seg, payoffs, bound
 
 
 def mc_value_correlated(

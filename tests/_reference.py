@@ -125,43 +125,54 @@ def naive_inverse_survival(nodes, w):
 
 
 def naive_locate(seg, tau):
-    """``(j, dt, paid)`` of default times ``tau`` on an oracle segment
-    table ``seg``: the segment ``j`` of the last grid point at or before
-    each time (``len(seg.grid)`` past maturity, a survivor), the time
-    ``dt`` into it, and the flows paid, without those dated ``tau``."""
+    """``(j, dt)`` of default times ``tau``, at most maturity, on an oracle
+    segment table ``seg``: the segment ``j`` of the last grid point at or
+    before each time, and the time ``dt`` into it."""
     tau = np.asarray(tau, dtype=float)
-    survived = tau > seg.maturity
-    j = np.searchsorted(seg.grid, np.where(survived, 0.0, tau), side="right") - 1
-    j[survived] = len(seg.grid)
-    dt = np.where(survived, 0.0, tau - seg.grid[np.minimum(j, len(seg.grid) - 1)])
-    paid = np.where(dt == 0.0, seg.paid_before[j], seg.paid_upto[j])
-    return j, dt, paid
+    j = np.searchsorted(seg.grid, tau, side="right") - 1
+    return j, tau - seg.grid[j]
+
+
+def pair_strata(prob, paths):
+    """``(j, k, m)`` of every pair of a pair-stratified sample, in order:
+    segment ``j`` of positive probability ``prob[j]`` holds ``m =
+    max(1, round(paths * prob[j] / 2))`` pairs, ``k = 0, ..., m - 1``,
+    and a segment of probability 0 none."""
+    strata = []
+    for j, p in enumerate(prob):
+        if p > 0.0:
+            m = max(1, round(paths * float(p) / 2))
+            strata += [(j, k, m) for k in range(m)]
+    return strata
+
+
+def stratified_time(lam, span, k, m, u):
+    """The time into a segment of hazard ``lam`` and length ``span`` of a
+    draw ``u`` in sub-stratum ``k`` of ``m``: where the segment's
+    conditional default law reaches ``(k + u) / m``, at most ``span``."""
+    q = (k + u) / m
+    return min(-math.log1p(q * math.expm1(-lam * span)) / lam, span)
+
+
+def pair_stratified_estimate(prob, survival, paid_all, paths, payoffs):
+    """``(mean, std_error)`` of a pair-stratified sample, pair by pair.
+
+    ``payoffs`` holds two payoffs per pair of :func:`pair_strata`, in its
+    order.  Pair ``(x1, x2)`` of segment ``j`` with ``m`` pairs weighs ``w
+    = prob[j] / m``; the survivors, of probability ``survival``, are paid
+    ``paid_all``.  The mean is ``survival * paid_all + sum w (x1 + x2) /
+    2`` and the variance ``sum w**2 (x1 - x2)**2 / 4``.
+    """
+    strata = pair_strata(prob, paths)
+    assert len(payoffs) == 2 * len(strata)
+    mean, variance = survival * paid_all, 0.0
+    for s, (j, _, m) in enumerate(strata):
+        w = float(prob[j]) / m
+        x1, x2 = payoffs[2 * s], payoffs[2 * s + 1]
+        mean += w * (x1 + x2) / 2
+        variance += w * w * (x1 - x2) ** 2 / 4
+    return mean, math.sqrt(variance)
 
 
 def central_difference(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def chunked_mean_m2(payoffs, chunk):
-    """``(n, mean, M2)`` of ``payoffs``, folded chunk by chunk in order.
-
-    Each chunk of ``chunk`` payoffs, in path order, takes ``np.var``'s two
-    passes: its mean, then the sum of its squared deviations from it.  The
-    running totals absorb each chunk by the update of Chan, Golub &
-    LeVeque (1979).
-    """
-    totals = None
-    for start in range(0, len(payoffs), chunk):
-        x = np.asarray(payoffs[start : start + chunk], dtype=float)
-        mean = float(np.mean(x))
-        group = (len(x), mean, float(np.sum((x - mean) ** 2)))
-        if totals is None:
-            totals = group
-            continue
-        n_a, mean_a, m2_a = totals
-        n_b, mean_b, m2_b = group
-        total = n_a + n_b
-        delta = mean_b - mean_a
-        m2 = m2_a + m2_b + delta * delta * (n_a * n_b / total)
-        totals = total, mean_a + delta * (n_b / total), m2
-    return totals

@@ -3,7 +3,6 @@ import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,10 +25,18 @@ from valadj import (
     mc_value_independent,
     sample_joint_defaults,
 )
-from valadj import as_curve, cli, oracle
+from valadj import as_curve, cli, curves, oracle
 from valadj.measure import internal_rate
 
-from _reference import chunked_mean_m2, naive_collateral_value, naive_locate, piecewise_integral
+from _reference import (
+    naive_collateral_value,
+    naive_inverse_survival,
+    naive_locate,
+    pair_strata,
+    pair_stratified_estimate,
+    piecewise_integral,
+    stratified_time,
+)
 
 N = 200_000
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,20 +44,22 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @dataclass(frozen=True)
 class PathOutcome:
-    """One drawn path: its level, its first default time (``inf`` =
-    never) and the payoff discounted to time 0."""
+    """One draw: the segment of ``G`` it defaults in, its default time
+    and the payoff discounted to time 0."""
 
-    level: float
+    segment: int
     tau: float
     discounted_payoff: float
 
 
 class Sample(NamedTuple):
-    """Every drawn path, with what the estimate adds for the paths it
-    does not draw."""
+    """Every draw, in stream order, with the estimate the simulation
+    returned and what it adds for the paths it does not draw."""
 
     outcomes: list
-    boundary: float
+    estimate: oracle.McEstimate
+    prob: tuple
+    survival: float
     paid_all: float
 
 
@@ -70,75 +79,95 @@ def counterparty_share(counterparty, lambda_bar, tau):
     return lam_c / total if total > 0.0 else 0.0
 
 
-def stratified_levels(paths, seed, boundary):
-    """The levels of the at-risk stratum's paths: ``max(2, round(paths *
-    p))`` of them where ``p = 1 - boundary`` is positive, path ``i`` at
-    ``boundary + p u_i`` for draw ``u_i`` of one ``PCG64`` stream."""
-    p = 1.0 - boundary
-    n = max(2, round(paths * p)) if p > 0.0 else 0
-    return boundary + p * np.random.Generator(np.random.PCG64(seed)).random(n)
+def drawn(simulator, paths, seed):
+    """``(estimate, j, dt, payoffs)`` of a simulator's ``(seg, payoffs,
+    bound)``: the estimate, and the segment, the time into it and the
+    payoff of every draw, in stream order."""
+    seg, payoffs, bound = simulator
+    batches = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))]
+
+    def keep(j, dt, out):
+        payoffs(j, dt, out)
+        batches.append((j.copy(), dt.copy(), out.copy()))
+
+    estimate = oracle._simulate(paths, seed, seg, keep, bound)
+    return (estimate, *(np.concatenate(cols) for cols in zip(*batches)))
 
 
-def drawn_levels(simulator, paths, seed):
-    """``(levels, payoffs)`` of every path the pipeline draws for a
-    simulator's ``(boundary, payoffs, paid_all, bound)``, in its order."""
-    boundary, payoffs, paid_all, bound = simulator
-    batches = [(np.empty(0), np.empty(0))]
+def stream_draws(seg, paths, u, first_pair=0):
+    """``(j, dt)`` of the draws of uniforms ``u``, draw ``i`` of them in
+    pair ``first_pair + i // 2`` of :func:`pair_strata`, by the reference
+    map of each pair's sub-stratum."""
+    strata = pair_strata(seg.prob, paths)[first_pair:]
+    cells = [strata[i // 2] for i in range(len(u))]
+    dt = [
+        stratified_time(seg.lam[j], seg.span[j], k, m, float(w)) for (j, k, m), w in zip(cells, u)
+    ]
+    return np.array([j for j, _, _ in cells], dtype=np.intp), np.array(dt)
 
-    def keep(levels, out):
-        payoffs(levels, out)
-        batches.append((levels.copy(), out.copy()))
 
-    oracle._simulate(paths, seed, boundary, keep, paid_all, bound)
-    return tuple(np.concatenate(cols) for cols in zip(*batches))
+def assert_stream(seg, paths, seed, j, dt):
+    """The draws ``(j, dt)`` are pair ``s`` at draws ``2s`` and ``2s + 1``
+    of the seed's ``PCG64`` stream, each in its pair's sub-stratum."""
+    u = np.random.Generator(np.random.PCG64(seed)).random(len(j))
+    want_j, want_dt = stream_draws(seg, paths, u)
+    np.testing.assert_array_equal(j, want_j)
+    np.testing.assert_allclose(dt, want_dt, rtol=1e-13, atol=1e-300)
 
 
 def sample_path_outcomes(
     market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout, paths, seed
 ) -> Sample:
-    """Per-path view of the simulator behind :func:`mc_value_independent`:
-    the same pipeline and payoff map, keeping each drawn path's first
-    default time and payoff.
-
-    The pipeline must hand the map the levels of :func:`stratified_levels`
-    in their order.  The default times come from the inverse survival map
-    of the first default's hazard, which the level map agrees with."""
+    """Per-draw view of the simulator behind :func:`mc_value_independent`:
+    the same pipeline and payoff map, keeping each draw's segment,
+    default time and payoff.  The pipeline must draw the pairs of
+    :func:`pair_strata` from the seed's stream (:func:`assert_stream`)."""
     simulator = oracle._first_default(
         market, investor, counterparty, recovery_bond, lambda_bar, schedule, closeout
     )
-    boundary, _, paid_all, _ = simulator
-    levels, payoff = drawn_levels(simulator, paths, seed)
-    np.testing.assert_array_equal(levels, stratified_levels(paths, seed, boundary))
-    taus = first_default_curve(counterparty, lambda_bar).inverse_survival(levels)
-    outcomes = [PathOutcome(float(w), float(t), float(x)) for w, t, x in zip(levels, taus, payoff)]
-    return Sample(outcomes, boundary, paid_all)
+    seg = simulator[0]
+    estimate, j, dt, payoff = drawn(simulator, paths, seed)
+    assert_stream(seg, paths, seed, j, dt)
+    taus = seg.grid[j] + dt
+    outcomes = [PathOutcome(int(a), float(t), float(x)) for a, t, x in zip(j, taus, payoff)]
+    return Sample(outcomes, estimate, tuple(seg.prob), seg.survival, seg.paid_all)
 
 
-def reference_estimate(sample, chunk=None):
-    """``(mean, std_error)`` of a sample by the reference fold: the drawn
-    payoffs chunk by chunk, in path order, then ``b * paid_all + p *
-    mean`` and ``sqrt(p**2 M2 / (n - 1) / n)`` with ``p = 1 - b``."""
-    b, p = sample.boundary, 1.0 - sample.boundary
-    mean, variance = b * sample.paid_all, 0.0
+def reference_estimate(sample):
+    """``(mean, std_error)`` of a sample by the reference fold, pair by
+    pair (:func:`pair_stratified_estimate`)."""
     payoffs = [o.discounted_payoff for o in sample.outcomes]
-    if payoffs:
-        n, drawn_mean, m2 = chunked_mean_m2(payoffs, chunk or oracle._CHUNK)
-        mean += p * drawn_mean
-        variance += p * p * (m2 / (n - 1) / n)
-    return mean, math.sqrt(variance)
+    return pair_stratified_estimate(
+        sample.prob, sample.survival, sample.paid_all, sample.estimate.paths, payoffs
+    )
 
 
-def path_payoffs(simulator, w):
-    """The payoff the pipeline pays each path of levels ``w`` for a
-    simulator's ``(boundary, payoffs, paid_all, bound)``: the flow sum
-    below the boundary, elsewhere the map's payoff, in one batch."""
-    boundary, payoffs, paid_all, _ = simulator
-    out = np.full(len(w), paid_all)
-    drawn = np.flatnonzero(w >= boundary)
-    mapped = np.empty(len(drawn))
-    payoffs(np.ascontiguousarray(w[drawn]), mapped)
-    out[drawn] = mapped
-    return out
+def assert_reference_estimate(mc, sample):
+    """``mc`` is the reference fold of ``sample``, up to the rounding of
+    its sums, pair by pair against the chunks' weighted sums."""
+    mean, std_error = reference_estimate(sample)
+    assert mc.mean == pytest.approx(mean, rel=1e-12, abs=1e-15)
+    assert mc.std_error == pytest.approx(std_error, rel=1e-12, abs=1e-300)
+
+
+class FixedDraws:
+    """A generator that hands out the uniforms ``u`` in order, in place
+    of the seed's stream."""
+
+    def __init__(self, u):
+        self.u, self.at = np.asarray(u, dtype=float), 0
+
+    def random(self, out):
+        out[:] = self.u[self.at : self.at + len(out)]
+        self.at += len(out)
+        return out
+
+
+def fixed_draws(monkeypatch, simulator, paths, u):
+    """``(estimate, j, dt, payoffs)`` of :func:`drawn`, the simulation
+    drawing the uniforms ``u``."""
+    monkeypatch.setattr(oracle, "_generator", lambda paths, seed: FixedDraws(u))
+    return drawn(simulator, paths, 0)
 
 
 class TestRandomnessContract:
@@ -155,63 +184,92 @@ class TestRandomnessContract:
         assert a.mean != b.mean
 
     def test_prefix_paths_are_a_substream(self, flat_market, investor, counterparty, closeout, mixed):
-        # the paths a 1000-path run draws are the first ones of a
-        # 5000-path run, and path i takes draw i, so a worker owning its
-        # paths from p0 on jumps the stream by p0 draws
+        # pair s takes draws 2s and 2s + 1 of one stream, whatever the
+        # path count: a 1000-path and a 5000-path run each draw a prefix
+        # of the seed's stream, and a worker owning the pairs from s on
+        # jumps the stream by 2s draws
         args = (flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout)
+        seg = oracle._first_default(*args)[0]
         big, small = (sample_path_outcomes(*args, paths, 17) for paths in (5000, 1000))
         assert 40 < len(small.outcomes) < len(big.outcomes)
-        assert big.outcomes[: len(small.outcomes)] == small.outcomes
-        b = big.boundary
         first = first_default_curve(counterparty, 0.02)
-        for p0 in (0, len(small.outcomes) - 40, len(big.outcomes) - 40):
+        for pair in (0, len(small.outcomes) // 2 - 20, len(big.outcomes) // 2 - 20):
             bit = np.random.PCG64(17)
-            bit.advance(p0)
-            w = b + (1.0 - b) * np.random.Generator(bit).random(40)
-            taus = [o.tau for o in big.outcomes[p0 : p0 + 40]]
-            np.testing.assert_array_equal(taus, first.inverse_survival(w))
+            bit.advance(2 * pair)
+            u = np.random.Generator(bit).random(40)
+            j, dt = stream_draws(seg, 5000, u, first_pair=pair)
+            taus = [o.tau for o in big.outcomes[2 * pair : 2 * pair + 40]]
+            np.testing.assert_allclose(taus, seg.grid[j] + dt, rtol=1e-14, atol=0.0)
+            # each a default time of the first default's law
+            strata = pair_strata(seg.prob, 5000)[pair : pair + 20]
+            levels = [
+                first.survival(seg.grid[j]) - (k + w) / m * seg.prob[j]
+                for (j, k, m), w in zip([c for c in strata for _ in (0, 1)], u)
+            ]
+            np.testing.assert_allclose(taus, first.inverse_survival(np.array(levels)), atol=1e-12)
 
-    def test_no_counterparty_draws_one_uniform_per_path(self):
-        # drawn path i's tau is the internal curve's inverse survival of
-        # b + (1 - b) u, u draw i of the seed's PCG64 stream: one uniform
-        # per path, none spent on the counterparty that never defaults
+    def test_no_counterparty_draws_one_uniform_per_path(self, monkeypatch):
+        # riskfree_cpty spends one uniform per draw, two per pair of
+        # pair_strata and none on the counterparty that never defaults;
+        # each drawn time is a default time of the internal curve at the
+        # survival level of its draw in its sub-stratum
         m = TestMultiFlowPayoffs
         paths, seed = 5003, 23
         args = (
             m.market, m.investor, None, 0.4, m.lambda_bar, m.schedule, m.closeout, paths, seed
         )
         sample = sample_path_outcomes(*args)
-        b = sample.boundary
-        assert len(sample.outcomes) == round(paths * (1.0 - b))
-        w = b + (1.0 - b) * np.random.Generator(np.random.PCG64(seed)).random(len(sample.outcomes))
+        strata = pair_strata(sample.prob, paths)
+        assert len(sample.outcomes) == 2 * len(strata)
         internal = CreditCurve("internal", m.lambda_bar)
+        assert sample.survival == internal.survival(m.schedule.maturity)
         tau = np.array([o.tau for o in sample.outcomes])
-        np.testing.assert_array_equal(tau, internal.inverse_survival(w))
         assert np.all(tau <= m.schedule.maturity)
-        # the estimate reduces exactly these paths
+        grid = oracle._first_default(*args[:-2])[0].grid
+        u = np.random.Generator(np.random.PCG64(seed)).random(len(tau))
+        levels = [
+            internal.survival(grid[j]) - (k + w) / n * sample.prob[j]
+            for (j, k, n), w in zip([c for c in strata for _ in (0, 1)], u)
+        ]
+        np.testing.assert_allclose(tau, internal.inverse_survival(np.array(levels)), atol=1e-12)
+        # the simulator draws exactly these uniforms, and reduces their payoffs
+        calls = []
+
+        class Spy(np.random.Generator):
+            def random(self, *args, out=None, **kwargs):
+                calls.append(len(out))  # every simulator draws into its buffer
+                return super().random(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Spy)
         mc = mc_value_independent(*args)
-        assert (mc.mean, mc.std_error, mc.paths) == (*reference_estimate(sample), paths)
+        assert sum(calls) == len(tau)
+        assert mc == sample.estimate and mc.paths == paths
+        assert_reference_estimate(mc, sample)
 
     @pytest.mark.parametrize("names", [1, 2])
-    @pytest.mark.parametrize("p0", [60, 61, 2**18 + 3])
-    def test_worker_partition_by_advance(self, monkeypatch, names, p0):
-        # path i of the at-risk stratum takes draw i, with one name that
-        # can default or two, and PCG64 spends one word per double, so a
-        # worker owning paths [p0, p0 + 40) jumps the stream by p0 draws,
-        # for any p0, and sees identical levels; a boundary of 0 draws
-        # every path at its draw
+    @pytest.mark.parametrize("first_pair", [60, 61, 2**18 + 3])
+    def test_worker_partition_by_advance(self, names, first_pair):
+        # pair s takes draws 2s and 2s + 1, with one name that can default
+        # or two, and PCG64 spends one word per double, so a worker
+        # owning the pairs from s on, an odd s or a pair past the first
+        # chunk too, jumps the stream by the even 2s draws and maps
+        # identical draws
         m = TestMultiFlowPayoffs
-        monkeypatch.setattr(oracle, "_boundary", lambda intensity, seg, level_map: 0.0)
         counterparty = m.counterparty if names == 2 else None
         simulator = oracle._first_default(
             m.market, m.investor, counterparty, 0.4, m.lambda_bar, m.schedule, m.closeout
         )
-        seed, paths = 123, p0 + 40
-        levels, _ = drawn_levels(simulator, paths, seed)
-        assert len(levels) == paths
+        seg, seed = simulator[0], 123
+        paths = int((2 * first_pair + 100) / (1.0 - seg.survival))
+        _, j, dt, _ = drawn(simulator, paths, seed)
+        assert len(j) >= 2 * first_pair + 40
         bit = np.random.PCG64(seed)
-        bit.advance(p0)
-        np.testing.assert_array_equal(levels[p0:], np.random.Generator(bit).random(40))
+        bit.advance(2 * first_pair)
+        u = np.random.Generator(bit).random(40)
+        want_j, want_dt = stream_draws(seg, paths, u, first_pair=first_pair)
+        window = slice(2 * first_pair, 2 * first_pair + 40)
+        np.testing.assert_array_equal(j[window], want_j)
+        np.testing.assert_allclose(dt[window], want_dt, rtol=1e-13, atol=0.0)
 
     def test_input_validation(self, flat_market, investor, closeout, mixed):
         with pytest.raises(ValueError):
@@ -245,13 +303,13 @@ class TestRiskfreeCptySimulator:
 
     @pytest.mark.parametrize("paths", [2, oracle._CHUNK + 3])
     def test_all_survivor_limit_is_exact(self, flat_market, investor, closeout, bullet, paths):
-        # lam_bar = 0: the boundary is 1, every path is in the survivor
-        # stratum, paid the flow sum, with no rounding left to collapse
+        # lam_bar = 0: every segment has probability 0 and the survivors
+        # probability 1, paid the flow sum, with no rounding left to collapse
         args = (flat_market, investor, None, 0.4, 0.0, bullet, closeout)
-        simulator = oracle._first_default(*args)
-        assert simulator[0] == 1.0
+        seg = oracle._first_default(*args)[0]
+        assert seg.survival == 1.0 and not np.any(seg.prob)
         mc = mc_value_independent(*args, paths, 5)
-        assert mc.mean == simulator[2]
+        assert mc.mean == seg.paid_all
         assert mc.std_error == 0.0
 
     def test_estimate_metadata(self, flat_market, investor, closeout, bullet):
@@ -281,8 +339,8 @@ class TestRiskfreeCptySimulator:
 
 
 class TestDrawless:
-    """Where nothing can default, the boundary is 1: the simulation draws
-    nothing, and its estimate is the flow sum."""
+    """Where nothing can default, no segment holds a pair: the simulation
+    draws nothing, and its estimate is the flow sum."""
 
     @pytest.mark.parametrize("paths", [2, oracle._CHUNK + 3])
     def test_no_uniform_drawn(self, monkeypatch, flat_market, investor, closeout, mixed, paths):
@@ -304,11 +362,11 @@ class TestDrawless:
              (flat_market, JointDefaultModel(investor, zero, 1.5), mixed, closeout)),
         ]
         for name, build, simulate, args in cases:
-            boundary, _, paid_all, _ = build(*args)
-            assert boundary == 1.0, name
+            seg = build(*args)[0]
+            assert seg.survival == 1.0 and not np.any(seg.prob), name
             est = simulate(*args, paths, 11)
             assert calls == [], name
-            assert (est.mean, est.std_error, est.paths) == (paid_all, 0.0, paths)
+            assert (est.mean, est.std_error, est.paths) == (seg.paid_all, 0.0, paths)
         # the spy sees the draws of a name that can default
         mc_value_independent(flat_market, investor, zero, 0.4, 0.02, mixed, closeout, 2, 11)
         assert len(calls) == 1
@@ -347,7 +405,8 @@ class TestIndependentSimulator:
         sample = sample_path_outcomes(
             flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout, n, 21
         )
-        assert (mc.mean, mc.std_error) == reference_estimate(sample)
+        assert mc == sample.estimate
+        assert_reference_estimate(mc, sample)
 
     def test_agrees_with_two_sampled_names(self):
         # competing risks: sampling both default times and settling the
@@ -367,6 +426,58 @@ class TestIndependentSimulator:
         ]
         se = math.hypot(mc.std_error, float(np.std(crude, ddof=1)) / math.sqrt(len(crude)))
         assert abs(mc.mean - float(np.mean(crude))) <= 3.0 * se
+
+
+class TestStrataOnTheGrid:
+    """Each pair's two draws share a segment of ``G`` and a sub-stratum,
+    so no stratum straddles a flow date, where the payoff jumps.  This
+    guards a measured dead end: equal-probability strata that ignore
+    ``G`` put the jump at 2.5 y of criterion 5's ``mixed`` trade inside
+    a sub-stratum whose two draws usually fell on one side of it, so the
+    pair estimator missed that stratum's variance, and |z| reached
+    31,366."""
+
+    def test_pairs_share_a_segment_and_a_sub_stratum(
+        self, flat_market, investor, counterparty, closeout, mixed
+    ):
+        args = (flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout)
+        simulator = oracle._first_default(*args)
+        seg, paths = simulator[0], 2**14
+        assert 2.5 in seg.grid
+        _, j, dt, _ = drawn(simulator, paths, 1)
+        strata = pair_strata(seg.prob, paths)
+        edges = np.array(
+            [[stratified_time(seg.lam[i], seg.span[i], k, m, u) for u in (0.0, 1.0)]
+             for i, k, m in strata]
+        )
+        np.testing.assert_array_equal(j[0::2], j[1::2])
+        for d in (dt[0::2], dt[1::2]):
+            assert np.all((edges[:, 0] - 1e-13 <= d) & (d <= edges[:, 1] + 1e-13))
+
+    def test_agrees_with_engine_over_fifty_seeds(
+        self, flat_market, investor, counterparty, closeout, mixed
+    ):
+        args = (flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout)
+        engine = adjustment_independent(*args).value()
+        z = [
+            (mc.mean - engine) / mc.std_error
+            for mc in (mc_value_independent(*args, 2**16, seed) for seed in range(50))
+        ]
+        assert max(map(abs, z)) <= 3.0, z
+
+
+class TestStandardError:
+    """The pair estimator's variance is unbiased: over fixed seeds, the
+    reported standard error matches the spread of the estimates."""
+
+    def test_matches_the_spread_of_estimates(
+        self, flat_market, investor, counterparty, closeout, mixed
+    ):
+        args = (flat_market, investor, counterparty, 0.4, 0.02, mixed, closeout)
+        runs = [mc_value_independent(*args, 2**12, seed) for seed in range(200)]
+        spread = float(np.std([mc.mean for mc in runs], ddof=1))
+        ratio = spread / float(np.mean([mc.std_error for mc in runs]))
+        assert 0.8 <= ratio <= 1.25, ratio
 
 
 class TestCorrelatedSimulator:
@@ -508,18 +619,21 @@ class TestPathOutcomes:
     def test_survivor_paths_collect_all_flows(
         self, flat_market, investor, counterparty, closeout, bullet
     ):
-        # survivors are not drawn: the survivor stratum, every level
-        # below the boundary, is paid the flow sum, as the map pays the
-        # level just below the boundary
+        # survivors are not drawn: they have the first default's survival
+        # at maturity, and the estimate pays them the flow sum, as it
+        # does with every drawn payoff 0
         args = (flat_market, investor, counterparty, 0.4, 0.02, bullet, closeout)
         sample = sample_path_outcomes(*args, 500, 4)
         assert all(o.tau <= 5.0 for o in sample.outcomes)
         assert sample.paid_all == pytest.approx(math.exp(-0.01 * 5.0), rel=1e-14)
-        below = np.nextafter(sample.boundary, 0.0)
-        _, payoffs, _, _ = oracle._first_default(*args)
-        out = np.empty(1)
-        payoffs(np.array([below]), out)
-        assert out[0] == sample.paid_all
+        assert sample.survival == pytest.approx(math.exp(-0.05 * 5.0), rel=1e-15)
+        seg, _, bound = oracle._first_default(*args)
+
+        def no_payoff(j, dt, out):
+            out[:] = 0.0
+
+        mc = oracle._simulate(500, 4, seg, no_payoff, bound)
+        assert (mc.mean, mc.std_error) == (sample.survival * sample.paid_all, 0.0)
 
 
 class TestMultiFlowPayoffs:
@@ -577,12 +691,15 @@ class TestMultiFlowPayoffs:
         paths, seed = 4000, 29
         mc = mc_value_correlated(self.market, model, self.schedule, self.closeout, paths, seed)
 
-        # the survivor stratum below b pays every flow; the paths drawn
-        # above it default by maturity
-        b, _, _, _ = oracle._dependent_default(self.market, model, self.schedule, self.closeout)
-        n = round(paths * (1.0 - b))
-        w = b + (1.0 - b) * np.random.Generator(np.random.PCG64(seed)).random(n)
-        taus = model.counterparty.inverse_survival(w)
+        # the pairs of pair_strata on lambda_C's segments, from the seed's
+        # stream, each draw mapped into its sub-stratum by the reference
+        # map; the survivors pay every flow, and every draw defaults by
+        # maturity
+        seg = oracle._dependent_default(self.market, model, self.schedule, self.closeout)[0]
+        strata = pair_strata(seg.prob, paths)
+        u = np.random.Generator(np.random.PCG64(seed)).random(2 * len(strata))
+        j, dt = stream_draws(seg, paths, u)
+        taus = seg.grid[j] + dt
         r = self.market.risk_free
 
         def weight(t):
@@ -595,24 +712,22 @@ class TestMultiFlowPayoffs:
         payoffs = []
         for tau in taus:
             p = sum(a * weight(t) for t, a in self.flows if tau > t)
-            if tau <= self.schedule.maturity:
-                vx = naive_collateral_value(self.flows, self.market.collateral, tau)
-                p += closeout_values(self.closeout, vx)[1] * weight(tau)
-            payoffs.append(p)
-        payoffs = np.array(payoffs)
+            vx = naive_collateral_value(self.flows, self.market.collateral, tau)
+            payoffs.append(p + closeout_values(self.closeout, vx)[1] * weight(tau))
         assert np.all(taus <= self.schedule.maturity)
         assert np.count_nonzero(taus > self.schedule.times[-1]) > 0
+        survival = model.counterparty.survival(self.schedule.maturity)
         all_flows = sum(a * weight(t) for t, a in self.flows)
-        mean = b * all_flows + (1.0 - b) * float(np.mean(payoffs))
+        mean, std_error = pair_stratified_estimate(seg.prob, survival, all_flows, paths, payoffs)
         assert mc.mean == pytest.approx(mean, abs=1e-12)
-        assert mc.std_error == pytest.approx(
-            (1.0 - b) * float(np.std(payoffs, ddof=1) / math.sqrt(n)), abs=1e-12
-        )
+        assert mc.std_error == pytest.approx(std_error, rel=1e-9)
 
 
 class TestBlockSize:
-    """Paths run in blocks sized for the cache; the block size must not
-    show in any estimate or path."""
+    """Draws run in blocks sized for the cache; the block size must not
+    show in any estimate or draw.  A draw's segment and sub-stratum come
+    from its index in the stream, so a block of odd size, which splits
+    pairs, changes nothing either."""
 
     def test_results_do_not_depend_on_block_size(self, monkeypatch):
         m = TestMultiFlowPayoffs
@@ -640,37 +755,35 @@ class TestBlockSize:
         for block in (4096, paths, 2**20):
             assert runs[block] == runs[7]
         sample = runs[7]["path_outcomes"]
-        assert len(sample.outcomes) == round(paths * (1.0 - sample.boundary)) == 3329
+        assert len(sample.outcomes) == 2 * len(pair_strata(sample.prob, paths)) == 3330
         assert all(o.tau <= m.schedule.maturity for o in sample.outcomes)
 
     def test_chunked_results_do_not_depend_on_block_size(self, monkeypatch):
-        # 3329 at-risk paths in chunks of 1000, the last partial; blocks
-        # of 7 and 4096 paths divide neither, 2**20 is cut down to a chunk
+        # 3330 draws in chunks of 1000, the last partial; blocks of 7 and
+        # 4096 draws divide neither, 2**20 is cut down to a chunk
         monkeypatch.setattr(oracle, "_CHUNK", 1000)
         self.test_results_do_not_depend_on_block_size(monkeypatch)
 
     @pytest.mark.parametrize(
-        "lambda_bar, chunk, boundary_off",
-        [(0.0, None, False), (0.0, 1000, False), (1e-4, 1000, False),
-         (TestMultiFlowPayoffs.lambda_bar, None, True),
-         (TestMultiFlowPayoffs.lambda_bar, 1000, True)],
+        "hazard, chunk, draws",
+        [(0.0, None, 0), (0.0, 1000, 0), (1e-4, 1000, 20),
+         (200.0, None, 5018), (200.0, 1000, 5018)],
         ids=["none_at_risk", "none_at_risk_six_chunks", "a_chunk_without_risk_of_six",
              "every_path_at_risk", "every_path_at_risk_six_chunks"],
     )
-    def test_chunks_without_survivors_or_at_risk_paths(
-        self, monkeypatch, lambda_bar, chunk, boundary_off
-    ):
+    def test_chunks_without_survivors_or_at_risk_paths(self, monkeypatch, hazard, chunk, draws):
         # where no path can default nothing is drawn; where one in 1700
-        # can, 3 paths are, where most of a crude run's six chunks would
-        # hold none; a boundary of 0 draws every path, survivors too, as
-        # crude sampling does
+        # can, each of the 10 segments holds one pair, where most of a
+        # crude run's six chunks would hold no default; a counterparty
+        # hazard of 200 leaves no survivor, and the draws, nearly all in
+        # the first segment, fill six chunks
         m = TestMultiFlowPayoffs
         paths, seed = 5003, 19
         if chunk:
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        if boundary_off:
-            monkeypatch.setattr(oracle, "_boundary", lambda intensity, seg, level_map: 0.0)
-        counterparty = m.counterparty if boundary_off else None
+        lambda_bar, counterparty = hazard, None
+        if hazard > 1.0:
+            lambda_bar, counterparty = m.lambda_bar, CreditCurve("C", TermCurve.flat(hazard))
         args = (m.market, m.investor, counterparty, 0.4, lambda_bar, m.schedule, m.closeout)
         sims = {
             "estimate": lambda: mc_value_independent(*args, paths, seed),
@@ -683,19 +796,17 @@ class TestBlockSize:
         for block in (4096, paths, 2**20):
             assert runs[block] == runs[7]
         sample, mc = runs[7]["path_outcomes"], runs[7]["estimate"]
-        assert (mc.mean, mc.std_error, mc.paths) == (*reference_estimate(sample, chunk), paths)
-        if boundary_off:
-            assert len(sample.outcomes) == paths
-            survived = sum(o.tau > m.schedule.maturity for o in sample.outcomes)
-            assert 0 < survived < paths
-        else:
-            assert len(sample.outcomes) == (3 if lambda_bar > 0.0 else 0)
+        assert mc == sample.estimate and mc.paths == paths
+        assert_reference_estimate(mc, sample)
+        assert len(sample.outcomes) == draws
+        assert (sample.survival == 0.0) == (hazard > 1.0)
+        assert (sample.survival == 1.0) == (hazard == 0.0)
 
 
 class TestContiguousColumns:
-    """The levels reach the level map, and each name's levels the inverse
-    survival maps, as a contiguous column, where the elementwise passes
-    run at unit stride."""
+    """The draws' times reach the payoff map, and each name's levels the
+    inverse survival maps, as a contiguous column, where the elementwise
+    passes run at unit stride."""
 
     m = TestMultiFlowPayoffs
 
@@ -714,27 +825,19 @@ class TestContiguousColumns:
         m = self.m
         monkeypatch.setattr(oracle, "_BLOCK", 1000)
         args = (m.market, m.investor, m.counterparty, 0.4, m.lambda_bar, m.schedule, m.closeout)
+        simulator = oracle._first_default(*args)
         seen = []
-        levels = oracle._Segments.levels
 
-        def spying(seg, intensity):
-            level_map = levels(seg, intensity)
+        def keep(j, dt, out):
+            seen.append((j, dt, out))
+            simulator[1](j, dt, out)
 
-            def level(w):
-                seen.append(w)
-                return level_map(w)
-
-            return level
-
-        monkeypatch.setattr(oracle._Segments, "levels", spying)
-        boundary = oracle._first_default(*args)[0]
-        seen.clear()
-        mc_value_independent(*args, 5000, 3)
-        assert all(w.ndim == 1 and w.flags.c_contiguous for w in seen)
-        # the at-risk stratum's blocks, after the boundary search
-        n = round(5000 * (1.0 - boundary))
+        oracle._simulate(5000, 3, simulator[0], keep, simulator[2])
+        assert all(a.ndim == 1 and a.flags.c_contiguous for batch in seen for a in batch)
+        # one call per block of the draws, in one chunk
+        n = 2 * len(pair_strata(simulator[0].prob, 5000))
         blocks = [min(1000, n - start) for start in range(0, n, 1000)]
-        assert [len(w) for w in seen[-len(blocks) :]] == blocks and len(seen) > len(blocks)
+        assert [len(dt) for _, dt, _ in seen] == blocks
 
     def test_joint_sampling_columns_are_contiguous(self, monkeypatch):
         m = self.m
@@ -746,15 +849,17 @@ class TestContiguousColumns:
 
     def test_copy_moves_no_bit(self):
         m = self.m
-        _, payoffs, _, _ = oracle._first_default(
+        seg, payoffs, _ = oracle._first_default(
             m.market, m.investor, m.counterparty, 0.4, m.lambda_bar, m.schedule, m.closeout
         )
         wide = np.random.Generator(np.random.PCG64(8)).random((4000, 4))
         strided = wide[:, ::2]
         assert not strided[:, 0].flags.c_contiguous
+        j = np.flatnonzero(seg.prob)[np.arange(len(wide)) % np.count_nonzero(seg.prob)]
+        strided[:, 0] *= seg.span[j]  # a time into each segment
         got, want = np.empty(len(wide)), np.empty(len(wide))
-        payoffs(strided[:, 0], got)
-        payoffs(strided[:, 0].copy(), want)
+        payoffs(j, strided[:, 0], got)
+        payoffs(j, strided[:, 0].copy(), want)
         assert got.tobytes() == want.tobytes()
         # the maps themselves do not depend on the stride of their levels
         for curve in (m.investor, m.counterparty):
@@ -763,8 +868,8 @@ class TestContiguousColumns:
 
 
 class TestChunkedReduction:
-    """Payoffs are reduced in chunks of ``_CHUNK`` paths, each to
-    ``(n, mean, M2)``, and the chunks are merged in index order."""
+    """Payoffs are reduced in chunks of ``_CHUNK`` draws, each to its two
+    weighted sums, and the chunks' sums are added in index order."""
 
     m = TestMultiFlowPayoffs
     paths = 5003  # six chunks of 1000, the last one partial
@@ -778,38 +883,48 @@ class TestChunkedReduction:
         )
         mc = mc_value_independent(*args)
         sample = sample_path_outcomes(*args)
-        assert (mc.paths, mc.mean, mc.std_error) == (self.paths, *reference_estimate(sample, 1000))
-        payoffs = np.array([o.discounted_payoff for o in sample.outcomes])
-        assert len(payoffs) > 3000  # four chunks
-        n, mean, m2 = chunked_mean_m2(payoffs, 1000)
-        # the whole stratum's statistics, up to the merge's rounding
-        for got, want in ((mean, np.mean(payoffs)), (m2 / (n - 1), np.var(payoffs, ddof=1))):
-            assert abs(got - want) <= 4 * np.spacing(abs(want))
+        assert len(sample.outcomes) > 3000  # four chunks
+        assert mc == sample.estimate and mc.paths == self.paths
+        # the per-pair loop, up to the rounding of the sums' order
+        assert_reference_estimate(mc, sample)
 
     @pytest.mark.parametrize("exponent", [400, 600, 1000])
     def test_scaled_reduction_is_exact(self, monkeypatch, exponent):
-        # payoffs whose squares could overflow (past 2**504 at 5003 paths)
+        # payoffs whose squares could overflow (past 2**504 at 5018 draws)
         # reduce scaled by a power of two, and scale back to the bits of
-        # the unscaled reduction
+        # the unscaled reduction; the survivors' term is left out, so that
+        # the mean scales with the payoffs
         monkeypatch.setattr(oracle, "_CHUNK", 1000)
-        payoffs = np.random.Generator(np.random.PCG64(3)).normal(1.0, 0.5, self.paths)
+        m = self.m
+        hazard = CreditCurve("C", TermCurve.flat(200.0))
+        seg = oracle._first_default(
+            m.market, m.investor, hazard, 0.4, m.lambda_bar, m.schedule, m.closeout
+        )[0]
+        assert seg.survival == 0.0
+        draws = 2 * len(pair_strata(seg.prob, self.paths))
+        payoffs = np.random.Generator(np.random.PCG64(3)).normal(1.0, 0.5, draws)
         bound = float(np.max(np.abs(payoffs)))
 
         def simulate(factor):
-            # a boundary of 0 draws every path
             done = [0]
 
-            def mapped(levels, out):
+            def mapped(j, dt, out):
                 out[:] = payoffs[done[0] : done[0] + len(out)] * factor
                 done[0] += len(out)
 
             with np.errstate(over="raise", invalid="raise"):
-                return oracle._simulate(self.paths, 1, 0.0, mapped, 0.0, bound * factor)
+                est = oracle._simulate(self.paths, 1, seg, mapped, bound * factor)
+            assert done[0] == draws
+            return est
 
         small, large = simulate(1.0), simulate(2.0**exponent)
         assert large.mean == small.mean * 2.0**exponent
         assert large.std_error == small.std_error * 2.0**exponent
-        scaled = oracle._scale(self.paths, bound * 2.0**exponent) < 1.0
+        # the per-pair loop, unscaled
+        mean, std_error = pair_stratified_estimate(seg.prob, 0.0, 0.0, self.paths, payoffs)
+        assert small.mean == pytest.approx(mean, rel=1e-12)
+        assert small.std_error == pytest.approx(std_error, rel=1e-12)
+        scaled = oracle._scale(draws, bound * 2.0**exponent) < 1.0
         assert scaled == (exponent > 500)
 
     def test_default_free_limit_is_exact_across_chunks(
@@ -845,10 +960,10 @@ class TestChunkedReduction:
 class TestHeapPeak:
     """A simulation of ``_CHUNK`` paths keeps its heap peak under the
     ~4 MiB trim threshold that freeing the chunk buffer sets, so the heap
-    keeps the block and batch temporaries instead of trimming and
-    refaulting them every batch.  The trade is long_mc-shaped: 10-node
-    curves, 120 quarterly flows and both names, where most paths default
-    and where just under a quarter can."""
+    keeps the block temporaries instead of trimming and refaulting them
+    every block.  The trade is long_mc-shaped: 10-node curves, 120
+    quarterly flows and both names, where most paths default and where
+    just under a quarter can."""
 
     @staticmethod
     def curve(lo, hi):
@@ -885,8 +1000,8 @@ class TestHeapPeak:
         }
         if not most:
             # with both names' hazards, 24.3% of the paths can default
-            (boundary, _, _, _), _, _ = sims["independent"]
-            assert 0.75 <= boundary < 0.76
+            (seg, _, _), _, _ = sims["independent"]
+            assert 0.75 <= seg.survival < 0.76
         peaks = {}
         for name, (_, simulate, args) in sims.items():
             simulate(*args, oracle._CHUNK, 5)  # warms one-time caches
@@ -904,10 +1019,10 @@ class TestSegmentTable:
     rebuild: each default lands on a flow date, on a curve node that is
     not a flow date, at 0, at maturity or after the last flow.
 
-    The level map is replaced by a plain lookup of default times in the
-    grid, so the simulator's uniforms are the default times themselves.
-    The simulation returns the payoff map's vector over every default
-    time instead of the estimate.
+    The simulation is replaced by one call of the payoff map on the
+    default times, each located by a plain lookup in the grid
+    (:func:`naive_locate`), and returns the payoffs instead of the
+    estimate; a time past maturity survives, paid every flow.
     """
 
     m = TestMultiFlowPayoffs
@@ -931,14 +1046,15 @@ class TestSegmentTable:
     at_last_flow = CashflowSchedule.from_flows(list(zip(m.schedule.times, m.schedule.amounts)))
 
     def payoffs(self, monkeypatch, simulate, taus):
-        def payoff_vector(paths, seed, boundary, payoffs, paid_all, bound):
-            out = np.empty(len(taus))
-            payoffs(np.array(taus), out)
+        def payoff_vector(paths, seed, seg, payoffs, bound):
+            tau = np.array(taus)
+            out = np.full(len(tau), seg.paid_all)
+            defaults = np.flatnonzero(tau <= seg.maturity)
+            mapped = np.empty(len(defaults))
+            payoffs(*naive_locate(seg, tau[defaults]), mapped)
+            out[defaults] = mapped
             return out
 
-        monkeypatch.setattr(
-            oracle._Segments, "levels", lambda seg, intensity: lambda tau: naive_locate(seg, tau)
-        )
         monkeypatch.setattr(oracle, "_simulate", payoff_vector)
         return simulate()
 
@@ -1071,11 +1187,12 @@ class TestSegmentTable:
 
 
 class TestLevelMap:
-    """A simulator locates a path by one lookup of its hazard level ``-log
-    w`` among the sampled hazard's cumulative values on the grid.  It
-    agrees with the inverse survival map followed by a plain lookup of
-    the default time in the grid, and a level on a knot defaults exactly
-    at that grid point, the first one where zero hazard leaves several."""
+    """A draw becomes a default time with no lookup: the pair it belongs
+    to fixes its segment ``j`` and sub-stratum ``k`` of ``m_j``, and the
+    time is where the sampled hazard's survival falls to the level ``S(g_j)
+    - (k + u) / m_j * p_j``.  That agrees with the inverse survival map;
+    a segment of zero hazard holds no draw, and a draw at the bottom of a
+    segment defaults exactly at its grid point."""
 
     m = TestMultiFlowPayoffs
     LOG2 = math.log(2.0)  # -log(0.5), exactly
@@ -1083,7 +1200,17 @@ class TestLevelMap:
     def segments(self, schedule, intensity):
         collateral = self.m.market.collateral
         grid = oracle._segment_grid(schedule, (collateral, intensity))
-        return oracle._Segments(schedule, collateral, grid, np.zeros(len(grid)))
+        return oracle._Segments(schedule, collateral, grid, np.zeros(len(grid)), intensity)
+
+    def simulator(self, schedule, intensity):
+        """The segment table on ``intensity`` with a payoff map that pays
+        the flows of each default."""
+        seg = self.segments(schedule, intensity)
+
+        def paid(j, dt, out):
+            out[:] = seg.paid(j, dt)
+
+        return seg, paid, 1.0
 
     @pytest.mark.parametrize(
         "nodes",
@@ -1095,20 +1222,29 @@ class TestLevelMap:
         ],
         ids=["leading_zero", "interior_zero", "zero_tail", "flat"],
     )
-    def test_agrees_with_inverse_survival(self, nodes):
+    def test_agrees_with_inverse_survival(self, monkeypatch, nodes):
         curve = CreditCurve("N", TermCurve.from_nodes(nodes))
-        seg = self.segments(self.m.schedule, curve.intensity)
-        # enough levels for the bucket lookup, and the extreme draws
-        w = np.random.Generator(np.random.PCG64(5)).random(4000)
-        w[:3] = [0.0, 2.0**-53, 1.0 - 2.0**-53]
-        j, dt, paid = seg.levels(curve.intensity)(w)
-        want_j, want_dt, want_paid = naive_locate(seg, curve.inverse_survival(w))
-        np.testing.assert_array_equal(j, want_j)
-        np.testing.assert_allclose(dt, want_dt, rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(paid, want_paid)
-        survived = j == len(seg.grid)
-        assert survived[0] and 0 < np.count_nonzero(survived) < len(w)
-        assert np.all(dt[survived] == 0.0) and np.all(paid[survived] == seg.paid_all)
+        simulator = self.simulator(self.m.schedule, curve.intensity)
+        seg, paths = simulator[0], 4000
+        strata = pair_strata(seg.prob, paths)
+        # the extreme draws, then random ones
+        u = np.random.Generator(np.random.PCG64(5)).random(2 * len(strata))
+        u[:3] = [0.0, 2.0**-53, 1.0 - 2.0**-53]
+        _, j, dt, _ = fixed_draws(monkeypatch, simulator, paths, u)
+        cells = [c for c in strata for _ in (0, 1)]
+        np.testing.assert_array_equal(j, [c[0] for c in cells])
+        assert np.all(seg.lam[j] > 0.0) and np.all((0.0 <= dt) & (dt <= seg.span[j]))
+        start = curve.survival(seg.grid[j])
+        levels = start - np.array([(k + w) / n for (_, k, n), w in zip(cells, u)]) * seg.prob[j]
+        # a level that rounds to the segment's start, u = 0 among them,
+        # defaults there, where a leading zero run leaves the inverse at 0
+        assert dt[0] == 0.0
+        on_start = levels == start
+        assert np.all(dt[on_start] <= 1e-12) and np.count_nonzero(on_start) < 4
+        rest = ~on_start
+        want = [naive_inverse_survival(nodes, w) for w in levels[rest]]
+        np.testing.assert_allclose(seg.grid[j[rest]] + dt[rest], want, rtol=0.0, atol=1e-12)
+        assert seg.survival == curve.survival(self.m.schedule.maturity)
 
     @pytest.mark.parametrize(
         "nodes, at",
@@ -1120,93 +1256,118 @@ class TestLevelMap:
         ],
         ids=["flow_date", "after_leading_zero", "interior_zero", "zero_tail"],
     )
-    def test_level_on_a_knot(self, nodes, at):
-        # H(at) = log 2 exactly, so level 0.5 defaults exactly at ``at``:
-        # paid the flows dated before it, where inverse_survival returns
-        # the same time up to rounding
+    def test_level_on_a_knot(self, monkeypatch, nodes, at):
+        # H(at) = log 2 exactly: the segments before ``at`` hold
+        # probability 0.5, and ``at`` is the edge of a sub-stratum.  Each
+        # pair draws the bottom and the top of its sub-stratum: the draws
+        # of a segment stay in it, a segment that starts at ``at`` with
+        # positive hazard has its first draw exactly there, paid the flows
+        # dated before it, and a zero run from ``at`` on holds no draw
         curve = CreditCurve("N", TermCurve.from_nodes(nodes))
-        seg = self.segments(self.m.schedule, curve.intensity)
+        simulator = self.simulator(self.m.schedule, curve.intensity)
+        seg, paths = simulator[0], 400
         assert curve.intensity.cumulative(at) == -math.log(0.5)
-        j, dt, paid = seg.levels(curve.intensity)(np.array([0.5]))
-        assert (seg.grid[j[0]], dt[0], paid[0]) == (at, 0.0, seg.paid_before[j[0]])
+        i = int(np.searchsorted(seg.grid, at))
+        assert seg.grid[i] == at
+        assert math.fsum(seg.prob[:i]) == pytest.approx(0.5, abs=1e-15)
+        draws = 2 * len(pair_strata(seg.prob, paths))
+        u = np.tile([0.0, 1.0 - 2.0**-53], draws // 2)
+        _, j, dt, paid = fixed_draws(monkeypatch, simulator, paths, u)
+        tau = seg.grid[j] + dt
+        assert np.all(tau[j < i] <= at) and np.all(tau[j >= i] >= at)
+        before = sum(a for t, a in self.m.flows if t < at)
+        if seg.lam[i] > 0.0:
+            first = int(np.argmax(j == i))
+            assert (tau[first], dt[first]) == (at, 0.0)
+            assert paid[first] == seg.paid_before[i] == pytest.approx(before, abs=1e-15)
+        else:
+            assert seg.prob[i] == 0.0 and i not in j
         assert curve.inverse_survival(0.5) == pytest.approx(at, abs=1e-12)
 
     @pytest.mark.parametrize("maturity", [4.0, 8.0], ids=["at_last_flow", "after_last_flow"])
-    def test_default_at_maturity(self, maturity):
-        # lambda_bar = log 2 / maturity: U(maturity) = 0.5 exactly, so
-        # level 0.5 defaults at maturity and the level one ulp below it
-        # survives
+    def test_default_at_maturity(self, monkeypatch, maturity):
+        # lambda_bar = log 2 / maturity: S(maturity) = 0.5 exactly, the
+        # survivors' probability, and the segments hold the other half.
+        # The top of the last sub-stratum defaults at maturity, where,
+        # after the last flow, every flow has been paid and nothing is
+        # left to close out; where maturity is the last flow date, the
+        # empty segment from it holds no draw
         m, table = self.m, TestSegmentTable()
         schedule = CashflowSchedule.from_flows(m.flows, maturity=maturity)
         lambda_bar = TermCurve.flat(self.LOG2 / maturity)
-        seg = self.segments(schedule, lambda_bar)
-        levels = np.array([0.5, np.nextafter(0.5, 0.0)])
-        j, dt, _ = seg.levels(lambda_bar)(levels)
-        n = len(seg.grid)
-        assert j[1] == n and dt[1] == 0.0
-        assert j[0] == n - 1 and seg.grid[-1] + dt[0] == pytest.approx(maturity, abs=1e-12)
-        assert (dt[0] == 0.0) == (seg.grid[-1] == maturity)
-        # the boundary is 0.5 itself, and the payoffs are the flows
-        # before maturity and the closeout there, or every flow below it
         simulator = oracle._first_default(
             m.market, m.investor, None, 0.4, lambda_bar, schedule, m.closeout
         )
-        assert simulator[0] == 0.5
-        got = path_payoffs(simulator, levels)
+        seg = simulator[0]
+        assert seg.survival == 0.5
+        assert math.fsum(seg.prob) == pytest.approx(0.5, abs=1e-15)
+        assert (seg.prob[-1] == 0.0) == (seg.grid[-1] == maturity)
+        draws = 2 * len(pair_strata(seg.prob, 64))
+        _, j, dt, got = fixed_draws(monkeypatch, simulator, 64, np.full(draws, 1.0 - 2.0**-53))
+        tau = seg.grid[j] + dt
+        assert tau[-1] == pytest.approx(maturity, abs=1e-12) and np.all(tau <= maturity)
         r_bar = internal_rate(m.market, m.investor, 0.4, lambda_bar)
-        for tau, p in zip((maturity, math.inf), got):
-            expected = table.first_default_expected(schedule, tau, r_bar)
-            assert p == pytest.approx(expected, abs=1e-12), tau
+        # a time that rounds onto the segment's end would be marked ex-dividend
+        inside = tau < seg.grid[j] + seg.span[j]
+        for t, p in zip(tau[inside], got[inside]):
+            expected = table.first_default_expected(schedule, t, r_bar)
+            assert p == pytest.approx(expected, abs=1e-12), t
         all_flows = table.first_default_expected(schedule, math.inf, r_bar)
-        assert (got[0] == pytest.approx(all_flows, abs=1e-12)) == (maturity > m.flows[-1][0])
+        assert (got[-1] == pytest.approx(all_flows, abs=1e-12)) == (maturity > m.flows[-1][0])
 
     def test_survivor_pays_its_flows_to_the_bit(self):
-        # flows that sum to -0.0: the map adds the survivor segment's
-        # closeout to them for a level below the boundary, or for level
-        # 0, and must keep the sign bit of the survivor stratum's payoff
+        # flows that sum to -0.0: where nothing can default, the estimate
+        # is the survivors' flow sum, sign bit and all; where something
+        # can, the survivors' term S(T) * paid_all keeps the sign bit
         m = self.m
         schedule = CashflowSchedule.from_flows([(1.0, -0.0)])
-        for counterparty in (None, m.counterparty):
-            boundary, payoffs, paid_all, _ = oracle._first_default(
-                m.market, m.investor, counterparty, 0.4, 0.02, schedule, m.closeout
-            )
-            levels = np.array([np.nextafter(boundary, 0.0), 0.0])
-            got = np.empty(2)
-            payoffs(levels, got)
-            assert got.tobytes() == np.array([paid_all, paid_all]).tobytes()
-            assert np.array(paid_all).tobytes() == np.array(-0.0).tobytes()
+        minus_zero = np.array(-0.0).tobytes()
+        zero = CreditCurve("C", TermCurve.flat(0.0))
+        for counterparty, lambda_bar in ((None, 0.0), (zero, 0.0), (m.counterparty, 0.02)):
+            args = (m.market, m.investor, counterparty, 0.4, lambda_bar, schedule, m.closeout)
+            seg = oracle._first_default(*args)[0]
+            assert np.array(seg.paid_all).tobytes() == minus_zero
+            assert np.array(seg.survival * seg.paid_all).tobytes() == minus_zero
+            mc = mc_value_independent(*args, 1000, 3)
+            assert (mc.mean, mc.std_error) == (0.0, 0.0)
+            if seg.survival == 1.0:
+                assert np.array(mc.mean).tobytes() == minus_zero
 
     def test_level_zero_under_a_boundary_of_one_ulp(self):
-        # a hazard of 1e307 overflows long before maturity: only level 0
-        # survives, so the boundary is the least positive double, and the
-        # level map's survivor segment pays level 0 every flow (0 * inf
-        # would be NaN); bond recovery 1 keeps r_bar off lambda_bar
+        # a hazard of 1e307 overflows long before maturity: nothing
+        # survives, the first segment holds every default, its draws
+        # default within ~1e-305 of time 0 (log1p(-1) = -inf would put a
+        # draw at the segment's end), and their payoffs, the flows before
+        # and the closeout at such a time, are finite where 0 * inf would
+        # be NaN; bond recovery 1 keeps r_bar off lambda_bar
         m, table = self.m, TestSegmentTable()
         r_bar = internal_rate(m.market, m.investor, 1.0, 1e307)
-        levels = np.array([0.0, 0.5, 2.0**-53])
         for counterparty in (None, CreditCurve("C", TermCurve.flat(1e307))):
             with np.errstate(**cli._RUN_ERRSTATE):
-                boundary, payoffs, _, _ = oracle._first_default(
+                simulator = oracle._first_default(
                     m.market, m.investor, counterparty, 1.0, 1e307, m.schedule, m.closeout
                 )
-                assert boundary == 5e-324
-                got = np.empty(len(levels))
-                payoffs(levels, got)
-            taus = first_default_curve(counterparty, 1e307).inverse_survival(levels)
+                seg = simulator[0]
+                estimate, j, dt, got = drawn(simulator, 2000, 3)
+            assert seg.survival == 0.0 and seg.prob[0] == 1.0 and not np.any(seg.prob[1:])
+            assert len(j) == 2000 and not np.any(j) and np.all(dt < 1e-300)
             share = counterparty_share(counterparty, 1e307, 0.0)  # 0.5 with the counterparty
-            for tau, p in zip(taus.tolist(), got):
+            for tau, p in zip(dt.tolist(), got):
                 expected = table.first_default_expected(m.schedule, tau, r_bar, share)
                 assert p == pytest.approx(expected, abs=1e-12), tau
+            assert math.isfinite(estimate.mean) and math.isfinite(estimate.std_error)
 
 
 class TestSurvivorKnot:
-    """The survivor segment starts one ulp past ``H(maturity)`` in a level
-    map.  Where maturity is a grid point, that knot can share the last
-    grid point's bucket and cost every key a second fix-up pass, so the
-    bucket lookups leave it out: one pass on a long_mc-shaped trade, and
-    survivors still pay every flow."""
+    """Survivors are never drawn, and no draw is located by a lookup:
+    the estimate pays the survivors every flow with the survival at
+    maturity as their weight, and each draw's segment comes from its
+    index in the stream."""
 
     def test_one_pass_per_key(self, monkeypatch):
+        # on a long_mc-shaped trade, once set up, a simulation makes no
+        # search among the grid or a curve's nodes, whether binary or by
+        # the bucket table of a multi-node curve
         t = TestHeapPeak
         market = MarketRates(t.curve(0.01, 0.04), t.curve(0.005, 0.03))
         investor = CreditCurve("I", t.curve(0.01, 0.025))
@@ -1216,14 +1377,6 @@ class TestSurvivorKnot:
             [(k / 4, 1.0 - (k <= 60) * 2.25) for k in range(1, 121)]
         )
         closeout = CloseoutSpec(0.4, 0.3)
-        built = []
-
-        class Recording(oracle._Locator):
-            def __init__(self, knots):
-                super().__init__(knots)
-                built.append(self)
-
-        monkeypatch.setattr(oracle, "_Locator", Recording)
         simulators = [
             oracle._first_default(
                 market, investor, name, 0.2, t.curve(0.05, 0.07), schedule, closeout
@@ -1232,33 +1385,43 @@ class TestSurvivorKnot:
         ]
         model = JointDefaultModel(investor, counterparty, 1.5)
         simulators.append(oracle._dependent_default(market, model, schedule, closeout))
-        # one level map per simulator, and no other lookup
-        assert len(built) == 3
-        for _, payoffs, _, _ in simulators:
-            payoffs(np.full(3, 0.5), np.empty(3))
-        assert len(built) == 3
-        assert [lookup._steps for lookup in built] == [1] * 3
-        # the last knot is the hazard at maturity, a grid point, not the
-        # survivor knot one ulp past it
-        hazard = combined((t.curve(0.05, 0.07), counterparty.intensity), np.add)
-        assert built[1].knots[-1] == hazard.cumulative(schedule.maturity)
+        calls = []
+
+        def counting(original):
+            def count(*args, **kwargs):
+                calls.append(original)
+                return original(*args, **kwargs)
+
+            return count
+
+        monkeypatch.setattr(np, "searchsorted", counting(np.searchsorted))
+        monkeypatch.setattr(curves._Locator, "__call__", counting(curves._Locator.__call__))
+        for seg, payoffs, bound in simulators:
+            estimate = oracle._simulate(2**14, 5, seg, payoffs, bound)
+            assert 0.0 < estimate.std_error < 1e-3
+        assert calls == []
 
     def test_survivors_pay_every_flow(self):
+        # maturity 4.0 is the last flow date: the survivors, of the
+        # sampled hazard's survival at maturity, are paid every flow;
+        # the segments hold the rest of the probability, the empty one
+        # at maturity none, and with every drawn payoff 0 the estimate is
+        # the survivors' term
         m = TestMultiFlowPayoffs
-        schedule = CashflowSchedule.from_flows(m.flows)  # maturity 4.0, the last flow
+        schedule = CashflowSchedule.from_flows(m.flows)
         grid = oracle._segment_grid(schedule, (m.market.collateral, m.lambda_bar))
-        seg = oracle._Segments(schedule, m.market.collateral, grid, -0.01 * grid)
-        level = seg.levels(m.lambda_bar)
-        b = oracle._boundary(m.lambda_bar, seg, level)
-        w = np.random.Generator(np.random.PCG64(2)).random(4096)
-        w[:4] = [b, np.nextafter(b, 0.0), b * 0.5, 0.0]
-        j, dt, paid = level(w)
-        # away from the boundary, where the two maps round apart
-        tau = CreditCurve("N", m.lambda_bar).inverse_survival(w[2:])
-        np.testing.assert_array_equal(j[2:], naive_locate(seg, tau)[0])
-        survived = j == len(grid)
-        assert list(survived[:4]) == [False, True, True, True]
-        assert np.all(dt[survived] == 0.0) and np.all(paid[survived] == seg.paid_all)
+        seg = oracle._Segments(schedule, m.market.collateral, grid, -0.01 * grid, m.lambda_bar)
+        all_flows = sum(a * math.exp(-0.01 * t) for t, a in m.flows)
+        assert seg.paid_all == pytest.approx(all_flows, abs=1e-15)
+        assert seg.survival == CreditCurve("N", m.lambda_bar).survival(4.0)
+        assert grid[-1] == 4.0 and seg.span[-1] == 0.0 and seg.prob[-1] == 0.0
+        assert math.fsum(seg.prob) + seg.survival == pytest.approx(1.0, abs=1e-15)
+
+        def no_payoff(j, dt, out):
+            out[:] = 0.0
+
+        mc = oracle._simulate(4096, 2, seg, no_payoff, 1.0)
+        assert (mc.mean, mc.std_error) == (seg.survival * seg.paid_all, 0.0)
 
 
 class TestSetUpCheck:
@@ -1331,23 +1494,10 @@ def credit_curves(draw, maturity):
         assume(False)
 
 
-def packed_levels(curve, maturity, boundary, rng):
-    """Levels packed around the survival at maturity and the boundary:
-    40 ulps either side, and 2**-20 relative either side; the ends of
-    ``[0, 1]``, and random levels."""
-    out = [0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53, *rng.random(200)]
-    with np.errstate(over="ignore"):
-        at_maturity = float(curve.survival(maturity))
-    for centre in (at_maturity, boundary):
-        out += [ulps_from(centre, k) for k in range(-40, 41)]
-        out += [centre * (1.0 - 2.0**-20), centre * (1.0 + 2.0**-20)]
-    return np.clip(out, 0.0, 1.0)
-
-
 class TestBoundary:
-    """The survival boundary is exact under the level map of the sampled
-    hazard: the double below it, and every level below that, survives
-    maturity, and it and every level above it defaults."""
+    """The strata are exact on the sampled hazard: the survivors have its
+    survival at maturity, and every drawn time is a default by maturity
+    in its own segment, on curves at the edges of the double range."""
 
     market = MarketRates(TermCurve.flat(0.01), TermCurve.flat(0.005))
     investor = CreditCurve("I", TermCurve.flat(0.02))
@@ -1359,40 +1509,36 @@ class TestBoundary:
         sampled = data.draw(credit_curves(maturity))
         counterparty = data.draw(credit_curves(maturity))
         schedule = CashflowSchedule.from_flows([(0.5 * maturity, -1.0), (maturity, 2.0)])
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        level_maps = []
-        levels = oracle._Segments.levels
-
-        def keep(seg, intensity):
-            level_maps.append((seg, intensity, levels(seg, intensity)))
-            return level_maps[-1][2]
-
-        # bond recovery 1 keeps r_bar off lambda_bar, whatever its size
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        # each simulator with the hazards whose sum it samples; bond
+        # recovery 1 keeps r_bar off lambda_bar, whatever its size
+        none = TermCurve.flat(0.0)
         simulators = [
-            (oracle._first_default, (self.market, self.investor, None, 1.0, sampled.intensity)),
+            (oracle._first_default, (self.market, self.investor, None, 1.0, sampled.intensity),
+             (sampled.intensity, none)),
             (oracle._first_default,
-             (self.market, self.investor, counterparty, 1.0, sampled.intensity)),
+             (self.market, self.investor, counterparty, 1.0, sampled.intensity),
+             (sampled.intensity, counterparty.intensity)),
             (oracle._dependent_default,
-             (self.market, JointDefaultModel(self.investor, counterparty, 0.0))),
+             (self.market, JointDefaultModel(self.investor, counterparty, 0.0)),
+             (counterparty.intensity, none)),
         ]
-        for build, args in simulators:
-            level_maps.clear()
+        for build, args, hazards in simulators:
             try:
-                with mock.patch.object(oracle._Segments, "levels", keep):
-                    b = build(*args, schedule, self.closeout)[0]
+                simulator = build(*args, schedule, self.closeout)
             except InvariantError:  # a hazard past the copula's range
                 continue
             except ValueError:  # the two hazards' sum past the largest double
-                assert build is oracle._first_default and args[2] is not None
+                assert none not in hazards
                 continue
-            ((seg, intensity, level),) = level_maps
-
-            def survives(w):
-                return level(w)[0] == len(seg.grid)
-
-            w = packed_levels(CreditCurve("N", intensity), maturity, b, rng)
-            assert survives(np.array([np.nextafter(b, 0.0), b])).tolist() == [True, False]
-            np.testing.assert_array_equal(survives(w), w < b)
+            seg = simulator[0]
+            hazard = CreditCurve("N", combined(hazards, np.add))
+            with np.errstate(over="ignore"):
+                assert seg.survival == hazard.survival(maturity)
+            _, j, dt, _ = drawn(simulator, 64, seed)
+            assert np.all(seg.prob[j] > 0.0)
+            assert np.all((0.0 <= dt) & (dt <= seg.span[j]))
+            assert np.all(seg.grid[j] + dt <= maturity)
 
     def test_zero_recovery_bullet_is_exact(self):
         # zero recoveries and one flow: every default pays exactly 0 and
