@@ -53,15 +53,19 @@ exactly from ``PCG64(seed).advance(2s)``.
 
 Blocks of ``_BLOCK`` draws fill one reused buffer, continuing the
 stream; each draw's segment and sub-stratum come from its index in the
-stream, so a block may split a pair.  A few gathers and one ``exp`` give
-each draw's payoff, written into one chunk buffer.  A chunk of
-``_CHUNK`` draws reduces to its two weighted sums by ``np.add.reduceat``
-over the segments' offsets in it, and the chunks' sums are added in
-index order: memory is ``O(chunk + block)``.  Payoffs whose squares could
-overflow are reduced scaled by a power of two, undone exactly.  Payoffs
-come from elementwise operations that do not depend on the length or
-stride of their arrays, so estimates are bit-identical for every block
-size.
+stream, so a block may split a pair.  No draw carries its segment's
+index: a block within one segment reads each constant of the segment as
+one scalar, and a block over several reads it as runs, the constant of
+each segment repeated over that segment's draws.  One ``log1p`` gives
+each draw's time and one ``exp`` its payoff, computed in place in one
+chunk buffer.  A chunk of ``_CHUNK`` draws reduces to its two weighted
+sums by ``np.add.reduceat`` over the segments' offsets in it, and the
+chunks' sums are added in index order: memory is ``O(chunk + block)``.
+Payoffs whose squares could overflow are reduced scaled by a power of
+two, undone exactly.  Payoffs come from elementwise operations that do
+not depend on the length or stride of their arrays, nor on whether a
+constant comes as a scalar or a run, so estimates are bit-identical for
+every block size.
 
 :func:`sample_joint_defaults` maps uniforms to default times through the
 inverse survival function; ``inf`` means the name never defaults on the
@@ -76,6 +80,7 @@ with ``v = w2`` when ``theta = 0``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +107,9 @@ class McEstimate:
 
 # Draws per block: a block's draws and temporaries stay in a 2 MiB L2
 # cache, and the heap peak under the trim threshold that _CHUNK's buffer
-# sets (below).  2**15-path blocks peaked at 4.4-5.1 MiB, and a timed
-# long_mc call took ~1180 minor page faults, not ~43 (2-vCPU Xeon).
+# sets (below): TestHeapPeak's trades peak at 3.07 MiB under tracemalloc.
+# 2**15-path blocks peaked at 4.4-5.1 MiB, and a timed long_mc call took
+# ~1180 minor page faults, not ~43 (2-vCPU Xeon).
 _BLOCK = 2**14
 
 # Draws per reduction chunk, an even number so that no pair straddles two
@@ -128,9 +134,10 @@ def _simulate(paths: int, seed: int, seg: _Segments, payoffs, bound) -> McEstima
     """The estimate from the discounted payoffs, each at most ``bound``
     in magnitude, of ``paths`` nominal paths stratified on the segments
     of ``seg``: the pairs' draws come in blocks that continue the
-    generator's stream, and ``payoffs(j, dt, out)`` writes the payoffs of
-    a block's defaults, ``dt`` into segments ``j``, into the next slice
-    of one chunk buffer."""
+    generator's stream, and ``payoffs(take, dt, out)`` writes the payoffs
+    of a block's defaults, ``dt`` into their segments, into the next
+    slice of one chunk buffer; ``take(table)`` is each default's entry of
+    a table on the segments (:meth:`_Segments.times`)."""
     gen = _generator(paths, seed)
     pairs = np.where(seg.prob > 0.0, np.maximum(np.rint(paths * seg.prob / 2), 1.0), 0.0)
     first = np.concatenate(([0], np.cumsum(pairs.astype(np.int64))))  # each segment's first pair
@@ -260,30 +267,42 @@ class _Segments:
         self.survival = float(np.exp(-hazard.cumulative(self.maturity)))
 
     def times(self, pairs, first, at, u):
-        """The segments ``j`` and times ``dt`` into them of the draws
-        ``u``, draws ``at, at + 1, ...`` of the stream, where segment
-        ``j`` holds ``pairs[j]`` pairs from pair ``first[j]`` on; ``u`` is
-        overwritten with ``dt``."""
-        ends = np.clip(2 * first, at, at + len(u))
-        j = np.repeat(np.arange(len(pairs)), np.diff(ends))
-        index = np.arange(at, at + len(u))
-        index >>= 1  # the draw's pair, and from it the pair's sub-stratum k
-        index -= first[j]
-        q = np.add(index, u, out=u)
-        q /= pairs[j]
-        q *= self.shrink[j]
+        """``(take, dt)`` of the draws ``u``, draws ``at, at + 1, ...`` of
+        the stream, where segment ``j`` holds ``pairs[j]`` pairs from pair
+        ``first[j]`` on: the times ``dt`` into their segments, written over
+        ``u``, and ``take(table)``, each draw's entry of a table on the
+        segments.  That is one scalar where the draws share a segment, and
+        otherwise the entries of the segments they fall in, each repeated
+        over its run of draws."""
+        runs = np.diff(np.clip(2 * first, at, at + len(u)))  # the draws in each segment
+        held = np.flatnonzero(runs)
+        if len(held) == 1:
+            take = operator.itemgetter(held[0])
+        else:
+            runs = runs[held]
+
+            def take(table):
+                return np.repeat(table[held], runs)
+
+        k = np.arange(at, at + len(u))
+        k >>= 1  # the draw's pair, and from it the pair's sub-stratum
+        k -= take(first)
+        q = np.add(k, u, out=u)
+        q /= take(pairs)
+        q *= take(self.shrink)
         with np.errstate(divide="ignore"):  # q rounded up to 1 under a shrink of -1
             dt = np.log1p(q, out=q)
-        dt /= self.lam[j]
+        dt /= take(self.lam)
         np.negative(dt, out=dt)
-        return j, np.minimum(dt, self.span[j], out=dt)
+        return take, np.minimum(dt, take(self.span), out=dt)
 
-    def paid(self, j, dt):
-        """The flows paid by a default ``dt`` into segment ``j``."""
-        paid = self.paid_upto[j]
+    def paid(self, take, dt):
+        """The flows paid by the defaults ``dt`` into the segments of
+        ``take`` (see :meth:`times`)."""
+        paid = take(self.paid_upto)
         on_node = dt == 0.0
         if on_node.any():
-            paid[on_node] = self.paid_before[j[on_node]]
+            paid = np.where(on_node, take(self.paid_before), paid)
         return paid
 
 
@@ -352,10 +371,12 @@ def _first_default(
         slope = seg.rate_x - np.asarray(r_bar.value(grid))
     bound = _check_payoffs(seg, settle, log_scale, slope)
 
-    def payoffs(j, dt, out):
-        x = slope[j] * dt  # in place from here: the block's heap peak
-        x += log_scale[j]
-        np.add(seg.paid(j, dt), np.multiply(settle[j], np.exp(x, out=x), out=x), out=out)
+    def payoffs(take, dt, out):
+        x = np.multiply(take(slope), dt, out=out)  # in place from here
+        x += take(log_scale)
+        np.exp(x, out=x)
+        x *= take(settle)
+        x += seg.paid(take, dt)
 
     return seg, payoffs, bound
 
@@ -404,9 +425,12 @@ def _dependent_default(market, model, schedule, closeout):
     """
     curves = (market.risk_free, model.investor.intensity, model.counterparty.intensity)
 
-    def log_weight(h_r, h_i, h_c):
+    def log_weight(h_r, h_i, h_c, out=None):
         # log of D(0,t) U(t,t) / U_C(t) from the cumulative rate and hazards
-        return -h_r + _log_clayton(h_i, h_c, model.theta) + h_c
+        w = _log_clayton(h_i, h_c, model.theta, out=out)
+        w -= h_r
+        w += h_c
+        return w
 
     grid = _segment_grid(schedule, (market.collateral, *curves))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -419,10 +443,18 @@ def _dependent_default(market, model, schedule, closeout):
     _require_finite(("log discount", grid, start), ("log discount", grid + seg.span, end))
     bound = _check_payoffs(seg, k_c, seg.log_vx - cum[0], seg.rate_x - rate[0])
 
-    def payoffs(j, dt, out):
-        log_w = log_weight(*(h[j] + lam[j] * dt for h, lam in zip(cum, rate)))
-        x = seg.log_vx[j] + seg.rate_x[j] * dt + log_w
-        np.add(seg.paid(j, dt), k_c[j] * np.exp(x), out=out)
+    def payoffs(take, dt, out):
+        # the cumulative rate and hazards at the defaults, in place from here
+        h = [np.multiply(take(lam), dt) for lam in rate]
+        for h_t, h_0 in zip(h, cum):
+            h_t += take(h_0)
+        log_w = log_weight(*h, out=h[1])
+        x = np.multiply(take(seg.rate_x), dt, out=out)
+        x += take(seg.log_vx)
+        x += log_w
+        np.exp(x, out=x)
+        x *= take(k_c)
+        x += seg.paid(take, dt)
 
     return seg, payoffs, bound
 

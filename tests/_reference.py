@@ -154,6 +154,46 @@ def stratified_time(lam, span, k, m, u):
     return min(-math.log1p(q * math.expm1(-lam * span)) / lam, span)
 
 
+def gathered_times(seg, paths, u):
+    """``(j, dt)`` of the draws ``u``, from the first of a simulation of
+    ``paths`` paths on the segment table ``seg``, by the per-draw map:
+    each draw's segment ``j`` spelled out as an index array, and each
+    constant of its segment gathered through it."""
+    pairs = np.where(seg.prob > 0.0, np.maximum(np.rint(paths * seg.prob / 2), 1.0), 0.0)
+    first = np.concatenate(([0], np.cumsum(pairs.astype(np.int64))))
+    j = np.repeat(np.arange(len(pairs)), np.diff(np.minimum(2 * first, len(u))))
+    k = (np.arange(len(u)) >> 1) - first[j]  # the pair's sub-stratum
+    q = (k + u) / pairs[j] * seg.shrink[j]
+    with np.errstate(divide="ignore"):
+        dt = -(np.log1p(q) / seg.lam[j])
+    return j, np.minimum(dt, seg.span[j])
+
+
+def gathered_paid(seg, j, dt):
+    """The flows paid by defaults ``dt`` into segments ``j``, gathered."""
+    return np.where(dt == 0.0, seg.paid_before[j], seg.paid_upto[j])
+
+
+def gathered_first_default_payoffs(seg, slope, log_scale, settle, j, dt):
+    """First-default payoffs from the segment tables of the simulator,
+    gathered per draw: the flows paid and ``settle exp(log_scale + slope
+    dt)``."""
+    return gathered_paid(seg, j, dt) + settle[j] * np.exp(slope[j] * dt + log_scale[j])
+
+
+def gathered_dependent_payoffs(seg, cum, rate, k_c, theta, threshold, j, dt):
+    """Dependent-default payoffs from the segment tables of the simulator,
+    gathered per draw, with the Clayton term as one expression: the
+    product law at ``theta <= threshold``."""
+    h_r, h_i, h_c = (h[j] + lam[j] * dt for h, lam in zip(cum, rate))
+    if theta <= threshold:
+        log_c = -(h_i + h_c)
+    else:
+        log_c = -np.log1p(np.expm1(theta * h_i) + np.expm1(theta * h_c)) / theta
+    x = seg.log_vx[j] + seg.rate_x[j] * dt + (-h_r + log_c + h_c)
+    return gathered_paid(seg, j, dt) + k_c[j] * np.exp(x)
+
+
 def pair_stratified_estimate(prob, survival, paid_all, paths, payoffs):
     """``(mean, std_error)`` of a pair-stratified sample, pair by pair.
 

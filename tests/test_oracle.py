@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -25,10 +26,13 @@ from valadj import (
     mc_value_independent,
     sample_joint_defaults,
 )
-from valadj import as_curve, cli, curves, oracle
+from valadj import as_curve, cli, credit, curves, oracle
 from valadj.measure import internal_rate
 
 from _reference import (
+    gathered_dependent_payoffs,
+    gathered_first_default_payoffs,
+    gathered_times,
     naive_collateral_value,
     naive_inverse_survival,
     naive_locate,
@@ -79,6 +83,12 @@ def counterparty_share(counterparty, lambda_bar, tau):
     return lam_c / total if total > 0.0 else 0.0
 
 
+def segments_of(seg, take, dt):
+    """The segment of each of the draws ``dt``, spread over them by the
+    block's ``take`` as the segment table's entries are."""
+    return np.broadcast_to(take(np.arange(len(seg.grid))), dt.shape)
+
+
 def drawn(simulator, paths, seed):
     """``(estimate, j, dt, payoffs)`` of a simulator's ``(seg, payoffs,
     bound)``: the estimate, and the segment, the time into it and the
@@ -86,12 +96,29 @@ def drawn(simulator, paths, seed):
     seg, payoffs, bound = simulator
     batches = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))]
 
-    def keep(j, dt, out):
-        payoffs(j, dt, out)
-        batches.append((j.copy(), dt.copy(), out.copy()))
+    def keep(take, dt, out):
+        payoffs(take, dt, out)
+        batches.append((segments_of(seg, take, dt).copy(), dt.copy(), out.copy()))
 
     estimate = oracle._simulate(paths, seed, seg, keep, bound)
     return (estimate, *(np.concatenate(cols) for cols in zip(*batches)))
+
+
+def spy_blocks(monkeypatch):
+    """The ``(at, j)`` of every block the simulators map, from then on:
+    its first draw's index in the stream, and the segment of each of its
+    draws, a 0-d array where the segment's constants reach the block as
+    scalars."""
+    blocks = []
+    times = oracle._Segments.times
+
+    def spying(seg, pairs, first, at, u):
+        take, dt = times(seg, pairs, first, at, u)
+        blocks.append((at, take(np.arange(len(seg.grid)))))
+        return take, dt
+
+    monkeypatch.setattr(oracle._Segments, "times", spying)
+    return blocks
 
 
 def stream_draws(seg, paths, u, first_pair=0):
@@ -629,7 +656,7 @@ class TestPathOutcomes:
         assert sample.survival == pytest.approx(math.exp(-0.05 * 5.0), rel=1e-15)
         seg, _, bound = oracle._first_default(*args)
 
-        def no_payoff(j, dt, out):
+        def no_payoff(take, dt, out):
             out[:] = 0.0
 
         mc = oracle._simulate(500, 4, seg, no_payoff, bound)
@@ -748,11 +775,20 @@ class TestBlockSize:
                 *args, m.counterparty, 0.4, m.lambda_bar, m.schedule, m.closeout, paths, seed
             ),
         }
-        runs = {}
-        for block in (7, 4096, paths, 2**20):
+        runs, blocks = {}, spy_blocks(monkeypatch)
+        for block in (1, 7, 4096, paths, 2**20):
             monkeypatch.setattr(oracle, "_BLOCK", block)
+            blocks.clear()
             runs[block] = {name: sim() for name, sim in sims.items()}
-        for block in (4096, paths, 2**20):
+            # one draw always lies in one segment, and all of a simulation's
+            # draws in several: the same draws go once through the scalar
+            # constants and once through the runs
+            ndims = {j.ndim for _, j in blocks}
+            if block == 1:
+                assert ndims == {0}
+            elif len(blocks) == len(sims):  # one block a simulation
+                assert ndims == {1}
+        for block in (1, 4096, paths, 2**20):
             assert runs[block] == runs[7]
         sample = runs[7]["path_outcomes"]
         assert len(sample.outcomes) == 2 * len(pair_strata(sample.prob, paths)) == 3330
@@ -803,6 +839,83 @@ class TestBlockSize:
         assert (sample.survival == 1.0) == (hazard == 0.0)
 
 
+class TestGatherReference:
+    """Each draw's time and payoff, bit for bit, against the per-draw
+    map that gathers every segment constant through an index array
+    (:func:`gathered_times`), on block layouts that hold one segment,
+    cross several segment ends, start mid-pair or border segments that
+    hold no pair."""
+
+    m = TestMultiFlowPayoffs
+    # zero on [1.5, 3) in the sampled hazard of every simulator
+    zero_run = {
+        "lambda_bar": TermCurve.from_nodes([(0.0, 0.05), (1.5, 0.0), (3.0, 0.12)]),
+        "counterparty": CreditCurve("C", TermCurve.from_nodes([(0.0, 0.15), (1.5, 0.0),
+                                                               (3.0, 0.08)])),
+    }
+
+    def simulator(self, name, lambda_bar, counterparty):
+        m = self.m
+        if name.startswith("correlated"):
+            theta = 1.5 if name == "correlated" else 0.0  # the product law at 0
+            model = JointDefaultModel(m.investor, counterparty, theta)
+            return oracle._dependent_default(m.market, model, m.schedule, m.closeout), theta
+        counterparty = counterparty if name == "independent" else None
+        args = (m.market, m.investor, counterparty, 0.4, lambda_bar, m.schedule, m.closeout)
+        return oracle._first_default(*args), None
+
+    @staticmethod
+    def reference_payoffs(simulator, theta, j, dt):
+        seg, payoffs, _ = simulator
+        tables = inspect.getclosurevars(payoffs).nonlocals
+        if theta is None:
+            names = ("slope", "log_scale", "settle")
+            return gathered_first_default_payoffs(seg, *(tables[n] for n in names), j, dt)
+        names = ("cum", "rate", "k_c")
+        return gathered_dependent_payoffs(
+            seg, *(tables[n] for n in names), theta, credit._THETA_INDEPENDENT, j, dt
+        )
+
+    @pytest.mark.parametrize("name", ["riskfree_cpty", "independent", "correlated",
+                                      "correlated_product_law"])
+    @pytest.mark.parametrize(
+        "layout, block",
+        [("one_segment", 64), ("several_segment_ends", 2048), ("mid_pair", 333),
+         ("zero_pair_segments", 1000)],
+    )
+    def test_bit_identical(self, monkeypatch, name, layout, block):
+        m, paths, seed = self.m, 5003, 23
+        curves = (m.lambda_bar, m.counterparty)
+        if layout == "zero_pair_segments":
+            curves = (self.zero_run["lambda_bar"], self.zero_run["counterparty"])
+        simulator, theta = self.simulator(name, *curves)
+        seg = simulator[0]
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        blocks = spy_blocks(monkeypatch)
+        _, j, dt, got = drawn(simulator, paths, seed)
+
+        u = np.random.Generator(np.random.PCG64(seed)).random(len(dt))
+        want_j, want_dt = gathered_times(seg, paths, u)
+        np.testing.assert_array_equal(j, want_j)
+        assert dt.tobytes() == want_dt.tobytes()
+        want = self.reference_payoffs(simulator, theta, want_j, want_dt)
+        assert got.tobytes() == want.tobytes()
+
+        # the layout the case names occurs
+        held = [np.unique(b) for _, b in blocks]
+        if layout == "one_segment":
+            assert any(b.ndim == 0 for _, b in blocks)
+        elif layout == "several_segment_ends":
+            assert max(len(h) for h in held) >= 3
+        elif layout == "mid_pair":
+            assert any(at % 2 for at, _ in blocks)
+        else:
+            empty = np.flatnonzero(seg.prob == 0.0)
+            assert len(empty) >= 2
+            # a block on both sides of the segments without pairs
+            assert any(h[0] < empty[0] and h[-1] > empty[-1] for h in held)
+
+
 class TestContiguousColumns:
     """The draws' times reach the payoff map, and each name's levels the
     inverse survival maps, as a contiguous column, where the elementwise
@@ -828,12 +941,17 @@ class TestContiguousColumns:
         simulator = oracle._first_default(*args)
         seen = []
 
-        def keep(j, dt, out):
-            seen.append((j, dt, out))
-            simulator[1](j, dt, out)
+        def keep(take, dt, out):
+            seen.append((take(simulator[0].lam), dt, out))
+            simulator[1](take, dt, out)
 
         oracle._simulate(5000, 3, simulator[0], keep, simulator[2])
-        assert all(a.ndim == 1 and a.flags.c_contiguous for batch in seen for a in batch)
+        assert all(a.ndim == 1 and a.flags.c_contiguous for _, dt, out in seen for a in (dt, out))
+        # a segment's constant reaches the block as one scalar, or as runs
+        # spread into a contiguous column of the draws
+        assert all(lam.ndim == 0 or lam.flags.c_contiguous and lam.shape == dt.shape
+                   for lam, dt, _ in seen)
+        assert {lam.ndim for lam, _, _ in seen} == {0, 1}
         # one call per block of the draws, in one chunk
         n = 2 * len(pair_strata(simulator[0].prob, 5000))
         blocks = [min(1000, n - start) for start in range(0, n, 1000)]
@@ -858,8 +976,8 @@ class TestContiguousColumns:
         j = np.flatnonzero(seg.prob)[np.arange(len(wide)) % np.count_nonzero(seg.prob)]
         strided[:, 0] *= seg.span[j]  # a time into each segment
         got, want = np.empty(len(wide)), np.empty(len(wide))
-        payoffs(j, strided[:, 0], got)
-        payoffs(j, strided[:, 0].copy(), want)
+        payoffs(lambda t: t[j], strided[:, 0], got)
+        payoffs(lambda t: t[j], strided[:, 0].copy(), want)
         assert got.tobytes() == want.tobytes()
         # the maps themselves do not depend on the stride of their levels
         for curve in (m.investor, m.counterparty):
@@ -908,7 +1026,7 @@ class TestChunkedReduction:
         def simulate(factor):
             done = [0]
 
-            def mapped(j, dt, out):
+            def mapped(take, dt, out):
                 out[:] = payoffs[done[0] : done[0] + len(out)] * factor
                 done[0] += len(out)
 
@@ -1051,7 +1169,8 @@ class TestSegmentTable:
             out = np.full(len(tau), seg.paid_all)
             defaults = np.flatnonzero(tau <= seg.maturity)
             mapped = np.empty(len(defaults))
-            payoffs(*naive_locate(seg, tau[defaults]), mapped)
+            j, dt = naive_locate(seg, tau[defaults])
+            payoffs(lambda t: t[j], dt, mapped)
             out[defaults] = mapped
             return out
 
@@ -1207,8 +1326,8 @@ class TestLevelMap:
         the flows of each default."""
         seg = self.segments(schedule, intensity)
 
-        def paid(j, dt, out):
-            out[:] = seg.paid(j, dt)
+        def paid(take, dt, out):
+            out[:] = seg.paid(take, dt)
 
         return seg, paid, 1.0
 
@@ -1417,7 +1536,7 @@ class TestSurvivorKnot:
         assert grid[-1] == 4.0 and seg.span[-1] == 0.0 and seg.prob[-1] == 0.0
         assert math.fsum(seg.prob) + seg.survival == pytest.approx(1.0, abs=1e-15)
 
-        def no_payoff(j, dt, out):
+        def no_payoff(take, dt, out):
             out[:] = 0.0
 
         mc = oracle._simulate(4096, 2, seg, no_payoff, 1.0)
