@@ -123,19 +123,17 @@ class CreditCurve:
 
 def _log_clayton(h_i, h_c, theta: float, out=None):
     """``log C(exp(-h_i), exp(-h_c))``: the copula in hazard coordinates,
-    written into ``out`` (which may be ``h_i``) or a new array.
+    computed in place in ``out`` (which may be ``h_i``) or, without it,
+    in new arrays (a scalar for 0-d arguments).
 
     ``S - 1 = expm1(theta*h_i) + expm1(theta*h_c)`` keeps full precision
     for small theta; at or below the threshold it is the product law.
     """
-    if out is None:
-        out = np.empty(np.broadcast(h_i, h_c).shape)
     if theta <= _THETA_INDEPENDENT:
         return np.negative(np.add(h_i, h_c, out=out), out=out)
     s = np.expm1(np.multiply(theta, h_i, out=out), out=out)
-    c = np.multiply(theta, h_c, out=np.empty_like(s))
-    s += np.expm1(c, out=c)
-    np.negative(np.log1p(s, out=s), out=s)
+    s += np.expm1(theta * h_c)  # in place, or a new scalar for 0-d arguments
+    s = np.negative(np.log1p(s, out=out), out=out)
     s /= theta
     return s
 

@@ -866,6 +866,8 @@ class TestGatherReference:
 
     @staticmethod
     def reference_payoffs(simulator, theta, j, dt):
+        # the payoff map's own segment tables: only the per-draw map is
+        # under test, not the set-up that builds them
         seg, payoffs, _ = simulator
         tables = inspect.getclosurevars(payoffs).nonlocals
         if theta is None:
