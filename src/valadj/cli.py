@@ -56,15 +56,20 @@ SUMMARY_COLUMNS = "regime,lambda_bar_I,theta,v_X0,u0,v0,mc_mean,mc_stderr,mc_pat
 
 
 # Memory per panel grid point: the engine's float64 arrays and
-# temporaries for one sweep point (tracemalloc: 200 bytes at peak); one
-# profile row of the point being written, held three times (the rows,
-# the point's text and its encoded copy), each copy at most the row's
-# label plus _FLOAT_CHARS per value, plus _ROW_OVERHEAD_BYTES of object
-# headers and list slots.  Measured peaks of whole runs stay under 500
-# bytes per grid point.
+# temporaries for one sweep point (tracemalloc: 200 bytes at peak); and
+# one profile row of the point being written, at the join that makes
+# its text (:func:`_profile_text`): the row's text (its label plus
+# _FLOAT_CHARS per value), a str of each of its six values
+# (_STR_HEADER_BYTES plus _FLOAT_CHARS), the t and v_X text that this
+# point and the previous one keep (_FLOAT_CHARS per value), and
+# _ROW_OVERHEAD_BYTES of list slots (seven join tokens), one column's
+# Python floats and the kept arrays.  The text and its encoded copy,
+# written next, take less.  Measured peaks of whole runs at 4096
+# panels/yr stay under 710 bytes per grid point.
 _ENGINE_BYTES_PER_POINT = 256
 _FLOAT_CHARS = 25  # "-1.2345678901234567e-308" and its comma
-_ROW_OVERHEAD_BYTES = 64
+_STR_HEADER_BYTES = 49  # sys.getsizeof("")
+_ROW_OVERHEAD_BYTES = 128
 
 # a run's floating-point rules: an overflow or a NaN raises, so stderr holds
 # only the JSON error; underflow is legitimate (survival and discounts decay)
@@ -297,8 +302,8 @@ def _physical_memory() -> int:
 
 def _panel_grid_bytes(cfg: ScenarioConfig) -> int:
     """Upper estimate of the memory a run's panel grids take: grid points
-    times the engine's bytes per point and one profile row of the largest
-    sweep point.  The grid has
+    times the engine's bytes per point and one profile row of the longest
+    label, as its text is made.  The grid has
     ``ceil(maturity * panels_per_year) + 1`` uniform points plus at most
     one per flow date and curve node."""
     curves = [cfg.market.risk_free, cfg.market.collateral, cfg.investor.intensity]
@@ -310,7 +315,10 @@ def _panel_grid_bytes(cfg: ScenarioConfig) -> int:
     uniform = math.ceil(cfg.schedule.maturity * min(cfg.panels_per_year, 2**62))
     points = uniform + 1 + len(cfg.schedule.times) + sum(len(c.times) for c in curves)
     labels = [len(f"{cfg.regime},{lam},{theta},,") for _, lam, theta, _ in _sweep_points(cfg)]
-    row_bytes = 3 * (max(labels) + 6 * _FLOAT_CHARS) + _ROW_OVERHEAD_BYTES
+    text = max(labels) + 6 * _FLOAT_CHARS
+    strs = 6 * (_STR_HEADER_BYTES + _FLOAT_CHARS)
+    kept = 2 * 2 * _FLOAT_CHARS  # t and v_X, of this point and the previous
+    row_bytes = text + strs + kept + _ROW_OVERHEAD_BYTES
     return points * (_ENGINE_BYTES_PER_POINT + row_bytes)
 
 
@@ -414,20 +422,58 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _profile_text(prefix: str, profile, mc_mean: str, mc_err: str) -> str:
+def _column_text(column) -> list:
+    """``repr`` of each value of ``column``.  A column with at most a
+    quarter as many runs of bitwise-equal values as rows formats each run
+    once; bits, not ``==``, so that ``0.0`` and ``-0.0`` stay apart."""
+    bits = column.view(np.int64)
+    edges = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if 4 * (len(edges) + 1) > len(column):
+        return list(map(repr, column.tolist()))  # Python floats in one pass
+    edges = np.concatenate(([0], edges, [len(column)]))
+    text = []
+    for value, count in zip(column[edges[:-1]].tolist(), np.diff(edges).tolist()):
+        text += [repr(value)] * count
+    return text
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _profile_text(prefix: str, profile, mc_mean: str, mc_err: str, kept=None) -> tuple:
     """A sweep point's profile rows as one text: per grid time ``prefix``,
     then ``t, v_X, u, v, alpha, beta`` and the Monte Carlo columns,
-    filled on the first row only.
+    filled on the first row only; and what the point keeps for the next.
 
-    ``tolist`` turns each column into Python floats in one pass, so each
-    value is formatted by ``repr`` without a numpy scalar per element.
+    Each distinct value is formatted once.  A column of few runs formats
+    each run once (:func:`_column_text`).  ``t`` and ``v_X`` depend only
+    on the grid, the schedule and the collateral curve: ``kept``, the
+    previous point's ``(t, v_X, text)``, holds the two arrays and their
+    values' text joined by commas, and a point whose arrays are bitwise
+    equal to them splits that text instead of formatting.  The rows come
+    from one join over the interleaved column texts.
     """
-    columns = (profile.grid, profile.v_x, profile.u, profile.v, profile.alpha, profile.beta)
-    cells = zip(*(map(repr, c.tolist()) for c in columns))
-    tails = [f",{mc_mean},{mc_err}"] + [",,"] * (len(profile.grid) - 1)
-    rows = [f"{prefix},{','.join(values)}{tail}\n" for values, tail in zip(cells, tails)]
-    del cells  # and the columns' Python floats, before the join
-    return "".join(rows)
+    t, v_x = profile.grid, profile.v_x
+    n = len(t)
+    if kept is not None and _same_bits(kept[0], t) and _same_bits(kept[1], v_x):
+        shared = kept[2].split(",")
+    else:
+        shared = [None] * (2 * n)
+        shared[0::2] = _column_text(t)
+        shared[1::2] = _column_text(v_x)
+        kept = (t, v_x, ",".join(shared))
+    # per row a head, then its six values; a head ends the row before it
+    # (its Monte Carlo cells and newline, after the join's comma) and
+    # starts its own with prefix.  A grid has 0 and maturity, so n >= 2.
+    tokens = [None] * (7 * n + 1)
+    tokens[0::7] = [prefix, f"{mc_mean},{mc_err}\n{prefix}", *[",\n" + prefix] * (n - 2), ",\n"]
+    tokens[1::7] = shared[0::2]
+    tokens[2::7] = shared[1::2]
+    del shared
+    for k, column in enumerate((profile.u, profile.v, profile.alpha, profile.beta), 3):
+        tokens[k::7] = _column_text(column)
+    return ",".join(tokens), kept
 
 
 def _lambda_label(curve: TermCurve) -> str:
@@ -464,10 +510,11 @@ def _sweep_points(cfg: ScenarioConfig):
         yield f"sweep.lambda_bar[{i}]", _lambda_label(lam), "", args
 
 
-def _point(cfg: ScenarioConfig, i: int, point, with_mc: bool):
+def _point(cfg: ScenarioConfig, i: int, point, with_mc: bool, kept=None):
     """Solve sweep point ``i``, ``point`` from :func:`_sweep_points`, and
-    with ``with_mc`` simulate it; return its profile text, summary row
-    and echo line.
+    with ``with_mc`` simulate it; return its profile text, summary row,
+    echo line and what it keeps for the next point's text, which takes
+    what the previous point kept as ``kept`` (:func:`_profile_text`).
 
     A numeric failure is raised again with the point's config key in
     front of its message."""
@@ -483,7 +530,7 @@ def _point(cfg: ScenarioConfig, i: int, point, with_mc: bool):
     except (InvariantError, ArithmeticError) as exc:
         raise type(exc)(f"{key}: {exc}") from exc
     prefix = f"{cfg.regime},{lam_label},{theta_label}"
-    text = _profile_text(prefix, profile, mc_mean, mc_err)
+    text, kept = _profile_text(prefix, profile, mc_mean, mc_err, kept)
     values = map(_fmt, (profile.v_x[0], profile.u[0], profile.v[0]))
     row = ",".join((cfg.regime, lam_label, theta_label, *values, mc_mean, mc_err, mc_paths, mc_seed))
     mc_note = f" mc={mc_mean}+-{mc_err}" if with_mc else ""
@@ -492,7 +539,7 @@ def _point(cfg: ScenarioConfig, i: int, point, with_mc: bool):
         + (f" theta={theta_label}" if theta_label else "")
         + f" u0={_fmt(profile.u[0])} v0={_fmt(profile.v[0])}{mc_note}"
     )
-    return text, row + "\n", note
+    return text, row + "\n", note, kept
 
 
 def run_scenario(
@@ -515,8 +562,9 @@ def run_scenario(
     paths = (base / cfg.profiles_out, base / cfg.summary_out)
     with _write(paths) as write:
         write(PROFILE_COLUMNS + "\n", SUMMARY_COLUMNS + "\n")
+        kept = None  # a point's t and v_X text, for the next point only
         for i, point in enumerate(_sweep_points(cfg)):
-            text, row, note = _point(cfg, i, point, with_mc)
+            text, row, note, kept = _point(cfg, i, point, with_mc, kept)
             write(text, row)
             echo(note)
             del text  # before the next point's rows

@@ -107,7 +107,9 @@ class McEstimate:
 
 # Draws per block: a block's draws and temporaries stay in a 2 MiB L2
 # cache, and the heap peak under the trim threshold that _CHUNK's buffer
-# sets (below): TestHeapPeak's trades peak at 3.07 MiB under tracemalloc.
+# sets (below): TestHeapPeak's trades peak at 2.44 MiB under tracemalloc,
+# the chunk buffer and one block's temporaries (the reduction writes the
+# pairs' differences into the buffer, so it adds no half-chunk array).
 # 2**15-path blocks peaked at 4.4-5.1 MiB, and a timed long_mc call took
 # ~1180 minor page faults, not ~43 (2-vCPU Xeon).
 _BLOCK = 2**14
@@ -167,9 +169,15 @@ def _simulate(paths: int, seed: int, seg: _Segments, payoffs, bound) -> McEstima
 def _weighted_sums(x, offsets, weight) -> tuple[float, float]:
     """``sum w (x_1 + x_2)`` and ``sum w**2 (x_1 - x_2)**2`` over the pairs
     ``(x_1, x_2)`` of ``x``, each weighted by the ``w`` of its segment: the
-    pairs from ``offsets[i]`` on have weight ``weight[i]``."""
+    pairs from ``offsets[i]`` on have weight ``weight[i]``.  The pairs'
+    differences overwrite the first half of ``x``."""
     total = float(np.sum(weight * np.add.reduceat(x, 2 * offsets)))
-    d = x[0::2] - x[1::2]
+    d = x[: len(x) // 2]
+    # block by block, each block's pairs read before they are overwritten:
+    # only the first block overlaps its input, and numpy buffers it
+    for s in range(0, len(d), _BLOCK):
+        e = min(s + _BLOCK, len(d))
+        np.subtract(x[2 * s : 2 * e : 2], x[2 * s + 1 : 2 * e : 2], out=d[s:e])
     np.square(d, out=d)
     return total, float(np.sum(weight * weight * np.add.reduceat(d, offsets)))
 

@@ -420,14 +420,39 @@ class TestValidate:
         cfg = load_config(write_config(tmp_path, doc))
         # 64 uniform panels + 1 edge, 1 flow date, 2 + 1 + 1 + 1 + 1 curve nodes
         points = 64 + 1 + 1 + 6
-        # one row of the point with the longest label
-        row_bytes = 3 * (len("riskfree_cpty,0.02,,,") + 6 * 25) + 64
+        # one row of the point with the longest label: its text, a str per
+        # value, the kept t and v_X text of two points, and list slots
+        row_bytes = len("riskfree_cpty,0.02,,,") + 6 * 25 + 6 * (49 + 25) + 4 * 25 + 128
         need = points * (256 + row_bytes)
         assert cli._panel_grid_bytes(cfg) == need
         monkeypatch.setattr(cli, "_physical_memory", lambda: need)
         assert cli._panel_memory_problem(cfg) is None
         monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
         assert str(need) in cli._panel_memory_problem(cfg)
+
+    @pytest.mark.parametrize("sweep", ["correlated", "piecewise"])
+    def test_run_peak_under_panel_grid_bytes(self, tmp_path, sweep):
+        # at 4096 panels/yr a run's heap peak is its panel grids and the
+        # text of one point: correlated_mixed's three points, and a
+        # piecewise sweep whose grids change between points, with a point
+        # repeated so that one takes the t and v_X text the last one kept.
+        # The first call warms one-time caches.
+        if sweep == "correlated":
+            doc = json.loads((CONFIG_DIR / "correlated_mixed.json").read_text())
+        else:
+            doc = json.loads((CONFIG_DIR / "independent_mixed.json").read_text())
+            nodes = [{"t": 0.0, "value": 0.01}, {"t": 1.3, "value": 0.0123456789012345}]
+            doc["sweep"]["lambda_bar"] = [0.02, nodes, nodes, nodes[:1]]
+        doc["numerics"]["panels_per_year"] = 4096
+        cfg = load_config(write_config(tmp_path, doc))
+        run_scenario(cfg, out_dir=tmp_path / "out", echo=lambda _: None)
+        tracemalloc.start()
+        try:
+            run_scenario(cfg, out_dir=tmp_path / "out", echo=lambda _: None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli._panel_grid_bytes(cfg)
 
     @pytest.mark.parametrize(
         "investor, counterparty, theta, code",
@@ -1103,14 +1128,18 @@ def naive_rows(profile, mc_mean="", mc_err="", prefix=("riskfree_cpty", "0.02", 
 
 def point_texts(tmp_path, monkeypatch, profiles, with_mc=False):
     """The profile texts ``cli._point`` gives for ``profiles``, solved in
-    turn at the points of a riskfree_cpty sweep of ``lambda_bar = 0.02``."""
+    turn at the points of a riskfree_cpty sweep of ``lambda_bar = 0.02``,
+    each taking what the point before it kept, as ``run_scenario`` does."""
     doc = base_config(sweep={"lambda_bar": [0.02] * len(profiles)})
     cfg = load_config(write_config(tmp_path, doc, "points.json"))
     solved = iter(profiles)
     monkeypatch.setattr(cli, "adjustment_independent", lambda *a, **k: next(solved))
     monkeypatch.setattr(cli, "mc_value_independent", lambda *a: McEstimate(1.5, 0.25, 4000, 7))
-    points = enumerate(cli._sweep_points(cfg))
-    return [cli._point(cfg, i, point, with_mc)[0] for i, point in points]
+    texts, kept = [], None
+    for i, point in enumerate(cli._sweep_points(cfg)):
+        text, _, _, kept = cli._point(cfg, i, point, with_mc, kept)
+        texts.append(text)
+    return texts
 
 
 def profile_of(**columns):
@@ -1121,6 +1150,57 @@ def profile_of(**columns):
     return AdjustmentProfile(
         **{name: np.asarray(columns.get(name, filler + k), dtype=float) for k, name in enumerate(names)}
     )
+
+
+# values whose text a match by ``==`` or by length would confuse: signed
+# zeros, the smallest subnormal and one-ulp neighbours
+TEXT_POOL = (
+    0.0, -0.0, 5e-324, -5e-324, 0.1, float(np.nextafter(0.1, 1.0)), float(np.nextafter(0.1, 0.0)),
+    1.0, float(np.nextafter(1.0, 2.0)), -1.0 / 3.0,
+)
+TEXT_ROWS = (8, 12, 16)
+
+
+def twin(x):
+    """``x`` with its sign flipped if it is a zero, so ``==`` to it with
+    other bits; else the value one ulp above it."""
+    return -x if x == 0.0 else float(np.nextafter(x, math.inf))
+
+
+@st.composite
+def text_columns(draw, n):
+    """A column of ``n`` values from ``TEXT_POOL`` in one run, in all
+    distinct runs, or in just under, at or just over ``n / 4`` runs of
+    bitwise-equal values, where a column starts to be formatted per run."""
+    runs = draw(st.sampled_from([1, n // 4 - 1, n // 4, n // 4 + 1, n]))
+    first = draw(st.integers(0, len(TEXT_POOL) - 1))
+    steps = draw(st.lists(st.integers(1, len(TEXT_POOL) - 1), min_size=runs - 1, max_size=runs - 1))
+    picks = np.cumsum([first, *steps]) % len(TEXT_POOL)  # adjacent runs differ
+    cuts = draw(st.sets(st.integers(1, n - 1), min_size=runs - 1, max_size=runs - 1))
+    return np.repeat(np.array(TEXT_POOL)[picks], np.diff([0, *sorted(cuts), n]))
+
+
+@st.composite
+def text_profiles(draw):
+    """1-4 profiles in sweep order.  Each point after the first has the
+    ``t`` and ``v_X`` of the point before, or the same with one node of
+    ``t`` or ``v_X`` changed to its twin, or columns of another length."""
+    n = draw(st.sampled_from(TEXT_ROWS))
+    t, v_x = draw(text_columns(n)), draw(text_columns(n))
+    profiles = []
+    for _ in range(draw(st.integers(1, 4))):
+        t, v_x = t.copy(), v_x.copy()
+        step = draw(st.sampled_from(["same", "one node", "length"])) if profiles else "same"
+        if step == "one node":
+            column = draw(st.sampled_from([t, v_x]))
+            k = draw(st.integers(0, n - 1))
+            column[k] = twin(column[k])
+        elif step == "length":
+            n = draw(st.sampled_from([m for m in TEXT_ROWS if m != n]))
+            t, v_x = draw(text_columns(n)), draw(text_columns(n))
+        others = {name: draw(text_columns(n)) for name in ("u", "v", "alpha", "beta")}
+        profiles.append(AdjustmentProfile(grid=t, v_x=v_x, **others))
+    return profiles
 
 
 class TestPointText:
@@ -1195,6 +1275,14 @@ class TestPointText:
             lengths.append(len(profile.grid))
         assert lengths == [65, 66, 66, 67, 65, 65]
         assert profiles_path.read_text() == "".join(naive)
+
+    @settings(max_examples=300, deadline=None)
+    @given(profiles=text_profiles(), with_mc=st.booleans())
+    def test_point_texts_match_naive_formatting(self, profiles, with_mc):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            texts = point_texts(Path(tmp), mp, profiles, with_mc)
+        mc = ("1.5", "0.25") if with_mc else ("", "")
+        assert texts == ["".join(naive_rows(p, *mc)) for p in profiles]
 
 
 def _curve_docs(values):

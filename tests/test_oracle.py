@@ -1083,7 +1083,9 @@ class TestHeapPeak:
     keeps the block temporaries instead of trimming and refaulting them
     every block.  The trade is long_mc-shaped: 10-node curves, 120
     quarterly flows and both names, where most paths default and where
-    just under a quarter can."""
+    just under a quarter can.  Measured on the most-default trade:
+    2.07, 2.34 and 2.44 MiB (riskfree_cpty, independent, correlated),
+    the chunk buffer and one block's temporaries."""
 
     @staticmethod
     def curve(lo, hi):
