@@ -161,12 +161,14 @@ def _number(raw):
     return raw
 
 
-def _integer(low: int):
-    """A reader of a JSON integer ``>= low``."""
+def _integer(low: int, high: int | None = None):
+    """A reader of a JSON integer ``>= low`` and, given ``high``, ``<= high``."""
 
     def read(raw) -> int:
         if not isinstance(raw, int) or isinstance(raw, bool) or raw < low:
             raise ValueError(f"must be an integer >= {low}")
+        if high is not None and raw > high:
+            raise ValueError(f"must be at most {high}")
         return raw
 
     return read
@@ -251,7 +253,8 @@ _SCHEMA = {
     "sweep": {"lambda_bar": ([_curve], []), "theta": ([_theta], [])},
     "numerics": {
         "panels_per_year": (_integer(1), DEFAULT_PANELS_PER_YEAR),
-        "mc_paths": (_integer(2), 100_000),
+        # every pair count and the draw count must fit an int64
+        "mc_paths": (_integer(2, 2**62), 100_000),
         "seed": (_integer(0), 0),
     },
     "output": {"profiles": (_output_name, "profiles.csv"), "summary": (_output_name, "summary.csv")},
@@ -310,9 +313,9 @@ def _panel_grid_bytes(cfg: ScenarioConfig) -> int:
     curves += cfg.lambda_bar_sweep
     if cfg.counterparty is not None:
         curves.append(cfg.counterparty.intensity)
-    # any rate past 2**62 panels a year is as far out of reach; the cap
-    # keeps the product a float
-    uniform = math.ceil(cfg.schedule.maturity * min(cfg.panels_per_year, 2**62))
+    # any count past 2**62 panels is as far out of reach; capping the rate
+    # keeps the product a float, and capping the product keeps it finite
+    uniform = math.ceil(min(cfg.schedule.maturity * min(cfg.panels_per_year, 2**62), 2.0**62))
     points = uniform + 1 + len(cfg.schedule.times) + sum(len(c.times) for c in curves)
     labels = [len(f"{cfg.regime},{lam},{theta},,") for _, lam, theta, _ in _sweep_points(cfg)]
     text = max(labels) + 6 * _FLOAT_CHARS

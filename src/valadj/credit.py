@@ -82,12 +82,12 @@ class CreditCurve:
         ``inf`` where the cumulative hazard never reaches ``-log(w)``
         (e.g. a tail intensity of zero, or ``w = 0``).
 
-        Each level takes only its own branch: on a flat curve
-        ``tau = -log(w) / lam``; on a piecewise curve a search among the
-        cumulative hazards at the nodes picks the segment, whose time is
+        One formula serves every curve: a search among the cumulative
+        hazards at the nodes picks each level's segment, whose time is
         clamped at its end node (the formula can overshoot it by a few
         ulps), and the tail past the last node is the unbounded last
-        segment.  NaN levels are rejected with the out-of-range ones.
+        segment (a flat curve is that tail alone).  NaN levels are
+        rejected with the out-of-range ones.
         """
         w_arr = np.asarray(w, dtype=float)
         # NaN fails both comparisons
@@ -97,27 +97,19 @@ class CreditCurve:
             # 0.0 - log(w) is +0.0 at w = 1, where -log(w) is -0.0
             target = 0.0 - np.log(w_arr)
 
-        lam = self.intensity._values
-        nseg = len(lam) - 1  # bounded segments; the last value extends flat
-        if lam[-1] == 0.0 and nseg == 0:
-            out = np.where(target <= 0.0, 0.0, np.inf)
-        elif nseg == 0:
-            with np.errstate(over="ignore"):  # a subnormal intensity: tau = inf
-                out = target / lam[0]
-        else:
-            times, cum = self.intensity._times, self.intensity._cum
-            k = np.searchsorted(cum[1:], target, side="left")
-            # a zero-intensity segment spans no levels (a leading one is
-            # reached only at w = 1): it adds 0 to its start time
-            rate = np.where(lam > 0.0, lam, np.inf)
-            end = np.append(times[1:], np.inf)
-            # inf/inf at w = 0 and on a zero tail; a subnormal intensity
-            # overflows to tau = inf
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = np.minimum(times[k] + (target - cum[k]) / rate[k], end[k])
-            if lam[-1] == 0.0:
-                # a zero tail never reaches the levels past the last node
-                out = np.where(k < nseg, out, np.inf)
+        lam, times, cum = self.intensity._values, self.intensity._times, self.intensity._cum
+        k = np.searchsorted(cum[1:], target, side="left")
+        # a zero-intensity segment spans no levels (a leading one is
+        # reached only at w = 1): it adds 0 to its start time
+        rate = np.where(lam > 0.0, lam, np.inf)
+        end = np.append(times[1:], np.inf)
+        # inf/inf at w = 0 and on a zero tail; a subnormal intensity
+        # overflows to tau = inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.minimum(times[k] + (target - cum[k]) / rate[k], end[k])
+        if lam[-1] == 0.0:
+            # a zero tail never reaches the levels past the last node's hazard
+            out = np.where(target <= cum[-1], out, np.inf)
         return _scalar(out)
 
 

@@ -304,13 +304,16 @@ class TestValidate:
             for d in err["diagnostics"]
         )
 
-    def test_mc_paths_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
-        # the simulators' memory is flat in the path count, so validate
-        # sets no bound on it; it parses the config and runs nothing
+    @pytest.fixture
+    def validate_only(self, monkeypatch):
         def must_not_run(*args, **kwargs):
             raise AssertionError("validate ran the scenario")
 
         monkeypatch.setattr(cli, "run_scenario", must_not_run)
+
+    def test_mc_paths_beyond_physical_memory(self, tmp_path, capsys, validate_only):
+        # the simulators' memory is flat in the path count, so validate
+        # sets no memory bound on it; it parses the config and runs nothing
         doc = base_config(numerics={"panels_per_year": 64, "mc_paths": 2**60, "seed": 7})
         path = write_config(tmp_path, doc)
         tracemalloc.start()
@@ -321,6 +324,20 @@ class TestValidate:
             tracemalloc.stop()
         assert peak < 2**20
         assert capsys.readouterr().out == "config ok\n"
+
+    @pytest.mark.parametrize("paths", [2**62, 2**62 + 1, 10**19, 10**20])
+    def test_mc_paths_must_fit_int64(self, tmp_path, capsys, validate_only, paths):
+        # a run's pair counts and draw count are int64, which 2**62 paths
+        # fit and 10**20 would wrap
+        doc = base_config(numerics={"panels_per_year": 64, "mc_paths": paths, "seed": 7})
+        path = write_config(tmp_path, doc)
+        if paths <= 2**62:
+            assert main(["validate", str(path)]) == EXIT_OK
+            assert capsys.readouterr().out == "config ok\n"
+            return
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["diagnostics"] == [f"numerics.mc_paths: must be at most {2**62}"]
 
     def test_lambda_bar_whose_discount_overflows(self, tmp_path, capsys):
         # r_bar = r_F - (1 - R) lambda_bar: the discount factor
@@ -413,6 +430,18 @@ class TestValidate:
         (diag,) = json.loads(capsys.readouterr().err)["diagnostics"]
         assert diag.startswith("numerics.panels_per_year: 64 panels per year")
         assert str(cli._physical_memory()) in diag
+
+    def test_maturity_past_the_double_range_of_panels(self, tmp_path, capsys):
+        # maturity * panels_per_year passes the largest double: the
+        # uniform panel count is capped as a float, and the memory rule
+        # rejects the config
+        doc = base_config()
+        doc["schedule"]["maturity"] = 1e308
+        path = write_config(tmp_path, doc)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        # the whole of stderr is one JSON document
+        (diag,) = json.loads(capsys.readouterr().err)["diagnostics"]
+        assert diag.startswith("numerics.panels_per_year: 64 panels per year over 1e+308 years")
 
     def test_panel_grid_bytes(self, tmp_path, monkeypatch):
         doc = base_config()

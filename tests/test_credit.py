@@ -92,8 +92,7 @@ class TestInverseSurvival:
     )
     def test_nan_level_rejected(self, nodes):
         # a NaN level has no default time; it used to map to NaN, or to
-        # inf under a zero tail.  The array is long enough for the bucket
-        # lookup of a piecewise curve.
+        # inf under a zero tail
         c = CreditCurve("I", TermCurve.from_nodes(nodes))
         w = np.linspace(0.0, 1.0, 4096)
         c.inverse_survival(w)
@@ -309,8 +308,10 @@ def test_copula_bounds_and_marginals(u, v, theta):
 
 @st.composite
 def intensity_nodes(draw):
-    """Flat and piecewise intensities, with zero-intensity segments and
-    zero tails."""
+    """Flat and piecewise intensities, with zero-intensity segments, zero
+    tails and intensities at the edges of the double range: a subnormal
+    one never defaults, and 1e300 defaults within a few ulps of its
+    segment's start."""
     n = draw(st.integers(min_value=1, max_value=5))
     extra = draw(
         st.lists(
@@ -322,7 +323,10 @@ def intensity_nodes(draw):
     )
     values = draw(
         st.lists(
-            st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=3.0)),
+            st.one_of(
+                st.sampled_from([0.0, 5e-324, 1e-300, 1e300]),
+                st.floats(min_value=1e-4, max_value=3.0),
+            ),
             min_size=n,
             max_size=n,
         )
@@ -332,11 +336,14 @@ def intensity_nodes(draw):
 
 def node_levels(curve):
     """Survival levels whose ``-log`` lands exactly on a node's cumulative
-    hazard, where one exists among the neighbours of ``exp(-H)``."""
+    hazard, where one exists among the neighbours of ``exp(-H)``; none
+    does past ``H ~ 745``, where the level underflows to 0."""
     found = []
     for h in curve.intensity._cum:
         w = float(np.exp(-h))
         for _ in range(4):
+            if w == 0.0:
+                break
             if -float(np.log(w)) == h:
                 found.append(w)
                 break

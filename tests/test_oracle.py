@@ -26,7 +26,7 @@ from valadj import (
     mc_value_independent,
     sample_joint_defaults,
 )
-from valadj import as_curve, cli, credit, curves, oracle
+from valadj import as_curve, cli, credit, oracle
 from valadj.measure import internal_rate
 
 from _reference import (
@@ -1489,8 +1489,8 @@ class TestSurvivorKnot:
 
     def test_one_pass_per_key(self, monkeypatch):
         # on a long_mc-shaped trade, once set up, a simulation makes no
-        # search among the grid or a curve's nodes, whether binary or by
-        # the bucket table of a multi-node curve
+        # search among the grid or a curve's nodes: every such search,
+        # a multi-node curve's included, is an np.searchsorted call
         t = TestHeapPeak
         market = MarketRates(t.curve(0.01, 0.04), t.curve(0.005, 0.03))
         investor = CreditCurve("I", t.curve(0.01, 0.025))
@@ -1518,7 +1518,6 @@ class TestSurvivorKnot:
             return count
 
         monkeypatch.setattr(np, "searchsorted", counting(np.searchsorted))
-        monkeypatch.setattr(curves._Locator, "__call__", counting(curves._Locator.__call__))
         for seg, payoffs, bound in simulators:
             estimate = oracle._simulate(2**14, 5, seg, payoffs, bound)
             assert 0.0 < estimate.std_error < 1e-3
