@@ -9,10 +9,12 @@ Runs ``valadj run`` with and without ``--mc`` on the shipped configs
 3 and 7, built by importing ``bench/workloads.py``, and on two sweeps
 made from ``configs/independent_mixed.json`` (``SWEEPS``): a piecewise
 ``lambda_bar`` sweep whose node times, and so panel grids, differ between
-points, and a flat sweep that repeats a point.  The shipped configs are
-also run with ``--panels 64`` (``PANELS``) and without ``--mc``, which
-checks the override path.  That is 43 runs, each once with REV's
-``src/`` and once with this tree's, on the same config files.
+points, and a flat sweep that repeats a point; and on a config whose run
+fails with exit code 3 (``propagation_overflow``), so that the JSON error
+on stderr is compared too.  The shipped configs are also run with
+``--panels 64`` (``PANELS``) and without ``--mc``, which checks the
+override path.  That is 45 runs, each once with REV's ``src/`` and once
+with this tree's, on the same config files.
 It compares every CSV written, stdout, stderr and the exit code, prints
 one table row per run and exits 1 on any difference.  Under a run whose
 CSVs differ it names each differing cell by file, line and column, with
@@ -81,6 +83,17 @@ def config_paths(workdir: Path) -> list[Path]:
         path = workdir / "sweeps" / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths.append(path)
+    # configs/correlated_bond.json with one flow of 1 at t = 1: the
+    # risk-free rate of 800 until 0.5 and -1600 after overflows the panel
+    # propagation, a numeric failure after a valid set-up
+    doc = json.loads((ROOT / "configs" / "correlated_bond.json").read_text())
+    doc["schedule"] = {"flows": [{"t": 1.0, "amount": 1.0}]}
+    doc["sweep"] = {"theta": [0.0]}
+    doc["market"]["risk_free"] = _piecewise((0.0, 800.0), (0.5, -1600.0))
+    (workdir / "failing").mkdir()
+    path = workdir / "failing" / "propagation_overflow.json"
+    path.write_text(json.dumps(doc))
+    paths.append(path)
     return paths
 
 

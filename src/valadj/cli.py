@@ -7,9 +7,10 @@ error, 3 numeric failure.  Output is byte-deterministic for a fixed
 config and seed: floats are written with ``repr`` (shortest round-trip)
 and no timestamps are emitted.
 
-Sweep points are independent pure computations; they are executed in
-config order and reported in that order.  The Monte Carlo seed for
-sweep point ``i`` is ``seed + i``.
+Sweep points are independent pure computations: :func:`_point` solves
+point ``i`` from ``cfg`` and ``i`` alone (Monte Carlo seed ``seed + i``).
+Its text is made afterwards, in config order, by :func:`_render`, which
+alone holds what one point's text keeps for the next.
 """
 
 from __future__ import annotations
@@ -513,35 +514,37 @@ def _sweep_points(cfg: ScenarioConfig):
         yield f"sweep.lambda_bar[{i}]", _lambda_label(lam), "", args
 
 
-def _point(cfg: ScenarioConfig, i: int, point, with_mc: bool, kept=None):
-    """Solve sweep point ``i``, ``point`` from :func:`_sweep_points`, and
-    with ``with_mc`` simulate it; return its profile text, summary row,
-    echo line and what it keeps for the next point's text, which takes
-    what the previous point kept as ``kept`` (:func:`_profile_text`).
-
-    A numeric failure is raised again with the point's config key in
-    front of its message."""
-    key, lam_label, theta_label, args = point
+def _point(cfg: ScenarioConfig, i: int, key: str, args: tuple, with_mc: bool) -> tuple:
+    """``(profile, estimate)`` of sweep point ``i``, whose ``key`` and
+    ``args`` come from :func:`_sweep_points`; the estimate is None without
+    ``with_mc``.  A numeric failure is raised again with ``key`` in front
+    of its message, an :class:`InvariantError` with its time ``t``."""
     solve, simulate, *_ = _regime_functions(cfg.regime)
-    mc_mean = mc_err = mc_paths = mc_seed = ""
     try:
         profile = solve(*args, panels_per_year=cfg.panels_per_year)
-        if with_mc:
-            est = simulate(*args, cfg.mc_paths, cfg.seed + i)
-            mc_mean, mc_err = _fmt(est.mean), _fmt(est.std_error)
-            mc_paths, mc_seed = str(est.paths), str(est.seed)
-    except (InvariantError, ArithmeticError) as exc:
+        est = simulate(*args, cfg.mc_paths, cfg.seed + i) if with_mc else None
+    except InvariantError as exc:
+        raise InvariantError(f"{key}: {exc}", exc.t) from exc
+    except ArithmeticError as exc:
         raise type(exc)(f"{key}: {exc}") from exc
-    prefix = f"{cfg.regime},{lam_label},{theta_label}"
+    return profile, est
+
+
+def _render(regime: str, lam: str, theta: str, profile, est, kept) -> tuple:
+    """A solved point's profile text, summary row and echo line, and what
+    it keeps for the next point, which takes this one's as ``kept``
+    (:func:`_profile_text`).  The row and the line share each value's text."""
+    mc_mean = mc_err = mc_paths = mc_seed = mc_note = ""
+    if est is not None:
+        mc_mean, mc_err = _fmt(est.mean), _fmt(est.std_error)
+        mc_paths, mc_seed = str(est.paths), str(est.seed)
+        mc_note = f" mc={mc_mean}+-{mc_err}"
+    prefix = f"{regime},{lam},{theta}"
     text, kept = _profile_text(prefix, profile, mc_mean, mc_err, kept)
-    values = map(_fmt, (profile.v_x[0], profile.u[0], profile.v[0]))
-    row = ",".join((cfg.regime, lam_label, theta_label, *values, mc_mean, mc_err, mc_paths, mc_seed))
-    mc_note = f" mc={mc_mean}+-{mc_err}" if with_mc else ""
-    note = (
-        f"{cfg.regime} lambda_bar_I={lam_label}"
-        + (f" theta={theta_label}" if theta_label else "")
-        + f" u0={_fmt(profile.u[0])} v0={_fmt(profile.v[0])}{mc_note}"
-    )
+    u0, v0 = _fmt(profile.u[0]), _fmt(profile.v[0])
+    row = ",".join((prefix, _fmt(profile.v_x[0]), u0, v0, mc_mean, mc_err, mc_paths, mc_seed))
+    theta_note = f" theta={theta}" if theta else ""
+    note = f"{regime} lambda_bar_I={lam}{theta_note} u0={u0} v0={v0}{mc_note}"
     return text, row + "\n", note, kept
 
 
@@ -566,11 +569,12 @@ def run_scenario(
     with _write(paths) as write:
         write(PROFILE_COLUMNS + "\n", SUMMARY_COLUMNS + "\n")
         kept = None  # a point's t and v_X text, for the next point only
-        for i, point in enumerate(_sweep_points(cfg)):
-            text, row, note, kept = _point(cfg, i, point, with_mc, kept)
+        for i, (key, lam, theta, args) in enumerate(_sweep_points(cfg)):
+            profile, est = _point(cfg, i, key, args, with_mc)
+            text, row, note, kept = _render(cfg.regime, lam, theta, profile, est, kept)
             write(text, row)
             echo(note)
-            del text  # before the next point's rows
+            del profile, text  # before the next point's solve and rows
     return paths
 
 

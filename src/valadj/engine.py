@@ -220,7 +220,7 @@ def solve_linear_adjustment(
     if not np.all(np.isfinite(u)):
         # once non-finite, u stays so down to t = 0: name where it broke
         t = float(edges[np.flatnonzero(~np.isfinite(u))[-1]])
-        raise InvariantError(f"adjustment overflowed during panel propagation at t = {t!r}")
+        raise InvariantError(f"adjustment overflowed during panel propagation at t = {t!r}", t)
 
     return AdjustmentProfile(
         grid=edges, v_x=vx_edge, u=u, v=vx_edge + u, alpha=alpha_edge, beta=beta_edge

@@ -1,9 +1,11 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -955,7 +957,7 @@ class TestRun:
         for name in ("profiles.csv", "summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_profile_rows_match_naive_formatting(self, tmp_path, monkeypatch):
+    def test_profile_rows_match_naive_formatting(self):
         values = np.array(
             [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 0.1, -1.0 / 3.0, 1e16, 123456.789, 2.0**60]
         )
@@ -969,7 +971,7 @@ class TestRun:
             beta=values * 0.5,
         )
         naive = naive_rows(profile, "1.5", "0.25")
-        assert point_texts(tmp_path, monkeypatch, [profile], with_mc=True) == ["".join(naive)]
+        assert point_texts([profile], with_mc=True) == ["".join(naive)]
         assert "-0.0" in naive[1] and "5e-324" in naive[2]
 
     def test_bad_panels_override(self, tmp_path, capsys):
@@ -1017,6 +1019,36 @@ class TestRun:
         assert proc.returncode == EXIT_NUMERIC, proc.stderr
         assert json.loads(proc.stderr)["error"] == "numeric"
         assert not list(out.glob("*.csv"))
+
+    def test_numeric_failure_keeps_its_time(self, tmp_path):
+        # the point's key goes in front of the message, and the time the
+        # engine failed at stays on the error raised again
+        cfg = load_config(write_config(tmp_path, propagation_overflow_doc()))
+        ((key, _, _, args),) = cli._sweep_points(cfg)
+        with np.errstate(**cli._RUN_ERRSTATE), pytest.raises(cli.InvariantError) as info:
+            cli._point(cfg, 0, key, args, True)
+        message = re.fullmatch(r"sweep\.theta\[0\]: .* at t = (\S+)", str(info.value))
+        assert message is not None, str(info.value)
+        assert info.value.t == float(message.group(1)) == info.value.__cause__.t
+
+    def test_point_solves_and_formats_nothing(self, tmp_path, monkeypatch):
+        # a point's result is the profile and the estimate, whole after a
+        # pickle round trip, as a worker process would hand it back
+        def refuse(*args):
+            raise AssertionError("_point made text")
+
+        monkeypatch.setattr(cli, "_profile_text", refuse)
+        cfg = load_config(write_config(tmp_path, base_config()))
+        key, _, _, args = next(cli._sweep_points(cfg))
+        result = cli._point(cfg, 0, key, args, True)
+        profile, est = result
+        assert isinstance(profile, AdjustmentProfile)
+        assert est == mc_value_independent(*args, 4000, 7)
+        back_profile, back_est = pickle.loads(pickle.dumps(result))
+        assert back_est == est
+        for field in dataclasses.fields(AdjustmentProfile):
+            a, b = getattr(profile, field.name), getattr(back_profile, field.name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_correlated_run(self, tmp_path):
         doc = base_config(
@@ -1155,18 +1187,14 @@ def naive_rows(profile, mc_mean="", mc_err="", prefix=("riskfree_cpty", "0.02", 
     return rows
 
 
-def point_texts(tmp_path, monkeypatch, profiles, with_mc=False):
-    """The profile texts ``cli._point`` gives for ``profiles``, solved in
-    turn at the points of a riskfree_cpty sweep of ``lambda_bar = 0.02``,
-    each taking what the point before it kept, as ``run_scenario`` does."""
-    doc = base_config(sweep={"lambda_bar": [0.02] * len(profiles)})
-    cfg = load_config(write_config(tmp_path, doc, "points.json"))
-    solved = iter(profiles)
-    monkeypatch.setattr(cli, "adjustment_independent", lambda *a, **k: next(solved))
-    monkeypatch.setattr(cli, "mc_value_independent", lambda *a: McEstimate(1.5, 0.25, 4000, 7))
+def point_texts(profiles, with_mc=False):
+    """The profile texts ``cli._render`` makes for ``profiles``, in turn the
+    points of a riskfree_cpty sweep of ``lambda_bar = 0.02``, each taking
+    what the point before it kept, as ``run_scenario`` does."""
+    est = McEstimate(1.5, 0.25, 4000, 7) if with_mc else None
     texts, kept = [], None
-    for i, point in enumerate(cli._sweep_points(cfg)):
-        text, _, _, kept = cli._point(cfg, i, point, with_mc, kept)
+    for profile in profiles:
+        text, _, _, kept = cli._render("riskfree_cpty", "0.02", "", profile, est, kept)
         texts.append(text)
     return texts
 
@@ -1237,17 +1265,17 @@ class TestPointText:
     before it held: signed zeros, values one ulp apart, runs of equal
     values and grids that change between points."""
 
-    def test_signed_zeros_side_by_side_and_across_points(self, tmp_path, monkeypatch):
+    def test_signed_zeros_side_by_side_and_across_points(self):
         zeros = [0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0]
         flipped = [-z if k % 3 == 0 else z for k, z in enumerate(zeros)]
         first = profile_of(grid=np.linspace(0.0, 1.0, 8), v_x=zeros, alpha=zeros, beta=zeros)
         same = profile_of(grid=np.linspace(0.0, 1.0, 8), v_x=zeros, alpha=flipped, beta=zeros)
         other = profile_of(grid=np.linspace(0.0, 1.0, 8), v_x=flipped, alpha=zeros, beta=flipped)
-        texts = point_texts(tmp_path, monkeypatch, [first, same, other])
+        texts = point_texts([first, same, other])
         assert texts == ["".join(naive_rows(p)) for p in (first, same, other)]
         assert ",-0.0," in texts[2].splitlines()[0]
 
-    def test_columns_one_ulp_apart(self, tmp_path, monkeypatch):
+    def test_columns_one_ulp_apart(self):
         grid = np.linspace(0.0, 2.0, 9)
         base = np.full(9, 0.1)
         up = base.copy()
@@ -1258,7 +1286,7 @@ class TestPointText:
             profile_of(grid=np.nextafter(grid, 3.0), v_x=up, alpha=base, beta=down),
             profile_of(grid=np.nextafter(grid, 3.0), v_x=down, alpha=down, beta=up),
         ]
-        texts = point_texts(tmp_path, monkeypatch, profiles)
+        texts = point_texts(profiles)
         assert texts == ["".join(naive_rows(p)) for p in profiles]
 
     @pytest.mark.parametrize(
@@ -1272,13 +1300,13 @@ class TestPointText:
             [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0, 5.0, 5.0],  # pairs
         ],
     )
-    def test_runs(self, tmp_path, monkeypatch, column):
+    def test_runs(self, column):
         grid = np.linspace(0.0, 1.0, len(column))
         profiles = [
             profile_of(grid=grid, v_x=column, u=column, v=column, alpha=column, beta=column),
             profile_of(grid=grid, v_x=column[::-1], alpha=column[::-1]),
         ]
-        texts = point_texts(tmp_path, monkeypatch, profiles, with_mc=True)
+        texts = point_texts(profiles, with_mc=True)
         assert texts == ["".join(naive_rows(p, "1.5", "0.25")) for p in profiles]
 
     def test_piecewise_sweep_changes_the_grid(self, tmp_path):
@@ -1308,8 +1336,7 @@ class TestPointText:
     @settings(max_examples=300, deadline=None)
     @given(profiles=text_profiles(), with_mc=st.booleans())
     def test_point_texts_match_naive_formatting(self, profiles, with_mc):
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            texts = point_texts(Path(tmp), mp, profiles, with_mc)
+        texts = point_texts(profiles, with_mc)
         mc = ("1.5", "0.25") if with_mc else ("", "")
         assert texts == ["".join(naive_rows(p, *mc)) for p in profiles]
 

@@ -122,8 +122,9 @@ class TestSolver:
         # panel propagated, [0.75, 1], overflows at its left edge
         with pytest.raises(
             InvariantError, match=r"overflowed during panel propagation at t = 0\.75$"
-        ):
+        ) as info:
             solve_constant(-3200.0, 1.0, maturity=1.0, panels_per_year=4)
+        assert info.value.t == 0.75
 
     def test_terminal_condition(self):
         prof = solve_constant(0.1, 1.0, maturity=1.0, panels_per_year=8)
